@@ -43,8 +43,8 @@ use scenerec_bench::traffic::{self, TrafficConfig};
 use scenerec_core::FrozenModel;
 use scenerec_obs::RunManifest;
 use scenerec_serve::{
-    replay_bounded, responses_to_json, AdmissionConfig, AdmissionPlan, BoundedReplayConfig,
-    EngineConfig, FrozenEngine, Lane, ReplayConfig, Response, Verdict,
+    replay_with, responses_to_json, AdmissionConfig, AdmissionPlan, EngineConfig, FrozenEngine,
+    Lane, ReplayConfig, ReplayOptions, Response, Verdict,
 };
 use scenerec_tensor::backend_name;
 use serde::{Deserialize, Serialize};
@@ -216,19 +216,20 @@ fn main() {
         // Byte parity across worker counts, on a fresh engine each so
         // cache state is identical; shedding is planned before any
         // worker exists, so bytes cannot move.
+        let options = ReplayOptions {
+            admission: Some(admission.clone()),
+            ..ReplayOptions::default()
+        };
         let mut reference: Option<String> = None;
         for &workers in &worker_counts {
             let engine = build_engine(num_users, num_items, dim, seed);
-            let cfg = BoundedReplayConfig {
-                replay: ReplayConfig {
-                    workers,
-                    max_batch,
-                    ..ReplayConfig::default()
-                },
-                admission: admission.clone(),
+            let cfg = ReplayConfig {
+                workers,
+                max_batch,
+                ..ReplayConfig::default()
             };
-            let (responses, _) = replay_bounded(&engine, &trace, &cfg);
-            let rendered = responses_to_json(&responses);
+            let rendered =
+                responses_to_json(&replay_with(&engine, &trace, &cfg, &options).responses);
             match &reference {
                 None => reference = Some(rendered),
                 Some(want) => assert_eq!(
@@ -240,17 +241,18 @@ fn main() {
 
         // The timed run: one worker, fresh engine.
         let engine = build_engine(num_users, num_items, dim, seed);
-        let cfg = BoundedReplayConfig {
-            replay: ReplayConfig {
-                workers: 1,
-                max_batch,
-                ..ReplayConfig::default()
-            },
-            admission: admission.clone(),
+        let cfg = ReplayConfig {
+            workers: 1,
+            max_batch,
+            ..ReplayConfig::default()
         };
         let t = Instant::now();
-        let (responses, plan) = replay_bounded(&engine, &trace, &cfg);
+        let replayed = replay_with(&engine, &trace, &cfg, &options);
         let total_ns = t.elapsed().as_nanos() as u64;
+        let (responses, plan) = (
+            replayed.responses,
+            replayed.plan.expect("admission was requested"),
+        );
         let secs = total_ns as f64 / 1e9;
 
         // Zero silent drops: every arrival answered exactly once, every

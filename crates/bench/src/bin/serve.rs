@@ -36,7 +36,8 @@ use scenerec_data::{generate, DatasetProfile};
 use scenerec_graph::{ItemId, UserId};
 use scenerec_obs::{chrome_trace_json, metrics, reset_metrics, structure_digest, RunManifest};
 use scenerec_serve::{
-    latency_edges, replay, replay_traced, EngineConfig, FrozenEngine, ReplayConfig, Request,
+    latency_edges, replay, replay_with, EngineConfig, FrozenEngine, ReplayConfig, ReplayOptions,
+    Request, TimedRequest,
 };
 use scenerec_tensor::backend_name;
 use serde::{Deserialize, Serialize};
@@ -251,16 +252,21 @@ fn main() {
 
     // Optional causal-trace export + cross-worker structure check.
     if let Some(trace_out) = args.get("trace-out") {
-        engine.clear_cache();
-        let (_, traces) = replay_traced(
-            &engine,
-            &requests,
-            &ReplayConfig {
-                workers: 1,
+        let arrivals = TimedRequest::burst(&requests);
+        let traced = ReplayOptions {
+            trace: true,
+            ..ReplayOptions::default()
+        };
+        let traced_replay = |workers: usize| {
+            let config = ReplayConfig {
+                workers,
                 max_batch: 32,
                 ..ReplayConfig::default()
-            },
-        );
+            };
+            replay_with(&engine, &arrivals, &config, &traced).traces
+        };
+        engine.clear_cache();
+        let traces = traced_replay(1);
         let reference = structure_digest(&traces);
         if let Some(dir) = std::path::Path::new(trace_out).parent() {
             std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("mkdir {}: {e}", dir.display()));
@@ -274,29 +280,9 @@ fn main() {
         );
         // Warm traced replays across every worker count must agree on
         // span structure — the interleaving-independence contract.
-        let warm_reference = {
-            let (_, t) = replay_traced(
-                &engine,
-                &requests,
-                &ReplayConfig {
-                    workers: 1,
-                    max_batch: 32,
-                    ..ReplayConfig::default()
-                },
-            );
-            structure_digest(&t)
-        };
+        let warm_reference = structure_digest(&traced_replay(1));
         for &w in &workers {
-            let (_, t) = replay_traced(
-                &engine,
-                &requests,
-                &ReplayConfig {
-                    workers: w,
-                    max_batch: 32,
-                    ..ReplayConfig::default()
-                },
-            );
-            let digest = structure_digest(&t);
+            let digest = structure_digest(&traced_replay(w));
             assert_eq!(
                 digest, warm_reference,
                 "span structure diverged at workers={w}"

@@ -82,6 +82,19 @@ pub struct TimedRequest {
     pub request: Request,
 }
 
+impl TimedRequest {
+    /// A plain request log as one burst: every request arrives at tick 0.
+    pub fn burst(requests: &[Request]) -> Vec<TimedRequest> {
+        requests
+            .iter()
+            .map(|&request| TimedRequest {
+                arrive_tick: 0,
+                request,
+            })
+            .collect()
+    }
+}
+
 /// Admission-control knobs for the bounded scheduler.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {

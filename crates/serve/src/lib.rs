@@ -20,6 +20,16 @@
 //!        scheduler::replay(requests, workers) ──▶ responses (NDJSON)
 //! ```
 //!
+//! ## Entry points
+//!
+//! Four functions serve a log, two per engine: [`replay`] and
+//! [`replay_sharded`] take a plain request log and return responses;
+//! [`replay_with`] and [`replay_sharded_with`] take a timed arrival log
+//! plus [`ReplayOptions`] — admission control, fault injection and
+//! tracing, in any combination — and return a [`Replay`] (responses,
+//! traces, admission plan). Both engines run on one supervised worker
+//! pool.
+//!
 //! ## Invariants
 //!
 //! * **Parity**: engine scores are bit-identical to the tape
@@ -31,11 +41,11 @@
 //!   bytes (`tests/determinism.rs`).
 //! * **No panics in the serving path**: fallible APIs return
 //!   [`ServeError`]; malformed requests become error responses.
-//! * **Fault tolerance**: [`scheduler::replay_supervised`] recovers
-//!   worker panics (supervised respawn, exactly-once responses), retries
-//!   engine outages with deterministic backoff, degrades to stale cached
-//!   results, and bounds injected latency with logical-tick deadlines
-//!   (`tests/chaos.rs`).
+//! * **Fault tolerance**: with [`ReplayOptions::injector`] armed, the
+//!   pool recovers worker panics (supervised respawn, exactly-once
+//!   responses), engine outages retry with deterministic backoff and
+//!   degrade to stale results, and injected latency is bounded by
+//!   logical-tick deadlines (`tests/chaos.rs`).
 //! * **Sharding is invisible in the bytes**: a [`shard::ShardedEngine`]
 //!   range-partitions the catalog, scores shards independently, and
 //!   merges with an exact scatter-gather — responses are bit-identical
@@ -53,6 +63,7 @@ pub mod admission;
 pub mod cache;
 pub mod engine;
 pub mod mask;
+mod pool;
 pub mod scheduler;
 pub mod shard;
 pub mod topk;
@@ -66,13 +77,11 @@ pub use engine::{EngineConfig, FrozenEngine, ServeError};
 pub use mask::SeenMask;
 pub use scenerec_faults::Backoff;
 pub use scheduler::{
-    latency_edges, replay, replay_bounded, replay_bounded_supervised, replay_bounded_traced,
-    replay_bounded_traced_supervised, replay_supervised, replay_traced, replay_traced_supervised,
-    responses_to_json, BoundedReplayConfig, ReplayConfig, Request, Response,
+    latency_edges, replay, replay_with, responses_to_json, Replay, ReplayConfig, ReplayOptions,
+    Request, Response,
 };
 pub use shard::{
-    replay_sharded, replay_sharded_bounded, replay_sharded_bounded_supervised,
-    replay_sharded_supervised, replay_sharded_traced, replay_sharded_traced_supervised,
-    ShardPartial, ShardReplayConfig, ShardedConfig, ShardedEngine,
+    replay_sharded, replay_sharded_with, ShardPartial, ShardReplayConfig, ShardedConfig,
+    ShardedEngine,
 };
 pub use topk::{merge_top_k, select_top_k};

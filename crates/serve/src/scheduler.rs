@@ -1,33 +1,40 @@
-//! Micro-batching request scheduler with worker supervision.
+//! Micro-batching request scheduler for the single [`FrozenEngine`].
 //!
-//! A replayed request log is split into contiguous micro-batches on a
-//! shared queue; a supervised pool of scoped workers drains it. Responses
-//! are reassembled **by request index**, so the output order — and,
-//! because the engine is pure and its cache hit/miss behavior cannot
+//! A replayed request log is split into contiguous micro-batches on two
+//! lane queues; the supervised pool in `crate::pool` drains them.
+//! Responses are reassembled **by request index**, so the output order —
+//! and, because the engine is pure and its cache hit/miss behavior cannot
 //! change response values, the output bytes — are identical at any worker
 //! count. Which worker serves which batch is the *only* nondeterminism,
 //! and it is unobservable in the results (pinned by
 //! `tests/determinism.rs`).
 //!
-//! ## Failure handling (`replay_supervised`)
+//! ## Entry points
 //!
-//! The supervised entry point threads a `scenerec_faults::Injector`
-//! through three recovery paths, all driven by **logical ticks** — no
-//! wall clocks, so every outcome is reproducible from the fault plan:
+//! [`replay`] serves a plain request log. [`replay_with`] takes a timed
+//! arrival log plus [`ReplayOptions`] — admission control, fault
+//! injection and causal tracing, in any combination — and returns a
+//! [`Replay`]. Without admission the plan is degenerate: every request
+//! in the cold lane, in arrival order, nothing shed. The sharded engine
+//! has the same pair, [`crate::replay_sharded`] and
+//! [`crate::replay_sharded_with`].
 //!
-//! * **Worker panics** (`serve/worker`): a worker records its claimed
-//!   batch in an in-flight registry before touching it and commits the
-//!   batch's responses atomically after finishing it. When a worker dies
-//!   the supervisor requeues the registered batch (bounded by
+//! ## Failure handling
+//!
+//! The [`ReplayOptions::injector`] drives three recovery paths, all on
+//! **logical ticks** — no wall clocks, so every outcome is reproducible
+//! from the fault plan:
+//!
+//! * **Worker panics** (`serve/worker`): the pool requeues the dead
+//!   worker's registered batch at the front of its own lane (bounded by
 //!   [`ReplayConfig::max_retries`], then error responses) and respawns a
 //!   replacement — every request is answered exactly once, never lost,
 //!   never duplicated.
 //! * **Engine unavailability** (`serve/engine`): a failed attempt retries
 //!   with deterministic exponential backoff
 //!   ([`scenerec_faults::Backoff`]); exhausted retries fall back to the
-//!   scheduler's stale-result cache when [`ReplayConfig::degraded`] is
-//!   set (stale equals fresh bit-for-bit — the engine is pure), else an
-//!   error response.
+//!   replay's stale-result map (stale equals fresh bit-for-bit — the
+//!   engine is pure), else an error response.
 //! * **Deadlines** (`serve/request` latency): injected latency beyond
 //!   [`ReplayConfig::deadline_ticks`] becomes a typed deadline-exceeded
 //!   error response instead of an unbounded wait.
@@ -37,27 +44,30 @@
 //! `serve/retries`, `serve/degraded_hits`, `serve/deadline_misses`, and
 //! `serve/worker_respawns`.
 //!
-//! ## Causal tracing (`replay_traced`)
+//! ## Causal tracing
 //!
-//! The traced entry points additionally record one span tree per
-//! request (`serve.request` → `serve.queue` / `serve.batch` →
+//! With [`ReplayOptions::trace`] set, every request records one span
+//! tree (`serve.request` → `serve.queue` / `serve.batch` →
 //! `serve.cache` / `serve.score`) with logical-tick timestamps, so span
-//! *structure* is as deterministic as the response bytes; see
-//! [`replay_traced`]. Workers also log every batch claim into the
-//! `scenerec_obs::flight` ring recorder, and the supervisor attaches a
-//! full flight dump to the `Warn` event it emits when it reaps a
-//! panicked worker — the post-mortem shows what every thread was doing
-//! just before the crash.
+//! *structure* is as deterministic as the response bytes. Under
+//! admission the root also carries a `lane` field, admitted requests
+//! record a `serve.admit` span before `serve.queue`, and shed requests a
+//! single `serve.shed` span. Workers log every batch claim into the
+//! `scenerec_obs::flight` ring recorder, and the pool attaches a full
+//! flight dump to the `Warn` event it emits when it reaps a panicked
+//! worker.
 
-use crate::admission::{self, AdmissionConfig, AdmissionPlan, Lane, OverloadInfo, TimedRequest};
+use crate::admission::{
+    self, AdmissionConfig, AdmissionPlan, Lane, OverloadInfo, TimedRequest, Verdict,
+};
 use crate::engine::FrozenEngine;
+use crate::pool::{self, Claim, Work};
 use scenerec_core::Recommendation;
 use scenerec_faults::{Backoff, Injector};
-use scenerec_obs::{
-    flight, lock_unpoisoned, metrics, obs_event, FieldValue, Level, Stopwatch, Trace, TraceData,
-};
+use scenerec_obs::metrics::Histogram;
+use scenerec_obs::{lock_unpoisoned, metrics, FieldValue, Stopwatch, Trace, TraceData};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One inference request: top-`k` unseen items for `user`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,14 +101,43 @@ pub struct Response {
     /// unscored, in ascending shard order.
     pub partial_shards: Vec<u32>,
     /// Set when the admission gate shed this request instead of
-    /// queueing it (bounded scheduler only): the lane that was full,
-    /// the queue depth observed, and a deterministic retry-after hint
-    /// in logical ticks. An overloaded response is typed — never a
-    /// silent drop, never conflated with an engine error.
+    /// queueing it (admission-controlled replays only): the lane that
+    /// was full, the queue depth observed, and a deterministic
+    /// retry-after hint in logical ticks. An overloaded response is
+    /// typed — never a silent drop, never conflated with an engine error.
     pub overload: Option<OverloadInfo>,
 }
 
 impl Response {
+    /// A served response carrying `recs`.
+    pub(crate) fn ok(req: &Request, recs: Vec<Recommendation>) -> Self {
+        Response {
+            user: req.user,
+            k: req.k,
+            recs,
+            error: None,
+            degraded: false,
+            partial_shards: Vec::new(),
+            overload: None,
+        }
+    }
+
+    /// A typed failure with no recommendations.
+    pub(crate) fn error(req: &Request, error: String) -> Self {
+        Response {
+            error: Some(error),
+            ..Response::ok(req, Vec::new())
+        }
+    }
+
+    /// A request the admission gate shed.
+    pub(crate) fn shed(req: &Request, info: OverloadInfo) -> Self {
+        Response {
+            overload: Some(info),
+            ..Response::ok(req, Vec::new())
+        }
+    }
+
     /// Renders the response as one compact JSON object.
     ///
     /// Scores use Rust's shortest-round-trip `f32` formatting, so equal
@@ -185,18 +224,13 @@ pub struct ReplayConfig {
     pub workers: usize,
     /// Max requests per micro-batch (>= 1).
     pub max_batch: usize,
-    /// Per-request deadline in logical ticks; injected latency beyond it
-    /// becomes a deadline-exceeded error response (0 = no deadline).
+    /// Per-request deadline in logical ticks; injected latency and
+    /// retry backoff beyond it become a deadline-exceeded error
+    /// response (0 = no deadline).
     pub deadline_ticks: u64,
     /// Bounded retries: per request when the engine is unavailable, and
     /// per batch when its worker panics.
     pub max_retries: u32,
-    /// Deterministic exponential backoff between engine retries, in
-    /// logical ticks (counted against the request's deadline).
-    pub backoff: Backoff,
-    /// When retries are exhausted, serve the last good result for the
-    /// same (user, k) from the stale cache instead of an error.
-    pub degraded: bool,
 }
 
 impl Default for ReplayConfig {
@@ -206,10 +240,37 @@ impl Default for ReplayConfig {
             max_batch: 32,
             deadline_ticks: 0,
             max_retries: 2,
-            backoff: Backoff::default(),
-            degraded: true,
         }
     }
+}
+
+/// What a replay may do besides serving, shared by both engines'
+/// general entry points ([`replay_with`], [`crate::replay_sharded_with`]).
+/// The default is a plain replay: no admission, no faults, no traces.
+#[derive(Debug, Clone, Default)]
+pub struct ReplayOptions {
+    /// Bounded-queue admission control. When set, the whole replay is
+    /// planned up front by [`admission::plan`] — a pure function of
+    /// (arrival order, capacities, lanes) — and shed arrivals are
+    /// answered with typed overload responses; workers only ever see
+    /// admitted work, so shedding cannot depend on the worker count.
+    pub admission: Option<AdmissionConfig>,
+    /// Fault injection; the disabled injector makes every probe a no-op.
+    pub injector: Injector,
+    /// Record one [`TraceData`] per arrival ([`Replay::traces`]).
+    pub trace: bool,
+}
+
+/// The outcome of [`replay_with`] or [`crate::replay_sharded_with`].
+#[derive(Debug)]
+pub struct Replay {
+    /// One response per arrival, in arrival order.
+    pub responses: Vec<Response>,
+    /// One trace per arrival (`trace_id` = arrival index) when
+    /// [`ReplayOptions::trace`] is set, else empty.
+    pub traces: Vec<TraceData>,
+    /// The admission plan, when [`ReplayOptions::admission`] is set.
+    pub plan: Option<AdmissionPlan>,
 }
 
 /// Bucket edges for queue-depth / batch-size histograms.
@@ -227,291 +288,91 @@ pub fn latency_edges() -> Vec<f64> {
     metrics::log_edges(1e3, 1e10, 6)
 }
 
-/// Admission-controlled scheduler knobs: the plain [`ReplayConfig`]
-/// plus the bounded-queue policy the admission plan is computed from.
-#[derive(Debug, Clone, Default)]
-pub struct BoundedReplayConfig {
-    /// Worker-pool knobs (workers, batching, retries, degraded mode).
-    pub replay: ReplayConfig,
-    /// Queue bounds, lane weights, and the modeled service rate.
-    pub admission: AdmissionConfig,
-}
-
-/// A claimed micro-batch: positions `start..end` in its lane's dequeue
-/// order (see [`Shared::order`]), plus how many times a panicking
-/// worker has already handed it back.
-#[derive(Debug, Clone, Copy)]
-struct Batch {
-    lane: Lane,
-    start: usize,
-    end: usize,
-    requeues: u32,
-}
-
-/// Residual weighted-round-robin shares for one worker's current
-/// round. Workers drain the fast lane `fast_weight` times, then the
-/// cold lane `cold_weight` times, an empty lane ceding its remainder —
-/// the execution-side mirror of the admission simulator's discipline.
-struct LaneShares {
-    fast_left: u32,
-    cold_left: u32,
-}
-
-/// Everything the worker pool shares. All critical sections only move
-/// values between containers, so poisoned locks are safe to recover.
-///
-/// The two lane queues are **separate mutexes** deliberately: a worker
-/// popping the fast (cache-hit) lane takes only `fast`, never `cold`,
-/// so a slow cold-scoring drain can never block fast-lane claims
-/// (pinned by `fast_lane_pop_never_touches_the_cold_mutex`).
-struct Shared<'a> {
-    engine: &'a FrozenEngine,
-    requests: &'a [Request],
-    config: &'a ReplayConfig,
-    injector: &'a Injector,
-    /// Lane-weight pair `(fast, cold)` for the drain discipline.
-    weights: (u32, u32),
-    /// Per-lane dequeue order: `order[lane][pos]` is the request index
-    /// a batch position maps to. The unbounded path uses the identity
-    /// order on the cold lane; the bounded path uses the admission
-    /// plan's per-lane `seq` order.
-    order: [Vec<usize>; 2],
-    fast: Mutex<VecDeque<Batch>>,
-    cold: Mutex<VecDeque<Batch>>,
-    slots: Mutex<Vec<Option<Response>>>,
-    /// Last good result per (user, k, precision-tag) — the
-    /// degraded-mode fallback. Tagged like the engine's result cache so
-    /// stale entries can never cross precisions.
-    stale: Mutex<BTreeMap<(u32, u32, u8), Vec<Recommendation>>>,
-    /// One trace per request (index-aligned with `slots`), present only
-    /// on the traced entry points. A worker takes the trace alongside
-    /// the request, appends its spans, and puts it back — single-owner
-    /// hand-off, same life cycle as the response slot.
-    traces: Option<Mutex<Vec<Option<Trace>>>>,
-}
-
 /// Replays a request log through the engine with a worker pool and
-/// returns responses in request order.
-///
-/// Each worker repeatedly claims the next `max_batch` requests from a
-/// shared queue and serves them; results carry their request index and
-/// are reassembled after the pool joins. Failures (e.g. unknown users)
+/// returns responses in request order. Failures (e.g. unknown users)
 /// become `Response::error` instead of tearing down the batch.
 pub fn replay(engine: &FrozenEngine, requests: &[Request], config: &ReplayConfig) -> Vec<Response> {
-    replay_supervised(engine, requests, config, &Injector::disabled())
+    let options = ReplayOptions::default();
+    replay_with(engine, &TimedRequest::burst(requests), config, &options).responses
 }
 
-/// [`replay`] with fault injection and full supervision: worker panics
-/// are recovered (batch requeued exactly once per panic, replacement
-/// worker spawned), engine unavailability is retried with backoff and
-/// degraded to stale results, and injected latency is bounded by the
-/// per-request deadline. See the module docs for the recovery model.
+/// Replays a timed arrival log through the engine under `options`:
+/// admission control, fault injection and tracing, in any combination.
 ///
-/// The invariant `tests/chaos.rs` pins: **every request gets exactly one
-/// response, in request order, at any worker count, under any fault
-/// plan** — a fault can change a response's content (error, degraded) but
-/// can never lose or duplicate one.
-pub fn replay_supervised(
+/// The invariants `tests/chaos.rs` and `tests/overload.rs` pin: **every
+/// arrival gets exactly one response, in arrival order, at any worker
+/// count, under any fault plan** — a fault can change a response's
+/// content (error, degraded) but never lose or duplicate one; with
+/// admission, `admitted + shed == offered` and a fault can neither shed
+/// admitted work nor admit shed work, because the plan is decided before
+/// any worker exists.
+///
+/// Traced span *structure* — ids, parentage, logical ticks — is a pure
+/// function of the request log and cache state, so on a cold engine with
+/// distinct keys it is identical at any worker count. The admission
+/// slice (root, `serve.admit`, `serve.shed`, `serve.queue`) is always
+/// worker-count invariant; the engine-side spans below the queue are not
+/// for repeated keys, because with a shared result cache, which replay
+/// of a key misses (and so records a `serve.score` span) is an
+/// execution-order fact.
+pub fn replay_with(
     engine: &FrozenEngine,
-    requests: &[Request],
+    arrivals: &[TimedRequest],
     config: &ReplayConfig,
-    injector: &Injector,
-) -> Vec<Response> {
-    run_replay(engine, requests, config, injector, false).0
-}
-
-/// [`replay`] with causal tracing: returns one [`TraceData`] per
-/// request (index-aligned with the responses, `trace_id` = request
-/// index). Each trace roots at a `serve.request` span with
-/// `serve.queue` and `serve.batch` children; the batch span nests
-/// `serve.cache` (with a `hit` field) and, on misses, `serve.score`.
-/// Span *structure* — ids, parentage, logical ticks — is a pure
-/// function of the request log and cache state, so it is identical at
-/// any worker count; only the wall-ns timestamps differ.
-pub fn replay_traced(
-    engine: &FrozenEngine,
-    requests: &[Request],
-    config: &ReplayConfig,
-) -> (Vec<Response>, Vec<TraceData>) {
-    replay_traced_supervised(engine, requests, config, &Injector::disabled())
-}
-
-/// [`replay_supervised`] with causal tracing — see [`replay_traced`].
-pub fn replay_traced_supervised(
-    engine: &FrozenEngine,
-    requests: &[Request],
-    config: &ReplayConfig,
-    injector: &Injector,
-) -> (Vec<Response>, Vec<TraceData>) {
-    let (responses, traces) = run_replay(engine, requests, config, injector, true);
-    (responses, traces.unwrap_or_default())
-}
-
-/// Chops `positions` (already in lane dequeue order) into micro-batches.
-fn lane_batches(lane: Lane, count: usize, max_batch: usize) -> VecDeque<Batch> {
-    let mut queue = VecDeque::new();
-    let mut start = 0;
-    while start < count {
-        let end = (start + max_batch).min(count);
-        queue.push_back(Batch {
-            lane,
-            start,
-            end,
-            requeues: 0,
-        });
-        start = end;
-    }
-    queue
-}
-
-fn run_replay(
-    engine: &FrozenEngine,
-    requests: &[Request],
-    config: &ReplayConfig,
-    injector: &Injector,
-    traced: bool,
-) -> (Vec<Response>, Option<Vec<TraceData>>) {
-    let workers = config.workers.max(1);
-    let max_batch = config.max_batch.max(1);
-    // The unbounded path is a degenerate lane assignment: everything in
-    // the cold lane, in request order, nothing shed.
-    let cold = lane_batches(Lane::Cold, requests.len(), max_batch);
-    let traces = traced.then(|| {
-        // Every request's trace opens here, on the scheduler thread, in
-        // request order: the root span and the queue span get their
-        // ticks before any worker runs, so trace structure cannot
-        // depend on worker interleaving.
-        Mutex::new(
-            requests
-                .iter()
-                .enumerate()
-                .map(|(idx, req)| {
-                    let mut t = Trace::new(idx as u64);
-                    let root = t.start_span("serve.request");
-                    t.add_field(root, "user", FieldValue::Int(req.user as i64));
-                    t.add_field(root, "k", FieldValue::Int(req.k as i64));
-                    t.start_span("serve.queue");
-                    Some(t)
-                })
-                .collect::<Vec<Option<Trace>>>(),
-        )
-    });
-    let shared = Shared {
+    options: &ReplayOptions,
+) -> Replay {
+    let plan = plan_admission(arrivals, options);
+    // Without admission the plan is degenerate: everything in the cold
+    // lane, in arrival order, nothing shed.
+    let order = plan.as_ref().map_or_else(
+        || [Vec::new(), (0..arrivals.len()).collect()],
+        |p| [p.lane_order(Lane::Fast), p.lane_order(Lane::Cold)],
+    );
+    let weights = options
+        .admission
+        .as_ref()
+        .map_or((1, 1), |a| (a.fast_weight.max(1), a.cold_weight.max(1)));
+    let requests: Vec<Request> = arrivals.iter().map(|a| a.request).collect();
+    let lanes = Lanes {
         engine,
-        requests,
+        requests: &requests,
         config,
-        injector,
-        weights: (1, 1),
-        order: [Vec::new(), (0..requests.len()).collect()],
-        fast: Mutex::new(VecDeque::new()),
-        cold: Mutex::new(cold),
-        slots: Mutex::new(requests.iter().map(|_| None).collect()),
+        injector: &options.injector,
+        weights,
+        fast: lane_batches(Lane::Fast, order[0].len(), config.max_batch),
+        cold: lane_batches(Lane::Cold, order[1].len(), config.max_batch),
+        order,
         stale: Mutex::new(BTreeMap::new()),
-        traces,
+        traces: options
+            .trace
+            .then(|| Mutex::new(open_traces(arrivals, plan.as_ref()))),
     };
-    supervise(&shared, workers);
-    finish_run(&shared, requests.len())
-}
-
-/// Drains the response slots (and traces, when present) after the
-/// worker pool has joined.
-fn finish_run(shared: &Shared<'_>, expected: usize) -> (Vec<Response>, Option<Vec<TraceData>>) {
-    let out: Vec<Response> = lock_unpoisoned(&shared.slots).drain(..).flatten().collect();
-    debug_assert_eq!(out.len(), expected, "scheduler dropped a request");
-    let traces = shared.traces.as_ref().map(|m| {
-        // Drain under the lock, finish outside it: `Trace::finish`
-        // touches the obs span registry, and holding one lock across a
-        // call that takes another is an L2 violation.
-        let drained: Vec<Option<Trace>> = lock_unpoisoned(m).drain(..).collect();
-        drained
-            .into_iter()
-            .enumerate()
-            .map(|(idx, t)| t.unwrap_or_else(|| Trace::new(idx as u64)).finish())
-            .collect()
+    let slots = pool::run(
+        &lanes,
+        config.workers,
+        config.max_retries,
+        &options.injector,
+        shed_slots(arrivals, plan.as_ref()),
+    );
+    let traces = lanes.traces.map_or_else(Vec::new, |m| {
+        finish_traces(m.into_inner().unwrap_or_else(PoisonError::into_inner))
     });
-    (out, traces)
+    Replay {
+        responses: collect_responses(slots),
+        traces,
+        plan,
+    }
 }
 
-/// Replays an **open-loop timed arrival log** through the engine with
-/// bounded lane queues and deterministic admission control, returning
-/// responses in arrival order plus the [`AdmissionPlan`] that produced
-/// them.
-///
-/// The admission decision for every arrival — admit into the fast
-/// (predicted cache hit) or cold lane, or shed with a typed
-/// [`OverloadInfo`] — is computed up front by [`admission::plan`] as a
-/// pure function of (arrival order, queue capacities, lane
-/// classification). Workers then serve exactly the admitted requests
-/// in the planned per-lane order, so:
-///
-/// * **(admitted + shed) == offered** — every arrival gets exactly one
-///   response; a shed request is answered, not dropped.
-/// * **Worker count never changes bytes** — shedding happened before
-///   any worker existed.
-/// * Shed responses carry `overload: Some(..)` with the queue depth
-///   and a deterministic retry-after estimate in logical ticks.
-pub fn replay_bounded(
-    engine: &FrozenEngine,
+/// Plans admission when `options` ask for it, recording the plan's
+/// admit/shed accounting into the obs registry: `serve/admitted`,
+/// `serve/shed`, their per-lane variants (`serve/admitted_fast`, ...),
+/// and the `serve/queue_delay_ticks` histogram.
+pub(crate) fn plan_admission(
     arrivals: &[TimedRequest],
-    config: &BoundedReplayConfig,
-) -> (Vec<Response>, AdmissionPlan) {
-    replay_bounded_supervised(engine, arrivals, config, &Injector::disabled())
-}
-
-/// [`replay_bounded`] with fault injection and full supervision — the
-/// same recovery ladder as [`replay_supervised`]. A panicked worker's
-/// batch is requeued at the **front of its own lane**, so the
-/// exactly-once guarantee composes with admission control: requeues
-/// re-enter a queue that admission has already bounded, never a fresh
-/// admission decision (an admitted request can not be displaced into
-/// shedding by a fault, and a shed request is never retroactively
-/// admitted).
-pub fn replay_bounded_supervised(
-    engine: &FrozenEngine,
-    arrivals: &[TimedRequest],
-    config: &BoundedReplayConfig,
-    injector: &Injector,
-) -> (Vec<Response>, AdmissionPlan) {
-    let (responses, _, plan) = run_bounded(engine, arrivals, config, injector, false);
-    (responses, plan)
-}
-
-/// [`replay_bounded`] with causal tracing. Every arrival's trace roots
-/// at `serve.request` (with a `lane` field); admitted requests record
-/// a `serve.admit` span (queue depth at admission) followed by the
-/// usual `serve.queue` / `serve.batch` children, while shed requests
-/// record a single `serve.shed` span carrying the queue depth and
-/// retry-after hint. All admission spans are opened on the scheduler
-/// thread in arrival order, so that slice of the span structure is
-/// identical at any worker count; the engine-side spans below the
-/// queue are not worker-count invariant for repeated keys, because
-/// with a shared result cache, which replay of a key misses (and so
-/// records a `serve.score` span) is an execution-order fact.
-pub fn replay_bounded_traced(
-    engine: &FrozenEngine,
-    arrivals: &[TimedRequest],
-    config: &BoundedReplayConfig,
-) -> (Vec<Response>, Vec<TraceData>, AdmissionPlan) {
-    replay_bounded_traced_supervised(engine, arrivals, config, &Injector::disabled())
-}
-
-/// [`replay_bounded_supervised`] with causal tracing — see
-/// [`replay_bounded_traced`].
-pub fn replay_bounded_traced_supervised(
-    engine: &FrozenEngine,
-    arrivals: &[TimedRequest],
-    config: &BoundedReplayConfig,
-    injector: &Injector,
-) -> (Vec<Response>, Vec<TraceData>, AdmissionPlan) {
-    let (responses, traces, plan) = run_bounded(engine, arrivals, config, injector, true);
-    (responses, traces.unwrap_or_default(), plan)
-}
-
-/// Records a plan's admit/shed accounting into the obs registry:
-/// `serve/admitted`, `serve/shed`, their per-lane variants
-/// (`serve/admitted_fast`, ...), and the `serve/queue_delay_ticks`
-/// histogram. Shared by the single-engine and sharded bounded paths.
-pub(crate) fn record_admission_metrics(plan: &AdmissionPlan) {
+    options: &ReplayOptions,
+) -> Option<AdmissionPlan> {
+    let plan = admission::plan(arrivals, options.admission.as_ref()?);
     metrics::counter("serve/admitted").add(plan.admitted() as u64);
     metrics::counter("serve/shed").add(plan.shed() as u64);
     for lane in [Lane::Fast, Lane::Cold] {
@@ -524,162 +385,171 @@ pub(crate) fn record_admission_metrics(plan: &AdmissionPlan) {
     for delay in plan.queue_delays() {
         delay_hist.observe(delay as f64);
     }
+    Some(plan)
 }
 
-fn run_bounded(
-    engine: &FrozenEngine,
+/// One response slot per arrival, pre-filled with a typed overload
+/// response for every shed arrival; workers only ever fill the rest.
+pub(crate) fn shed_slots(
     arrivals: &[TimedRequest],
-    config: &BoundedReplayConfig,
-    injector: &Injector,
-    traced: bool,
-) -> (Vec<Response>, Option<Vec<TraceData>>, AdmissionPlan) {
-    let plan = admission::plan(arrivals, &config.admission);
-    let workers = config.replay.workers.max(1);
-    let max_batch = config.replay.max_batch.max(1);
-    let requests: Vec<Request> = arrivals.iter().map(|a| a.request).collect();
-    record_admission_metrics(&plan);
-
-    // Pre-fill shed slots with typed overload responses; workers only
-    // ever see admitted work.
-    let mut slots: Vec<Option<Response>> = requests.iter().map(|_| None).collect();
-    for (idx, verdict) in plan.verdicts.iter().enumerate() {
-        if let admission::Verdict::Shed(info) = verdict {
-            slots[idx] = Some(Response {
-                user: requests[idx].user,
-                k: requests[idx].k,
-                recs: Vec::new(),
-                error: None,
-                degraded: false,
-                partial_shards: Vec::new(),
-                overload: Some(*info),
-            });
-        }
-    }
-
-    let order = [plan.lane_order(Lane::Fast), plan.lane_order(Lane::Cold)];
-    let fast = lane_batches(Lane::Fast, order[Lane::Fast.index()].len(), max_batch);
-    let cold = lane_batches(Lane::Cold, order[Lane::Cold.index()].len(), max_batch);
-
-    let traces = traced.then(|| {
-        // Admission spans open on the scheduler thread in arrival
-        // order — before any worker exists — so their ticks cannot
-        // depend on worker interleaving.
-        Mutex::new(
-            arrivals
-                .iter()
-                .enumerate()
-                .map(|(idx, arrival)| {
-                    let mut t = Trace::new(idx as u64);
-                    let root = t.start_span("serve.request");
-                    t.add_field(root, "user", FieldValue::Int(arrival.request.user as i64));
-                    t.add_field(root, "k", FieldValue::Int(arrival.request.k as i64));
-                    match &plan.verdicts[idx] {
-                        admission::Verdict::Admit { lane, seq, .. } => {
-                            t.add_field(root, "lane", FieldValue::Str(lane.name().to_string()));
-                            let admit = t.start_span("serve.admit");
-                            t.add_field(admit, "seq", FieldValue::Int(*seq as i64));
-                            t.end_span(admit);
-                            t.start_span("serve.queue");
-                        }
-                        admission::Verdict::Shed(info) => {
-                            t.add_field(
-                                root,
-                                "lane",
-                                FieldValue::Str(info.lane.name().to_string()),
-                            );
-                            let shed = t.start_span("serve.shed");
-                            t.add_field(
-                                shed,
-                                "queue_depth",
-                                FieldValue::Int(info.queue_depth as i64),
-                            );
-                            t.add_field(
-                                shed,
-                                "retry_after_ticks",
-                                FieldValue::Int(info.retry_after_ticks as i64),
-                            );
-                            t.end_span(shed);
-                        }
-                    }
-                    Some(t)
-                })
-                .collect::<Vec<Option<Trace>>>(),
-        )
-    });
-
-    let shared = Shared {
-        engine,
-        requests: &requests,
-        config: &config.replay,
-        injector,
-        weights: (
-            config.admission.fast_weight.max(1),
-            config.admission.cold_weight.max(1),
-        ),
-        order,
-        fast: Mutex::new(fast),
-        cold: Mutex::new(cold),
-        slots: Mutex::new(slots),
-        stale: Mutex::new(BTreeMap::new()),
-        traces,
-    };
-    supervise(&shared, workers);
-    let (responses, traces) = finish_run(&shared, requests.len());
-    (responses, traces, plan)
+    plan: Option<&AdmissionPlan>,
+) -> Vec<Option<Response>> {
+    arrivals
+        .iter()
+        .enumerate()
+        .map(|(idx, arrival)| match plan.map(|p| &p.verdicts[idx]) {
+            Some(Verdict::Shed(info)) => Some(Response::shed(&arrival.request, *info)),
+            _ => None,
+        })
+        .collect()
 }
 
-/// Runs `workers` scoped drain loops, replacing any that panic until the
-/// queue is empty. A panicked worker's in-flight batch (recorded in its
-/// registry slot before the panic point) is requeued — or, past its
-/// requeue budget, answered with error responses so it is never lost.
-fn supervise(shared: &Shared<'_>, workers: usize) {
-    // Per-worker-slot in-flight registry; a respawned worker reuses its
-    // predecessor's slot (the supervisor has already emptied it).
-    let registry: Vec<Mutex<Option<Batch>>> = (0..workers).map(|_| Mutex::new(None)).collect();
-    let registry = &registry;
-    std::thread::scope(|scope| {
-        let mut live: Vec<(usize, std::thread::ScopedJoinHandle<'_, ()>)> = (0..workers)
-            .map(|slot| (slot, scope.spawn(move || drain(shared, &registry[slot]))))
-            .collect();
-        while let Some((slot, handle)) = live.pop() {
-            if handle.join().is_ok() {
-                continue;
-            }
-            // The worker panicked. Recover its in-flight batch first so
-            // the replacement finds it back on the queue.
-            metrics::counter("serve/worker_respawns").inc();
-            let orphan = lock_unpoisoned(&registry[slot]).take();
-            obs_event!(
-                Level::Warn, "serve", "worker panicked; respawning";
-                "slot" => slot as u64,
-                "orphan_batch" => orphan.map(|b| format!("{}..{}", b.start, b.end)).unwrap_or_default(),
-                "dump" => flight::dump_string(),
-            );
-            if let Some(batch) = orphan {
-                if batch.requeues < shared.config.max_retries {
-                    // Requeue at the front of the batch's own lane: the
-                    // batch was admitted, so it re-enters a queue the
-                    // admission gate already bounded — a fault can
-                    // never displace admitted work into shedding.
-                    lock_unpoisoned(shared.lane_queue(batch.lane)).push_front(Batch {
-                        requeues: batch.requeues + 1,
-                        ..batch
-                    });
-                } else {
-                    // Requeue budget exhausted: answer with errors rather
-                    // than losing the batch.
-                    commit_errors(shared, batch);
+/// Opens every arrival's trace: the `serve.request` root, then either
+/// `serve.queue` (left open for the serving side to close), or under
+/// admission a closed `serve.admit` span before it, or a closed
+/// `serve.shed` span instead of it. This runs on the calling thread, in
+/// arrival order, before any worker exists, so none of these ticks can
+/// depend on worker interleaving.
+pub(crate) fn open_traces(
+    arrivals: &[TimedRequest],
+    plan: Option<&AdmissionPlan>,
+) -> Vec<Option<Trace>> {
+    let lane_field = |t: &mut Trace, root, lane: Lane| {
+        t.add_field(root, "lane", FieldValue::Str(lane.name().to_string()));
+    };
+    arrivals
+        .iter()
+        .enumerate()
+        .map(|(idx, arrival)| {
+            let mut t = Trace::new(idx as u64);
+            let root = t.start_span("serve.request");
+            t.add_field(root, "user", FieldValue::Int(arrival.request.user as i64));
+            t.add_field(root, "k", FieldValue::Int(arrival.request.k as i64));
+            match plan.map(|p| &p.verdicts[idx]) {
+                None => {
+                    t.start_span("serve.queue");
+                }
+                Some(Verdict::Admit { lane, seq, .. }) => {
+                    lane_field(&mut t, root, *lane);
+                    let admit = t.start_span("serve.admit");
+                    t.add_field(admit, "seq", FieldValue::Int(*seq as i64));
+                    t.end_span(admit);
+                    t.start_span("serve.queue");
+                }
+                Some(Verdict::Shed(info)) => {
+                    lane_field(&mut t, root, info.lane);
+                    let shed = t.start_span("serve.shed");
+                    t.add_field(
+                        shed,
+                        "queue_depth",
+                        FieldValue::Int(info.queue_depth as i64),
+                    );
+                    t.add_field(
+                        shed,
+                        "retry_after_ticks",
+                        FieldValue::Int(info.retry_after_ticks as i64),
+                    );
+                    t.end_span(shed);
                 }
             }
-            live.push((slot, scope.spawn(move || drain(shared, &registry[slot]))));
-        }
-    });
+            Some(t)
+        })
+        .collect()
 }
 
-impl Shared<'_> {
+/// Closes every trace's remaining spans. `Trace::finish` touches the obs
+/// span registry, so callers pass owned traces, never a locked vector.
+pub(crate) fn finish_traces(traces: Vec<Option<Trace>>) -> Vec<TraceData> {
+    traces
+        .into_iter()
+        .enumerate()
+        .map(|(idx, t)| t.unwrap_or_else(|| Trace::new(idx as u64)).finish())
+        .collect()
+}
+
+/// The filled response slots, in arrival order.
+pub(crate) fn collect_responses(slots: Vec<Option<Response>>) -> Vec<Response> {
+    let expected = slots.len();
+    let out: Vec<Response> = slots.into_iter().flatten().collect();
+    debug_assert_eq!(out.len(), expected, "scheduler dropped a request");
+    out
+}
+
+/// A micro-batch: positions `start..end` in its lane's dequeue order
+/// (see [`Lanes::order`]).
+#[derive(Debug, Clone, Copy)]
+struct Batch {
+    lane: Lane,
+    start: usize,
+    end: usize,
+}
+
+/// Chops a lane's `count` positions into micro-batches.
+fn lane_batches(lane: Lane, count: usize, max_batch: usize) -> Mutex<VecDeque<Claim<Batch>>> {
+    let batches = pool::batches(count, max_batch);
+    Mutex::new(
+        batches
+            .map(|(start, end)| Claim::fresh(Batch { lane, start, end }))
+            .collect(),
+    )
+}
+
+/// Residual weighted-round-robin shares for one worker's current
+/// round. Workers drain the fast lane `fast_weight` times, then the
+/// cold lane `cold_weight` times, an empty lane ceding its remainder —
+/// the execution-side mirror of the admission simulator's discipline.
+struct LaneShares {
+    fast_left: u32,
+    cold_left: u32,
+}
+
+/// One worker's round-robin position and metric handles.
+struct LaneLocal {
+    shares: LaneShares,
+    queue_hist: Arc<Histogram>,
+    batch_hist: Arc<Histogram>,
+    latency_hist: Arc<Histogram>,
+}
+
+/// The single engine's pool work: two lane queues drained by weighted
+/// round-robin. All critical sections only move values between
+/// containers, so poisoned locks are safe to recover.
+///
+/// The two lane queues are **separate mutexes** deliberately: a worker
+/// popping the fast (cache-hit) lane takes only `fast`, never `cold`,
+/// so a slow cold-scoring drain can never block fast-lane claims
+/// (pinned by `fast_lane_pop_never_touches_the_cold_mutex`).
+struct Lanes<'a> {
+    engine: &'a FrozenEngine,
+    requests: &'a [Request],
+    config: &'a ReplayConfig,
+    injector: &'a Injector,
+    /// Lane-weight pair `(fast, cold)` for the drain discipline.
+    weights: (u32, u32),
+    /// Per-lane dequeue order: `order[lane][pos]` is the request index
+    /// a batch position maps to.
+    order: [Vec<usize>; 2],
+    fast: Mutex<VecDeque<Claim<Batch>>>,
+    cold: Mutex<VecDeque<Claim<Batch>>>,
+    /// Last good result per (user, k, precision-tag) — the degraded-mode
+    /// fallback, tagged like the engine's result cache so stale entries
+    /// can never cross precisions. Deliberately not a view of the
+    /// engine's `ResultCache`: this map lives for one replay and never
+    /// evicts, while the cache persists across replays and evicts LRU
+    /// entries, so serving outages from the cache would change which
+    /// requests degrade and which return an error.
+    stale: Mutex<BTreeMap<(u32, u32, u8), Vec<Recommendation>>>,
+    /// One trace per request, present only when tracing. A worker takes
+    /// the trace alongside the request, appends its spans, and puts it
+    /// back — single-owner hand-off, same life cycle as the response
+    /// slot.
+    traces: Option<Mutex<Vec<Option<Trace>>>>,
+}
+
+impl Lanes<'_> {
     /// The queue for one lane. Callers lock at most one lane queue at
     /// a time — never both.
-    fn lane_queue(&self, lane: Lane) -> &Mutex<VecDeque<Batch>> {
+    fn lane_queue(&self, lane: Lane) -> &Mutex<VecDeque<Claim<Batch>>> {
         match lane {
             Lane::Fast => &self.fast,
             Lane::Cold => &self.cold,
@@ -692,7 +562,7 @@ impl Shared<'_> {
     /// else): the fast lane is claimed without ever touching the cold
     /// lane's mutex, so cache-hit work cannot block behind cold
     /// scoring's queue contention.
-    fn pop_weighted(&self, shares: &mut LaneShares) -> Option<Batch> {
+    fn pop_weighted(&self, shares: &mut LaneShares) -> Option<Claim<Batch>> {
         let mut fast_dry = false;
         let mut cold_dry = false;
         loop {
@@ -723,60 +593,122 @@ impl Shared<'_> {
             }
         }
     }
+
+    /// Serves one request through the retry / deadline / degraded
+    /// ladder. `trace`, when present, is handed to the engine exactly
+    /// once — the retry loop wraps the injected I/O probe, not the
+    /// engine call, so a request records its cache/score spans at most
+    /// once under any fault plan.
+    fn serve_request(&self, req: &Request, mut trace: Option<&mut Trace>) -> Response {
+        let key = (
+            req.user,
+            u32::try_from(req.k).unwrap_or(u32::MAX),
+            self.engine.precision().tag(),
+        );
+        let deadline = self.config.deadline_ticks;
+        // Logical clock for this request: injected latency plus backoff.
+        let mut ticks = self.injector.latency("serve/request");
+        let mut attempt = 0u32;
+        loop {
+            if deadline > 0 && ticks > deadline {
+                metrics::counter("serve/deadline_misses").inc();
+                return Response::error(
+                    req,
+                    format!("deadline exceeded: {ticks} > {deadline} ticks"),
+                );
+            }
+            match self.injector.io("serve/engine") {
+                Ok(()) => {
+                    return match self.engine.top_k_inner(req.user, req.k, trace.take()) {
+                        Ok(recs) => {
+                            lock_unpoisoned(&self.stale).insert(key, recs.clone());
+                            Response::ok(req, recs)
+                        }
+                        Err(e) => Response::error(req, e.to_string()),
+                    };
+                }
+                Err(e) => {
+                    if attempt < self.config.max_retries {
+                        metrics::counter("serve/retries").inc();
+                        ticks = ticks.saturating_add(Backoff::default().ticks(attempt));
+                        attempt += 1;
+                        continue;
+                    }
+                    // Retries exhausted: degrade to the last good result
+                    // for this (user, k), else a typed error. Bind the
+                    // lookup so the stale-map guard (a temporary) is
+                    // dropped before the metrics counter takes the obs
+                    // registry lock (L2).
+                    let stale_hit = lock_unpoisoned(&self.stale).get(&key).cloned();
+                    if let Some(recs) = stale_hit {
+                        metrics::counter("serve/degraded_hits").inc();
+                        return Response {
+                            degraded: true,
+                            ..Response::ok(req, recs)
+                        };
+                    }
+                    return Response::error(
+                        req,
+                        format!("engine unavailable after {attempt} retries: {e}"),
+                    );
+                }
+            }
+        }
+    }
 }
 
-/// One worker's drain loop: claim a batch (weighted across lanes),
-/// register it in-flight, serve it, commit all its responses
-/// atomically, clear the registration.
-fn drain(shared: &Shared<'_>, inflight: &Mutex<Option<Batch>>) {
-    let queue_hist = metrics::histogram("serve/queue_depth", &COUNT_EDGES);
-    let batch_hist = metrics::histogram("serve/batch_size", &COUNT_EDGES);
-    let latency_hist = metrics::histogram("serve/latency_ns", &latency_edges());
-    let mut shares = LaneShares {
-        fast_left: 0,
-        cold_left: 0,
-    };
-    loop {
+impl Work for Lanes<'_> {
+    type Task = Batch;
+    type Out = Response;
+    type Local = LaneLocal;
+
+    const RESPAWNS: &'static str = "serve/worker_respawns";
+    const PANIC_POINT: &'static str = "serve/worker";
+    const CLAIM_EVENT: &'static str = "serve.batch.claim";
+    const PANIC_MESSAGE: &'static str = "worker panicked; respawning";
+
+    fn local(&self) -> LaneLocal {
+        LaneLocal {
+            shares: LaneShares {
+                fast_left: 0,
+                cold_left: 0,
+            },
+            queue_hist: metrics::histogram("serve/queue_depth", &COUNT_EDGES),
+            batch_hist: metrics::histogram("serve/batch_size", &COUNT_EDGES),
+            latency_hist: metrics::histogram("serve/latency_ns", &latency_edges()),
+        }
+    }
+
+    fn claim(&self, _slot: usize, local: &mut LaneLocal) -> Option<Claim<Batch>> {
         // Depth is sampled lane by lane — two short temporary guards,
         // never held together, never held across the observe.
-        let fast_depth: usize = lock_unpoisoned(&shared.fast)
-            .iter()
-            .map(|b| b.end - b.start)
-            .sum();
-        let cold_depth: usize = lock_unpoisoned(&shared.cold)
-            .iter()
-            .map(|b| b.end - b.start)
-            .sum();
-        if fast_depth + cold_depth > 0 {
-            queue_hist.observe((fast_depth + cold_depth) as f64);
-        }
-        let Some(batch) = shared.pop_weighted(&mut shares) else {
-            break;
+        let depth = |q: &Mutex<VecDeque<Claim<Batch>>>| -> usize {
+            lock_unpoisoned(q)
+                .iter()
+                .map(|c| c.task.end - c.task.start)
+                .sum()
         };
-        *lock_unpoisoned(inflight) = Some(batch);
-        flight::record(
-            "serve.batch.claim",
-            format!(
-                "{} lane positions {}..{} requeues={}",
-                batch.lane.name(),
-                batch.start,
-                batch.end,
-                batch.requeues
-            ),
-        );
-        // The injected worker crash: fires after the batch is registered
-        // and before any of it is served — so the supervisor recovers the
-        // whole batch, no half-served state leaks out, and (because the
-        // traces are still untouched in their slots) span structure is
-        // invariant under panic faults.
-        shared.injector.panic_point("serve/worker");
-        batch_hist.observe((batch.end - batch.start) as f64);
+        let queued = depth(&self.fast) + depth(&self.cold);
+        if queued > 0 {
+            local.queue_hist.observe(queued as f64);
+        }
+        self.pop_weighted(&mut local.shares)
+    }
 
+    /// Requeues at the front of the batch's own lane: the batch was
+    /// admitted, so it re-enters a queue the admission gate already
+    /// bounded — a fault can never displace admitted work into shedding.
+    fn requeue(&self, _slot: usize, claim: Claim<Batch>) {
+        lock_unpoisoned(self.lane_queue(claim.task.lane)).push_front(claim);
+    }
+
+    fn serve_task(&self, batch: Batch, local: &mut LaneLocal) -> Vec<(usize, Response)> {
+        local.batch_hist.observe((batch.end - batch.start) as f64);
         let mut served = Vec::with_capacity(batch.end - batch.start);
         for pos in batch.start..batch.end {
-            let idx = shared.order[batch.lane.index()][pos];
+            let idx = self.order[batch.lane.index()][pos];
             let watch = Stopwatch::start();
-            let mut trace = shared
+            let mut trace = self
                 .traces
                 .as_ref()
                 .and_then(|m| lock_unpoisoned(m)[idx].take());
@@ -787,156 +719,27 @@ fn drain(shared: &Shared<'_>, inflight: &Mutex<Option<Batch>>) {
                 t.add_field(b, "batch_end", FieldValue::Int(batch.end as i64));
                 b
             });
-            let response = serve_one_supervised(shared, &shared.requests[idx], trace.as_mut());
+            let response = self.serve_request(&self.requests[idx], trace.as_mut());
             if let (Some(t), Some(b)) = (trace.as_mut(), batch_span) {
                 t.end_span(b);
             }
-            if let (Some(m), Some(t)) = (shared.traces.as_ref(), trace) {
+            if let (Some(m), Some(t)) = (self.traces.as_ref(), trace) {
                 lock_unpoisoned(m)[idx] = Some(t);
             }
-            latency_hist.observe(watch.elapsed_ns() as f64);
+            local.latency_hist.observe(watch.elapsed_ns() as f64);
             served.push((idx, response));
         }
-
-        // Atomic commit: a batch's responses land all at once, after the
-        // last fallible step, so a crashed batch contributes nothing.
-        {
-            let mut slots = lock_unpoisoned(&shared.slots);
-            for (idx, response) in served {
-                debug_assert!(slots[idx].is_none(), "response {idx} served twice");
-                slots[idx] = Some(response);
-            }
-        }
-        *lock_unpoisoned(inflight) = None;
+        served
     }
-}
 
-/// Error responses for a batch whose requeue budget ran out.
-fn commit_errors(shared: &Shared<'_>, batch: Batch) {
-    let mut slots = lock_unpoisoned(&shared.slots);
-    for pos in batch.start..batch.end {
-        let idx = shared.order[batch.lane.index()][pos];
-        let req = &shared.requests[idx];
-        debug_assert!(slots[idx].is_none(), "response {idx} served twice");
-        slots[idx] = Some(Response {
-            user: req.user,
-            k: req.k,
-            recs: Vec::new(),
-            error: Some(format!(
-                "worker failed {} times serving this batch",
-                batch.requeues + 1
-            )),
-            degraded: false,
-            partial_shards: Vec::new(),
-            overload: None,
-        });
-    }
-}
-
-/// Serves one request through the retry / deadline / degraded ladder.
-/// `trace`, when present, is handed to the engine exactly once — the
-/// retry loop wraps the injected I/O probe, not the engine call, so a
-/// request records its cache/score spans at most once under any fault
-/// plan.
-fn serve_one_supervised(
-    shared: &Shared<'_>,
-    req: &Request,
-    mut trace: Option<&mut Trace>,
-) -> Response {
-    let config = shared.config;
-    let key = (
-        req.user,
-        u32::try_from(req.k).unwrap_or(u32::MAX),
-        shared.engine.precision().tag(),
-    );
-    // Logical clock for this request: injected latency plus backoff.
-    let mut ticks = shared.injector.latency("serve/request");
-    let mut attempt = 0u32;
-    loop {
-        if config.deadline_ticks > 0 && ticks > config.deadline_ticks {
-            metrics::counter("serve/deadline_misses").inc();
-            return Response {
-                user: req.user,
-                k: req.k,
-                recs: Vec::new(),
-                error: Some(format!(
-                    "deadline exceeded: {ticks} > {} ticks",
-                    config.deadline_ticks
-                )),
-                degraded: false,
-                partial_shards: Vec::new(),
-                overload: None,
-            };
-        }
-        match shared.injector.io("serve/engine") {
-            Ok(()) => {
-                let response = serve_one(shared.engine, req, trace.take());
-                if response.error.is_none() {
-                    lock_unpoisoned(&shared.stale).insert(key, response.recs.clone());
-                }
-                return response;
-            }
-            Err(e) => {
-                if attempt < config.max_retries {
-                    metrics::counter("serve/retries").inc();
-                    ticks = ticks.saturating_add(config.backoff.ticks(attempt));
-                    attempt += 1;
-                    continue;
-                }
-                // Retries exhausted: degrade to the last good result for
-                // this (user, k) when allowed, else a typed error.
-                if config.degraded {
-                    // Bind the lookup so the stale-map guard (a
-                    // temporary) is dropped before the metrics counter
-                    // takes the obs registry lock (L2).
-                    let stale_hit = lock_unpoisoned(&shared.stale).get(&key).cloned();
-                    if let Some(recs) = stale_hit {
-                        metrics::counter("serve/degraded_hits").inc();
-                        return Response {
-                            user: req.user,
-                            k: req.k,
-                            recs,
-                            error: None,
-                            degraded: true,
-                            partial_shards: Vec::new(),
-                            overload: None,
-                        };
-                    }
-                }
-                return Response {
-                    user: req.user,
-                    k: req.k,
-                    recs: Vec::new(),
-                    error: Some(format!("engine unavailable after {attempt} retries: {e}")),
-                    degraded: false,
-                    partial_shards: Vec::new(),
-                    overload: None,
-                };
-            }
-        }
-    }
-}
-
-fn serve_one(engine: &FrozenEngine, req: &Request, trace: Option<&mut Trace>) -> Response {
-    match engine.top_k_inner(req.user, req.k, trace) {
-        Ok(recs) => Response {
-            user: req.user,
-            k: req.k,
-            recs,
-            error: None,
-            degraded: false,
-            partial_shards: Vec::new(),
-            overload: None,
-        },
-        Err(e) => Response {
-            user: req.user,
-            k: req.k,
-            recs: Vec::new(),
-            error: Some(e.to_string()),
-            degraded: false,
-            partial_shards: Vec::new(),
-            overload: None,
-        },
+    fn fail_task(&self, batch: Batch, attempts: u32) -> Vec<(usize, Response)> {
+        (batch.start..batch.end)
+            .map(|pos| {
+                let idx = self.order[batch.lane.index()][pos];
+                let error = format!("worker failed {attempts} times serving this batch");
+                (idx, Response::error(&self.requests[idx], error))
+            })
+            .collect()
     }
 }
 
@@ -963,6 +766,19 @@ mod tests {
             FrozenHead::DotBias { bias: vec![0.0; 5] },
         );
         FrozenEngine::new(frozen, &[vec![0], vec![], vec![4]], EngineConfig::default()).unwrap()
+    }
+
+    fn supervised(
+        engine: &FrozenEngine,
+        reqs: &[Request],
+        cfg: &ReplayConfig,
+        inj: &Injector,
+    ) -> Vec<Response> {
+        let options = ReplayOptions {
+            injector: inj.clone(),
+            ..ReplayOptions::default()
+        };
+        replay_with(engine, &TimedRequest::burst(reqs), cfg, &options).responses
     }
 
     fn log() -> Vec<Request> {
@@ -1086,7 +902,7 @@ mod tests {
                 Trigger::Every(3),
                 Fault::Panic,
             ));
-            let out = replay_supervised(&engine, &reqs, &cfg, &inj);
+            let out = supervised(&engine, &reqs, &cfg, &inj);
             assert!(inj.injected() > 0, "plan never fired at workers={workers}");
             assert_eq!(out, reference, "responses diverged at workers={workers}");
         }
@@ -1108,7 +924,7 @@ mod tests {
         // and is answered with errors — but answered.
         let inj =
             Injector::new(FaultPlan::new(5).inject("serve/worker", Trigger::Always, Fault::Panic));
-        let out = replay_supervised(&engine, &reqs, &cfg, &inj);
+        let out = supervised(&engine, &reqs, &cfg, &inj);
         assert_eq!(out.len(), reqs.len());
         for (req, resp) in reqs.iter().zip(&out) {
             assert_eq!(req.user, resp.user);
@@ -1135,7 +951,7 @@ mod tests {
         // second request's attempts (probes 2 and 3) all fail.
         let inj =
             Injector::new(FaultPlan::new(9).inject("serve/engine", Trigger::After(1), Fault::Io));
-        let out = replay_supervised(&engine, &reqs, &cfg, &inj);
+        let out = supervised(&engine, &reqs, &cfg, &inj);
         assert!(out[0].error.is_none() && !out[0].degraded);
         assert!(out[1].degraded, "second response must be a stale fallback");
         assert!(out[1].error.is_none());
@@ -1155,7 +971,7 @@ mod tests {
         };
         let inj =
             Injector::new(FaultPlan::new(11).inject("serve/engine", Trigger::Always, Fault::Io));
-        let out = replay_supervised(&engine, &reqs, &cfg, &inj);
+        let out = supervised(&engine, &reqs, &cfg, &inj);
         assert!(out[0]
             .error
             .as_deref()
@@ -1175,27 +991,40 @@ mod tests {
             .collect()
     }
 
-    fn tiny_bounds() -> BoundedReplayConfig {
-        BoundedReplayConfig {
-            replay: ReplayConfig {
+    fn tiny_bounds() -> (ReplayConfig, AdmissionConfig) {
+        (
+            ReplayConfig {
                 max_batch: 4,
                 ..ReplayConfig::default()
             },
-            admission: AdmissionConfig {
+            AdmissionConfig {
                 fast_capacity: 4,
                 cold_capacity: 6,
                 drain_every_ticks: 100,
                 drain_per_round: 1,
                 ..AdmissionConfig::default()
             },
-        }
+        )
+    }
+
+    fn bounded(
+        engine: &FrozenEngine,
+        arrivals: &[TimedRequest],
+        (replay, admission): &(ReplayConfig, AdmissionConfig),
+    ) -> (Vec<Response>, AdmissionPlan) {
+        let options = ReplayOptions {
+            admission: Some(admission.clone()),
+            ..ReplayOptions::default()
+        };
+        let out = replay_with(engine, arrivals, replay, &options);
+        (out.responses, out.plan.expect("admission was requested"))
     }
 
     #[test]
     fn bounded_burst_sheds_typed_and_accounts_exactly() {
         let engine = toy_engine();
         let arrivals = timed_burst();
-        let (out, plan) = replay_bounded(&engine, &arrivals, &tiny_bounds());
+        let (out, plan) = bounded(&engine, &arrivals, &tiny_bounds());
         assert_eq!(out.len(), arrivals.len());
         assert_eq!(plan.admitted() + plan.shed(), plan.offered());
         assert!(plan.shed() > 0, "burst must overflow the toy capacities");
@@ -1220,12 +1049,12 @@ mod tests {
     fn bounded_worker_count_does_not_change_bytes() {
         let arrivals = timed_burst();
         let cfg = tiny_bounds();
-        let (reference, ref_plan) = replay_bounded(&toy_engine(), &arrivals, &cfg);
+        let (reference, ref_plan) = bounded(&toy_engine(), &arrivals, &cfg);
         let reference = responses_to_json(&reference);
         for workers in [2usize, 4] {
             let mut cfg = cfg.clone();
-            cfg.replay.workers = workers;
-            let (out, plan) = replay_bounded(&toy_engine(), &arrivals, &cfg);
+            cfg.0.workers = workers;
+            let (out, plan) = bounded(&toy_engine(), &arrivals, &cfg);
             assert_eq!(plan, ref_plan, "plan changed at workers={workers}");
             assert_eq!(
                 responses_to_json(&out),
@@ -1240,9 +1069,9 @@ mod tests {
         let engine = toy_engine();
         let arrivals = timed_burst();
         let mut cfg = tiny_bounds();
-        cfg.admission.fast_capacity = 0;
-        cfg.admission.cold_capacity = 0;
-        let (out, plan) = replay_bounded(&engine, &arrivals, &cfg);
+        cfg.1.fast_capacity = 0;
+        cfg.1.cold_capacity = 0;
+        let (out, plan) = bounded(&engine, &arrivals, &cfg);
         assert_eq!(plan.shed(), arrivals.len());
         assert_eq!(out.len(), arrivals.len());
         assert!(out.iter().all(|r| r.outcome() == "overloaded"));
@@ -1260,13 +1089,14 @@ mod tests {
         let reqs = log();
         let config = ReplayConfig::default();
         let inj = Injector::disabled();
-        let batch = |lane| Batch {
-            lane,
-            start: 0,
-            end: 2,
-            requeues: 0,
+        let batch = |lane| {
+            Claim::fresh(Batch {
+                lane,
+                start: 0,
+                end: 2,
+            })
         };
-        let shared = Shared {
+        let shared = Lanes {
             engine: &engine,
             requests: &reqs,
             config: &config,
@@ -1275,7 +1105,6 @@ mod tests {
             order: [vec![0, 1], vec![2, 3]],
             fast: Mutex::new(VecDeque::from([batch(Lane::Fast)])),
             cold: Mutex::new(VecDeque::from([batch(Lane::Cold)])),
-            slots: Mutex::new(vec![None; 4]),
             stale: Mutex::new(BTreeMap::new()),
             traces: None,
         };
@@ -1287,7 +1116,7 @@ mod tests {
         let claimed = shared
             .pop_weighted(&mut shares)
             .expect("fast batch claimed while cold lane is held");
-        assert_eq!(claimed.lane, Lane::Fast);
+        assert_eq!(claimed.task.lane, Lane::Fast);
     }
 
     #[test]
@@ -1307,7 +1136,7 @@ mod tests {
             Trigger::Nth(2),
             Fault::Latency(250),
         ));
-        let out = replay_supervised(&engine, &reqs, &cfg, &inj);
+        let out = supervised(&engine, &reqs, &cfg, &inj);
         assert!(out[0].error.is_none(), "request under deadline serves");
         assert!(out[1]
             .error

@@ -27,10 +27,11 @@
 //!
 //! ## Routing and scheduling
 //!
-//! [`replay_sharded`] expands each micro-batch into one
-//! *(batch × shard)* task per shard and routes every shard's tasks to a
-//! single owner worker through a consistent-hash ring (splitmix64
-//! points, [`ShardReplayConfig::virtual_nodes`] per worker). One owner
+//! [`replay_sharded`] and [`replay_sharded_with`] expand each
+//! micro-batch into one *(batch × shard)* task per shard and route every
+//! shard's tasks to a single owner worker through a consistent-hash ring
+//! (16 splitmix64 points per worker), on the same supervised pool as the
+//! single-engine scheduler. One owner
 //! per shard means each shard's task stream is FIFO, so its cache
 //! hit/miss evolution — and therefore every counter and trace field —
 //! is identical at any worker count; the ring's stability keeps most
@@ -38,12 +39,11 @@
 //!
 //! ## Failure model (DESIGN.md §15)
 //!
-//! * **Shard-worker panics** (`serve/shard_worker`): tasks are
-//!   registered in-flight before serving and committed atomically
-//!   after, so the supervisor requeues a dead worker's task exactly
-//!   once per panic (bounded by [`ShardReplayConfig::max_retries`],
-//!   then per-shard error cells) and respawns the worker. No request
-//!   is ever lost or served twice.
+//! * **Shard-worker panics** (`serve/shard_worker`): the pool registers
+//!   each task in-flight before serving and commits it atomically after,
+//!   so it requeues a dead worker's task exactly once per panic (bounded
+//!   by [`ShardReplayConfig::max_retries`], then per-shard error cells)
+//!   and respawns the worker. No request is ever lost or served twice.
 //! * **Shard outages** (`serve/shard/{s}` I/O faults): retried with
 //!   deterministic backoff; past the budget the *shard* fails, not the
 //!   request. A response missing one or more shards is served from the
@@ -61,22 +61,25 @@
 //! the shard that owns the item. Per-shard counters live at
 //! `serve/shard/{s}/{requests,cache_hits,cache_misses}`.
 
-use crate::admission::{self, AdmissionConfig, AdmissionPlan, TimedRequest, Verdict};
+use crate::admission::{AdmissionPlan, TimedRequest};
 use crate::cache::ResultCache;
 use crate::engine::{score_ids, seen_lists, EngineConfig, ServeError};
 use crate::mask::SeenMask;
-use crate::scheduler::{latency_edges, record_admission_metrics, Request, Response};
+use crate::pool::{self, Claim, Work};
+use crate::scheduler::{
+    collect_responses, finish_traces, latency_edges, open_traces, plan_admission, shed_slots,
+    Replay, ReplayOptions, Request, Response,
+};
 use crate::topk::{merge_top_k, select_top_k};
 use scenerec_core::{
     EntityMatrix, FrozenHead, FrozenModel, PairwiseModel, Precision, Recommendation, ShardMap,
 };
 use scenerec_data::Dataset;
 use scenerec_faults::{Backoff, Injector};
-use scenerec_obs::{
-    flight, lock_unpoisoned, metrics, obs_event, FieldValue, Level, Stopwatch, Trace, TraceData,
-};
+use scenerec_obs::metrics::Histogram;
+use scenerec_obs::{lock_unpoisoned, metrics, FieldValue, Stopwatch, Trace};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Tuning knobs for a [`ShardedEngine`].
 #[derive(Debug, Clone, Default)]
@@ -485,11 +488,6 @@ pub struct ShardReplayConfig {
     /// Bounded retries: per (shard, request) when the shard is
     /// unavailable, and per task when its worker panics.
     pub max_retries: u32,
-    /// Deterministic exponential backoff between shard retries, in
-    /// logical ticks (accumulated into `serve/shard_backoff_ticks`).
-    pub backoff: Backoff,
-    /// Virtual nodes per worker on the consistent-hash ring.
-    pub virtual_nodes: usize,
 }
 
 impl Default for ShardReplayConfig {
@@ -498,11 +496,12 @@ impl Default for ShardReplayConfig {
             workers: 1,
             max_batch: 64,
             max_retries: 2,
-            backoff: Backoff::default(),
-            virtual_nodes: 16,
         }
     }
 }
+
+/// Points per worker on the consistent-hash ring.
+const VIRTUAL_NODES: usize = 16;
 
 /// splitmix64 — the repo's stock deterministic mixer (same constants as
 /// the synthesis stream in `scenerec_core::freeze`).
@@ -545,31 +544,30 @@ impl HashRing {
     }
 }
 
-/// A claimed (micro-batch × shard) task: requests `start..end` against
-/// `shard`, plus how many times a panicking worker has handed it back.
+/// A (micro-batch × shard) task: served requests `start..end` against
+/// `shard`.
 #[derive(Debug, Clone, Copy)]
 struct ShardTask {
     start: usize,
     end: usize,
     shard: usize,
-    requeues: u32,
 }
 
 /// One request × shard outcome awaiting assembly.
-type Cell = Option<Result<ShardPartial, String>>;
+type Cell = Result<ShardPartial, String>;
 
-/// Everything the shard-worker pool shares. Critical sections only move
-/// values between containers, so poisoned locks are safe to recover.
-struct SharedShards<'a> {
+/// The sharded engine's pool work: one task queue per worker, filled by
+/// consistent-hash routing, each worker draining only its own. Result
+/// slot `pos * num_shards + shard` holds one (request, shard) cell.
+/// Critical sections only move values between containers, so poisoned
+/// locks are safe to recover.
+struct Scatter<'a> {
     engine: &'a ShardedEngine,
+    /// The served requests, in serving order.
     requests: &'a [Request],
     config: &'a ShardReplayConfig,
     injector: &'a Injector,
-    /// One task queue per worker — consistent-hash routing fills them,
-    /// each worker drains only its own.
-    queues: Vec<Mutex<VecDeque<ShardTask>>>,
-    /// `cells[request][shard]` — filled exactly once each.
-    cells: Mutex<Vec<Vec<Cell>>>,
+    queues: Vec<Mutex<VecDeque<Claim<ShardTask>>>>,
 }
 
 /// Replays a request log through a [`ShardedEngine`] and returns
@@ -581,431 +579,252 @@ pub fn replay_sharded(
     requests: &[Request],
     config: &ShardReplayConfig,
 ) -> Vec<Response> {
-    replay_sharded_supervised(engine, requests, config, &Injector::disabled())
+    let options = ReplayOptions::default();
+    replay_sharded_with(engine, &TimedRequest::burst(requests), config, &options).responses
 }
 
-/// [`replay_sharded`] with fault injection and supervision — see the
-/// module docs for the shard failure model. The invariant
-/// `tests/chaos.rs` pins: every request gets exactly one response, in
-/// request order, at any worker count, under any fault plan; a lost
-/// shard degrades the response and names itself in
-/// [`Response::partial_shards`], it never silently truncates.
-pub fn replay_sharded_supervised(
-    engine: &ShardedEngine,
-    requests: &[Request],
-    config: &ShardReplayConfig,
-    injector: &Injector,
-) -> Vec<Response> {
-    run_sharded(engine, requests, config, injector, false).0
-}
-
-/// [`replay_sharded`] with causal tracing: one [`TraceData`] per
-/// request (`trace_id` = request index), rooted at `serve.request`
-/// with `serve.queue` / `serve.batch` children; the batch span nests
-/// one `serve.shard` span per shard (fields: `shard`, `hit`,
-/// `candidates` or `error`) and a final `serve.merge` span. The trace
-/// tree is assembled by the coordinator in deterministic shard order,
-/// so span *structure* is identical at any worker count — pinned via
-/// `structure_digest` in `tests/serving_parity.rs`.
-pub fn replay_sharded_traced(
-    engine: &ShardedEngine,
-    requests: &[Request],
-    config: &ShardReplayConfig,
-) -> (Vec<Response>, Vec<TraceData>) {
-    replay_sharded_traced_supervised(engine, requests, config, &Injector::disabled())
-}
-
-/// [`replay_sharded_supervised`] with causal tracing — see
-/// [`replay_sharded_traced`].
-pub fn replay_sharded_traced_supervised(
-    engine: &ShardedEngine,
-    requests: &[Request],
-    config: &ShardReplayConfig,
-    injector: &Injector,
-) -> (Vec<Response>, Vec<TraceData>) {
-    let (responses, traces) = run_sharded(engine, requests, config, injector, true);
-    (responses, traces.unwrap_or_default())
-}
-
-/// Replays an open-loop timed arrival log through a [`ShardedEngine`]
-/// under the same bounded-queue admission control as
-/// [`crate::scheduler::replay_bounded`]: the admission gate runs
-/// first, as a pure function of (arrival order, capacities, lanes);
-/// shed arrivals are answered with typed overload responses; admitted
-/// requests flow through the consistent-hash scatter-gather in the
-/// plan's global dequeue order, so the sharded task queues only ever
-/// hold work the gate bounded. Responses come back in arrival order
-/// and are byte-identical at any worker count.
-pub fn replay_sharded_bounded(
+/// Replays a timed arrival log through a [`ShardedEngine`] under
+/// `options` — the sharded twin of [`crate::replay_with`], with the
+/// same exactly-once, typed-outcome and worker-count-invariance
+/// contract.
+///
+/// * **Admission** runs first, as a pure function of (arrival order,
+///   capacities, lanes); shed arrivals are answered with typed overload
+///   responses, and admitted requests flow through the scatter-gather in
+///   the plan's global dequeue order, so the task queues only ever hold
+///   work the gate bounded.
+/// * **Faults**: a panicked worker's task re-enters its owner's queue;
+///   a lost shard degrades the response and names itself in
+///   [`Response::partial_shards`], it never silently truncates — see the
+///   module docs.
+/// * **Traces**: one [`TraceData`](scenerec_obs::TraceData) per
+///   arrival. Below the shared root / admission / `serve.queue`
+///   prefix, the batch span nests one
+///   `serve.shard` span per shard (fields: `shard`, `hit`, `candidates`
+///   or `error`) and a final `serve.merge` span. The coordinator
+///   assembles every tree in deterministic shard order, so span
+///   *structure* is identical at any worker count — pinned via
+///   `structure_digest` in `tests/serving_parity.rs`.
+pub fn replay_sharded_with(
     engine: &ShardedEngine,
     arrivals: &[TimedRequest],
     config: &ShardReplayConfig,
-    admission: &AdmissionConfig,
-) -> (Vec<Response>, AdmissionPlan) {
-    replay_sharded_bounded_supervised(engine, arrivals, config, admission, &Injector::disabled())
-}
-
-/// [`replay_sharded_bounded`] with fault injection and supervision.
-/// Exactly-once requeue composes with admission exactly as on the
-/// single-engine path: a panicked worker's shard task re-enters its
-/// owner's queue (already bounded by admission), a fault can neither
-/// shed admitted work nor admit shed work.
-pub fn replay_sharded_bounded_supervised(
-    engine: &ShardedEngine,
-    arrivals: &[TimedRequest],
-    config: &ShardReplayConfig,
-    admission: &AdmissionConfig,
-    injector: &Injector,
-) -> (Vec<Response>, AdmissionPlan) {
-    let plan = admission::plan(arrivals, admission);
-    record_admission_metrics(&plan);
-    let order = plan.admitted_order();
-    let admitted: Vec<Request> = order.iter().map(|&idx| arrivals[idx].request).collect();
-    let served = run_sharded(engine, &admitted, config, injector, false).0;
-
-    let mut out: Vec<Option<Response>> = arrivals
-        .iter()
-        .zip(&plan.verdicts)
-        .map(|(arrival, verdict)| match verdict {
-            Verdict::Shed(info) => Some(Response {
-                user: arrival.request.user,
-                k: arrival.request.k,
-                recs: Vec::new(),
-                error: None,
-                degraded: false,
-                partial_shards: Vec::new(),
-                overload: Some(*info),
-            }),
-            Verdict::Admit { .. } => None,
-        })
-        .collect();
-    for (response, &idx) in served.into_iter().zip(&order) {
-        debug_assert!(out[idx].is_none(), "response {idx} served twice");
-        out[idx] = Some(response);
-    }
-    let responses: Vec<Response> = out.into_iter().flatten().collect();
-    debug_assert_eq!(
-        responses.len(),
-        arrivals.len(),
-        "scheduler dropped a request"
+    options: &ReplayOptions,
+) -> Replay {
+    let plan = plan_admission(arrivals, options);
+    // Arrival index of each served request: the plan's global dequeue
+    // order, or arrival order without admission.
+    let order = plan.as_ref().map_or_else(
+        || (0..arrivals.len()).collect(),
+        AdmissionPlan::admitted_order,
     );
-    (responses, plan)
-}
-
-fn run_sharded(
-    engine: &ShardedEngine,
-    requests: &[Request],
-    config: &ShardReplayConfig,
-    injector: &Injector,
-    traced: bool,
-) -> (Vec<Response>, Option<Vec<TraceData>>) {
+    let requests: Vec<Request> = order.iter().map(|&idx| arrivals[idx].request).collect();
     let workers = config.workers.max(1);
     let max_batch = config.max_batch.max(1);
     let num_shards = engine.num_shards();
-    let ring = HashRing::new(workers, config.virtual_nodes.max(1));
+    let ring = HashRing::new(workers, VIRTUAL_NODES);
 
     // Batch-major × shard task order: all of a batch's shard tasks are
     // enqueued together, and within one owner's queue a shard's tasks
     // appear in batch order — the FIFO that makes per-shard cache
     // evolution worker-count invariant.
-    let mut queues: Vec<VecDeque<ShardTask>> = (0..workers).map(|_| VecDeque::new()).collect();
-    let mut start = 0;
-    while start < requests.len() {
-        let end = (start + max_batch).min(requests.len());
+    let mut queues: Vec<VecDeque<Claim<ShardTask>>> =
+        (0..workers).map(|_| VecDeque::new()).collect();
+    for (start, end) in pool::batches(requests.len(), max_batch) {
         for shard in 0..num_shards {
-            queues[ring.owner_of(shard)].push_back(ShardTask {
-                start,
-                end,
-                shard,
-                requeues: 0,
-            });
+            queues[ring.owner_of(shard)].push_back(Claim::fresh(ShardTask { start, end, shard }));
         }
-        start = end;
     }
-
-    let shared = SharedShards {
+    let scatter = Scatter {
         engine,
-        requests,
+        requests: &requests,
         config,
-        injector,
+        injector: &options.injector,
         queues: queues.into_iter().map(Mutex::new).collect(),
-        cells: Mutex::new(requests.iter().map(|_| vec![None; num_shards]).collect()),
     };
-    supervise_shards(&shared, workers);
-    assemble(&shared, traced, max_batch)
-}
+    let cells = pool::run(
+        &scatter,
+        workers,
+        config.max_retries,
+        &options.injector,
+        vec![None; requests.len() * num_shards],
+    );
 
-/// Runs one scoped drain loop per worker, replacing any that panic
-/// until every queue is empty — the sharded mirror of the scheduler's
-/// `supervise`.
-fn supervise_shards(shared: &SharedShards<'_>, workers: usize) {
-    let registry: Vec<Mutex<Option<ShardTask>>> = (0..workers).map(|_| Mutex::new(None)).collect();
-    let registry = &registry;
-    std::thread::scope(|scope| {
-        let mut live: Vec<(usize, std::thread::ScopedJoinHandle<'_, ()>)> = (0..workers)
-            .map(|slot| {
-                (
-                    slot,
-                    scope.spawn(move || drain_shards(shared, slot, &registry[slot])),
-                )
-            })
-            .collect();
-        while let Some((slot, handle)) = live.pop() {
-            if handle.join().is_ok() {
-                continue;
-            }
-            metrics::counter("serve/shard_worker_respawns").inc();
-            let orphan = lock_unpoisoned(&registry[slot]).take();
-            obs_event!(
-                Level::Warn, "serve", "shard worker panicked; respawning";
-                "slot" => slot as u64,
-                "orphan_task" => orphan
-                    .map(|t| format!("shard {} requests {}..{}", t.shard, t.start, t.end))
-                    .unwrap_or_default(),
-                "dump" => flight::dump_string(),
-            );
-            if let Some(task) = orphan {
-                if task.requeues < shared.config.max_retries {
-                    // Requeue at the front of the *same owner's* queue so
-                    // the shard's task stream stays FIFO in batch order.
-                    lock_unpoisoned(&shared.queues[slot]).push_front(ShardTask {
-                        requeues: task.requeues + 1,
-                        ..task
-                    });
-                } else {
-                    commit_task_errors(shared, task);
-                }
-            }
-            live.push((
-                slot,
-                scope.spawn(move || drain_shards(shared, slot, &registry[slot])),
-            ));
+    // Gather single-threaded, in serving order, walking shards in index
+    // order — which is what makes sharded trace structure trivially
+    // worker-count invariant.
+    let mut responses = shed_slots(arrivals, plan.as_ref());
+    let mut traces = options.trace.then(|| open_traces(arrivals, plan.as_ref()));
+    let mut cells = cells.into_iter();
+    for (pos, (&idx, req)) in order.iter().zip(&requests).enumerate() {
+        let (response, infos) = gather(req, cells.by_ref().take(num_shards));
+        if let Some(t) = traces.as_mut().and_then(|ts| ts[idx].as_mut()) {
+            let batch_start = pos - pos % max_batch;
+            let batch_end = (batch_start + max_batch).min(requests.len());
+            trace_gather(t, (batch_start, batch_end), &infos, response.recs.len());
         }
-    });
-}
-
-/// One shard worker's drain loop: claim a task from its own queue,
-/// register it in-flight, serve every request in the task against the
-/// task's shard, commit the cells atomically, clear the registration.
-fn drain_shards(shared: &SharedShards<'_>, slot: usize, inflight: &Mutex<Option<ShardTask>>) {
-    let task_hist = metrics::histogram("serve/shard_task_ns", &latency_edges());
-    loop {
-        let task = lock_unpoisoned(&shared.queues[slot]).pop_front();
-        let Some(task) = task else { break };
-        *lock_unpoisoned(inflight) = Some(task);
-        flight::record(
-            "serve.shard.claim",
-            format!(
-                "shard {} requests {}..{} requeues={}",
-                task.shard, task.start, task.end, task.requeues
-            ),
-        );
-        // The injected crash fires after registration and before any
-        // serving, so the supervisor recovers the whole task and no
-        // half-committed cells leak out.
-        shared.injector.panic_point("serve/shard_worker");
-
-        let watch = Stopwatch::start();
-        let mut served: Vec<(usize, Result<ShardPartial, String>)> =
-            Vec::with_capacity(task.end - task.start);
-        for idx in task.start..task.end {
-            served.push((
-                idx,
-                serve_shard_one(shared, task.shard, &shared.requests[idx]),
-            ));
-        }
-        task_hist.observe(watch.elapsed_ns() as f64);
-
-        {
-            let mut cells = lock_unpoisoned(&shared.cells);
-            for (idx, result) in served {
-                debug_assert!(
-                    cells[idx][task.shard].is_none(),
-                    "request {idx} shard {} served twice",
-                    task.shard
-                );
-                cells[idx][task.shard] = Some(result);
-            }
-        }
-        *lock_unpoisoned(inflight) = None;
+        debug_assert!(responses[idx].is_none(), "response {idx} served twice");
+        responses[idx] = Some(response);
+    }
+    Replay {
+        responses: collect_responses(responses),
+        traces: traces.map_or_else(Vec::new, finish_traces),
+        plan,
     }
 }
 
-/// Serves one (request, shard) pair through the retry ladder on the
-/// shard's injected I/O point `serve/shard/{s}`. Exhausted retries fail
-/// *this shard's cell only* — assembly decides whether the request
-/// degrades or errors.
-fn serve_shard_one(
-    shared: &SharedShards<'_>,
-    shard: usize,
-    req: &Request,
-) -> Result<ShardPartial, String> {
-    let point = format!("serve/shard/{shard}");
-    let mut attempt = 0u32;
-    loop {
-        match shared.injector.io(&point) {
-            Ok(()) => {
-                return shared
-                    .engine
-                    .partial_top_k(shard, req.user, req.k)
-                    .map_err(|e| e.to_string())
+/// One request's shard outcome for its trace: `(hit, candidates)` or
+/// the shard's error.
+type ShardInfo = Result<(bool, usize), String>;
+
+/// Merges one request's shard cells into its response.
+fn gather(req: &Request, row: impl Iterator<Item = Option<Cell>>) -> (Response, Vec<ShardInfo>) {
+    let mut partials: Vec<Vec<Recommendation>> = Vec::new();
+    let mut infos: Vec<ShardInfo> = Vec::new();
+    let mut missing: Vec<u32> = Vec::new();
+    let mut first_err: Option<String> = None;
+    for (s, cell) in row.enumerate() {
+        // Defensive: supervision guarantees every cell is filled; an
+        // empty one is answered, not ignored.
+        match cell.unwrap_or_else(|| Err(format!("shard {s} response missing"))) {
+            Ok(p) => {
+                infos.push(Ok((p.hit, p.candidates)));
+                partials.push(p.recs);
             }
             Err(e) => {
-                if attempt < shared.config.max_retries {
-                    metrics::counter("serve/shard_retries").inc();
-                    metrics::counter("serve/shard_backoff_ticks")
-                        .add(shared.config.backoff.ticks(attempt));
-                    attempt += 1;
-                    continue;
+                first_err.get_or_insert_with(|| e.clone());
+                infos.push(Err(e));
+                missing.push(s as u32);
+            }
+        }
+    }
+    let response = if partials.is_empty() {
+        // Every shard failed identically (e.g. an out-of-range user):
+        // surface the lowest shard's error as the request-level error,
+        // matching the single-engine text.
+        Response::error(req, first_err.unwrap_or_else(|| "no shards".to_owned()))
+    } else if !missing.is_empty() {
+        metrics::counter("serve/shard_degraded").inc();
+        Response {
+            degraded: true,
+            partial_shards: missing,
+            ..Response::ok(req, merge_top_k(&partials, req.k))
+        }
+    } else {
+        Response::ok(req, merge_top_k(&partials, req.k))
+    };
+    (response, infos)
+}
+
+/// Closes a request's open `serve.queue` span and records the batch,
+/// one `serve.shard` span per shard, and the merge.
+fn trace_gather(t: &mut Trace, (start, end): (usize, usize), infos: &[ShardInfo], merged: usize) {
+    t.end_top(); // serve.queue: the wait is over
+    let b = t.start_span("serve.batch");
+    t.add_field(b, "batch_start", FieldValue::Int(start as i64));
+    t.add_field(b, "batch_end", FieldValue::Int(end as i64));
+    for (s, info) in infos.iter().enumerate() {
+        let sp = t.start_span("serve.shard");
+        t.add_field(sp, "shard", FieldValue::Int(s as i64));
+        match info {
+            Ok((hit, candidates)) => {
+                t.add_field(sp, "hit", FieldValue::Bool(*hit));
+                if !hit {
+                    t.add_field(sp, "candidates", FieldValue::Int(*candidates as i64));
                 }
-                return Err(format!(
-                    "shard {shard} unavailable after {attempt} retries: {e}"
-                ));
+            }
+            Err(e) => t.add_field(sp, "error", FieldValue::Str(e.clone())),
+        }
+        t.end_span(sp);
+    }
+    let m = t.start_span("serve.merge");
+    t.add_field(m, "merged", FieldValue::Int(merged as i64));
+    t.end_span(m);
+    t.end_span(b);
+}
+
+impl Scatter<'_> {
+    /// Serves one (request, shard) pair through the retry ladder on the
+    /// shard's injected I/O point `serve/shard/{s}`. Exhausted retries
+    /// fail *this shard's cell only* — assembly decides whether the
+    /// request degrades or errors.
+    fn serve_cell(&self, shard: usize, req: &Request) -> Cell {
+        let point = format!("serve/shard/{shard}");
+        let mut attempt = 0u32;
+        loop {
+            match self.injector.io(&point) {
+                Ok(()) => {
+                    return self
+                        .engine
+                        .partial_top_k(shard, req.user, req.k)
+                        .map_err(|e| e.to_string())
+                }
+                Err(e) => {
+                    if attempt < self.config.max_retries {
+                        metrics::counter("serve/shard_retries").inc();
+                        metrics::counter("serve/shard_backoff_ticks")
+                            .add(Backoff::default().ticks(attempt));
+                        attempt += 1;
+                        continue;
+                    }
+                    return Err(format!(
+                        "shard {shard} unavailable after {attempt} retries: {e}"
+                    ));
+                }
             }
         }
     }
 }
 
-/// Error cells for a task whose requeue budget ran out.
-fn commit_task_errors(shared: &SharedShards<'_>, task: ShardTask) {
-    let mut cells = lock_unpoisoned(&shared.cells);
-    for idx in task.start..task.end {
-        debug_assert!(
-            cells[idx][task.shard].is_none(),
-            "request {idx} shard {} served twice",
-            task.shard
-        );
-        cells[idx][task.shard] = Some(Err(format!(
-            "shard {} worker failed {} times serving this batch",
-            task.shard,
-            task.requeues + 1
-        )));
+impl Work for Scatter<'_> {
+    type Task = ShardTask;
+    type Out = Cell;
+    type Local = Arc<Histogram>;
+
+    const RESPAWNS: &'static str = "serve/shard_worker_respawns";
+    const PANIC_POINT: &'static str = "serve/shard_worker";
+    const CLAIM_EVENT: &'static str = "serve.shard.claim";
+    const PANIC_MESSAGE: &'static str = "shard worker panicked; respawning";
+
+    fn local(&self) -> Arc<Histogram> {
+        metrics::histogram("serve/shard_task_ns", &latency_edges())
     }
-}
 
-/// Gathers every request's shard cells into one response (and, when
-/// traced, one span tree). Runs single-threaded on the coordinator in
-/// request order, walking shards in index order — which is what makes
-/// sharded trace structure trivially worker-count invariant.
-fn assemble(
-    shared: &SharedShards<'_>,
-    traced: bool,
-    max_batch: usize,
-) -> (Vec<Response>, Option<Vec<TraceData>>) {
-    let num_shards = shared.engine.num_shards();
-    let total = shared.requests.len();
-    let rows: Vec<Vec<Cell>> = lock_unpoisoned(&shared.cells).drain(..).collect();
-    let mut responses = Vec::with_capacity(total);
-    let mut traces = traced.then(|| Vec::with_capacity(total));
-
-    for (idx, (req, row)) in shared.requests.iter().zip(rows).enumerate() {
-        let mut partials: Vec<Vec<Recommendation>> = Vec::with_capacity(num_shards);
-        let mut infos: Vec<Result<(bool, usize), String>> = Vec::with_capacity(num_shards);
-        let mut missing: Vec<u32> = Vec::new();
-        let mut first_err: Option<String> = None;
-        for (s, cell) in row.into_iter().enumerate() {
-            match cell {
-                Some(Ok(p)) => {
-                    infos.push(Ok((p.hit, p.candidates)));
-                    partials.push(p.recs);
-                }
-                Some(Err(e)) => {
-                    if first_err.is_none() {
-                        first_err = Some(e.clone());
-                    }
-                    infos.push(Err(e));
-                    missing.push(s as u32);
-                }
-                // Defensive: supervision guarantees every cell is
-                // filled; an empty one is answered, not ignored.
-                None => {
-                    let e = format!("shard {s} response missing");
-                    if first_err.is_none() {
-                        first_err = Some(e.clone());
-                    }
-                    infos.push(Err(e));
-                    missing.push(s as u32);
-                }
-            }
-        }
-
-        let response = if missing.len() == num_shards {
-            // Every shard failed identically (e.g. an out-of-range
-            // user): surface the lowest shard's error as the
-            // request-level error, matching the single-engine text.
-            Response {
-                user: req.user,
-                k: req.k,
-                recs: Vec::new(),
-                error: Some(first_err.unwrap_or_else(|| "no shards".to_owned())),
-                degraded: false,
-                partial_shards: Vec::new(),
-                overload: None,
-            }
-        } else if !missing.is_empty() {
-            metrics::counter("serve/shard_degraded").inc();
-            Response {
-                user: req.user,
-                k: req.k,
-                recs: merge_top_k(&partials, req.k),
-                error: None,
-                degraded: true,
-                partial_shards: missing,
-                overload: None,
-            }
-        } else {
-            Response {
-                user: req.user,
-                k: req.k,
-                recs: merge_top_k(&partials, req.k),
-                error: None,
-                degraded: false,
-                partial_shards: Vec::new(),
-                overload: None,
-            }
-        };
-
-        if let Some(traces) = &mut traces {
-            let batch_start = idx - idx % max_batch;
-            let batch_end = (batch_start + max_batch).min(total);
-            let mut t = Trace::new(idx as u64);
-            let root = t.start_span("serve.request");
-            t.add_field(root, "user", FieldValue::Int(req.user as i64));
-            t.add_field(root, "k", FieldValue::Int(req.k as i64));
-            let q = t.start_span("serve.queue");
-            t.end_span(q);
-            let b = t.start_span("serve.batch");
-            t.add_field(b, "batch_start", FieldValue::Int(batch_start as i64));
-            t.add_field(b, "batch_end", FieldValue::Int(batch_end as i64));
-            for (s, info) in infos.iter().enumerate() {
-                let sp = t.start_span("serve.shard");
-                t.add_field(sp, "shard", FieldValue::Int(s as i64));
-                match info {
-                    Ok((hit, candidates)) => {
-                        t.add_field(sp, "hit", FieldValue::Bool(*hit));
-                        if !hit {
-                            t.add_field(sp, "candidates", FieldValue::Int(*candidates as i64));
-                        }
-                    }
-                    Err(e) => t.add_field(sp, "error", FieldValue::Str(e.clone())),
-                }
-                t.end_span(sp);
-            }
-            let m = t.start_span("serve.merge");
-            t.add_field(m, "merged", FieldValue::Int(response.recs.len() as i64));
-            t.end_span(m);
-            t.end_span(b);
-            t.end_span(root);
-            traces.push(t.finish());
-        }
-        responses.push(response);
+    fn claim(&self, slot: usize, _task_hist: &mut Arc<Histogram>) -> Option<Claim<ShardTask>> {
+        lock_unpoisoned(&self.queues[slot]).pop_front()
     }
-    debug_assert_eq!(
-        responses.len(),
-        total,
-        "sharded scheduler dropped a request"
-    );
-    (responses, traces)
+
+    /// Requeues at the front of the *same owner's* queue so the shard's
+    /// task stream stays FIFO in batch order.
+    fn requeue(&self, slot: usize, claim: Claim<ShardTask>) {
+        lock_unpoisoned(&self.queues[slot]).push_front(claim);
+    }
+
+    fn serve_task(&self, task: ShardTask, task_hist: &mut Arc<Histogram>) -> Vec<(usize, Cell)> {
+        let num_shards = self.engine.num_shards();
+        let watch = Stopwatch::start();
+        let served = (task.start..task.end)
+            .map(|pos| {
+                let cell = self.serve_cell(task.shard, &self.requests[pos]);
+                (pos * num_shards + task.shard, cell)
+            })
+            .collect();
+        task_hist.observe(watch.elapsed_ns() as f64);
+        served
+    }
+
+    fn fail_task(&self, task: ShardTask, attempts: u32) -> Vec<(usize, Cell)> {
+        let num_shards = self.engine.num_shards();
+        (task.start..task.end)
+            .map(|pos| {
+                let error = format!(
+                    "shard {} worker failed {attempts} times serving this batch",
+                    task.shard
+                );
+                (pos * num_shards + task.shard, Err(error))
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -1043,6 +862,19 @@ mod tests {
             .map(|i| ((i % 3) as f32 - 1.0) * 0.125)
             .collect();
         FrozenModel::dense("ties", users, items, FrozenHead::DotBias { bias })
+    }
+
+    fn supervised(
+        engine: &ShardedEngine,
+        requests: &[Request],
+        config: &ShardReplayConfig,
+        injector: Injector,
+    ) -> Vec<Response> {
+        let options = ReplayOptions {
+            injector,
+            ..ReplayOptions::default()
+        };
+        replay_sharded_with(engine, &TimedRequest::burst(requests), config, &options).responses
     }
 
     fn seen_for(num_users: usize) -> Vec<Vec<u32>> {
@@ -1257,7 +1089,7 @@ mod tests {
         let config = ShardReplayConfig::default();
 
         let plan = FaultPlan::new(7).inject("serve/shard/1", Trigger::Always, Fault::Io);
-        let out = replay_sharded_supervised(&engine, &requests, &config, &Injector::new(plan));
+        let out = supervised(&engine, &requests, &config, Injector::new(plan));
         for r in &out {
             assert!(r.degraded);
             assert!(r.error.is_none());
@@ -1271,7 +1103,7 @@ mod tests {
         for s in 0..4 {
             all_down = all_down.inject(&format!("serve/shard/{s}"), Trigger::Always, Fault::Io);
         }
-        let out = replay_sharded_supervised(&engine, &requests, &config, &Injector::new(all_down));
+        let out = supervised(&engine, &requests, &config, Injector::new(all_down));
         for r in &out {
             assert!(!r.degraded);
             assert!(r.recs.is_empty());
@@ -1307,15 +1139,20 @@ mod tests {
                 .unwrap();
         let requests: Vec<Request> = (0..10u32).map(|i| Request { user: i % 4, k: 4 }).collect();
         let digest_at = |workers: usize| {
-            let (_, traces) = replay_sharded_traced(
+            let traces = replay_sharded_with(
                 &engine,
-                &requests,
+                &TimedRequest::burst(&requests),
                 &ShardReplayConfig {
                     workers,
                     max_batch: 4,
                     ..ShardReplayConfig::default()
                 },
-            );
+                &ReplayOptions {
+                    trace: true,
+                    ..ReplayOptions::default()
+                },
+            )
+            .traces;
             assert_eq!(traces.len(), requests.len());
             structure_digest(&traces)
         };

@@ -16,8 +16,8 @@ use scenerec_core::{FrozenHead, FrozenModel, Recommendation};
 use scenerec_faults::{Fault, FaultPlan, Injector, Trigger};
 use scenerec_obs::{chrome_trace_json, structure_digest, structure_text, FieldValue, TraceData};
 use scenerec_serve::{
-    replay, replay_traced, replay_traced_supervised, EngineConfig, FrozenEngine, ReplayConfig,
-    Request, Response,
+    replay, replay_with, EngineConfig, FrozenEngine, ReplayConfig, ReplayOptions, Request,
+    Response, TimedRequest,
 };
 use scenerec_tensor::Matrix;
 
@@ -59,6 +59,29 @@ fn unique_requests() -> Vec<Request> {
         .collect()
 }
 
+fn traced_supervised(
+    engine: &FrozenEngine,
+    requests: &[Request],
+    config: &ReplayConfig,
+    injector: &Injector,
+) -> (Vec<Response>, Vec<TraceData>) {
+    let options = ReplayOptions {
+        injector: injector.clone(),
+        trace: true,
+        ..ReplayOptions::default()
+    };
+    let out = replay_with(engine, &TimedRequest::burst(requests), config, &options);
+    (out.responses, out.traces)
+}
+
+fn traced(
+    engine: &FrozenEngine,
+    requests: &[Request],
+    config: &ReplayConfig,
+) -> (Vec<Response>, Vec<TraceData>) {
+    traced_supervised(engine, requests, config, &Injector::disabled())
+}
+
 fn config(workers: usize) -> ReplayConfig {
     ReplayConfig {
         workers,
@@ -71,7 +94,7 @@ fn config(workers: usize) -> ReplayConfig {
 fn every_response_roots_at_its_requests_trace_id() {
     let engine = toy_engine();
     let requests = unique_requests();
-    let (responses, traces) = replay_traced(&engine, &requests, &config(1));
+    let (responses, traces) = traced(&engine, &requests, &config(1));
     assert_eq!(responses.len(), NUM_REQUESTS);
     assert_eq!(traces.len(), NUM_REQUESTS);
 
@@ -125,7 +148,7 @@ fn span_structure_is_byte_identical_across_worker_counts() {
         .iter()
         .map(|&workers| {
             let engine = toy_engine();
-            let (_, traces) = replay_traced(&engine, &requests, &config(workers));
+            let (_, traces) = traced(&engine, &requests, &config(workers));
             structure_text(&traces)
         })
         .collect();
@@ -134,11 +157,11 @@ fn span_structure_is_byte_identical_across_worker_counts() {
 
     // Warm: one engine, cache filled by a cold pass; every request hits.
     let engine = toy_engine();
-    let _ = replay_traced(&engine, &requests, &config(1));
+    let _ = traced(&engine, &requests, &config(1));
     let warm: Vec<String> = [1usize, 2, 4]
         .iter()
         .map(|&workers| {
-            let (_, traces) = replay_traced(&engine, &requests, &config(workers));
+            let (_, traces) = traced(&engine, &requests, &config(workers));
             assert!(traces
                 .iter()
                 .all(|t| t.span_named("serve.cache").unwrap().field("hit")
@@ -158,7 +181,7 @@ fn span_structure_survives_injected_worker_panics() {
     let requests = unique_requests();
     let reference = {
         let engine = toy_engine();
-        let (responses, traces) = replay_traced(&engine, &requests, &config(1));
+        let (responses, traces) = traced(&engine, &requests, &config(1));
         (responses, structure_text(&traces))
     };
     for workers in [1usize, 2, 4] {
@@ -175,7 +198,7 @@ fn span_structure_survives_injected_worker_panics() {
             Trigger::Every(3),
             Fault::Panic,
         ));
-        let (responses, traces) = replay_traced_supervised(&engine, &requests, &cfg, &injector);
+        let (responses, traces) = traced_supervised(&engine, &requests, &cfg, &injector);
         assert!(injector.injected() > 0, "plan never fired");
         assert_eq!(responses, reference.0, "workers={workers}");
         assert_eq!(
@@ -190,7 +213,7 @@ fn span_structure_survives_injected_worker_panics() {
 fn tracing_does_not_change_served_bytes() {
     let requests = unique_requests();
     let untraced: Vec<Response> = replay(&toy_engine(), &requests, &config(4));
-    let (traced, _) = replay_traced(&toy_engine(), &requests, &config(4));
+    let (traced, _) = traced(&toy_engine(), &requests, &config(4));
     assert_eq!(untraced, traced);
     let recs: Vec<&Recommendation> = traced.iter().flat_map(|r| &r.recs).collect();
     assert!(!recs.is_empty());
@@ -200,7 +223,7 @@ fn tracing_does_not_change_served_bytes() {
 fn chrome_export_parses_and_covers_every_span() {
     let engine = toy_engine();
     let requests = unique_requests();
-    let (_, traces) = replay_traced(&engine, &requests, &config(2));
+    let (_, traces) = traced(&engine, &requests, &config(2));
     let total_spans: usize = traces.iter().map(|t| t.spans.len()).sum();
     assert!(total_spans >= 4 * NUM_REQUESTS);
 
@@ -260,7 +283,7 @@ fn engine_outage_traces_keep_request_root() {
     };
     let injector =
         Injector::new(FaultPlan::new(9).inject("serve/engine", Trigger::After(1), Fault::Io));
-    let (responses, traces) = replay_traced_supervised(&engine, &requests, &cfg, &injector);
+    let (responses, traces) = traced_supervised(&engine, &requests, &cfg, &injector);
     assert!(responses[1].degraded);
     let degraded: &TraceData = &traces[1];
     assert_eq!(degraded.root().unwrap().name, "serve.request");

@@ -24,11 +24,9 @@ use scenerec_core::{FrozenHead, FrozenModel, PairwiseModel, Precision, SceneRec,
 use scenerec_data::{generate, Dataset, GeneratorConfig};
 use scenerec_faults::{Fault, FaultPlan, Injector, Trigger};
 use scenerec_serve::{
-    merge_top_k, replay, replay_bounded, replay_bounded_supervised, replay_sharded,
-    replay_sharded_bounded, replay_sharded_bounded_supervised, replay_sharded_supervised,
-    replay_supervised, responses_to_json, AdmissionConfig, BoundedReplayConfig, EngineConfig,
-    FrozenEngine, ReplayConfig, Request, ShardReplayConfig, ShardedConfig, ShardedEngine,
-    TimedRequest, Verdict,
+    merge_top_k, replay, replay_sharded, replay_sharded_with, replay_with, responses_to_json,
+    AdmissionConfig, AdmissionPlan, EngineConfig, FrozenEngine, ReplayConfig, ReplayOptions,
+    Request, Response, ShardReplayConfig, ShardedConfig, ShardedEngine, TimedRequest, Verdict,
 };
 use scenerec_tensor::Matrix;
 
@@ -81,6 +79,54 @@ fn toy_engine() -> FrozenEngine {
 fn toy_sharded(shards: usize) -> ShardedEngine {
     let (frozen, seen) = toy_frozen();
     ShardedEngine::new(frozen, &seen, ShardedConfig::with_shards(shards)).unwrap()
+}
+
+/// Replay options arming `inj`, with admission control when given.
+fn faulted(inj: &Injector, admission: Option<&AdmissionConfig>) -> ReplayOptions {
+    ReplayOptions {
+        admission: admission.cloned(),
+        injector: inj.clone(),
+        trace: false,
+    }
+}
+
+fn supervised(
+    engine: &FrozenEngine,
+    reqs: &[Request],
+    cfg: &ReplayConfig,
+    inj: &Injector,
+) -> Vec<Response> {
+    replay_with(engine, &TimedRequest::burst(reqs), cfg, &faulted(inj, None)).responses
+}
+
+fn sharded_supervised(
+    engine: &ShardedEngine,
+    reqs: &[Request],
+    cfg: &ShardReplayConfig,
+    inj: &Injector,
+) -> Vec<Response> {
+    replay_sharded_with(engine, &TimedRequest::burst(reqs), cfg, &faulted(inj, None)).responses
+}
+
+fn bounded(
+    engine: &FrozenEngine,
+    arrivals: &[TimedRequest],
+    (cfg, admission): &(ReplayConfig, AdmissionConfig),
+    inj: &Injector,
+) -> (Vec<Response>, AdmissionPlan) {
+    let out = replay_with(engine, arrivals, cfg, &faulted(inj, Some(admission)));
+    (out.responses, out.plan.expect("admission was requested"))
+}
+
+fn sharded_bounded(
+    engine: &ShardedEngine,
+    arrivals: &[TimedRequest],
+    cfg: &ShardReplayConfig,
+    admission: &AdmissionConfig,
+    inj: &Injector,
+) -> (Vec<Response>, AdmissionPlan) {
+    let out = replay_sharded_with(engine, arrivals, cfg, &faulted(inj, Some(admission)));
+    (out.responses, out.plan.expect("admission was requested"))
 }
 
 fn request_log() -> Vec<Request> {
@@ -174,7 +220,7 @@ fn every_injection_point_is_exercised_and_absorbed() {
         max_batch: 8,
         ..ReplayConfig::default()
     };
-    let out = replay_supervised(&engine, &reqs, &scfg, &inj);
+    let out = supervised(&engine, &reqs, &scfg, &inj);
     assert_eq!(out.len(), reqs.len());
     assert!(out.iter().all(|r| r.error.is_none()));
 
@@ -182,10 +228,9 @@ fn every_injection_point_is_exercised_and_absorbed() {
     let inj =
         Injector::new(FaultPlan::new(seed).inject("serve/engine", Trigger::Always, Fault::Io));
     let scfg = ReplayConfig {
-        degraded: false,
         ..ReplayConfig::default()
     };
-    let out = replay_supervised(&engine, &reqs[..4], &scfg, &inj);
+    let out = supervised(&engine, &reqs[..4], &scfg, &inj);
     assert!(out.iter().all(|r| r
         .error
         .as_deref()
@@ -201,7 +246,7 @@ fn every_injection_point_is_exercised_and_absorbed() {
         deadline_ticks: 100,
         ..ReplayConfig::default()
     };
-    let out = replay_supervised(&engine, &reqs[..4], &scfg, &inj);
+    let out = supervised(&engine, &reqs[..4], &scfg, &inj);
     assert!(out.iter().all(|r| r
         .error
         .as_deref()
@@ -252,7 +297,7 @@ fn worker_panic_storms_never_lose_or_duplicate_responses() {
             max_retries: 32,
             ..ReplayConfig::default()
         };
-        let got = responses_to_json(&replay_supervised(&engine, &reqs, &cfg, &inj));
+        let got = responses_to_json(&supervised(&engine, &reqs, &cfg, &inj));
         assert!(inj.injected() >= 1, "plan never fired at workers={workers}");
         assert_eq!(reference, got, "workers={workers} diverged under panics");
     }
@@ -285,7 +330,7 @@ fn engine_outage_degrades_to_bit_identical_stale_results() {
         max_retries: 1,
         ..ReplayConfig::default()
     };
-    let out = replay_supervised(&engine, &reqs, &cfg, &inj);
+    let out = supervised(&engine, &reqs, &cfg, &inj);
     assert_eq!(out.len(), 12);
     for (fresh, stale) in out[..6].iter().zip(&out[6..]) {
         assert!(fresh.error.is_none() && !fresh.degraded);
@@ -313,7 +358,7 @@ fn engine_outage_without_stale_results_is_a_typed_error() {
         max_retries: 3,
         ..ReplayConfig::default()
     };
-    let out = replay_supervised(&engine, &[Request { user: 1, k: 2 }], &cfg, &inj);
+    let out = supervised(&engine, &[Request { user: 1, k: 2 }], &cfg, &inj);
     assert!(out[0]
         .error
         .as_deref()
@@ -337,7 +382,7 @@ fn latency_injection_misses_deadlines_exactly_where_armed() {
         deadline_ticks: 100,
         ..ReplayConfig::default()
     };
-    let out = replay_supervised(&engine, &reqs, &cfg, &inj);
+    let out = supervised(&engine, &reqs, &cfg, &inj);
     for (i, resp) in out.iter().enumerate() {
         if (i + 1) % 2 == 0 {
             assert!(
@@ -381,7 +426,7 @@ fn worker_panic_dumps_flight_recorder() {
         max_retries: 8,
         ..ReplayConfig::default()
     };
-    let out = replay_supervised(&engine, &reqs, &cfg, &inj);
+    let out = supervised(&engine, &reqs, &cfg, &inj);
     remove_sink(handle);
     assert_eq!(out.len(), reqs.len());
     assert!(inj.injected() >= 1, "panic plan never fired");
@@ -430,22 +475,22 @@ fn timed_burst() -> Vec<TimedRequest> {
 }
 
 /// Bounds small enough that the burst sheds in both lanes.
-fn tight_bounds(workers: usize) -> BoundedReplayConfig {
-    BoundedReplayConfig {
-        replay: ReplayConfig {
+fn tight_bounds(workers: usize) -> (ReplayConfig, AdmissionConfig) {
+    (
+        ReplayConfig {
             workers,
             max_batch: 4,
             max_retries: 32,
             ..ReplayConfig::default()
         },
-        admission: AdmissionConfig {
+        AdmissionConfig {
             fast_capacity: 4,
             cold_capacity: 6,
             drain_every_ticks: 100,
             drain_per_round: 1,
             ..AdmissionConfig::default()
         },
-    }
+    )
 }
 
 /// Worker panic storms while the queues are at capacity: the fault layer
@@ -457,7 +502,8 @@ fn tight_bounds(workers: usize) -> BoundedReplayConfig {
 fn bounded_worker_panics_at_capacity_preserve_exactly_once() {
     let arrivals = timed_burst();
     let engine = toy_engine();
-    let (fault_free, reference_plan) = replay_bounded(&engine, &arrivals, &tight_bounds(1));
+    let (fault_free, reference_plan) =
+        bounded(&engine, &arrivals, &tight_bounds(1), &Injector::disabled());
     let reference = responses_to_json(&fault_free);
     assert!(
         reference_plan.shed() > 0 && reference_plan.admitted() > 0,
@@ -470,8 +516,7 @@ fn bounded_worker_panics_at_capacity_preserve_exactly_once() {
             Trigger::Every(3),
             Fault::Panic,
         ));
-        let (out, plan) =
-            replay_bounded_supervised(&engine, &arrivals, &tight_bounds(workers), &inj);
+        let (out, plan) = bounded(&engine, &arrivals, &tight_bounds(workers), &inj);
         assert!(inj.injected() >= 1, "plan never fired at workers={workers}");
 
         // Panics cannot shed admitted work or admit shed work: the plan
@@ -514,8 +559,8 @@ fn bounded_worker_panics_at_capacity_preserve_exactly_once() {
 #[test]
 fn sharded_bounded_worker_panics_at_capacity_preserve_exactly_once() {
     let arrivals = timed_burst();
-    let admission = tight_bounds(1).admission;
-    let (fault_free, reference_plan) = replay_sharded_bounded(
+    let admission = tight_bounds(1).1;
+    let (fault_free, reference_plan) = sharded_bounded(
         &toy_sharded(4),
         &arrivals,
         &ShardReplayConfig {
@@ -523,6 +568,7 @@ fn sharded_bounded_worker_panics_at_capacity_preserve_exactly_once() {
             ..ShardReplayConfig::default()
         },
         &admission,
+        &Injector::disabled(),
     );
     let reference = responses_to_json(&fault_free);
     assert!(reference_plan.shed() > 0 && reference_plan.admitted() > 0);
@@ -538,10 +584,8 @@ fn sharded_bounded_worker_panics_at_capacity_preserve_exactly_once() {
             workers,
             max_batch: 4,
             max_retries: 32,
-            ..ShardReplayConfig::default()
         };
-        let (out, plan) =
-            replay_sharded_bounded_supervised(&engine, &arrivals, &cfg, &admission, &inj);
+        let (out, plan) = sharded_bounded(&engine, &arrivals, &cfg, &admission, &inj);
         assert!(inj.injected() >= 1, "plan never fired at workers={workers}");
         assert_eq!(plan, reference_plan, "workers={workers} changed the plan");
         assert_eq!(out.len(), arrivals.len());
@@ -591,9 +635,8 @@ fn shard_worker_panic_storms_never_lose_or_duplicate_responses() {
             // Every third claim panics; the invariant under test is
             // exactly-once delivery, not the requeue budget.
             max_retries: 32,
-            ..ShardReplayConfig::default()
         };
-        let got = responses_to_json(&replay_sharded_supervised(&engine, &reqs, &cfg, &inj));
+        let got = responses_to_json(&sharded_supervised(&engine, &reqs, &cfg, &inj));
         assert!(inj.injected() >= 1, "plan never fired at workers={workers}");
         assert_eq!(
             reference, got,
@@ -615,7 +658,7 @@ fn shard_outage_degrades_to_exact_merge_of_survivors() {
         Trigger::Always,
         Fault::Io,
     ));
-    let out = replay_sharded_supervised(&engine, &reqs, &ShardReplayConfig::default(), &inj);
+    let out = sharded_supervised(&engine, &reqs, &ShardReplayConfig::default(), &inj);
     assert_eq!(out.len(), reqs.len());
     let dead = engine.shard_map().range(2).expect("shard 2 exists");
     for (req, resp) in reqs.iter().zip(&out) {
@@ -655,7 +698,7 @@ fn full_shard_outage_is_a_typed_error_not_an_empty_result() {
         plan = plan.inject(&format!("serve/shard/{s}"), Trigger::Always, Fault::Io);
     }
     let inj = Injector::new(plan);
-    let out = replay_sharded_supervised(
+    let out = sharded_supervised(
         &engine,
         &[Request { user: 1, k: 3 }],
         &ShardReplayConfig::default(),

@@ -29,8 +29,9 @@ use scenerec_bench::traffic::{self, TrafficConfig};
 use scenerec_core::FrozenModel;
 use scenerec_obs::{metrics, structure_digest, structure_text};
 use scenerec_serve::{
-    replay_bounded, replay_bounded_traced, responses_to_json, AdmissionConfig, BoundedReplayConfig,
-    EngineConfig, FrozenEngine, ReplayConfig, Verdict,
+    replay_sharded_with, replay_with, responses_to_json, AdmissionConfig, AdmissionPlan,
+    EngineConfig, FrozenEngine, Replay, ReplayConfig, ReplayOptions, Response, ShardReplayConfig,
+    ShardedConfig, ShardedEngine, TimedRequest, Verdict,
 };
 use std::sync::Mutex;
 
@@ -65,15 +66,29 @@ fn admission_cfg() -> AdmissionConfig {
     }
 }
 
-fn bounded_cfg(workers: usize) -> BoundedReplayConfig {
-    BoundedReplayConfig {
-        replay: ReplayConfig {
-            workers,
-            max_batch: 8,
-            ..ReplayConfig::default()
-        },
-        admission: admission_cfg(),
+fn bounded_cfg(workers: usize) -> ReplayConfig {
+    ReplayConfig {
+        workers,
+        max_batch: 8,
+        ..ReplayConfig::default()
     }
+}
+
+fn admitting(trace: bool) -> ReplayOptions {
+    ReplayOptions {
+        admission: Some(admission_cfg()),
+        trace,
+        ..ReplayOptions::default()
+    }
+}
+
+fn bounded(
+    engine: &FrozenEngine,
+    trace: &[TimedRequest],
+    cfg: &ReplayConfig,
+) -> (Vec<Response>, AdmissionPlan) {
+    let out = replay_with(engine, trace, cfg, &admitting(false));
+    (out.responses, out.plan.expect("admission was requested"))
 }
 
 /// A fresh engine per run, so cache state never leaks between replays.
@@ -93,7 +108,7 @@ fn heavy_tailed_replay_twice_is_identical_down_to_the_counters() {
         let admitted_before = metrics::counter("serve/admitted").get();
         let shed_before = metrics::counter("serve/shed").get();
         let fast_before = metrics::counter("serve/shed_fast").get();
-        let (out, plan) = replay_bounded(&engine(), &trace, &cfg);
+        let (out, plan) = bounded(&engine(), &trace, &cfg);
         (
             responses_to_json(&out),
             plan,
@@ -158,7 +173,12 @@ fn admit_and_shed_span_structure_is_pinned_across_replays_and_workers() {
     let _gate = METRICS_GATE.lock().unwrap_or_else(|p| p.into_inner());
     let trace = traffic::generate(&traffic_cfg());
     let run = |workers: usize| {
-        let (out, traces, plan) = replay_bounded_traced(&engine(), &trace, &bounded_cfg(workers));
+        let Replay {
+            responses: out,
+            traces,
+            plan,
+        } = replay_with(&engine(), &trace, &bounded_cfg(workers), &admitting(true));
+        let plan = plan.expect("admission was requested");
         (
             structure_digest(&traces),
             structure_text(&traces),
@@ -202,7 +222,7 @@ fn admit_and_shed_span_structure_is_pinned_across_replays_and_workers() {
 fn every_arrival_is_answered_exactly_once_with_a_typed_outcome() {
     let _gate = METRICS_GATE.lock().unwrap_or_else(|p| p.into_inner());
     let trace = traffic::generate(&traffic_cfg());
-    let (out, plan) = replay_bounded(&engine(), &trace, &bounded_cfg(4));
+    let (out, plan) = bounded(&engine(), &trace, &bounded_cfg(4));
     assert_eq!(out.len(), trace.len(), "a request went unanswered");
     for (i, (verdict, resp)) in plan.verdicts.iter().zip(&out).enumerate() {
         match verdict {
@@ -223,5 +243,48 @@ fn every_arrival_is_answered_exactly_once_with_a_typed_outcome() {
                 );
             }
         }
+    }
+}
+
+/// The sharded engine under admission and tracing together: the same
+/// heavy-tailed trace through a 2-shard engine answers with the single
+/// engine's bytes and plan, one trace per arrival, and the single
+/// engine's admission-side span slice, at workers {1, 2}.
+#[test]
+fn sharded_admission_traces_match_the_single_engine() {
+    let _gate = METRICS_GATE.lock().unwrap_or_else(|p| p.into_inner());
+    let trace = traffic::generate(&traffic_cfg());
+    for workers in [1usize, 2] {
+        let single = replay_with(&engine(), &trace, &bounded_cfg(workers), &admitting(true));
+        let frozen =
+            FrozenModel::synthetic("overload-test", USERS, 32, 8, 11).expect("synthetic model");
+        let sharded_engine =
+            ShardedEngine::new_unseen(frozen, ShardedConfig::with_shards(2)).expect("engine");
+        let sharded = replay_sharded_with(
+            &sharded_engine,
+            &trace,
+            &ShardReplayConfig {
+                workers,
+                max_batch: 8,
+                ..ShardReplayConfig::default()
+            },
+            &admitting(true),
+        );
+        assert_eq!(
+            responses_to_json(&sharded.responses),
+            responses_to_json(&single.responses),
+            "workers={workers}: sharded bytes diverged"
+        );
+        assert!(sharded.plan.is_some(), "admission was requested");
+        assert_eq!(
+            sharded.plan, single.plan,
+            "workers={workers}: plan diverged"
+        );
+        assert_eq!(sharded.traces.len(), trace.len(), "one trace per arrival");
+        assert_eq!(
+            admission_structure(&structure_text(&sharded.traces)),
+            admission_structure(&structure_text(&single.traces)),
+            "workers={workers}: admission span slice diverged"
+        );
     }
 }

@@ -337,8 +337,8 @@ proptest! {
 // ---------------------------------------------------------------------
 
 use scenerec_serve::{
-    admission_plan, replay_bounded, responses_to_json, AdmissionConfig, BoundedReplayConfig, Lane,
-    ReplayConfig, Request, TimedRequest, Verdict,
+    admission_plan, replay_with, responses_to_json, AdmissionConfig, Lane, ReplayConfig,
+    ReplayOptions, Request, TimedRequest, Verdict,
 };
 
 /// Builds a trace from (gap, user, k) triples: cumulative bursty ticks
@@ -476,15 +476,17 @@ proptest! {
         for workers in [1usize, 2, 4] {
             let engine =
                 FrozenEngine::new(frozen.clone(), &seen, EngineConfig::default()).unwrap();
-            let bounded = BoundedReplayConfig {
-                replay: ReplayConfig {
-                    workers,
-                    max_batch,
-                    ..ReplayConfig::default()
-                },
-                admission: cfg.clone(),
+            let bounded = ReplayConfig {
+                workers,
+                max_batch,
+                ..ReplayConfig::default()
             };
-            let (out, plan) = replay_bounded(&engine, &arrivals, &bounded);
+            let options = ReplayOptions {
+                admission: Some(cfg.clone()),
+                ..ReplayOptions::default()
+            };
+            let replayed = replay_with(&engine, &arrivals, &bounded, &options);
+            let (out, plan) = (replayed.responses, replayed.plan.expect("admission was requested"));
             prop_assert_eq!(out.len(), arrivals.len());
             let rendered = responses_to_json(&out);
             match &reference {

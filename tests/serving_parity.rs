@@ -13,8 +13,9 @@ use scenerec_core::{top_k_unseen, PairwiseModel, Precision, SceneRec, SceneRecCo
 use scenerec_data::{generate, Dataset, GeneratorConfig};
 use scenerec_graph::{ItemId, UserId};
 use scenerec_serve::{
-    replay, replay_sharded, replay_sharded_traced, responses_to_json, EngineConfig, FrozenEngine,
-    ReplayConfig, Request, ShardReplayConfig, ShardedConfig, ShardedEngine,
+    replay, replay_sharded, replay_sharded_with, responses_to_json, EngineConfig, FrozenEngine,
+    ReplayConfig, ReplayOptions, Request, ShardReplayConfig, ShardedConfig, ShardedEngine,
+    TimedRequest,
 };
 
 const SAMPLED_USERS: u32 = 50;
@@ -266,15 +267,20 @@ fn sharded_trace_structure_digest_is_pinned_across_worker_counts() {
         .map(|user| Request { user, k: OVERLAP_K })
         .collect();
     let digest_at = |workers: usize| {
-        let (responses, traces) = replay_sharded_traced(
+        let replayed = replay_sharded_with(
             &engine,
-            &requests,
+            &TimedRequest::burst(&requests),
             &ShardReplayConfig {
                 workers,
                 max_batch: 16,
                 ..ShardReplayConfig::default()
             },
+            &ReplayOptions {
+                trace: true,
+                ..ReplayOptions::default()
+            },
         );
+        let (responses, traces) = (replayed.responses, replayed.traces);
         assert_eq!(traces.len(), responses.len());
         structure_digest(&traces)
     };
