@@ -1,6 +1,7 @@
 //! Admission-controlled serving under heavy-tailed overload: the
-//! bounded two-lane scheduler replaying seeded Pareto/Zipf traffic at
-//! offered loads of 1×, 2×, and 10× the modeled service capacity.
+//! bounded two-lane admission gate in front of a one-shard engine,
+//! replaying seeded Pareto/Zipf traffic at offered loads of 1×, 2×, and
+//! 10× the modeled service capacity.
 //!
 //! ```text
 //! cargo run -p scenerec-bench --bin overload --release -- \
@@ -43,8 +44,8 @@ use scenerec_bench::traffic::{self, TrafficConfig};
 use scenerec_core::FrozenModel;
 use scenerec_obs::RunManifest;
 use scenerec_serve::{
-    replay_with, responses_to_json, AdmissionConfig, AdmissionPlan, EngineConfig, FrozenEngine,
-    Lane, ReplayConfig, ReplayOptions, Response, Verdict,
+    replay_sharded_with, responses_to_json, AdmissionConfig, AdmissionPlan, Lane, ReplayOptions,
+    Response, ShardReplayConfig, ShardedConfig, ShardedEngine, Verdict,
 };
 use scenerec_tensor::backend_name;
 use serde::{Deserialize, Serialize};
@@ -133,11 +134,10 @@ fn lane_stats(plan: &AdmissionPlan, responses: &[Response], lane: Lane, secs: f6
     }
 }
 
-fn build_engine(num_users: usize, num_items: usize, dim: usize, seed: u64) -> FrozenEngine {
+fn build_engine(num_users: usize, num_items: usize, dim: usize, seed: u64) -> ShardedEngine {
     let frozen = FrozenModel::synthetic("overload", num_users, num_items, dim, seed)
         .unwrap_or_else(|e| panic!("synthesis: {e}"));
-    let seen: Vec<Vec<u32>> = vec![Vec::new(); num_users];
-    FrozenEngine::new(frozen, &seen, EngineConfig::default())
+    ShardedEngine::new_unseen(frozen, ShardedConfig::with_shards(1))
         .unwrap_or_else(|e| panic!("engine: {e}"))
 }
 
@@ -223,13 +223,13 @@ fn main() {
         let mut reference: Option<String> = None;
         for &workers in &worker_counts {
             let engine = build_engine(num_users, num_items, dim, seed);
-            let cfg = ReplayConfig {
+            let cfg = ShardReplayConfig {
                 workers,
                 max_batch,
-                ..ReplayConfig::default()
+                ..ShardReplayConfig::default()
             };
             let rendered =
-                responses_to_json(&replay_with(&engine, &trace, &cfg, &options).responses);
+                responses_to_json(&replay_sharded_with(&engine, &trace, &cfg, &options).responses);
             match &reference {
                 None => reference = Some(rendered),
                 Some(want) => assert_eq!(
@@ -241,13 +241,13 @@ fn main() {
 
         // The timed run: one worker, fresh engine.
         let engine = build_engine(num_users, num_items, dim, seed);
-        let cfg = ReplayConfig {
+        let cfg = ShardReplayConfig {
             workers: 1,
             max_batch,
-            ..ReplayConfig::default()
+            ..ShardReplayConfig::default()
         };
         let t = Instant::now();
-        let replayed = replay_with(&engine, &trace, &cfg, &options);
+        let replayed = replay_sharded_with(&engine, &trace, &cfg, &options);
         let total_ns = t.elapsed().as_nanos() as u64;
         let (responses, plan) = (
             replayed.responses,

@@ -1,6 +1,6 @@
 //! Serving throughput report: per-request tape scoring (`top_k_unseen`)
-//! vs the frozen batched engine (`scenerec-serve`) replaying the same
-//! request log at several worker counts.
+//! vs the frozen batched engine (`scenerec-serve`, one shard) replaying
+//! the same request log at several worker counts.
 //!
 //! ```text
 //! cargo run -p scenerec-bench --bin serve --release -- \
@@ -12,7 +12,10 @@
 //! users, so the reported speedup compares paths that provably return
 //! the same recommendations. Writes a `BENCH_serve.json` run manifest
 //! with baseline and per-worker-count throughput, freeze cost, and
-//! latency p50/p99/p999 from the serve-side histograms.
+//! latency p50/p99/p999 from the serve-side `serve/latency_ns`
+//! histogram. The engine has one shard, and the scheduler pins each
+//! shard to one worker, so every `--workers` entry serves on one busy
+//! worker: the sweep pins worker-count invariance, not scaling.
 //!
 //! With `--trace-out <path>` the binary additionally runs one traced
 //! cold replay (workers=1), writes its Chrome trace-event JSON (load it
@@ -36,8 +39,8 @@ use scenerec_data::{generate, DatasetProfile};
 use scenerec_graph::{ItemId, UserId};
 use scenerec_obs::{chrome_trace_json, metrics, reset_metrics, structure_digest, RunManifest};
 use scenerec_serve::{
-    latency_edges, replay, replay_with, EngineConfig, FrozenEngine, ReplayConfig, ReplayOptions,
-    Request, TimedRequest,
+    latency_edges, replay_sharded, replay_sharded_with, EngineConfig, ReplayOptions, Request,
+    ShardReplayConfig, ShardedConfig, ShardedEngine, TimedRequest,
 };
 use scenerec_tensor::backend_name;
 use serde::{Deserialize, Serialize};
@@ -157,10 +160,16 @@ fn main() {
 
     // Freeze (timed: it is the engine's startup cost).
     let t = Instant::now();
-    let engine = FrozenEngine::from_model(&model, &data, EngineConfig::default())
-        .unwrap_or_else(|e| panic!("freeze: {e}"));
+    let engine = ShardedEngine::from_model_quantized(
+        &model,
+        &data,
+        Precision::F32,
+        ShardedConfig::with_shards(1),
+    )
+    .unwrap_or_else(|e| panic!("freeze: {e}"));
     let freeze_ns = t.elapsed().as_nanos() as u64;
     println!("froze model in {:.1}ms", freeze_ns as f64 / 1e6);
+    let clear_cache = || engine.invalidate_shard(0).expect("the engine has shard 0");
 
     // Parity guard: the two paths must agree before we compare speed.
     for user in [0u32, 1, data.num_users() / 2, data.num_users() - 1] {
@@ -178,7 +187,7 @@ fn main() {
             );
         }
     }
-    engine.clear_cache();
+    clear_cache();
     println!("parity guard passed (engine == tape on sampled users)\n");
 
     // One seeded request log drives everything.
@@ -210,17 +219,17 @@ fn main() {
 
     let mut runs = Vec::new();
     for &w in &workers {
-        let cfg = ReplayConfig {
+        let cfg = ShardReplayConfig {
             workers: w,
             max_batch: 32,
-            ..ReplayConfig::default()
+            ..ShardReplayConfig::default()
         };
         // Cold: empty cache, fresh metrics so the histogram covers
         // exactly this run.
-        engine.clear_cache();
+        clear_cache();
         reset_metrics();
         let t = Instant::now();
-        let responses = replay(&engine, &requests, &cfg);
+        let responses = replay_sharded(&engine, &requests, &cfg);
         let cold = Throughput::from_run(responses.len(), t.elapsed().as_nanos() as u64);
         let latency = metrics::histogram("serve/latency_ns", &latency_edges());
         let qs = latency.quantiles(&[0.5, 0.99, 0.999]);
@@ -228,7 +237,7 @@ fn main() {
 
         // Warm: same log again with the cache populated.
         let t = Instant::now();
-        let responses = replay(&engine, &requests, &cfg);
+        let responses = replay_sharded(&engine, &requests, &cfg);
         let warm = Throughput::from_run(responses.len(), t.elapsed().as_nanos() as u64);
 
         let speedup = cold.requests_per_sec / baseline.requests_per_sec;
@@ -258,14 +267,14 @@ fn main() {
             ..ReplayOptions::default()
         };
         let traced_replay = |workers: usize| {
-            let config = ReplayConfig {
+            let config = ShardReplayConfig {
                 workers,
                 max_batch: 32,
-                ..ReplayConfig::default()
+                ..ShardReplayConfig::default()
             };
-            replay_with(&engine, &arrivals, &config, &traced).traces
+            replay_sharded_with(&engine, &arrivals, &config, &traced).traces
         };
-        engine.clear_cache();
+        clear_cache();
         let traces = traced_replay(1);
         let reference = structure_digest(&traces);
         if let Some(dir) = std::path::Path::new(trace_out).parent() {
@@ -318,10 +327,10 @@ fn main() {
         backend_name()
     );
 
-    let sweep_cfg = ReplayConfig {
+    let sweep_cfg = ShardReplayConfig {
         workers: 1,
         max_batch: 32,
-        ..ReplayConfig::default()
+        ..ShardReplayConfig::default()
     };
     let overlap_users: u32 = data.num_users().min(200);
     let mut f32_top: Vec<BTreeSet<ItemId>> = Vec::new();
@@ -329,23 +338,26 @@ fn main() {
     let mut precisions = Vec::new();
     for precision in [Precision::F32, Precision::F16, Precision::Int8] {
         let t = Instant::now();
-        let engine = FrozenEngine::from_model_quantized(
+        let engine = ShardedEngine::from_model_quantized(
             &bpr,
             &data,
             precision,
-            EngineConfig {
-                cache_capacity: 0,
-                ..EngineConfig::default()
+            ShardedConfig {
+                shards: 1,
+                engine: EngineConfig {
+                    cache_capacity: 0,
+                    ..EngineConfig::default()
+                },
             },
         )
         .unwrap_or_else(|e| panic!("freeze {}: {e}", precision.name()));
         let p_freeze_ns = t.elapsed().as_nanos() as u64;
 
         let t = Instant::now();
-        let responses = replay(&engine, &requests, &sweep_cfg);
+        let responses = replay_sharded(&engine, &requests, &sweep_cfg);
         let cold = Throughput::from_run(responses.len(), t.elapsed().as_nanos() as u64);
         let t = Instant::now();
-        let responses = replay(&engine, &requests, &sweep_cfg);
+        let responses = replay_sharded(&engine, &requests, &sweep_cfg);
         let warm = Throughput::from_run(responses.len(), t.elapsed().as_nanos() as u64);
         if precision == Precision::F32 {
             f32_warm_rps = warm.requests_per_sec;

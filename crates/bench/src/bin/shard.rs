@@ -98,7 +98,7 @@ struct ShardResults {
     precisions: Vec<PrecisionSweep>,
     /// Headline: f32 cold throughput at 4 shards over 1 shard.
     speedup_4v1_cold: f64,
-    /// Worker sweep at 4 shards, f32 — consistent-hash routing keeps
+    /// Worker sweep at 4 shards, f32 — shard-pinned routing keeps
     /// bytes identical; on one core more workers only add contention.
     worker_runs: Vec<WorkerRun>,
 }

@@ -37,8 +37,7 @@ pub struct ResultCache {
     /// without walking or freeing anything under the lock; stale entries
     /// are collected lazily by `get`. With one cache per shard this is
     /// what makes a single shard's swap leave every *other* shard's warm
-    /// entries untouched — the engine-global `clear` is no longer the
-    /// only invalidation.
+    /// entries untouched.
     epoch: u64,
     entries: BTreeMap<Key, Slot>,
     /// Reverse index: logical stamp -> key, used to find the LRU victim.
@@ -54,10 +53,10 @@ pub struct ResultCache {
 ///
 /// The counters are atomics in a shared handle ([`ResultCache::stats`])
 /// rather than plain fields, so reading them never requires the mutex
-/// the cache itself lives behind: the engine's fast path updates them
-/// while it holds its cache lock, and a stats poller reads them without
-/// ever contending for that lock (the regression
-/// `cache_stats_reads_do_not_take_the_cache_lock` in `engine.rs` pins
+/// the cache itself lives behind: a shard's serving path updates them
+/// while it holds the shard's cache lock, and a stats poller reads them
+/// without ever contending for that lock (the regression
+/// `cache_stats_reads_do_not_take_the_cache_lock` in `shard.rs` pins
 /// this).
 #[derive(Debug, Default)]
 pub struct CacheStats {
@@ -149,10 +148,8 @@ impl ResultCache {
     }
 
     /// Drops every cached result for `user` (all k values, all
-    /// precisions). Call after the user's seen-set or embedding changes.
-    /// (Named distinctly from `FrozenEngine::invalidate_user` so the
-    /// lint call graph can tell the lock-taking engine wrapper from this
-    /// pure map operation.)
+    /// precisions). Call after the user's seen-set or embedding changes
+    /// (`ShardedEngine::mark_seen` does, on the item's shard).
     pub fn evict_user(&mut self, user: u32) {
         let doomed: Vec<Key> = self
             .entries

@@ -1,13 +1,13 @@
-//! The frozen inference engine: batched scoring, seen-item filtering,
-//! top-K selection, and a result cache behind one handle.
+//! Frozen scoring: the engine knobs, the serving errors, and the one
+//! routine that scores item rows against a user row.
 //!
 //! # Parity contract
 //!
-//! For any user/item the engine's scores are **bit-identical** to what
-//! the training-side `PairwiseModel::score_values` would produce on a
-//! tape, and [`FrozenEngine::top_k`] returns exactly what
-//! `top_k_for_user` would (same scores, same tie-breaks). This holds
-//! because:
+//! For any user/item, [`crate::ShardedEngine`] scores are
+//! **bit-identical** to what the training-side
+//! `PairwiseModel::score_values` would produce on a tape, and
+//! [`crate::ShardedEngine::top_k`] returns exactly what `top_k_for_user`
+//! would (same scores, same tie-breaks). This holds because:
 //!
 //! * the frozen user/item rows are tape-evaluated values (see
 //!   `scenerec_core::freeze`),
@@ -37,22 +37,13 @@
 //! across kernel backends, thread counts and worker counts. Cache keys
 //! carry the precision tag, so entries can never cross precisions.
 
-use crate::cache::ResultCache;
-use crate::mask::SeenMask;
-use crate::topk::select_top_k;
-use scenerec_core::{
-    EntityMatrix, FrozenHead, FrozenModel, PairwiseModel, Precision, Recommendation,
-};
+use scenerec_core::{EntityMatrix, FrozenHead};
 use scenerec_data::Dataset;
-use scenerec_faults::Injector;
 use scenerec_graph::UserId;
-use scenerec_obs::{lock_unpoisoned, metrics, FieldValue, Trace};
 use scenerec_tensor::score::try_score_bt;
 use scenerec_tensor::{linalg, quant, Matrix};
-use std::path::Path;
-use std::sync::Mutex;
 
-/// Tuning knobs for a [`FrozenEngine`].
+/// Per-shard tuning knobs for a [`crate::ShardedEngine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Candidate rows scored per kernel call (bounds scratch memory).
@@ -115,322 +106,16 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// A tape-free serving engine over a [`FrozenModel`].
-#[derive(Debug)]
-pub struct FrozenEngine {
-    frozen: FrozenModel,
-    seen: Vec<SeenMask>,
-    config: EngineConfig,
-    cache: Mutex<ResultCache>,
-    /// Shared handle to the cache's lifetime hit/miss counters, cloned
-    /// out before the cache goes behind its mutex — stats reads never
-    /// contend with the serving fast path for the cache lock.
-    cache_stats: std::sync::Arc<crate::cache::CacheStats>,
-}
-
-impl FrozenEngine {
-    /// Builds an engine from an already-frozen model plus each user's
-    /// seen-item list (index = user id).
-    ///
-    /// # Errors
-    /// [`ServeError::Invalid`] when the snapshot fails validation or the
-    /// seen list does not cover every user.
-    pub fn new(
-        frozen: FrozenModel,
-        seen_items: &[Vec<u32>],
-        config: EngineConfig,
-    ) -> Result<Self, ServeError> {
-        frozen.validate().map_err(ServeError::Invalid)?;
-        if seen_items.len() != frozen.num_users() {
-            return Err(ServeError::Invalid(format!(
-                "seen lists cover {} users but the model has {}",
-                seen_items.len(),
-                frozen.num_users()
-            )));
-        }
-        let num_items = frozen.num_items() as u32;
-        let seen = seen_items
-            .iter()
-            .map(|items| SeenMask::from_items(num_items, items))
-            .collect();
-        let cache = ResultCache::new(config.cache_capacity);
-        let cache_stats = cache.stats();
-        Ok(FrozenEngine {
-            frozen,
-            seen,
-            config,
-            cache: Mutex::new(cache),
-            cache_stats,
-        })
-    }
-
-    /// Freezes `model` and builds the seen masks from the dataset's
-    /// training interactions (the same exclusion set `top_k_unseen` uses).
-    ///
-    /// # Errors
-    /// [`ServeError::Unsupported`] when the model cannot freeze;
-    /// [`ServeError::Invalid`] on an inconsistent snapshot.
-    pub fn from_model<M: PairwiseModel>(
-        model: &M,
-        data: &Dataset,
-        config: EngineConfig,
-    ) -> Result<Self, ServeError> {
-        let frozen = model
-            .freeze()
-            .ok_or_else(|| ServeError::Unsupported(model.name().to_owned()))?;
-        Self::new(frozen, &seen_lists(data), config)
-    }
-
-    /// [`Self::from_model`] with the entity matrices re-encoded at
-    /// `precision` (`Precision::F32` equals `from_model`).
-    ///
-    /// # Errors
-    /// [`ServeError::Unsupported`] when the model cannot freeze;
-    /// [`ServeError::Invalid`] on an inconsistent snapshot.
-    pub fn from_model_quantized<M: PairwiseModel>(
-        model: &M,
-        data: &Dataset,
-        precision: Precision,
-        config: EngineConfig,
-    ) -> Result<Self, ServeError> {
-        let frozen = model
-            .freeze_quantized(precision)
-            .ok_or_else(|| ServeError::Unsupported(model.name().to_owned()))?;
-        Self::new(frozen, &seen_lists(data), config)
-    }
-
-    /// Loads a SceneRec checkpoint and builds an engine from it.
-    ///
-    /// A v4 checkpoint carrying a `frozen` section is served from that
-    /// embedded snapshot — at whatever precision it was quantized to,
-    /// with its exact codes/scales — without re-freezing. Older (or
-    /// training-only) checkpoints fall back to freezing the restored
-    /// model at f32.
-    ///
-    /// # Errors
-    /// [`ServeError::Invalid`] on checkpoint load failures.
-    pub fn from_checkpoint(
-        path: &Path,
-        data: &Dataset,
-        config: EngineConfig,
-    ) -> Result<Self, ServeError> {
-        let loaded = scenerec_core::checkpoint::load_full(path, data, &Injector::disabled())
-            .map_err(|e| ServeError::Invalid(e.to_string()))?;
-        match loaded.frozen {
-            Some(frozen) => Self::new(frozen, &seen_lists(data), config),
-            None => Self::from_model(&loaded.model, data, config),
-        }
-    }
-
-    /// The frozen snapshot's display name.
-    pub fn name(&self) -> &str {
-        &self.frozen.name
-    }
-
-    /// Number of users in the frozen universe.
-    pub fn num_users(&self) -> usize {
-        self.frozen.num_users()
-    }
-
-    /// Number of items in the frozen universe.
-    pub fn num_items(&self) -> usize {
-        self.frozen.num_items()
-    }
-
-    /// Storage precision of the frozen entity matrices.
-    pub fn precision(&self) -> Precision {
-        self.frozen.precision()
-    }
-
-    /// The seen-item mask for `user`.
-    ///
-    /// # Errors
-    /// [`ServeError::UserOutOfRange`].
-    pub fn seen_mask(&self, user: u32) -> Result<&SeenMask, ServeError> {
-        self.seen
-            .get(user as usize)
-            .ok_or(ServeError::UserOutOfRange {
-                user,
-                num_users: self.num_users(),
-            })
-    }
-
-    /// Scores an explicit item list for `user` (no seen filtering).
-    ///
-    /// Bit-identical to `PairwiseModel::score_values` on the same ids.
-    ///
-    /// # Errors
-    /// Out-of-range user or item ids.
-    pub fn score_items(&self, user: u32, items: &[u32]) -> Result<Vec<f32>, ServeError> {
-        let num_items = self.num_items();
-        if (user as usize) >= self.num_users() {
-            return Err(ServeError::UserOutOfRange {
-                user,
-                num_users: self.num_users(),
-            });
-        }
-        if let Some(&bad) = items.iter().find(|&&i| (i as usize) >= num_items) {
-            return Err(ServeError::ItemOutOfRange {
-                item: bad,
-                num_items,
-            });
-        }
-        score_ids(
-            &self.frozen.users,
-            &self.frozen.items,
-            &self.frozen.head,
-            user as usize,
-            items,
-            self.config.band,
-            self.config.threads,
-        )
-    }
-
-    /// Scores every item in the catalog for `user` (no seen filtering).
-    ///
-    /// # Errors
-    /// [`ServeError::UserOutOfRange`].
-    pub fn score_all(&self, user: u32) -> Result<Vec<f32>, ServeError> {
-        let ids: Vec<u32> = (0..self.num_items() as u32).collect();
-        self.score_items(user, &ids)
-    }
-
-    /// Top-K unseen recommendations for `user`, served through the cache.
-    ///
-    /// Identical output to the training-side `top_k_unseen`.
-    ///
-    /// # Errors
-    /// [`ServeError::UserOutOfRange`].
-    pub fn top_k(&self, user: u32, k: usize) -> Result<Vec<Recommendation>, ServeError> {
-        self.top_k_inner(user, k, None)
-    }
-
-    /// [`Self::top_k`] recording `serve.cache` / `serve.score` spans
-    /// into `trace`. The cache span carries a `hit` field; the score
-    /// span (cache misses only) carries the candidate count. Tracing
-    /// never changes the served bytes — the traced and untraced paths
-    /// share one implementation.
-    pub fn top_k_traced(
-        &self,
-        user: u32,
-        k: usize,
-        trace: &mut Trace,
-    ) -> Result<Vec<Recommendation>, ServeError> {
-        self.top_k_inner(user, k, Some(trace))
-    }
-
-    pub(crate) fn top_k_inner(
-        &self,
-        user: u32,
-        k: usize,
-        mut trace: Option<&mut Trace>,
-    ) -> Result<Vec<Recommendation>, ServeError> {
-        metrics::counter("serve/requests").inc();
-        let key_k = u32::try_from(k).unwrap_or(u32::MAX);
-        let tag = self.precision().tag();
-        let cache_span = trace.as_deref_mut().map(|t| t.start_span("serve.cache"));
-        let close_cache = |trace: &mut Option<&mut Trace>, hit: bool| {
-            if let (Some(t), Some(s)) = (trace.as_deref_mut(), cache_span) {
-                t.add_field(s, "hit", FieldValue::Bool(hit));
-                t.end_span(s);
-            }
-        };
-        if (user as usize) < self.num_users() {
-            // Bind the lookup result so the cache guard (a temporary) is
-            // dropped before the metrics counter takes the obs registry
-            // lock — holding one across the other is an L2 violation.
-            let cached = lock_unpoisoned(&self.cache).get(user, key_k, tag);
-            if let Some(hit) = cached {
-                metrics::counter("serve/cache_hits").inc();
-                close_cache(&mut trace, true);
-                return Ok(hit);
-            }
-        }
-        metrics::counter("serve/cache_misses").inc();
-        close_cache(&mut trace, false);
-        let mask = self.seen_mask(user)?;
-        let candidates: Vec<u32> = (0..self.num_items() as u32)
-            .filter(|&i| !mask.contains(i))
-            .collect();
-        let score_span = trace.as_deref_mut().map(|t| {
-            let s = t.start_span("serve.score");
-            t.add_field(s, "candidates", FieldValue::Int(candidates.len() as i64));
-            t.add_field(
-                s,
-                "backend",
-                FieldValue::Str(scenerec_tensor::backend_name().to_owned()),
-            );
-            t.add_field(
-                s,
-                "precision",
-                FieldValue::Str(self.precision().name().to_owned()),
-            );
-            s
-        });
-        let scores = self.score_items(user, &candidates)?;
-        let recs = select_top_k(candidates.iter().copied().zip(scores), k);
-        if let (Some(t), Some(s)) = (trace, score_span) {
-            t.end_span(s);
-        }
-        lock_unpoisoned(&self.cache).insert(user, key_k, tag, recs.clone());
-        Ok(recs)
-    }
-
-    /// Marks `item` as seen for `user` and drops the user's cached
-    /// results, so the next request reflects the new exclusion.
-    ///
-    /// # Errors
-    /// [`ServeError::UserOutOfRange`].
-    pub fn mark_seen(&mut self, user: u32, item: u32) -> Result<(), ServeError> {
-        let num_users = self.num_users();
-        let mask = self
-            .seen
-            .get_mut(user as usize)
-            .ok_or(ServeError::UserOutOfRange { user, num_users })?;
-        mask.insert(item);
-        lock_unpoisoned(&self.cache).evict_user(user);
-        Ok(())
-    }
-
-    /// Drops cached results for one user without touching the seen mask.
-    pub fn invalidate_user(&self, user: u32) {
-        lock_unpoisoned(&self.cache).evict_user(user);
-    }
-
-    /// Drops every cached result.
-    pub fn clear_cache(&self) {
-        lock_unpoisoned(&self.cache).clear();
-    }
-
-    /// Number of cached (user, k) entries — test/diagnostic hook.
-    pub fn cache_len(&self) -> usize {
-        lock_unpoisoned(&self.cache).len()
-    }
-
-    /// Lifetime (hits, misses) of this engine's result cache. Unlike the
-    /// global `serve/cache_hits` counters these are per-engine, so they
-    /// stay deterministic when engines run in parallel in one process.
-    ///
-    /// Reads the shared [`crate::cache::CacheStats`] atomics — **not**
-    /// the cache mutex — so polling stats can never block the serving
-    /// fast path (and the fast path's cache probe never waits behind a
-    /// stats reader).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache_stats.hits(), self.cache_stats.misses())
-    }
-}
-
 /// Scores `ids` (row indices into `items` / the head's per-item state)
 /// against `users` row `user`.
 ///
-/// This is the one scoring implementation behind both engines: the
-/// single [`FrozenEngine`] calls it with global item ids over the whole
-/// catalog, and a `ShardedEngine` shard calls it with shard-local ids
-/// over its sliced matrix + head. Per-element scores depend only on the
-/// user row, the item row, and that item's head state — never on which
-/// other ids ride in the same call — so slicing (like banding and
-/// threading, pinned by `parity_is_invariant_to_band_and_threads`)
-/// cannot change a single bit.
+/// This is the one scoring implementation behind the engine: each
+/// `ShardedEngine` shard calls it with shard-local ids over its sliced
+/// matrix + head. Per-element scores depend only on the user row, the
+/// item row, and that item's head state — never on which other ids
+/// ride in the same call — so slicing (like banding and threading,
+/// pinned by `parity_is_invariant_to_band_and_threads`) cannot change a
+/// single bit.
 ///
 /// Callers are responsible for bounds checks; `ids` must index within
 /// `items`.
@@ -525,7 +210,8 @@ pub(crate) fn seen_lists(data: &Dataset) -> Vec<Vec<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scenerec_core::FrozenHead;
+    use crate::{ShardedConfig, ShardedEngine};
+    use scenerec_core::{FrozenModel, Precision};
 
     /// A tiny hand-built dot-product model: 3 users, 4 items, dim 2.
     fn toy_frozen() -> FrozenModel {
@@ -546,8 +232,13 @@ mod tests {
         )
     }
 
-    fn toy_engine(seen: &[Vec<u32>]) -> FrozenEngine {
-        FrozenEngine::new(toy_frozen(), seen, EngineConfig::default()).unwrap()
+    /// A one-shard engine: the whole catalog behind one cache.
+    fn one_shard(frozen: FrozenModel, seen: &[Vec<u32>]) -> ShardedEngine {
+        ShardedEngine::new(frozen, seen, ShardedConfig::with_shards(1)).unwrap()
+    }
+
+    fn toy_engine(seen: &[Vec<u32>]) -> ShardedEngine {
+        one_shard(toy_frozen(), seen)
     }
 
     #[test]
@@ -566,25 +257,11 @@ mod tests {
         assert_eq!(recs[1].item.raw(), 2);
     }
 
-    /// Satellite regression for the stats split: `cache_stats` reads
-    /// the shared atomics, not the cache mutex. The test holds the
-    /// cache lock on the same thread while polling stats — if the
-    /// accessor ever went back to locking the cache, this would
-    /// deadlock (std mutexes are non-reentrant) and hang the test.
-    #[test]
-    fn cache_stats_reads_do_not_take_the_cache_lock() {
-        let engine = toy_engine(&[vec![], vec![], vec![]]);
-        engine.top_k(0, 2).unwrap(); // one miss, filled
-        engine.top_k(0, 2).unwrap(); // one hit
-        let _cache_guard = engine.cache.lock().expect("test holds the cache lock");
-        assert_eq!(engine.cache_stats(), (1, 1));
-    }
-
     #[test]
     fn cache_hit_returns_identical_result() {
         let engine = toy_engine(&[vec![], vec![], vec![]]);
         let first = engine.top_k(2, 3).unwrap();
-        assert_eq!(engine.cache_len(), 1);
+        assert_eq!(engine.shard_cache_len(0).unwrap(), 1);
         let second = engine.top_k(2, 3).unwrap();
         assert_eq!(first, second);
     }
@@ -601,20 +278,20 @@ mod tests {
 
     #[test]
     fn out_of_range_requests_error() {
-        let engine = toy_engine(&[vec![], vec![], vec![]]);
+        let mut engine = toy_engine(&[vec![], vec![], vec![]]);
         assert!(matches!(
             engine.top_k(99, 1),
             Err(ServeError::UserOutOfRange { user: 99, .. })
         ));
         assert!(matches!(
-            engine.score_items(0, &[17]),
+            engine.mark_seen(0, 17),
             Err(ServeError::ItemOutOfRange { item: 17, .. })
         ));
     }
 
     #[test]
     fn new_rejects_wrong_seen_count() {
-        let err = FrozenEngine::new(toy_frozen(), &[vec![]], EngineConfig::default());
+        let err = ShardedEngine::new(toy_frozen(), &[vec![]], ShardedConfig::with_shards(1));
         assert!(matches!(err, Err(ServeError::Invalid(_))));
     }
 
@@ -643,10 +320,13 @@ mod tests {
         FrozenModel::dense("rand", users, items, FrozenHead::DotBias { bias })
     }
 
-    fn quantized_engine(precision: Precision) -> FrozenEngine {
-        let frozen = random_frozen(6, 40, 33).quantize(precision).unwrap();
+    fn quantized_frozen(precision: Precision) -> FrozenModel {
+        random_frozen(6, 40, 33).quantize(precision).unwrap()
+    }
+
+    fn quantized_engine(precision: Precision) -> ShardedEngine {
         let seen: Vec<Vec<u32>> = (0..6).map(|u| vec![u as u32]).collect();
-        FrozenEngine::new(frozen, &seen, EngineConfig::default()).unwrap()
+        one_shard(quantized_frozen(precision), &seen)
     }
 
     /// Every precision's scores equal a from-scratch recompute off the
@@ -659,15 +339,16 @@ mod tests {
 
         for precision in [Precision::F16, Precision::Int8] {
             let engine = quantized_engine(precision);
+            let frozen = quantized_frozen(precision);
             assert_eq!(engine.precision(), precision);
             let items: Vec<u32> = (0..engine.num_items() as u32).collect();
             for user in 0..engine.num_users() as u32 {
-                let got = engine.score_items(user, &items).unwrap();
-                let FrozenHead::DotBias { bias } = &engine.frozen.head else {
+                let got = engine.score_all(user).unwrap();
+                let FrozenHead::DotBias { bias } = &frozen.head else {
                     unreachable!()
                 };
                 for (j, &i) in items.iter().enumerate() {
-                    let want = match (&engine.frozen.users, &engine.frozen.items) {
+                    let want = match (&frozen.users, &frozen.items) {
                         (EntityMatrix::F16(u), EntityMatrix::F16(c)) => {
                             let mut uw = vec![0.0f32; u.cols()];
                             u.widen_row_into(user as usize, &mut uw);
@@ -702,7 +383,7 @@ mod tests {
         let f32_engine = {
             let frozen = random_frozen(6, 40, 33);
             let seen: Vec<Vec<u32>> = (0..6).map(|u| vec![u as u32]).collect();
-            FrozenEngine::new(frozen, &seen, EngineConfig::default()).unwrap()
+            one_shard(frozen, &seen)
         };
         for precision in [Precision::F16, Precision::Int8] {
             let engine = quantized_engine(precision);
@@ -735,10 +416,10 @@ mod tests {
     fn quantized_engine_serves_from_its_own_cache_key() {
         let engine = quantized_engine(Precision::Int8);
         let first = engine.top_k(1, 5).unwrap();
-        assert_eq!(engine.cache_len(), 1);
+        assert_eq!(engine.shard_cache_len(0).unwrap(), 1);
         let second = engine.top_k(1, 5).unwrap();
         assert_eq!(first, second);
-        let (hits, misses) = engine.cache_stats();
+        let (hits, misses) = engine.shard_cache_stats(0).unwrap();
         assert_eq!((hits, misses), (1, 1));
     }
 
@@ -778,8 +459,8 @@ mod tests {
             // the plain f32 engine over them.
             let dense =
                 FrozenModel::dense("mlp", q.users.to_f32(), q.items.to_f32(), q.head.clone());
-            let qe = FrozenEngine::new(q, &seen, EngineConfig::default()).unwrap();
-            let de = FrozenEngine::new(dense, &seen, EngineConfig::default()).unwrap();
+            let qe = one_shard(q, &seen);
+            let de = one_shard(dense, &seen);
             for user in 0..4u32 {
                 let a = qe.score_all(user).unwrap();
                 let b = de.score_all(user).unwrap();

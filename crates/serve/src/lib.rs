@@ -14,21 +14,24 @@
 //! ```text
 //! checkpoint ──load──▶ SceneRec ──freeze()──▶ FrozenModel
 //!                                                 │
-//!                     FrozenEngine::new ◀─────────┘
-//!                        │  seen-item bitmasks, (user,k) LRU cache
+//!                     ShardedEngine::new ◀────────┘
+//!                        │  item shards, each with its own (user,k) LRU;
+//!                        │  sparse seen-item bitmasks
 //!                        ▼
-//!        scheduler::replay(requests, workers) ──▶ responses (NDJSON)
+//!    replay_sharded(requests, config) ──▶ responses (NDJSON)
 //! ```
 //!
 //! ## Entry points
 //!
-//! Four functions serve a log, two per engine: [`replay`] and
-//! [`replay_sharded`] take a plain request log and return responses;
-//! [`replay_with`] and [`replay_sharded_with`] take a timed arrival log
-//! plus [`ReplayOptions`] — admission control, fault injection and
-//! tracing, in any combination — and return a [`Replay`] (responses,
-//! traces, admission plan). Both engines run on one supervised worker
-//! pool.
+//! One engine, [`ShardedEngine`], serves every deployment: one shard is
+//! the whole catalog behind one cache, more shards partition it. Two
+//! functions serve a log: [`replay_sharded`] takes a plain request log
+//! and returns responses; [`replay_sharded_with`] takes a timed arrival
+//! log plus [`ReplayOptions`] — admission control, fault injection and
+//! tracing, in any combination — and returns a [`Replay`] (responses,
+//! traces, admission plan). Each shard is pinned to one worker of a
+//! supervised pool, so a replay keeps `min(shards, workers)` workers
+//! busy.
 //!
 //! ## Invariants
 //!
@@ -43,15 +46,15 @@
 //!   [`ServeError`]; malformed requests become error responses.
 //! * **Fault tolerance**: with [`ReplayOptions::injector`] armed, the
 //!   pool recovers worker panics (supervised respawn, exactly-once
-//!   responses), engine outages retry with deterministic backoff and
-//!   degrade to stale results, and injected latency is bounded by
-//!   logical-tick deadlines (`tests/chaos.rs`).
-//! * **Sharding is invisible in the bytes**: a [`shard::ShardedEngine`]
+//!   responses), and shard outages retry with deterministic backoff and
+//!   degrade to the replay's bit-identical stale partials
+//!   (`tests/chaos.rs`).
+//! * **Sharding is invisible in the bytes**: a [`ShardedEngine`]
 //!   range-partitions the catalog, scores shards independently, and
 //!   merges with an exact scatter-gather — responses are bit-identical
-//!   to the single engine at every shard count, worker count, and
-//!   precision; a shard outage degrades a response and names the
-//!   missing ranges ([`Response::partial_shards`]) instead of silently
+//!   at every shard count, worker count, and precision; a shard outage
+//!   with no stale partial degrades a response and names the missing
+//!   ranges ([`Response::partial_shards`]) instead of silently
 //!   truncating it (`tests/properties.rs`, `tests/chaos.rs`).
 
 // Library crates stay entirely safe; tensor alone carries the SIMD
@@ -73,15 +76,12 @@ pub use admission::{
     Verdict,
 };
 pub use cache::{CacheStats, ResultCache};
-pub use engine::{EngineConfig, FrozenEngine, ServeError};
+pub use engine::{EngineConfig, ServeError};
 pub use mask::SeenMask;
 pub use scenerec_faults::Backoff;
 pub use scheduler::{
-    latency_edges, replay, replay_with, responses_to_json, Replay, ReplayConfig, ReplayOptions,
-    Request, Response,
+    latency_edges, replay_sharded, replay_sharded_with, responses_to_json, Replay, ReplayOptions,
+    Request, Response, ShardReplayConfig,
 };
-pub use shard::{
-    replay_sharded, replay_sharded_with, ShardPartial, ShardReplayConfig, ShardedConfig,
-    ShardedEngine,
-};
+pub use shard::{ShardPartial, ShardedConfig, ShardedEngine};
 pub use topk::{merge_top_k, select_top_k};

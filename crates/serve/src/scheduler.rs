@@ -1,73 +1,83 @@
-//! Micro-batching request scheduler for the single [`FrozenEngine`].
+//! The replay entry points: admission, scatter, gather.
 //!
-//! A replayed request log is split into contiguous micro-batches on two
-//! lane queues; the supervised pool in `crate::pool` drains them.
-//! Responses are reassembled **by request index**, so the output order —
-//! and, because the engine is pure and its cache hit/miss behavior cannot
-//! change response values, the output bytes — are identical at any worker
-//! count. Which worker serves which batch is the *only* nondeterminism,
-//! and it is unobservable in the results (pinned by
-//! `tests/determinism.rs`).
+//! [`replay_sharded`] serves a plain request log through a
+//! [`ShardedEngine`]; [`replay_sharded_with`] takes a timed arrival log
+//! plus [`ReplayOptions`] — admission control, fault injection and
+//! causal tracing, in any combination — and returns a [`Replay`]. A
+//! one-shard engine is the single-engine deployment; there is no other
+//! serving path. A replay runs in three steps:
 //!
-//! ## Entry points
+//! 1. **Admission** (optional) plans the whole log up front, as a pure
+//!    function of (arrival order, capacities, lanes): shed arrivals are
+//!    answered with typed overload responses, and admitted ones are
+//!    served in the plan's global dequeue order
+//!    ([`AdmissionPlan::admitted_order`]), which already encodes the
+//!    lanes' weighted round-robin. Without admission every arrival is
+//!    served, in arrival order.
+//! 2. **Scatter** (`crate::pool`) serves every (request, shard) cell on
+//!    supervised workers, each shard pinned to one of them.
+//! 3. **Gather** runs on the calling thread, in serving order, walking
+//!    shards in index order: it merges each request's cells with
+//!    [`merge_top_k`] into the request's arrival slot and records its
+//!    spans.
 //!
-//! [`replay`] serves a plain request log. [`replay_with`] takes a timed
-//! arrival log plus [`ReplayOptions`] — admission control, fault
-//! injection and causal tracing, in any combination — and returns a
-//! [`Replay`]. Without admission the plan is degenerate: every request
-//! in the cold lane, in arrival order, nothing shed. The sharded engine
-//! has the same pair, [`crate::replay_sharded`] and
-//! [`crate::replay_sharded_with`].
+//! Responses are reassembled **by arrival index**, and each shard's
+//! cells run FIFO on one owner worker, so response bytes, counters and
+//! trace structure are identical at any worker count (pinned by
+//! `tests/determinism.rs` and `tests/serving_parity.rs`).
 //!
 //! ## Failure handling
 //!
-//! The [`ReplayOptions::injector`] drives three recovery paths, all on
+//! The [`ReplayOptions::injector`] drives two recovery paths, both on
 //! **logical ticks** — no wall clocks, so every outcome is reproducible
 //! from the fault plan:
 //!
-//! * **Worker panics** (`serve/worker`): the pool requeues the dead
-//!   worker's registered batch at the front of its own lane (bounded by
-//!   [`ReplayConfig::max_retries`], then error responses) and respawns a
-//!   replacement — every request is answered exactly once, never lost,
-//!   never duplicated.
-//! * **Engine unavailability** (`serve/engine`): a failed attempt retries
-//!   with deterministic exponential backoff
-//!   ([`scenerec_faults::Backoff`]); exhausted retries fall back to the
-//!   replay's stale-result map (stale equals fresh bit-for-bit — the
-//!   engine is pure), else an error response.
-//! * **Deadlines** (`serve/request` latency): injected latency beyond
-//!   [`ReplayConfig::deadline_ticks`] becomes a typed deadline-exceeded
-//!   error response instead of an unbounded wait.
+//! * **Worker panics** (`serve/shard_worker`): the pool requeues the
+//!   dead worker's task at the front of its own queue (bounded by
+//!   [`ShardReplayConfig::max_retries`], then error cells) and respawns
+//!   a replacement — every request is answered exactly once, never
+//!   lost, never duplicated.
+//! * **Shard outages** (`serve/shard/{s}`): a failed attempt retries
+//!   with deterministic backoff ([`scenerec_faults::Backoff`]);
+//!   exhausted retries answer from the replay's last good partial for
+//!   that (shard, user, k). Such a response is flagged `degraded` but
+//!   complete and bit-identical to a fresh one. Only a shard with no
+//!   stale partial is named in [`Response::partial_shards`] — an outage
+//!   never silently truncates a top-K — and when every shard fails the
+//!   response is a typed error.
 //!
-//! Serving telemetry goes through `scenerec-obs`: queue-depth and
-//! batch-size histograms, per-request latency, and the recovery counters
-//! `serve/retries`, `serve/degraded_hits`, `serve/deadline_misses`, and
-//! `serve/worker_respawns`.
+//! Serving telemetry goes through `scenerec-obs`: the per-shard
+//! `serve/shard/{s}/{requests,cache_hits,cache_misses}` counters,
+//! `serve/shard_retries`, `serve/shard_backoff_ticks`,
+//! `serve/shard_stale_hits`, `serve/shard_degraded` (degraded responses)
+//! and `serve/shard_worker_respawns`, and the `serve/latency_ns`
+//! histogram with one observation per (request, shard) cell.
 //!
 //! ## Causal tracing
 //!
-//! With [`ReplayOptions::trace`] set, every request records one span
-//! tree (`serve.request` → `serve.queue` / `serve.batch` →
-//! `serve.cache` / `serve.score`) with logical-tick timestamps, so span
-//! *structure* is as deterministic as the response bytes. Under
-//! admission the root also carries a `lane` field, admitted requests
-//! record a `serve.admit` span before `serve.queue`, and shed requests a
-//! single `serve.shed` span. Workers log every batch claim into the
-//! `scenerec_obs::flight` ring recorder, and the pool attaches a full
-//! flight dump to the `Warn` event it emits when it reaps a panicked
-//! worker.
+//! With [`ReplayOptions::trace`] set, every arrival records one span
+//! tree (`serve.request` → `serve.queue` / `serve.batch` → one
+//! `serve.shard` per shard, then `serve.merge`) with logical-tick
+//! timestamps, so span *structure* is as deterministic as the response
+//! bytes. A shard span carries `shard` and `hit`; on a miss also
+//! `candidates`, `backend` and `precision`; a stale answer carries
+//! `stale`, a failed shard `error`. Under admission the root also
+//! carries a `lane` field, admitted requests record a `serve.admit`
+//! span before `serve.queue`, and shed requests a single `serve.shed`
+//! span. Workers log every task claim into the `scenerec_obs::flight`
+//! ring recorder, and the pool attaches a full flight dump to the
+//! `Warn` event it emits when it reaps a panicked worker.
 
 use crate::admission::{
     self, AdmissionConfig, AdmissionPlan, Lane, OverloadInfo, TimedRequest, Verdict,
 };
-use crate::engine::FrozenEngine;
-use crate::pool::{self, Claim, Work};
+use crate::pool::{self, Cell};
+use crate::shard::ShardedEngine;
+use crate::topk::merge_top_k;
 use scenerec_core::Recommendation;
-use scenerec_faults::{Backoff, Injector};
-use scenerec_obs::metrics::Histogram;
-use scenerec_obs::{lock_unpoisoned, metrics, FieldValue, Stopwatch, Trace, TraceData};
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex, PoisonError};
+use scenerec_faults::Injector;
+use scenerec_obs::{metrics, FieldValue, Trace, TraceData};
+use scenerec_tensor::backend_name;
 
 /// One inference request: top-`k` unseen items for `user`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,16 +99,16 @@ pub struct Response {
     pub recs: Vec<Recommendation>,
     /// Human-readable failure, e.g. an out-of-range user id.
     pub error: Option<String>,
-    /// Whether `recs` came from the degraded-mode stale cache because
-    /// the engine was unavailable (stale results are bit-identical to
-    /// fresh ones — the engine is pure — but the flag is surfaced so
-    /// clients can tell).
+    /// Whether a shard outage touched this response: some shard answered
+    /// from the replay's stale partials (bit-identical to fresh ones —
+    /// the engine is pure — but the flag is surfaced so clients can
+    /// tell), or is missing altogether (see `partial_shards`).
     pub degraded: bool,
-    /// Shards whose partial results are **missing** from `recs`
-    /// (sharded serving only; always empty on the single-engine path).
-    /// A shard outage never silently truncates a top-K: the response is
+    /// Shards whose partial results are **missing** from `recs`. A
+    /// shard outage never silently truncates a top-K: the response is
     /// flagged `degraded` and names exactly which item ranges went
-    /// unscored, in ascending shard order.
+    /// unscored, in ascending shard order. A shard answered from a
+    /// stale partial is not listed — its items are present.
     pub partial_shards: Vec<u32>,
     /// Set when the admission gate shed this request instead of
     /// queueing it (admission-controlled replays only): the lane that
@@ -193,7 +203,7 @@ impl Response {
 
     /// Coarse outcome classification, for accounting and tests:
     /// `"overloaded"` (shed at admission), `"error"`, `"degraded"`
-    /// (stale fallback), or `"ok"`.
+    /// (a shard outage), or `"ok"`.
     pub fn outcome(&self) -> &'static str {
         if self.overload.is_some() {
             "overloaded"
@@ -219,34 +229,34 @@ pub fn responses_to_json(responses: &[Response]) -> String {
 
 /// Scheduler knobs.
 #[derive(Debug, Clone)]
-pub struct ReplayConfig {
-    /// Worker threads draining the queue (>= 1).
+pub struct ShardReplayConfig {
+    /// Worker threads (>= 1). Shard `s` is owned by worker
+    /// `s % workers`, so worker count changes neither bytes nor trace
+    /// structure — and a replay keeps `min(shards, workers)` workers
+    /// busy. A caller that wants W busy workers on one catalog builds
+    /// at least W shards; the bytes are the same at any shard count.
     pub workers: usize,
-    /// Max requests per micro-batch (>= 1).
+    /// Requests per micro-batch (>= 1). Each batch becomes one task
+    /// per shard; larger batches amortize one shard's matrix residency
+    /// over more requests.
     pub max_batch: usize,
-    /// Per-request deadline in logical ticks; injected latency and
-    /// retry backoff beyond it become a deadline-exceeded error
-    /// response (0 = no deadline).
-    pub deadline_ticks: u64,
-    /// Bounded retries: per request when the engine is unavailable, and
-    /// per batch when its worker panics.
+    /// Bounded retries: per (request, shard) cell when the shard is
+    /// unavailable, and per task when its worker panics.
     pub max_retries: u32,
 }
 
-impl Default for ReplayConfig {
+impl Default for ShardReplayConfig {
     fn default() -> Self {
-        ReplayConfig {
+        ShardReplayConfig {
             workers: 1,
-            max_batch: 32,
-            deadline_ticks: 0,
+            max_batch: 64,
             max_retries: 2,
         }
     }
 }
 
-/// What a replay may do besides serving, shared by both engines'
-/// general entry points ([`replay_with`], [`crate::replay_sharded_with`]).
-/// The default is a plain replay: no admission, no faults, no traces.
+/// What a replay may do besides serving ([`replay_sharded_with`]). The
+/// default is a plain replay: no admission, no faults, no traces.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayOptions {
     /// Bounded-queue admission control. When set, the whole replay is
@@ -261,7 +271,7 @@ pub struct ReplayOptions {
     pub trace: bool,
 }
 
-/// The outcome of [`replay_with`] or [`crate::replay_sharded_with`].
+/// The outcome of [`replay_sharded_with`].
 #[derive(Debug)]
 pub struct Replay {
     /// One response per arrival, in arrival order.
@@ -273,14 +283,15 @@ pub struct Replay {
     pub plan: Option<AdmissionPlan>,
 }
 
-/// Bucket edges for queue-depth / batch-size histograms.
+/// Bucket edges for the queue-delay histogram.
 const COUNT_EDGES: [f64; 15] = [
     1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0,
     16384.0,
 ];
 
-/// Bucket edges for per-request latency in nanoseconds: log-spaced at
-/// 6 buckets per decade over 1 µs .. 10 s. Serving latency is
+/// Bucket edges for the `serve/latency_ns` histogram (one observation
+/// per (request, shard) cell), in nanoseconds: log-spaced at 6 buckets
+/// per decade over 1 µs .. 10 s. Serving latency is
 /// heavy-tailed; log spacing keeps the relative quantile error roughly
 /// constant all the way into the p999 tail, where the old 1–3–10
 /// edges collapsed whole decades into two buckets.
@@ -288,16 +299,22 @@ pub fn latency_edges() -> Vec<f64> {
     metrics::log_edges(1e3, 1e10, 6)
 }
 
-/// Replays a request log through the engine with a worker pool and
-/// returns responses in request order. Failures (e.g. unknown users)
-/// become `Response::error` instead of tearing down the batch.
-pub fn replay(engine: &FrozenEngine, requests: &[Request], config: &ReplayConfig) -> Vec<Response> {
+/// Replays a request log through a [`ShardedEngine`] and returns
+/// responses in request order — byte-identical at any shard count and
+/// any worker count. Failures (e.g. unknown users) become error
+/// responses instead of tearing down the batch.
+pub fn replay_sharded(
+    engine: &ShardedEngine,
+    requests: &[Request],
+    config: &ShardReplayConfig,
+) -> Vec<Response> {
     let options = ReplayOptions::default();
-    replay_with(engine, &TimedRequest::burst(requests), config, &options).responses
+    replay_sharded_with(engine, &TimedRequest::burst(requests), config, &options).responses
 }
 
-/// Replays a timed arrival log through the engine under `options`:
-/// admission control, fault injection and tracing, in any combination.
+/// Replays a timed arrival log through a [`ShardedEngine`] under
+/// `options`: admission control, fault injection and tracing, in any
+/// combination.
 ///
 /// The invariants `tests/chaos.rs` and `tests/overload.rs` pin: **every
 /// arrival gets exactly one response, in arrival order, at any worker
@@ -307,58 +324,59 @@ pub fn replay(engine: &FrozenEngine, requests: &[Request], config: &ReplayConfig
 /// admitted work nor admit shed work, because the plan is decided before
 /// any worker exists.
 ///
-/// Traced span *structure* — ids, parentage, logical ticks — is a pure
-/// function of the request log and cache state, so on a cold engine with
-/// distinct keys it is identical at any worker count. The admission
-/// slice (root, `serve.admit`, `serve.shed`, `serve.queue`) is always
-/// worker-count invariant; the engine-side spans below the queue are not
-/// for repeated keys, because with a shared result cache, which replay
-/// of a key misses (and so records a `serve.score` span) is an
-/// execution-order fact.
-pub fn replay_with(
-    engine: &FrozenEngine,
+/// Traces: one [`TraceData`] per arrival. The gather assembles every
+/// tree in deterministic shard order, so span *structure* — ids,
+/// parentage, logical ticks — is identical at any worker count (pinned
+/// via `structure_digest` in `tests/serving_parity.rs`).
+pub fn replay_sharded_with(
+    engine: &ShardedEngine,
     arrivals: &[TimedRequest],
-    config: &ReplayConfig,
+    config: &ShardReplayConfig,
     options: &ReplayOptions,
 ) -> Replay {
     let plan = plan_admission(arrivals, options);
-    // Without admission the plan is degenerate: everything in the cold
-    // lane, in arrival order, nothing shed.
+    // Arrival index of each served request: the plan's global dequeue
+    // order, or arrival order without admission.
     let order = plan.as_ref().map_or_else(
-        || [Vec::new(), (0..arrivals.len()).collect()],
-        |p| [p.lane_order(Lane::Fast), p.lane_order(Lane::Cold)],
+        || (0..arrivals.len()).collect(),
+        AdmissionPlan::admitted_order,
     );
-    let weights = options
-        .admission
-        .as_ref()
-        .map_or((1, 1), |a| (a.fast_weight.max(1), a.cold_weight.max(1)));
-    let requests: Vec<Request> = arrivals.iter().map(|a| a.request).collect();
-    let lanes = Lanes {
-        engine,
-        requests: &requests,
-        config,
-        injector: &options.injector,
-        weights,
-        fast: lane_batches(Lane::Fast, order[0].len(), config.max_batch),
-        cold: lane_batches(Lane::Cold, order[1].len(), config.max_batch),
-        order,
-        stale: Mutex::new(BTreeMap::new()),
-        traces: options
-            .trace
-            .then(|| Mutex::new(open_traces(arrivals, plan.as_ref()))),
-    };
-    let slots = pool::run(
-        &lanes,
-        config.workers,
-        config.max_retries,
-        &options.injector,
-        shed_slots(arrivals, plan.as_ref()),
-    );
-    let traces = lanes.traces.map_or_else(Vec::new, |m| {
-        finish_traces(m.into_inner().unwrap_or_else(PoisonError::into_inner))
+    let requests: Vec<Request> = order.iter().map(|&idx| arrivals[idx].request).collect();
+    let max_batch = config.max_batch.max(1);
+    let num_shards = engine.num_shards();
+    let precision = engine.precision().name();
+    let cells = pool::scatter(engine, &requests, config, &options.injector);
+
+    // Gather single-threaded, in serving order, walking shards in index
+    // order — which is what makes trace structure trivially worker-count
+    // invariant.
+    let mut slots = shed_slots(arrivals, plan.as_ref());
+    let mut traces = options.trace.then(|| open_traces(arrivals, plan.as_ref()));
+    let mut cells = cells.into_iter();
+    for (pos, (&idx, req)) in order.iter().zip(&requests).enumerate() {
+        let (response, infos) = gather(req, cells.by_ref().take(num_shards));
+        if let Some(t) = traces.as_mut().and_then(|ts| ts[idx].as_mut()) {
+            let batch_start = pos - pos % max_batch;
+            let batch_end = (batch_start + max_batch).min(requests.len());
+            let batch = (batch_start, batch_end);
+            trace_gather(t, batch, &infos, precision, response.recs.len());
+        }
+        debug_assert!(slots[idx].is_none(), "response {idx} served twice");
+        slots[idx] = Some(response);
+    }
+    let expected = slots.len();
+    let responses: Vec<Response> = slots.into_iter().flatten().collect();
+    debug_assert_eq!(responses.len(), expected, "scheduler dropped a request");
+    // `Trace::finish` touches the obs span registry, so traces close
+    // here, owned, never under a lock.
+    let traces = traces.map_or_else(Vec::new, |ts| {
+        ts.into_iter()
+            .enumerate()
+            .map(|(idx, t)| t.unwrap_or_else(|| Trace::new(idx as u64)).finish())
+            .collect()
     });
     Replay {
-        responses: collect_responses(slots),
+        responses,
         traces,
         plan,
     }
@@ -368,10 +386,7 @@ pub fn replay_with(
 /// admit/shed accounting into the obs registry: `serve/admitted`,
 /// `serve/shed`, their per-lane variants (`serve/admitted_fast`, ...),
 /// and the `serve/queue_delay_ticks` histogram.
-pub(crate) fn plan_admission(
-    arrivals: &[TimedRequest],
-    options: &ReplayOptions,
-) -> Option<AdmissionPlan> {
+fn plan_admission(arrivals: &[TimedRequest], options: &ReplayOptions) -> Option<AdmissionPlan> {
     let plan = admission::plan(arrivals, options.admission.as_ref()?);
     metrics::counter("serve/admitted").add(plan.admitted() as u64);
     metrics::counter("serve/shed").add(plan.shed() as u64);
@@ -390,10 +405,7 @@ pub(crate) fn plan_admission(
 
 /// One response slot per arrival, pre-filled with a typed overload
 /// response for every shed arrival; workers only ever fill the rest.
-pub(crate) fn shed_slots(
-    arrivals: &[TimedRequest],
-    plan: Option<&AdmissionPlan>,
-) -> Vec<Option<Response>> {
+fn shed_slots(arrivals: &[TimedRequest], plan: Option<&AdmissionPlan>) -> Vec<Option<Response>> {
     arrivals
         .iter()
         .enumerate()
@@ -410,10 +422,7 @@ pub(crate) fn shed_slots(
 /// `serve.shed` span instead of it. This runs on the calling thread, in
 /// arrival order, before any worker exists, so none of these ticks can
 /// depend on worker interleaving.
-pub(crate) fn open_traces(
-    arrivals: &[TimedRequest],
-    plan: Option<&AdmissionPlan>,
-) -> Vec<Option<Trace>> {
+fn open_traces(arrivals: &[TimedRequest], plan: Option<&AdmissionPlan>) -> Vec<Option<Trace>> {
     let lane_field = |t: &mut Trace, root, lane: Lane| {
         t.add_field(root, "lane", FieldValue::Str(lane.name().to_string()));
     };
@@ -457,300 +466,114 @@ pub(crate) fn open_traces(
         .collect()
 }
 
-/// Closes every trace's remaining spans. `Trace::finish` touches the obs
-/// span registry, so callers pass owned traces, never a locked vector.
-pub(crate) fn finish_traces(traces: Vec<Option<Trace>>) -> Vec<TraceData> {
-    traces
-        .into_iter()
-        .enumerate()
-        .map(|(idx, t)| t.unwrap_or_else(|| Trace::new(idx as u64)).finish())
-        .collect()
+/// One request's shard outcome for its trace.
+enum ShardInfo {
+    /// Served by the shard: from its cache, or `candidates` scored.
+    Served { hit: bool, candidates: usize },
+    /// Answered from the replay's stale partial.
+    Stale,
+    /// Missing from the response.
+    Failed(String),
 }
 
-/// The filled response slots, in arrival order.
-pub(crate) fn collect_responses(slots: Vec<Option<Response>>) -> Vec<Response> {
-    let expected = slots.len();
-    let out: Vec<Response> = slots.into_iter().flatten().collect();
-    debug_assert_eq!(out.len(), expected, "scheduler dropped a request");
-    out
-}
-
-/// A micro-batch: positions `start..end` in its lane's dequeue order
-/// (see [`Lanes::order`]).
-#[derive(Debug, Clone, Copy)]
-struct Batch {
-    lane: Lane,
-    start: usize,
-    end: usize,
-}
-
-/// Chops a lane's `count` positions into micro-batches.
-fn lane_batches(lane: Lane, count: usize, max_batch: usize) -> Mutex<VecDeque<Claim<Batch>>> {
-    let batches = pool::batches(count, max_batch);
-    Mutex::new(
-        batches
-            .map(|(start, end)| Claim::fresh(Batch { lane, start, end }))
-            .collect(),
-    )
-}
-
-/// Residual weighted-round-robin shares for one worker's current
-/// round. Workers drain the fast lane `fast_weight` times, then the
-/// cold lane `cold_weight` times, an empty lane ceding its remainder —
-/// the execution-side mirror of the admission simulator's discipline.
-struct LaneShares {
-    fast_left: u32,
-    cold_left: u32,
-}
-
-/// One worker's round-robin position and metric handles.
-struct LaneLocal {
-    shares: LaneShares,
-    queue_hist: Arc<Histogram>,
-    batch_hist: Arc<Histogram>,
-    latency_hist: Arc<Histogram>,
-}
-
-/// The single engine's pool work: two lane queues drained by weighted
-/// round-robin. All critical sections only move values between
-/// containers, so poisoned locks are safe to recover.
-///
-/// The two lane queues are **separate mutexes** deliberately: a worker
-/// popping the fast (cache-hit) lane takes only `fast`, never `cold`,
-/// so a slow cold-scoring drain can never block fast-lane claims
-/// (pinned by `fast_lane_pop_never_touches_the_cold_mutex`).
-struct Lanes<'a> {
-    engine: &'a FrozenEngine,
-    requests: &'a [Request],
-    config: &'a ReplayConfig,
-    injector: &'a Injector,
-    /// Lane-weight pair `(fast, cold)` for the drain discipline.
-    weights: (u32, u32),
-    /// Per-lane dequeue order: `order[lane][pos]` is the request index
-    /// a batch position maps to.
-    order: [Vec<usize>; 2],
-    fast: Mutex<VecDeque<Claim<Batch>>>,
-    cold: Mutex<VecDeque<Claim<Batch>>>,
-    /// Last good result per (user, k, precision-tag) — the degraded-mode
-    /// fallback, tagged like the engine's result cache so stale entries
-    /// can never cross precisions. Deliberately not a view of the
-    /// engine's `ResultCache`: this map lives for one replay and never
-    /// evicts, while the cache persists across replays and evicts LRU
-    /// entries, so serving outages from the cache would change which
-    /// requests degrade and which return an error.
-    stale: Mutex<BTreeMap<(u32, u32, u8), Vec<Recommendation>>>,
-    /// One trace per request, present only when tracing. A worker takes
-    /// the trace alongside the request, appends its spans, and puts it
-    /// back — single-owner hand-off, same life cycle as the response
-    /// slot.
-    traces: Option<Mutex<Vec<Option<Trace>>>>,
-}
-
-impl Lanes<'_> {
-    /// The queue for one lane. Callers lock at most one lane queue at
-    /// a time — never both.
-    fn lane_queue(&self, lane: Lane) -> &Mutex<VecDeque<Claim<Batch>>> {
-        match lane {
-            Lane::Fast => &self.fast,
-            Lane::Cold => &self.cold,
-        }
-    }
-
-    /// Claims the next batch under the weighted round-robin discipline,
-    /// or `None` when both lanes are drained. Each pop locks exactly
-    /// one lane queue (a temporary guard, dropped before anything
-    /// else): the fast lane is claimed without ever touching the cold
-    /// lane's mutex, so cache-hit work cannot block behind cold
-    /// scoring's queue contention.
-    fn pop_weighted(&self, shares: &mut LaneShares) -> Option<Claim<Batch>> {
-        let mut fast_dry = false;
-        let mut cold_dry = false;
-        loop {
-            if shares.fast_left == 0 && shares.cold_left == 0 {
-                shares.fast_left = self.weights.0;
-                shares.cold_left = self.weights.1;
+/// Merges one request's shard cells into its response.
+fn gather(req: &Request, row: impl Iterator<Item = Option<Cell>>) -> (Response, Vec<ShardInfo>) {
+    let mut partials: Vec<Vec<Recommendation>> = Vec::new();
+    let mut infos: Vec<ShardInfo> = Vec::new();
+    let mut missing: Vec<u32> = Vec::new();
+    let mut first_err: Option<String> = None;
+    for (s, cell) in row.enumerate() {
+        // Defensive: supervision guarantees every cell is filled; an
+        // empty one is answered, not ignored.
+        match cell.unwrap_or_else(|| Cell::Failed(format!("shard {s} response missing"))) {
+            Cell::Served(p) => {
+                infos.push(ShardInfo::Served {
+                    hit: p.hit,
+                    candidates: p.candidates,
+                });
+                partials.push(p.recs);
             }
-            if shares.fast_left > 0 {
-                shares.fast_left -= 1;
-                if let Some(b) = lock_unpoisoned(&self.fast).pop_front() {
-                    return Some(b);
-                }
-                shares.fast_left = 0;
-                fast_dry = true;
-                if cold_dry {
-                    return None;
-                }
-                continue;
+            Cell::Stale(recs) => {
+                infos.push(ShardInfo::Stale);
+                partials.push(recs);
             }
-            shares.cold_left -= 1;
-            if let Some(b) = lock_unpoisoned(&self.cold).pop_front() {
-                return Some(b);
-            }
-            shares.cold_left = 0;
-            cold_dry = true;
-            if fast_dry {
-                return None;
+            Cell::Failed(e) => {
+                first_err.get_or_insert_with(|| e.clone());
+                infos.push(ShardInfo::Failed(e));
+                missing.push(s as u32);
             }
         }
     }
+    if partials.is_empty() {
+        // Every shard failed (e.g. an out-of-range user): surface the
+        // lowest shard's error as the request-level error.
+        let error = first_err.unwrap_or_else(|| "no shards".to_owned());
+        return (Response::error(req, error), infos);
+    }
+    let degraded = !missing.is_empty() || infos.iter().any(|i| matches!(i, ShardInfo::Stale));
+    if degraded {
+        metrics::counter("serve/shard_degraded").inc();
+    }
+    // A lone partial is already ranked and at most k long: it is its own
+    // merge, so a one-shard engine skips re-selecting it.
+    let recs = if partials.len() == 1 {
+        partials.swap_remove(0)
+    } else {
+        merge_top_k(&partials, req.k)
+    };
+    let response = Response {
+        degraded,
+        partial_shards: missing,
+        ..Response::ok(req, recs)
+    };
+    (response, infos)
+}
 
-    /// Serves one request through the retry / deadline / degraded
-    /// ladder. `trace`, when present, is handed to the engine exactly
-    /// once — the retry loop wraps the injected I/O probe, not the
-    /// engine call, so a request records its cache/score spans at most
-    /// once under any fault plan.
-    fn serve_request(&self, req: &Request, mut trace: Option<&mut Trace>) -> Response {
-        let key = (
-            req.user,
-            u32::try_from(req.k).unwrap_or(u32::MAX),
-            self.engine.precision().tag(),
-        );
-        let deadline = self.config.deadline_ticks;
-        // Logical clock for this request: injected latency plus backoff.
-        let mut ticks = self.injector.latency("serve/request");
-        let mut attempt = 0u32;
-        loop {
-            if deadline > 0 && ticks > deadline {
-                metrics::counter("serve/deadline_misses").inc();
-                return Response::error(
-                    req,
-                    format!("deadline exceeded: {ticks} > {deadline} ticks"),
-                );
-            }
-            match self.injector.io("serve/engine") {
-                Ok(()) => {
-                    return match self.engine.top_k_inner(req.user, req.k, trace.take()) {
-                        Ok(recs) => {
-                            lock_unpoisoned(&self.stale).insert(key, recs.clone());
-                            Response::ok(req, recs)
-                        }
-                        Err(e) => Response::error(req, e.to_string()),
-                    };
-                }
-                Err(e) => {
-                    if attempt < self.config.max_retries {
-                        metrics::counter("serve/retries").inc();
-                        ticks = ticks.saturating_add(Backoff::default().ticks(attempt));
-                        attempt += 1;
-                        continue;
-                    }
-                    // Retries exhausted: degrade to the last good result
-                    // for this (user, k), else a typed error. Bind the
-                    // lookup so the stale-map guard (a temporary) is
-                    // dropped before the metrics counter takes the obs
-                    // registry lock (L2).
-                    let stale_hit = lock_unpoisoned(&self.stale).get(&key).cloned();
-                    if let Some(recs) = stale_hit {
-                        metrics::counter("serve/degraded_hits").inc();
-                        return Response {
-                            degraded: true,
-                            ..Response::ok(req, recs)
-                        };
-                    }
-                    return Response::error(
-                        req,
-                        format!("engine unavailable after {attempt} retries: {e}"),
-                    );
+/// Closes a request's open `serve.queue` span and records the batch,
+/// one `serve.shard` span per shard, and the merge.
+fn trace_gather(
+    t: &mut Trace,
+    (start, end): (usize, usize),
+    infos: &[ShardInfo],
+    precision: &str,
+    merged: usize,
+) {
+    t.end_top(); // serve.queue: the wait is over
+    let b = t.start_span("serve.batch");
+    t.add_field(b, "batch_start", FieldValue::Int(start as i64));
+    t.add_field(b, "batch_end", FieldValue::Int(end as i64));
+    for (s, info) in infos.iter().enumerate() {
+        let sp = t.start_span("serve.shard");
+        t.add_field(sp, "shard", FieldValue::Int(s as i64));
+        match info {
+            ShardInfo::Served { hit, candidates } => {
+                t.add_field(sp, "hit", FieldValue::Bool(*hit));
+                if !hit {
+                    t.add_field(sp, "candidates", FieldValue::Int(*candidates as i64));
+                    t.add_field(sp, "backend", FieldValue::Str(backend_name().to_owned()));
+                    t.add_field(sp, "precision", FieldValue::Str(precision.to_owned()));
                 }
             }
+            ShardInfo::Stale => t.add_field(sp, "stale", FieldValue::Bool(true)),
+            ShardInfo::Failed(e) => t.add_field(sp, "error", FieldValue::Str(e.clone())),
         }
+        t.end_span(sp);
     }
-}
-
-impl Work for Lanes<'_> {
-    type Task = Batch;
-    type Out = Response;
-    type Local = LaneLocal;
-
-    const RESPAWNS: &'static str = "serve/worker_respawns";
-    const PANIC_POINT: &'static str = "serve/worker";
-    const CLAIM_EVENT: &'static str = "serve.batch.claim";
-    const PANIC_MESSAGE: &'static str = "worker panicked; respawning";
-
-    fn local(&self) -> LaneLocal {
-        LaneLocal {
-            shares: LaneShares {
-                fast_left: 0,
-                cold_left: 0,
-            },
-            queue_hist: metrics::histogram("serve/queue_depth", &COUNT_EDGES),
-            batch_hist: metrics::histogram("serve/batch_size", &COUNT_EDGES),
-            latency_hist: metrics::histogram("serve/latency_ns", &latency_edges()),
-        }
-    }
-
-    fn claim(&self, _slot: usize, local: &mut LaneLocal) -> Option<Claim<Batch>> {
-        // Depth is sampled lane by lane — two short temporary guards,
-        // never held together, never held across the observe.
-        let depth = |q: &Mutex<VecDeque<Claim<Batch>>>| -> usize {
-            lock_unpoisoned(q)
-                .iter()
-                .map(|c| c.task.end - c.task.start)
-                .sum()
-        };
-        let queued = depth(&self.fast) + depth(&self.cold);
-        if queued > 0 {
-            local.queue_hist.observe(queued as f64);
-        }
-        self.pop_weighted(&mut local.shares)
-    }
-
-    /// Requeues at the front of the batch's own lane: the batch was
-    /// admitted, so it re-enters a queue the admission gate already
-    /// bounded — a fault can never displace admitted work into shedding.
-    fn requeue(&self, _slot: usize, claim: Claim<Batch>) {
-        lock_unpoisoned(self.lane_queue(claim.task.lane)).push_front(claim);
-    }
-
-    fn serve_task(&self, batch: Batch, local: &mut LaneLocal) -> Vec<(usize, Response)> {
-        local.batch_hist.observe((batch.end - batch.start) as f64);
-        let mut served = Vec::with_capacity(batch.end - batch.start);
-        for pos in batch.start..batch.end {
-            let idx = self.order[batch.lane.index()][pos];
-            let watch = Stopwatch::start();
-            let mut trace = self
-                .traces
-                .as_ref()
-                .and_then(|m| lock_unpoisoned(m)[idx].take());
-            let batch_span = trace.as_mut().map(|t| {
-                t.end_top(); // serve.queue: the wait is over
-                let b = t.start_span("serve.batch");
-                t.add_field(b, "batch_start", FieldValue::Int(batch.start as i64));
-                t.add_field(b, "batch_end", FieldValue::Int(batch.end as i64));
-                b
-            });
-            let response = self.serve_request(&self.requests[idx], trace.as_mut());
-            if let (Some(t), Some(b)) = (trace.as_mut(), batch_span) {
-                t.end_span(b);
-            }
-            if let (Some(m), Some(t)) = (self.traces.as_ref(), trace) {
-                lock_unpoisoned(m)[idx] = Some(t);
-            }
-            local.latency_hist.observe(watch.elapsed_ns() as f64);
-            served.push((idx, response));
-        }
-        served
-    }
-
-    fn fail_task(&self, batch: Batch, attempts: u32) -> Vec<(usize, Response)> {
-        (batch.start..batch.end)
-            .map(|pos| {
-                let idx = self.order[batch.lane.index()][pos];
-                let error = format!("worker failed {attempts} times serving this batch");
-                (idx, Response::error(&self.requests[idx], error))
-            })
-            .collect()
-    }
+    let m = t.start_span("serve.merge");
+    t.add_field(m, "merged", FieldValue::Int(merged as i64));
+    t.end_span(m);
+    t.end_span(b);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
+    use crate::shard::ShardedConfig;
     use scenerec_core::{FrozenHead, FrozenModel};
     use scenerec_tensor::Matrix;
 
-    fn toy_engine() -> FrozenEngine {
+    /// A one-shard engine: the whole catalog behind one cache.
+    fn toy_engine() -> ShardedEngine {
         let mut users = Matrix::zeros(3, 2);
         users.set_row(0, &[1.0, 0.0]);
         users.set_row(1, &[0.0, 1.0]);
@@ -765,20 +588,21 @@ mod tests {
             items,
             FrozenHead::DotBias { bias: vec![0.0; 5] },
         );
-        FrozenEngine::new(frozen, &[vec![0], vec![], vec![4]], EngineConfig::default()).unwrap()
+        let seen = [vec![0], vec![], vec![4]];
+        ShardedEngine::new(frozen, &seen, ShardedConfig::with_shards(1)).unwrap()
     }
 
     fn supervised(
-        engine: &FrozenEngine,
+        engine: &ShardedEngine,
         reqs: &[Request],
-        cfg: &ReplayConfig,
+        cfg: &ShardReplayConfig,
         inj: &Injector,
     ) -> Vec<Response> {
         let options = ReplayOptions {
             injector: inj.clone(),
             ..ReplayOptions::default()
         };
-        replay_with(engine, &TimedRequest::burst(reqs), cfg, &options).responses
+        replay_sharded_with(engine, &TimedRequest::burst(reqs), cfg, &options).responses
     }
 
     fn log() -> Vec<Request> {
@@ -794,7 +618,7 @@ mod tests {
     fn responses_come_back_in_request_order() {
         let engine = toy_engine();
         let reqs = log();
-        let out = replay(&engine, &reqs, &ReplayConfig::default());
+        let out = replay_sharded(&engine, &reqs, &ShardReplayConfig::default());
         assert_eq!(out.len(), reqs.len());
         for (req, resp) in reqs.iter().zip(&out) {
             assert_eq!(req.user, resp.user);
@@ -806,23 +630,23 @@ mod tests {
     #[test]
     fn worker_count_does_not_change_bytes() {
         let reqs = log();
-        let reference = responses_to_json(&replay(
+        let reference = responses_to_json(&replay_sharded(
             &toy_engine(),
             &reqs,
-            &ReplayConfig {
+            &ShardReplayConfig {
                 workers: 1,
                 max_batch: 4,
-                ..ReplayConfig::default()
+                ..ShardReplayConfig::default()
             },
         ));
         for workers in [2, 4] {
-            let got = responses_to_json(&replay(
+            let got = responses_to_json(&replay_sharded(
                 &toy_engine(),
                 &reqs,
-                &ReplayConfig {
+                &ShardReplayConfig {
                     workers,
                     max_batch: 4,
-                    ..ReplayConfig::default()
+                    ..ShardReplayConfig::default()
                 },
             ));
             assert_eq!(reference, got, "workers={workers} diverged");
@@ -832,10 +656,10 @@ mod tests {
     #[test]
     fn unknown_user_becomes_error_response() {
         let engine = toy_engine();
-        let out = replay(
+        let out = replay_sharded(
             &engine,
             &[Request { user: 42, k: 3 }],
-            &ReplayConfig::default(),
+            &ShardReplayConfig::default(),
         );
         assert_eq!(out.len(), 1);
         assert!(out[0].recs.is_empty());
@@ -845,7 +669,7 @@ mod tests {
     #[test]
     fn empty_log_yields_empty_responses() {
         let engine = toy_engine();
-        assert!(replay(&engine, &[], &ReplayConfig::default()).is_empty());
+        assert!(replay_sharded(&engine, &[], &ShardReplayConfig::default()).is_empty());
     }
 
     #[test]
@@ -885,20 +709,19 @@ mod tests {
 
         let engine = toy_engine();
         let reqs = log();
-        let reference = replay(&engine, &reqs, &ReplayConfig::default());
+        let reference = replay_sharded(&engine, &reqs, &ShardReplayConfig::default());
         for workers in [1usize, 2, 4] {
-            let cfg = ReplayConfig {
+            let cfg = ShardReplayConfig {
                 workers,
                 max_batch: 4,
                 // Generous budget: which batch absorbs which panic is
                 // scheduling-dependent, and this test asserts recovery,
                 // not exhaustion.
                 max_retries: 16,
-                ..ReplayConfig::default()
             };
             // Every 3rd batch claim panics its worker.
             let inj = Injector::new(FaultPlan::new(workers as u64).inject(
-                "serve/worker",
+                "serve/shard_worker",
                 Trigger::Every(3),
                 Fault::Panic,
             ));
@@ -914,16 +737,18 @@ mod tests {
 
         let engine = toy_engine();
         let reqs = log();
-        let cfg = ReplayConfig {
+        let cfg = ShardReplayConfig {
             workers: 2,
             max_batch: 8,
             max_retries: 1,
-            ..ReplayConfig::default()
         };
         // Every batch claim panics: each batch burns its single requeue
         // and is answered with errors — but answered.
-        let inj =
-            Injector::new(FaultPlan::new(5).inject("serve/worker", Trigger::Always, Fault::Panic));
+        let inj = Injector::new(FaultPlan::new(5).inject(
+            "serve/shard_worker",
+            Trigger::Always,
+            Fault::Panic,
+        ));
         let out = supervised(&engine, &reqs, &cfg, &inj);
         assert_eq!(out.len(), reqs.len());
         for (req, resp) in reqs.iter().zip(&out) {
@@ -941,16 +766,15 @@ mod tests {
 
         let engine = toy_engine();
         let reqs = vec![Request { user: 1, k: 2 }, Request { user: 1, k: 2 }];
-        let cfg = ReplayConfig {
+        let cfg = ShardReplayConfig {
             workers: 1,
             max_batch: 1,
             max_retries: 1,
-            ..ReplayConfig::default()
         };
         // The first request succeeds and seeds the stale cache; the
         // second request's attempts (probes 2 and 3) all fail.
         let inj =
-            Injector::new(FaultPlan::new(9).inject("serve/engine", Trigger::After(1), Fault::Io));
+            Injector::new(FaultPlan::new(9).inject("serve/shard/0", Trigger::After(1), Fault::Io));
         let out = supervised(&engine, &reqs, &cfg, &inj);
         assert!(out[0].error.is_none() && !out[0].degraded);
         assert!(out[1].degraded, "second response must be a stale fallback");
@@ -964,18 +788,18 @@ mod tests {
 
         let engine = toy_engine();
         let reqs = vec![Request { user: 0, k: 2 }];
-        let cfg = ReplayConfig {
+        let cfg = ShardReplayConfig {
             workers: 1,
             max_retries: 2,
-            ..ReplayConfig::default()
+            ..ShardReplayConfig::default()
         };
         let inj =
-            Injector::new(FaultPlan::new(11).inject("serve/engine", Trigger::Always, Fault::Io));
+            Injector::new(FaultPlan::new(11).inject("serve/shard/0", Trigger::Always, Fault::Io));
         let out = supervised(&engine, &reqs, &cfg, &inj);
         assert!(out[0]
             .error
             .as_deref()
-            .is_some_and(|e| e.contains("engine unavailable after 2 retries")));
+            .is_some_and(|e| e.contains("shard 0 unavailable after 2 retries")));
         assert!(!out[0].degraded);
     }
 
@@ -991,11 +815,11 @@ mod tests {
             .collect()
     }
 
-    fn tiny_bounds() -> (ReplayConfig, AdmissionConfig) {
+    fn tiny_bounds() -> (ShardReplayConfig, AdmissionConfig) {
         (
-            ReplayConfig {
+            ShardReplayConfig {
                 max_batch: 4,
-                ..ReplayConfig::default()
+                ..ShardReplayConfig::default()
             },
             AdmissionConfig {
                 fast_capacity: 4,
@@ -1008,15 +832,15 @@ mod tests {
     }
 
     fn bounded(
-        engine: &FrozenEngine,
+        engine: &ShardedEngine,
         arrivals: &[TimedRequest],
-        (replay, admission): &(ReplayConfig, AdmissionConfig),
+        (replay, admission): &(ShardReplayConfig, AdmissionConfig),
     ) -> (Vec<Response>, AdmissionPlan) {
         let options = ReplayOptions {
             admission: Some(admission.clone()),
             ..ReplayOptions::default()
         };
-        let out = replay_with(engine, arrivals, replay, &options);
+        let out = replay_sharded_with(engine, arrivals, replay, &options);
         (out.responses, out.plan.expect("admission was requested"))
     }
 
@@ -1075,72 +899,5 @@ mod tests {
         assert_eq!(plan.shed(), arrivals.len());
         assert_eq!(out.len(), arrivals.len());
         assert!(out.iter().all(|r| r.outcome() == "overloaded"));
-    }
-
-    /// Satellite regression for the lane-mutex split: claiming fast-lane
-    /// work must never lock the cold lane's queue mutex. The test holds
-    /// the cold mutex on the *same* thread and then pops the fast lane —
-    /// if `pop_weighted` ever touched the cold mutex on that path, this
-    /// would deadlock (std mutexes are non-reentrant) and the test
-    /// would hang instead of passing.
-    #[test]
-    fn fast_lane_pop_never_touches_the_cold_mutex() {
-        let engine = toy_engine();
-        let reqs = log();
-        let config = ReplayConfig::default();
-        let inj = Injector::disabled();
-        let batch = |lane| {
-            Claim::fresh(Batch {
-                lane,
-                start: 0,
-                end: 2,
-            })
-        };
-        let shared = Lanes {
-            engine: &engine,
-            requests: &reqs,
-            config: &config,
-            injector: &inj,
-            weights: (4, 1),
-            order: [vec![0, 1], vec![2, 3]],
-            fast: Mutex::new(VecDeque::from([batch(Lane::Fast)])),
-            cold: Mutex::new(VecDeque::from([batch(Lane::Cold)])),
-            stale: Mutex::new(BTreeMap::new()),
-            traces: None,
-        };
-        let _cold_guard = shared.cold.lock().expect("test holds the cold lane");
-        let mut shares = LaneShares {
-            fast_left: 0,
-            cold_left: 0,
-        };
-        let claimed = shared
-            .pop_weighted(&mut shares)
-            .expect("fast batch claimed while cold lane is held");
-        assert_eq!(claimed.task.lane, Lane::Fast);
-    }
-
-    #[test]
-    fn injected_latency_past_deadline_is_deadline_error() {
-        use scenerec_faults::{Fault, FaultPlan, Trigger};
-
-        let engine = toy_engine();
-        let reqs = vec![Request { user: 0, k: 1 }, Request { user: 1, k: 1 }];
-        let cfg = ReplayConfig {
-            workers: 1,
-            max_batch: 1,
-            deadline_ticks: 100,
-            ..ReplayConfig::default()
-        };
-        let inj = Injector::new(FaultPlan::new(13).inject(
-            "serve/request",
-            Trigger::Nth(2),
-            Fault::Latency(250),
-        ));
-        let out = supervised(&engine, &reqs, &cfg, &inj);
-        assert!(out[0].error.is_none(), "request under deadline serves");
-        assert!(out[1]
-            .error
-            .as_deref()
-            .is_some_and(|e| e.contains("deadline exceeded: 250 > 100")));
     }
 }

@@ -1,5 +1,5 @@
-//! Sharded serving: range-partitioned scoring with exact scatter-gather
-//! merge and consistent-hash routing.
+//! Sharded serving: range-partitioned scoring with an exact
+//! scatter-gather merge.
 //!
 //! Frozen scoring is bandwidth-bound — every request streams the whole
 //! item matrix through the cache hierarchy once. A [`ShardedEngine`]
@@ -11,7 +11,10 @@
 //! batch instead of being evicted by the rest of the catalog. On a
 //! catalog that overflows the LLC this turns most of the matrix traffic
 //! into cache hits — the throughput win `bench/src/bin/shard.rs`
-//! measures, no extra cores required.
+//! measures, no extra cores required. Shards are also the unit of
+//! parallelism: the scheduler pins each shard to one worker
+//! (`crate::scheduler`). A one-shard engine is the whole catalog behind
+//! one cache — the single-engine deployment.
 //!
 //! ## Exactness
 //!
@@ -20,37 +23,11 @@
 //! state (`score_ids`), so slicing cannot perturb them; and the
 //! serving order `(score desc, item asc)` is a strict total order, so
 //! merging per-shard top-K lists with the same comparator
-//! ([`merge_top_k`]) reproduces the single-engine ranking exactly, ties
+//! ([`merge_top_k`]) reproduces the whole-catalog ranking exactly, ties
 //! included (proof sketch on [`merge_top_k`]; pinned for every
-//! precision and shard count by `tests/properties.rs` and
+//! precision and shard count against a whole-catalog scan by
+//! `tests/properties.rs`, and against the tape by
 //! `tests/serving_parity.rs`).
-//!
-//! ## Routing and scheduling
-//!
-//! [`replay_sharded`] and [`replay_sharded_with`] expand each
-//! micro-batch into one *(batch × shard)* task per shard and route every
-//! shard's tasks to a single owner worker through a consistent-hash ring
-//! (16 splitmix64 points per worker), on the same supervised pool as the
-//! single-engine scheduler. One owner
-//! per shard means each shard's task stream is FIFO, so its cache
-//! hit/miss evolution — and therefore every counter and trace field —
-//! is identical at any worker count; the ring's stability keeps most
-//! shard→worker assignments fixed when the pool grows.
-//!
-//! ## Failure model (DESIGN.md §15)
-//!
-//! * **Shard-worker panics** (`serve/shard_worker`): the pool registers
-//!   each task in-flight before serving and commits it atomically after,
-//!   so it requeues a dead worker's task exactly once per panic (bounded
-//!   by [`ShardReplayConfig::max_retries`], then per-shard error cells)
-//!   and respawns the worker. No request is ever lost or served twice.
-//! * **Shard outages** (`serve/shard/{s}` I/O faults): retried with
-//!   deterministic backoff; past the budget the *shard* fails, not the
-//!   request. A response missing one or more shards is served from the
-//!   surviving partials, flagged `degraded`, and names the missing
-//!   ranges in [`Response::partial_shards`] — a shard outage never
-//!   silently truncates a top-K. Only when *every* shard fails does
-//!   the response become a typed error.
 //!
 //! ## Caching and invalidation
 //!
@@ -59,26 +36,22 @@
 //! with an O(1) epoch bump ([`ResultCache::bump_epoch`]); other
 //! shards' warm entries survive. `mark_seen` evicts the user only from
 //! the shard that owns the item. Per-shard counters live at
-//! `serve/shard/{s}/{requests,cache_hits,cache_misses}`.
+//! `serve/shard/{s}/{requests,cache_hits,cache_misses}`; per-shard
+//! lifetime stats ([`ShardedEngine::shard_cache_stats`]) read shared
+//! atomics, never the cache lock.
 
-use crate::admission::{AdmissionPlan, TimedRequest};
-use crate::cache::ResultCache;
+use crate::cache::{CacheStats, ResultCache};
 use crate::engine::{score_ids, seen_lists, EngineConfig, ServeError};
 use crate::mask::SeenMask;
-use crate::pool::{self, Claim, Work};
-use crate::scheduler::{
-    collect_responses, finish_traces, latency_edges, open_traces, plan_admission, shed_slots,
-    Replay, ReplayOptions, Request, Response,
-};
 use crate::topk::{merge_top_k, select_top_k};
 use scenerec_core::{
     EntityMatrix, FrozenHead, FrozenModel, PairwiseModel, Precision, Recommendation, ShardMap,
 };
 use scenerec_data::Dataset;
-use scenerec_faults::{Backoff, Injector};
-use scenerec_obs::metrics::Histogram;
-use scenerec_obs::{lock_unpoisoned, metrics, FieldValue, Stopwatch, Trace};
-use std::collections::{BTreeMap, VecDeque};
+use scenerec_faults::Injector;
+use scenerec_obs::{lock_unpoisoned, metrics};
+use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// Tuning knobs for a [`ShardedEngine`].
@@ -111,6 +84,15 @@ struct Shard {
     items: EntityMatrix,
     head: FrozenHead,
     cache: Mutex<ResultCache>,
+    /// The cache's hit/miss counters, cloned out before the cache goes
+    /// behind its mutex, so stats reads never contend with serving for
+    /// the cache lock.
+    stats: Arc<CacheStats>,
+    /// This shard's `serve/shard/{s}/…` obs counter names, formatted
+    /// once: formatting them on every lookup doubled a cache hit's cost.
+    requests_counter: String,
+    hits_counter: String,
+    misses_counter: String,
 }
 
 /// One shard's contribution to a request: its local top-K re-labelled
@@ -152,8 +134,7 @@ fn shard_range_err(s: usize, shards: usize) -> ServeError {
 
 impl ShardedEngine {
     /// Builds a sharded engine from a frozen model plus each user's
-    /// seen-item list (index = user id), mirroring
-    /// [`crate::FrozenEngine::new`].
+    /// seen-item list (index = user id).
     ///
     /// # Errors
     /// [`ServeError::Invalid`] when the snapshot fails validation or the
@@ -191,8 +172,8 @@ impl ShardedEngine {
     }
 
     /// Freezes `model` at `precision` and builds a sharded engine with
-    /// seen masks from the dataset's training interactions, mirroring
-    /// [`crate::FrozenEngine::from_model_quantized`].
+    /// seen masks from the dataset's training interactions (the same
+    /// exclusion set `top_k_unseen` uses).
     ///
     /// # Errors
     /// [`ServeError::Unsupported`] when the model cannot freeze;
@@ -209,6 +190,29 @@ impl ShardedEngine {
         Self::new(frozen, &seen_lists(data), config)
     }
 
+    /// Loads a SceneRec checkpoint and builds an engine from it.
+    ///
+    /// A v4 checkpoint carrying a `frozen` section is served from that
+    /// embedded snapshot — at whatever precision it was quantized to,
+    /// with its exact codes/scales — without re-freezing. Older (or
+    /// training-only) checkpoints fall back to freezing the restored
+    /// model at f32.
+    ///
+    /// # Errors
+    /// [`ServeError::Invalid`] on checkpoint load failures.
+    pub fn from_checkpoint(
+        path: &Path,
+        data: &Dataset,
+        config: ShardedConfig,
+    ) -> Result<Self, ServeError> {
+        let loaded = scenerec_core::checkpoint::load_full(path, data, &Injector::disabled())
+            .map_err(|e| ServeError::Invalid(e.to_string()))?;
+        match loaded.frozen {
+            Some(frozen) => Self::new(frozen, &seen_lists(data), config),
+            None => Self::from_model_quantized(&loaded.model, data, Precision::F32, config),
+        }
+    }
+
     fn build(
         frozen: FrozenModel,
         seen: BTreeMap<u32, SeenMask>,
@@ -219,19 +223,36 @@ impl ShardedEngine {
         let num_items = frozen.num_items();
         let precision = frozen.precision();
         let map = ShardMap::contiguous(num_items, config.shards.max(1));
-        let mut shards = Vec::with_capacity(map.num_shards());
-        for w in map.boundaries().windows(2) {
-            let (start, end) = (w[0], w[1]);
-            let (items, head) = frozen
-                .slice_items(start as usize, end as usize)
-                .map_err(ServeError::Invalid)?;
-            shards.push(Shard {
-                start,
-                items,
-                head,
-                cache: Mutex::new(ResultCache::new(config.engine.cache_capacity)),
-            });
-        }
+        // One shard is the whole catalog: keep its matrices as they are
+        // instead of copying them through a slice.
+        let parts = if map.num_shards() == 1 {
+            vec![(frozen.items, frozen.head)]
+        } else {
+            map.boundaries()
+                .windows(2)
+                .map(|w| frozen.slice_items(w[0] as usize, w[1] as usize))
+                .collect::<Result<_, _>>()
+                .map_err(ServeError::Invalid)?
+        };
+        let shards = map
+            .boundaries()
+            .iter()
+            .zip(parts)
+            .enumerate()
+            .map(|(s, (&start, (items, head)))| {
+                let cache = ResultCache::new(config.engine.cache_capacity);
+                Shard {
+                    start,
+                    items,
+                    head,
+                    stats: cache.stats(),
+                    cache: Mutex::new(cache),
+                    requests_counter: format!("serve/shard/{s}/requests"),
+                    hits_counter: format!("serve/shard/{s}/cache_hits"),
+                    misses_counter: format!("serve/shard/{s}/cache_misses"),
+                }
+            })
+            .collect();
         Ok(ShardedEngine {
             name: frozen.name,
             users: frozen.users,
@@ -276,6 +297,23 @@ impl ShardedEngine {
         &self.map
     }
 
+    fn shard(&self, s: usize) -> Result<&Shard, ServeError> {
+        self.shards
+            .get(s)
+            .ok_or_else(|| shard_range_err(s, self.shards.len()))
+    }
+
+    fn check_user(&self, user: u32) -> Result<(), ServeError> {
+        if (user as usize) < self.num_users {
+            Ok(())
+        } else {
+            Err(ServeError::UserOutOfRange {
+                user,
+                num_users: self.num_users,
+            })
+        }
+    }
+
     /// Scores shard `s` for `user` and returns the shard's top-`k`
     /// (global item ids), served through the shard's own cache. The
     /// full answer is `merge_top_k` over every shard's partial — see
@@ -285,31 +323,23 @@ impl ShardedEngine {
     /// [`ServeError::UserOutOfRange`]; [`ServeError::Invalid`] for a
     /// shard index out of range.
     pub fn partial_top_k(&self, s: usize, user: u32, k: usize) -> Result<ShardPartial, ServeError> {
-        let shard = self
-            .shards
-            .get(s)
-            .ok_or_else(|| shard_range_err(s, self.shards.len()))?;
-        if (user as usize) >= self.num_users {
-            return Err(ServeError::UserOutOfRange {
-                user,
-                num_users: self.num_users,
-            });
-        }
-        metrics::indexed_counter("serve/shard", s, "requests").inc();
+        let shard = self.shard(s)?;
+        self.check_user(user)?;
+        metrics::counter(&shard.requests_counter).inc();
         let key_k = u32::try_from(k).unwrap_or(u32::MAX);
         let tag = self.precision.tag();
         // Bind the lookup so the cache guard (a temporary) is dropped
         // before the metrics counter takes the obs registry lock (L2).
         let cached = lock_unpoisoned(&shard.cache).get(user, key_k, tag);
         if let Some(recs) = cached {
-            metrics::indexed_counter("serve/shard", s, "cache_hits").inc();
+            metrics::counter(&shard.hits_counter).inc();
             return Ok(ShardPartial {
                 recs,
                 hit: true,
                 candidates: 0,
             });
         }
-        metrics::indexed_counter("serve/shard", s, "cache_misses").inc();
+        metrics::counter(&shard.misses_counter).inc();
         let rows = shard.items.rows() as u32;
         // Candidate ids are shard-local rows; the seen filter and the
         // emitted recommendations translate through `shard.start`.
@@ -338,9 +368,9 @@ impl ShardedEngine {
         })
     }
 
-    /// Top-K unseen recommendations for `user` — bit-identical to
-    /// [`crate::FrozenEngine::top_k`] on the same frozen model at any
-    /// shard count (`tests/properties.rs`).
+    /// Top-K unseen recommendations for `user` — identical to the
+    /// training-side `top_k_unseen` at any shard count
+    /// (`tests/serving_parity.rs`, `tests/properties.rs`).
     ///
     /// # Errors
     /// [`ServeError::UserOutOfRange`].
@@ -352,29 +382,50 @@ impl ShardedEngine {
         Ok(merge_top_k(&partials, k))
     }
 
+    /// Scores every item in the catalog for `user`, in item order, with
+    /// no seen filtering and no cache — bit-identical to
+    /// `PairwiseModel::score_values` over the whole catalog.
+    ///
+    /// # Errors
+    /// [`ServeError::UserOutOfRange`].
+    pub fn score_all(&self, user: u32) -> Result<Vec<f32>, ServeError> {
+        self.check_user(user)?;
+        let mut scores = Vec::with_capacity(self.num_items);
+        for shard in &self.shards {
+            let ids: Vec<u32> = (0..shard.items.rows() as u32).collect();
+            scores.extend(score_ids(
+                &self.users,
+                &shard.items,
+                &shard.head,
+                user as usize,
+                &ids,
+                self.config.engine.band,
+                self.config.engine.threads,
+            )?);
+        }
+        Ok(scores)
+    }
+
     /// Marks `item` as seen for `user` and evicts the user's cached
     /// results from the *owning shard only* — other shards' partials
     /// are unaffected by the new exclusion and stay warm.
     ///
     /// # Errors
-    /// [`ServeError::UserOutOfRange`].
+    /// [`ServeError::UserOutOfRange`]; [`ServeError::ItemOutOfRange`].
     pub fn mark_seen(&mut self, user: u32, item: u32) -> Result<(), ServeError> {
-        if (user as usize) >= self.num_users {
-            return Err(ServeError::UserOutOfRange {
-                user,
-                num_users: self.num_users,
+        self.check_user(user)?;
+        let Some(s) = self.map.shard_of(item) else {
+            return Err(ServeError::ItemOutOfRange {
+                item,
+                num_items: self.num_items,
             });
-        }
+        };
         let num_items = self.num_items as u32;
         self.seen
             .entry(user)
             .or_insert_with(|| SeenMask::new(num_items))
             .insert(item);
-        if let Some(s) = self.map.shard_of(item) {
-            if let Some(shard) = self.shards.get(s) {
-                lock_unpoisoned(&shard.cache).evict_user(user);
-            }
-        }
+        lock_unpoisoned(&self.shard(s)?.cache).evict_user(user);
         Ok(())
     }
 
@@ -384,11 +435,7 @@ impl ShardedEngine {
     /// # Errors
     /// [`ServeError::Invalid`] for a shard index out of range.
     pub fn invalidate_shard(&self, s: usize) -> Result<(), ServeError> {
-        let shard = self
-            .shards
-            .get(s)
-            .ok_or_else(|| shard_range_err(s, self.shards.len()))?;
-        lock_unpoisoned(&shard.cache).bump_epoch();
+        lock_unpoisoned(&self.shard(s)?.cache).bump_epoch();
         Ok(())
     }
 
@@ -447,17 +494,19 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Lifetime (hits, misses) of shard `s`'s result cache.
+    /// Lifetime (hits, misses) of shard `s`'s result cache. Per-shard
+    /// rather than global like the `serve/shard/{s}/*` counters, so they
+    /// stay deterministic when engines run in parallel in one process.
+    ///
+    /// Reads the shared [`CacheStats`] atomics — **not** the cache mutex
+    /// — so polling stats can never block serving (and serving's cache
+    /// probe never waits behind a stats reader).
     ///
     /// # Errors
     /// [`ServeError::Invalid`] for a shard index out of range.
     pub fn shard_cache_stats(&self, s: usize) -> Result<(u64, u64), ServeError> {
-        let shard = self
-            .shards
-            .get(s)
-            .ok_or_else(|| shard_range_err(s, self.shards.len()))?;
-        let cache = lock_unpoisoned(&shard.cache);
-        Ok((cache.hits(), cache.misses()))
+        let stats = &self.shard(s)?.stats;
+        Ok((stats.hits(), stats.misses()))
     }
 
     /// Number of entries in shard `s`'s cache (may count stale entries
@@ -466,375 +515,30 @@ impl ShardedEngine {
     /// # Errors
     /// [`ServeError::Invalid`] for a shard index out of range.
     pub fn shard_cache_len(&self, s: usize) -> Result<usize, ServeError> {
-        let shard = self
-            .shards
-            .get(s)
-            .ok_or_else(|| shard_range_err(s, self.shards.len()))?;
-        Ok(lock_unpoisoned(&shard.cache).len())
-    }
-}
-
-/// Scheduler knobs for the sharded replay.
-#[derive(Debug, Clone)]
-pub struct ShardReplayConfig {
-    /// Shard-worker threads (>= 1). Each shard is owned by exactly one
-    /// worker (consistent-hash routing), so worker count changes
-    /// neither bytes nor trace structure.
-    pub workers: usize,
-    /// Requests per micro-batch (>= 1). Each batch becomes one task
-    /// per shard; larger batches amortize one shard's matrix residency
-    /// over more requests.
-    pub max_batch: usize,
-    /// Bounded retries: per (shard, request) when the shard is
-    /// unavailable, and per task when its worker panics.
-    pub max_retries: u32,
-}
-
-impl Default for ShardReplayConfig {
-    fn default() -> Self {
-        ShardReplayConfig {
-            workers: 1,
-            max_batch: 64,
-            max_retries: 2,
-        }
-    }
-}
-
-/// Points per worker on the consistent-hash ring.
-const VIRTUAL_NODES: usize = 16;
-
-/// splitmix64 — the repo's stock deterministic mixer (same constants as
-/// the synthesis stream in `scenerec_core::freeze`).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A consistent-hash ring mapping shards to workers: each worker
-/// contributes `virtual_nodes` splitmix64 points, a shard is owned by
-/// the first point at or clockwise of its own hash. A worker's points
-/// depend only on its own index, so growing the pool moves a shard's
-/// ownership only *onto a new worker*, never between old ones
-/// (stability pinned by `ring_assignments_are_stable_under_growth`).
-#[derive(Debug)]
-pub(crate) struct HashRing {
-    points: Vec<(u64, usize)>,
-}
-
-impl HashRing {
-    pub(crate) fn new(workers: usize, virtual_nodes: usize) -> Self {
-        let mut points: Vec<(u64, usize)> = (0..workers)
-            .flat_map(|w| {
-                (0..virtual_nodes).map(move |v| (splitmix64(((w as u64) << 32) | v as u64), w))
-            })
-            .collect();
-        points.sort_unstable();
-        HashRing { points }
-    }
-
-    pub(crate) fn owner_of(&self, shard: usize) -> usize {
-        if self.points.is_empty() {
-            return 0;
-        }
-        let h = splitmix64((shard as u64) ^ 0xdead_beef_cafe_f00d);
-        let i = self.points.partition_point(|p| p.0 < h);
-        self.points[i % self.points.len()].1
-    }
-}
-
-/// A (micro-batch × shard) task: served requests `start..end` against
-/// `shard`.
-#[derive(Debug, Clone, Copy)]
-struct ShardTask {
-    start: usize,
-    end: usize,
-    shard: usize,
-}
-
-/// One request × shard outcome awaiting assembly.
-type Cell = Result<ShardPartial, String>;
-
-/// The sharded engine's pool work: one task queue per worker, filled by
-/// consistent-hash routing, each worker draining only its own. Result
-/// slot `pos * num_shards + shard` holds one (request, shard) cell.
-/// Critical sections only move values between containers, so poisoned
-/// locks are safe to recover.
-struct Scatter<'a> {
-    engine: &'a ShardedEngine,
-    /// The served requests, in serving order.
-    requests: &'a [Request],
-    config: &'a ShardReplayConfig,
-    injector: &'a Injector,
-    queues: Vec<Mutex<VecDeque<Claim<ShardTask>>>>,
-}
-
-/// Replays a request log through a [`ShardedEngine`] and returns
-/// responses in request order — byte-identical to the single-engine
-/// [`crate::replay`] on the same frozen model, at any shard count and
-/// any worker count.
-pub fn replay_sharded(
-    engine: &ShardedEngine,
-    requests: &[Request],
-    config: &ShardReplayConfig,
-) -> Vec<Response> {
-    let options = ReplayOptions::default();
-    replay_sharded_with(engine, &TimedRequest::burst(requests), config, &options).responses
-}
-
-/// Replays a timed arrival log through a [`ShardedEngine`] under
-/// `options` — the sharded twin of [`crate::replay_with`], with the
-/// same exactly-once, typed-outcome and worker-count-invariance
-/// contract.
-///
-/// * **Admission** runs first, as a pure function of (arrival order,
-///   capacities, lanes); shed arrivals are answered with typed overload
-///   responses, and admitted requests flow through the scatter-gather in
-///   the plan's global dequeue order, so the task queues only ever hold
-///   work the gate bounded.
-/// * **Faults**: a panicked worker's task re-enters its owner's queue;
-///   a lost shard degrades the response and names itself in
-///   [`Response::partial_shards`], it never silently truncates — see the
-///   module docs.
-/// * **Traces**: one [`TraceData`](scenerec_obs::TraceData) per
-///   arrival. Below the shared root / admission / `serve.queue`
-///   prefix, the batch span nests one
-///   `serve.shard` span per shard (fields: `shard`, `hit`, `candidates`
-///   or `error`) and a final `serve.merge` span. The coordinator
-///   assembles every tree in deterministic shard order, so span
-///   *structure* is identical at any worker count — pinned via
-///   `structure_digest` in `tests/serving_parity.rs`.
-pub fn replay_sharded_with(
-    engine: &ShardedEngine,
-    arrivals: &[TimedRequest],
-    config: &ShardReplayConfig,
-    options: &ReplayOptions,
-) -> Replay {
-    let plan = plan_admission(arrivals, options);
-    // Arrival index of each served request: the plan's global dequeue
-    // order, or arrival order without admission.
-    let order = plan.as_ref().map_or_else(
-        || (0..arrivals.len()).collect(),
-        AdmissionPlan::admitted_order,
-    );
-    let requests: Vec<Request> = order.iter().map(|&idx| arrivals[idx].request).collect();
-    let workers = config.workers.max(1);
-    let max_batch = config.max_batch.max(1);
-    let num_shards = engine.num_shards();
-    let ring = HashRing::new(workers, VIRTUAL_NODES);
-
-    // Batch-major × shard task order: all of a batch's shard tasks are
-    // enqueued together, and within one owner's queue a shard's tasks
-    // appear in batch order — the FIFO that makes per-shard cache
-    // evolution worker-count invariant.
-    let mut queues: Vec<VecDeque<Claim<ShardTask>>> =
-        (0..workers).map(|_| VecDeque::new()).collect();
-    for (start, end) in pool::batches(requests.len(), max_batch) {
-        for shard in 0..num_shards {
-            queues[ring.owner_of(shard)].push_back(Claim::fresh(ShardTask { start, end, shard }));
-        }
-    }
-    let scatter = Scatter {
-        engine,
-        requests: &requests,
-        config,
-        injector: &options.injector,
-        queues: queues.into_iter().map(Mutex::new).collect(),
-    };
-    let cells = pool::run(
-        &scatter,
-        workers,
-        config.max_retries,
-        &options.injector,
-        vec![None; requests.len() * num_shards],
-    );
-
-    // Gather single-threaded, in serving order, walking shards in index
-    // order — which is what makes sharded trace structure trivially
-    // worker-count invariant.
-    let mut responses = shed_slots(arrivals, plan.as_ref());
-    let mut traces = options.trace.then(|| open_traces(arrivals, plan.as_ref()));
-    let mut cells = cells.into_iter();
-    for (pos, (&idx, req)) in order.iter().zip(&requests).enumerate() {
-        let (response, infos) = gather(req, cells.by_ref().take(num_shards));
-        if let Some(t) = traces.as_mut().and_then(|ts| ts[idx].as_mut()) {
-            let batch_start = pos - pos % max_batch;
-            let batch_end = (batch_start + max_batch).min(requests.len());
-            trace_gather(t, (batch_start, batch_end), &infos, response.recs.len());
-        }
-        debug_assert!(responses[idx].is_none(), "response {idx} served twice");
-        responses[idx] = Some(response);
-    }
-    Replay {
-        responses: collect_responses(responses),
-        traces: traces.map_or_else(Vec::new, finish_traces),
-        plan,
-    }
-}
-
-/// One request's shard outcome for its trace: `(hit, candidates)` or
-/// the shard's error.
-type ShardInfo = Result<(bool, usize), String>;
-
-/// Merges one request's shard cells into its response.
-fn gather(req: &Request, row: impl Iterator<Item = Option<Cell>>) -> (Response, Vec<ShardInfo>) {
-    let mut partials: Vec<Vec<Recommendation>> = Vec::new();
-    let mut infos: Vec<ShardInfo> = Vec::new();
-    let mut missing: Vec<u32> = Vec::new();
-    let mut first_err: Option<String> = None;
-    for (s, cell) in row.enumerate() {
-        // Defensive: supervision guarantees every cell is filled; an
-        // empty one is answered, not ignored.
-        match cell.unwrap_or_else(|| Err(format!("shard {s} response missing"))) {
-            Ok(p) => {
-                infos.push(Ok((p.hit, p.candidates)));
-                partials.push(p.recs);
-            }
-            Err(e) => {
-                first_err.get_or_insert_with(|| e.clone());
-                infos.push(Err(e));
-                missing.push(s as u32);
-            }
-        }
-    }
-    let response = if partials.is_empty() {
-        // Every shard failed identically (e.g. an out-of-range user):
-        // surface the lowest shard's error as the request-level error,
-        // matching the single-engine text.
-        Response::error(req, first_err.unwrap_or_else(|| "no shards".to_owned()))
-    } else if !missing.is_empty() {
-        metrics::counter("serve/shard_degraded").inc();
-        Response {
-            degraded: true,
-            partial_shards: missing,
-            ..Response::ok(req, merge_top_k(&partials, req.k))
-        }
-    } else {
-        Response::ok(req, merge_top_k(&partials, req.k))
-    };
-    (response, infos)
-}
-
-/// Closes a request's open `serve.queue` span and records the batch,
-/// one `serve.shard` span per shard, and the merge.
-fn trace_gather(t: &mut Trace, (start, end): (usize, usize), infos: &[ShardInfo], merged: usize) {
-    t.end_top(); // serve.queue: the wait is over
-    let b = t.start_span("serve.batch");
-    t.add_field(b, "batch_start", FieldValue::Int(start as i64));
-    t.add_field(b, "batch_end", FieldValue::Int(end as i64));
-    for (s, info) in infos.iter().enumerate() {
-        let sp = t.start_span("serve.shard");
-        t.add_field(sp, "shard", FieldValue::Int(s as i64));
-        match info {
-            Ok((hit, candidates)) => {
-                t.add_field(sp, "hit", FieldValue::Bool(*hit));
-                if !hit {
-                    t.add_field(sp, "candidates", FieldValue::Int(*candidates as i64));
-                }
-            }
-            Err(e) => t.add_field(sp, "error", FieldValue::Str(e.clone())),
-        }
-        t.end_span(sp);
-    }
-    let m = t.start_span("serve.merge");
-    t.add_field(m, "merged", FieldValue::Int(merged as i64));
-    t.end_span(m);
-    t.end_span(b);
-}
-
-impl Scatter<'_> {
-    /// Serves one (request, shard) pair through the retry ladder on the
-    /// shard's injected I/O point `serve/shard/{s}`. Exhausted retries
-    /// fail *this shard's cell only* — assembly decides whether the
-    /// request degrades or errors.
-    fn serve_cell(&self, shard: usize, req: &Request) -> Cell {
-        let point = format!("serve/shard/{shard}");
-        let mut attempt = 0u32;
-        loop {
-            match self.injector.io(&point) {
-                Ok(()) => {
-                    return self
-                        .engine
-                        .partial_top_k(shard, req.user, req.k)
-                        .map_err(|e| e.to_string())
-                }
-                Err(e) => {
-                    if attempt < self.config.max_retries {
-                        metrics::counter("serve/shard_retries").inc();
-                        metrics::counter("serve/shard_backoff_ticks")
-                            .add(Backoff::default().ticks(attempt));
-                        attempt += 1;
-                        continue;
-                    }
-                    return Err(format!(
-                        "shard {shard} unavailable after {attempt} retries: {e}"
-                    ));
-                }
-            }
-        }
-    }
-}
-
-impl Work for Scatter<'_> {
-    type Task = ShardTask;
-    type Out = Cell;
-    type Local = Arc<Histogram>;
-
-    const RESPAWNS: &'static str = "serve/shard_worker_respawns";
-    const PANIC_POINT: &'static str = "serve/shard_worker";
-    const CLAIM_EVENT: &'static str = "serve.shard.claim";
-    const PANIC_MESSAGE: &'static str = "shard worker panicked; respawning";
-
-    fn local(&self) -> Arc<Histogram> {
-        metrics::histogram("serve/shard_task_ns", &latency_edges())
-    }
-
-    fn claim(&self, slot: usize, _task_hist: &mut Arc<Histogram>) -> Option<Claim<ShardTask>> {
-        lock_unpoisoned(&self.queues[slot]).pop_front()
-    }
-
-    /// Requeues at the front of the *same owner's* queue so the shard's
-    /// task stream stays FIFO in batch order.
-    fn requeue(&self, slot: usize, claim: Claim<ShardTask>) {
-        lock_unpoisoned(&self.queues[slot]).push_front(claim);
-    }
-
-    fn serve_task(&self, task: ShardTask, task_hist: &mut Arc<Histogram>) -> Vec<(usize, Cell)> {
-        let num_shards = self.engine.num_shards();
-        let watch = Stopwatch::start();
-        let served = (task.start..task.end)
-            .map(|pos| {
-                let cell = self.serve_cell(task.shard, &self.requests[pos]);
-                (pos * num_shards + task.shard, cell)
-            })
-            .collect();
-        task_hist.observe(watch.elapsed_ns() as f64);
-        served
-    }
-
-    fn fail_task(&self, task: ShardTask, attempts: u32) -> Vec<(usize, Cell)> {
-        let num_shards = self.engine.num_shards();
-        (task.start..task.end)
-            .map(|pos| {
-                let error = format!(
-                    "shard {} worker failed {attempts} times serving this batch",
-                    task.shard
-                );
-                (pos * num_shards + task.shard, Err(error))
-            })
-            .collect()
+        Ok(lock_unpoisoned(&self.shard(s)?.cache).len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::FrozenEngine;
-    use crate::scheduler::{replay, responses_to_json, ReplayConfig};
+    use crate::admission::TimedRequest;
+    use crate::scheduler::{
+        replay_sharded, replay_sharded_with, responses_to_json, ReplayOptions, Request, Response,
+        ShardReplayConfig,
+    };
     use scenerec_core::FrozenModel;
-    use scenerec_faults::{Fault, FaultPlan, Trigger};
+    use scenerec_faults::{Fault, FaultPlan, Injector, Trigger};
     use scenerec_tensor::Matrix;
+
+    /// splitmix64 — the repo's stock deterministic mixer (same constants
+    /// as the synthesis stream in `scenerec_core::freeze`).
+    fn splitmix64(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
 
     /// A pseudo-random dot model with heavy score ties: embeddings are
     /// drawn from a tiny alphabet so distinct items collide on exact
@@ -877,6 +581,11 @@ mod tests {
         replay_sharded_with(engine, &TimedRequest::burst(requests), config, &options).responses
     }
 
+    /// A one-shard engine: the whole catalog behind one cache.
+    fn single(frozen: FrozenModel, seen: &[Vec<u32>]) -> ShardedEngine {
+        ShardedEngine::new(frozen, seen, ShardedConfig::with_shards(1)).unwrap()
+    }
+
     fn seen_for(num_users: usize) -> Vec<Vec<u32>> {
         (0..num_users)
             .map(|u| ((u as u32)..(u as u32) + 3).collect())
@@ -888,7 +597,7 @@ mod tests {
         let num_users = 7;
         let frozen = tie_heavy_frozen(num_users, 101, 6);
         let seen = seen_for(num_users);
-        let single = FrozenEngine::new(frozen.clone(), &seen, EngineConfig::default()).unwrap();
+        let single = single(frozen.clone(), &seen);
         for shards in [1usize, 2, 4, 8] {
             let sharded =
                 ShardedEngine::new(frozen.clone(), &seen, ShardedConfig::with_shards(shards))
@@ -959,6 +668,47 @@ mod tests {
         }
     }
 
+    /// Satellite regression for the stats split: `shard_cache_stats`
+    /// reads the shared atomics, not the cache mutex. The test holds a
+    /// shard's cache lock on the same thread while polling stats — if
+    /// the accessor ever went back to locking the cache, this would
+    /// deadlock (std mutexes are non-reentrant) and hang the test.
+    #[test]
+    fn cache_stats_reads_do_not_take_the_cache_lock() {
+        let engine =
+            ShardedEngine::new_unseen(tie_heavy_frozen(3, 40, 4), ShardedConfig::with_shards(2))
+                .unwrap();
+        engine.top_k(0, 2).unwrap(); // one miss per shard, filled
+        engine.top_k(0, 2).unwrap(); // one hit per shard
+        let _cache_guard = engine.shards[1]
+            .cache
+            .lock()
+            .expect("test holds shard 1's cache lock");
+        assert_eq!(engine.shard_cache_stats(1).unwrap(), (1, 1));
+    }
+
+    /// A click on an item outside the catalog is a typed error, not a
+    /// silently dropped click: no seen mask is allocated and no cache
+    /// entry is evicted.
+    #[test]
+    fn mark_seen_rejects_out_of_range_items() {
+        let mut engine =
+            ShardedEngine::new_unseen(tie_heavy_frozen(3, 40, 4), ShardedConfig::with_shards(4))
+                .unwrap();
+        let before = engine.top_k(0, 5).unwrap();
+        for item in [40u32, u32::MAX] {
+            assert!(matches!(
+                engine.mark_seen(0, item),
+                Err(ServeError::ItemOutOfRange { item: i, num_items: 40 }) if i == item
+            ));
+        }
+        assert!(engine.seen.is_empty(), "a rejected click allocated a mask");
+        assert_eq!(engine.top_k(0, 5).unwrap(), before);
+        for s in 0..4 {
+            assert_eq!(engine.shard_cache_stats(s).unwrap(), (1, 1), "shard {s}");
+        }
+    }
+
     #[test]
     fn mark_seen_evicts_only_the_owning_shard() {
         let frozen = tie_heavy_frozen(3, 40, 4);
@@ -974,9 +724,7 @@ mod tests {
             assert_eq!(engine.shard_cache_stats(s).unwrap(), want, "shard {s}");
         }
         // And the exclusion is live: a single-engine oracle agrees.
-        let single =
-            FrozenEngine::new(frozen, &[vec![15], vec![], vec![]], EngineConfig::default())
-                .unwrap();
+        let single = single(frozen, &[vec![15], vec![], vec![]]);
         assert_eq!(engine.top_k(0, 40).unwrap(), single.top_k(0, 40).unwrap());
     }
 
@@ -1020,44 +768,22 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_deterministic_and_stable_under_growth() {
-        let a = HashRing::new(4, 16);
-        let b = HashRing::new(4, 16);
-        for shard in 0..64 {
-            assert_eq!(a.owner_of(shard), b.owner_of(shard));
-        }
-        let one = HashRing::new(1, 16);
-        for shard in 0..64 {
-            assert_eq!(one.owner_of(shard), 0);
-        }
-        // Consistent-hash stability: adding a worker only ever moves a
-        // shard *to the new worker*, never between existing ones.
-        for w in 1..6usize {
-            let small = HashRing::new(w, 16);
-            let grown = HashRing::new(w + 1, 16);
-            for shard in 0..64 {
-                let (before, after) = (small.owner_of(shard), grown.owner_of(shard));
-                assert!(
-                    after == before || after == w,
-                    "shard {shard}: {before} -> {after} with worker {w} added"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn replay_sharded_matches_single_engine_replay_bytes() {
         let num_users = 5;
         let frozen = tie_heavy_frozen(num_users, 60, 4);
         let seen = seen_for(num_users);
-        let single = FrozenEngine::new(frozen.clone(), &seen, EngineConfig::default()).unwrap();
+        let single = single(frozen.clone(), &seen);
         let requests: Vec<Request> = (0..30u32)
             .map(|i| Request {
                 user: i % num_users as u32,
                 k: 1 + (i as usize % 7),
             })
             .collect();
-        let want = responses_to_json(&replay(&single, &requests, &ReplayConfig::default()));
+        let want = responses_to_json(&replay_sharded(
+            &single,
+            &requests,
+            &ShardReplayConfig::default(),
+        ));
         for shards in [1usize, 2, 4] {
             let engine =
                 ShardedEngine::new(frozen.clone(), &seen, ShardedConfig::with_shards(shards))
@@ -1116,15 +842,10 @@ mod tests {
     #[test]
     fn unknown_user_errors_match_single_engine_text_through_replay() {
         let frozen = tie_heavy_frozen(3, 20, 4);
-        let single = FrozenEngine::new(
-            frozen.clone(),
-            &vec![Vec::new(); 3],
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let single = single(frozen.clone(), &vec![Vec::new(); 3]);
         let sharded = ShardedEngine::new_unseen(frozen, ShardedConfig::with_shards(4)).unwrap();
         let requests = [Request { user: 77, k: 3 }];
-        let want = replay(&single, &requests, &ReplayConfig::default());
+        let want = replay_sharded(&single, &requests, &ShardReplayConfig::default());
         let got = replay_sharded(&sharded, &requests, &ShardReplayConfig::default());
         assert_eq!(want[0].error, got[0].error);
         assert_eq!(responses_to_json(&want), responses_to_json(&got));

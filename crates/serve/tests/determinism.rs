@@ -1,22 +1,23 @@
 //! Concurrency determinism: replaying the same request log through the
 //! scheduler at different worker counts must produce **byte-identical**
-//! responses. Batches are claimed through a shared cursor, so which
-//! worker serves which request is scheduling-dependent — but the engine
-//! is pure, the cache returns the same bits a recompute would, and the
-//! scheduler reassembles by request index, so none of that can show up in
-//! the output.
+//! responses. The engine has four shards, so every worker count up to
+//! four has work, and which worker serves which shard depends on the
+//! worker count — but the engine is pure, the cache returns the same
+//! bits a recompute would, and the scheduler reassembles by request
+//! index, so none of that can show up in the output.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scenerec_baselines::BprMf;
 use scenerec_core::trainer::{train, TrainConfig};
+use scenerec_core::Precision;
 use scenerec_data::{generate, GeneratorConfig};
 use scenerec_serve::{
-    replay, responses_to_json, EngineConfig, FrozenEngine, ReplayConfig, Request,
+    replay_sharded, responses_to_json, Request, ShardReplayConfig, ShardedConfig, ShardedEngine,
 };
 
 /// A trained BPR-MF engine over a tiny deterministic dataset.
-fn trained_engine() -> (FrozenEngine, u32) {
+fn trained_engine() -> (ShardedEngine, u32) {
     let data = generate(&GeneratorConfig::tiny(2021)).expect("dataset generation");
     let mut model = BprMf::new(&data, 16, 7);
     let cfg = TrainConfig {
@@ -28,9 +29,20 @@ fn trained_engine() -> (FrozenEngine, u32) {
     };
     train(&mut model, &data, &cfg);
     let num_users = data.num_users();
-    let engine = FrozenEngine::from_model(&model, &data, EngineConfig::default())
-        .expect("freeze BPR-MF for serving");
+    let engine = ShardedEngine::from_model_quantized(
+        &model,
+        &data,
+        Precision::F32,
+        ShardedConfig::with_shards(4),
+    )
+    .expect("freeze BPR-MF for serving");
     (engine, num_users)
+}
+
+fn clear_caches(engine: &ShardedEngine) {
+    for s in 0..engine.num_shards() {
+        engine.invalidate_shard(s).expect("shard index in range");
+    }
 }
 
 /// A seeded request log mixing repeat users (cache hits), varying k, and
@@ -58,13 +70,13 @@ fn worker_count_is_unobservable_in_response_bytes() {
     let (engine, num_users) = trained_engine();
     let requests = request_log(num_users, 300, 42);
 
-    let reference = responses_to_json(&replay(
+    let reference = responses_to_json(&replay_sharded(
         &engine,
         &requests,
-        &ReplayConfig {
+        &ShardReplayConfig {
             workers: 1,
             max_batch: 16,
-            ..ReplayConfig::default()
+            ..ShardReplayConfig::default()
         },
     ));
     assert!(!reference.is_empty());
@@ -72,14 +84,14 @@ fn worker_count_is_unobservable_in_response_bytes() {
     for workers in [2usize, 4] {
         // Fresh cache state per run so hit patterns differ across worker
         // counts — the bytes still must not.
-        engine.clear_cache();
-        let got = responses_to_json(&replay(
+        clear_caches(&engine);
+        let got = responses_to_json(&replay_sharded(
             &engine,
             &requests,
-            &ReplayConfig {
+            &ShardReplayConfig {
                 workers,
                 max_batch: 16,
-                ..ReplayConfig::default()
+                ..ShardReplayConfig::default()
             },
         ));
         assert_eq!(
@@ -94,24 +106,24 @@ fn worker_count_is_unobservable_in_response_bytes() {
 fn batch_size_is_unobservable_in_response_bytes() {
     let (engine, num_users) = trained_engine();
     let requests = request_log(num_users, 120, 9);
-    let reference = responses_to_json(&replay(
+    let reference = responses_to_json(&replay_sharded(
         &engine,
         &requests,
-        &ReplayConfig {
+        &ShardReplayConfig {
             workers: 2,
             max_batch: 1,
-            ..ReplayConfig::default()
+            ..ShardReplayConfig::default()
         },
     ));
     for max_batch in [3usize, 64, 1000] {
-        engine.clear_cache();
-        let got = responses_to_json(&replay(
+        clear_caches(&engine);
+        let got = responses_to_json(&replay_sharded(
             &engine,
             &requests,
-            &ReplayConfig {
+            &ShardReplayConfig {
                 workers: 2,
                 max_batch,
-                ..ReplayConfig::default()
+                ..ShardReplayConfig::default()
             },
         ));
         assert_eq!(reference, got, "max_batch={max_batch} diverged");
@@ -122,8 +134,16 @@ fn batch_size_is_unobservable_in_response_bytes() {
 fn warm_cache_replay_matches_cold_replay() {
     let (engine, num_users) = trained_engine();
     let requests = request_log(num_users, 80, 3);
-    let cold = responses_to_json(&replay(&engine, &requests, &ReplayConfig::default()));
+    let cold = responses_to_json(&replay_sharded(
+        &engine,
+        &requests,
+        &ShardReplayConfig::default(),
+    ));
     // Second pass is served (mostly) from cache; bytes must not change.
-    let warm = responses_to_json(&replay(&engine, &requests, &ReplayConfig::default()));
+    let warm = responses_to_json(&replay_sharded(
+        &engine,
+        &requests,
+        &ShardReplayConfig::default(),
+    ));
     assert_eq!(cold, warm);
 }

@@ -3,8 +3,8 @@
 //! Pins the tentpole tracing invariants:
 //!
 //! * every response's span tree roots at its request's trace id, with
-//!   `serve.queue` / `serve.batch` children and `serve.cache` /
-//!   `serve.score` grandchildren,
+//!   `serve.queue` / `serve.batch` children and `serve.shard` /
+//!   `serve.merge` grandchildren,
 //! * span *structure* (ids, parentage, logical ticks) is byte-identical
 //!   across worker counts {1, 2, 4} — cold (all cache misses) and warm
 //!   (all hits),
@@ -16,14 +16,15 @@ use scenerec_core::{FrozenHead, FrozenModel, Recommendation};
 use scenerec_faults::{Fault, FaultPlan, Injector, Trigger};
 use scenerec_obs::{chrome_trace_json, structure_digest, structure_text, FieldValue, TraceData};
 use scenerec_serve::{
-    replay, replay_with, EngineConfig, FrozenEngine, ReplayConfig, ReplayOptions, Request,
-    Response, TimedRequest,
+    replay_sharded, replay_sharded_with, EngineConfig, ReplayOptions, Request, Response,
+    ShardReplayConfig, ShardedConfig, ShardedEngine, TimedRequest,
 };
 use scenerec_tensor::Matrix;
 
 const NUM_REQUESTS: usize = 1002;
 
-fn toy_engine() -> FrozenEngine {
+/// A one-shard engine: the whole catalog behind one cache.
+fn toy_engine() -> ShardedEngine {
     let mut users = Matrix::zeros(3, 2);
     users.set_row(0, &[1.0, 0.0]);
     users.set_row(1, &[0.0, 1.0]);
@@ -44,7 +45,11 @@ fn toy_engine() -> FrozenEngine {
         cache_capacity: 2 * NUM_REQUESTS,
         ..EngineConfig::default()
     };
-    FrozenEngine::new(frozen, &[vec![0], vec![], vec![4]], config).unwrap()
+    let config = ShardedConfig {
+        shards: 1,
+        engine: config,
+    };
+    ShardedEngine::new(frozen, &[vec![0], vec![], vec![4]], config).unwrap()
 }
 
 /// 1002 requests with pairwise-distinct (user, k): on a fresh engine a
@@ -60,9 +65,9 @@ fn unique_requests() -> Vec<Request> {
 }
 
 fn traced_supervised(
-    engine: &FrozenEngine,
+    engine: &ShardedEngine,
     requests: &[Request],
-    config: &ReplayConfig,
+    config: &ShardReplayConfig,
     injector: &Injector,
 ) -> (Vec<Response>, Vec<TraceData>) {
     let options = ReplayOptions {
@@ -70,23 +75,23 @@ fn traced_supervised(
         trace: true,
         ..ReplayOptions::default()
     };
-    let out = replay_with(engine, &TimedRequest::burst(requests), config, &options);
+    let out = replay_sharded_with(engine, &TimedRequest::burst(requests), config, &options);
     (out.responses, out.traces)
 }
 
 fn traced(
-    engine: &FrozenEngine,
+    engine: &ShardedEngine,
     requests: &[Request],
-    config: &ReplayConfig,
+    config: &ShardReplayConfig,
 ) -> (Vec<Response>, Vec<TraceData>) {
     traced_supervised(engine, requests, config, &Injector::disabled())
 }
 
-fn config(workers: usize) -> ReplayConfig {
-    ReplayConfig {
+fn config(workers: usize) -> ShardReplayConfig {
+    ShardReplayConfig {
         workers,
         max_batch: 16,
-        ..ReplayConfig::default()
+        ..ShardReplayConfig::default()
     }
 }
 
@@ -120,11 +125,11 @@ fn every_response_roots_at_its_requests_trace_id() {
             .iter()
             .map(|s| s.name.as_str())
             .collect();
-        // Fresh engine + unique (user, k): always a miss, so the cache
-        // probe is followed by a scoring span.
-        assert_eq!(grandkids, vec!["serve.cache", "serve.score"]);
+        // Fresh engine + unique (user, k): always a miss, so the shard
+        // span records a scoring pass, then the merge follows.
+        assert_eq!(grandkids, vec!["serve.shard", "serve.merge"]);
         assert_eq!(
-            trace.span_named("serve.cache").unwrap().field("hit"),
+            trace.span_named("serve.shard").unwrap().field("hit"),
             Some(&FieldValue::Bool(false))
         );
 
@@ -164,16 +169,16 @@ fn span_structure_is_byte_identical_across_worker_counts() {
             let (_, traces) = traced(&engine, &requests, &config(workers));
             assert!(traces
                 .iter()
-                .all(|t| t.span_named("serve.cache").unwrap().field("hit")
+                .all(|t| t.span_named("serve.shard").unwrap().field("hit")
                     == Some(&FieldValue::Bool(true))));
             structure_text(&traces)
         })
         .collect();
     assert_eq!(warm[0], warm[1], "warm structure diverged at 2 workers");
     assert_eq!(warm[0], warm[2], "warm structure diverged at 4 workers");
-    // Warm trees have no serve.score span, so cold and warm structures
-    // legitimately differ.
-    assert_ne!(cold[0], warm[0]);
+    // A hit and a miss record the same span tree — only the shard
+    // span's fields differ — so cold and warm structures agree too.
+    assert_eq!(cold[0], warm[0]);
 }
 
 #[test]
@@ -186,15 +191,16 @@ fn span_structure_survives_injected_worker_panics() {
     };
     for workers in [1usize, 2, 4] {
         let engine = toy_engine();
-        let cfg = ReplayConfig {
+        let cfg = ShardReplayConfig {
             max_retries: 16,
             ..config(workers)
         };
-        // Every 3rd batch claim panics its worker. The panic fires
-        // before the worker takes any trace out of its slot, so the
-        // recorded structure must match the fault-free reference.
+        // Every 3rd task claim panics its worker. The panic fires
+        // before the worker serves any cell, and traces are assembled
+        // after the scatter, so the recorded structure must match the
+        // fault-free reference.
         let injector = Injector::new(FaultPlan::new(workers as u64).inject(
-            "serve/worker",
+            "serve/shard_worker",
             Trigger::Every(3),
             Fault::Panic,
         ));
@@ -212,7 +218,7 @@ fn span_structure_survives_injected_worker_panics() {
 #[test]
 fn tracing_does_not_change_served_bytes() {
     let requests = unique_requests();
-    let untraced: Vec<Response> = replay(&toy_engine(), &requests, &config(4));
+    let untraced: Vec<Response> = replay_sharded(&toy_engine(), &requests, &config(4));
     let (traced, _) = traced(&toy_engine(), &requests, &config(4));
     assert_eq!(untraced, traced);
     let recs: Vec<&Recommendation> = traced.iter().flat_map(|r| &r.recs).collect();
@@ -270,23 +276,31 @@ fn chrome_export_parses_and_covers_every_span() {
 
 #[test]
 fn engine_outage_traces_keep_request_root() {
-    // Retries and degraded fallbacks happen before the engine call, so
-    // a request that never reaches the engine still has a rooted trace
-    // with queue and batch spans — just no cache/score children.
+    // Retries and stale fallbacks happen inside the shard's cell, so a
+    // request whose shard is down still has a rooted trace with queue,
+    // batch, shard and merge spans.
     let engine = toy_engine();
     let requests = vec![Request { user: 1, k: 2 }, Request { user: 1, k: 2 }];
-    let cfg = ReplayConfig {
+    let cfg = ShardReplayConfig {
         workers: 1,
         max_batch: 1,
         max_retries: 1,
-        ..ReplayConfig::default()
     };
     let injector =
-        Injector::new(FaultPlan::new(9).inject("serve/engine", Trigger::After(1), Fault::Io));
+        Injector::new(FaultPlan::new(9).inject("serve/shard/0", Trigger::After(1), Fault::Io));
     let (responses, traces) = traced_supervised(&engine, &requests, &cfg, &injector);
     assert!(responses[1].degraded);
     let degraded: &TraceData = &traces[1];
     assert_eq!(degraded.root().unwrap().name, "serve.request");
     let names: Vec<&str> = degraded.spans.iter().map(|s| s.name.as_str()).collect();
-    assert_eq!(names, vec!["serve.request", "serve.queue", "serve.batch"]);
+    assert_eq!(
+        names,
+        vec![
+            "serve.request",
+            "serve.queue",
+            "serve.batch",
+            "serve.shard",
+            "serve.merge"
+        ]
+    );
 }

@@ -13,9 +13,8 @@
 //! | `checkpoint/write`  | I/O error, torn write, bit-flip   | typed error / fallback to older file |
 //! | `checkpoint/commit` | I/O error before rename           | no checkpoint file left behind       |
 //! | `checkpoint/read`   | I/O error, corruption on read     | fallback across the retention window |
-//! | `serve/worker`      | worker panic                      | respawn + exactly-once requeue       |
-//! | `serve/engine`      | engine unavailable                | bounded retry, then stale/degraded   |
-//! | `serve/request`     | artificial latency                | typed deadline-exceeded response     |
+//! | `serve/shard_worker`| worker panic                      | respawn + exactly-once requeue       |
+//! | `serve/shard/{s}`   | shard unavailable                 | bounded retry, then stale/degraded   |
 //! | `train/epoch`       | crash between epochs              | byte-identical resume                |
 
 use scenerec_core::checkpoint::{self, CheckpointError, CheckpointStore};
@@ -24,9 +23,9 @@ use scenerec_core::{FrozenHead, FrozenModel, PairwiseModel, Precision, SceneRec,
 use scenerec_data::{generate, Dataset, GeneratorConfig};
 use scenerec_faults::{Fault, FaultPlan, Injector, Trigger};
 use scenerec_serve::{
-    merge_top_k, replay, replay_sharded, replay_sharded_with, replay_with, responses_to_json,
-    AdmissionConfig, AdmissionPlan, EngineConfig, FrozenEngine, ReplayConfig, ReplayOptions,
-    Request, Response, ShardReplayConfig, ShardedConfig, ShardedEngine, TimedRequest, Verdict,
+    merge_top_k, replay_sharded, replay_sharded_with, responses_to_json, AdmissionConfig,
+    AdmissionPlan, ReplayOptions, Request, Response, ShardReplayConfig, ShardedConfig,
+    ShardedEngine, TimedRequest, Verdict,
 };
 use scenerec_tensor::Matrix;
 
@@ -70,9 +69,9 @@ fn toy_frozen() -> (FrozenModel, Vec<Vec<u32>>) {
     (frozen, seen)
 }
 
-fn toy_engine() -> FrozenEngine {
-    let (frozen, seen) = toy_frozen();
-    FrozenEngine::new(frozen, &seen, EngineConfig::default()).unwrap()
+/// The single engine: the whole snapshot in one shard.
+fn toy_engine() -> ShardedEngine {
+    toy_sharded(1)
 }
 
 /// The same snapshot range-partitioned across `shards` item ranges.
@@ -91,15 +90,6 @@ fn faulted(inj: &Injector, admission: Option<&AdmissionConfig>) -> ReplayOptions
 }
 
 fn supervised(
-    engine: &FrozenEngine,
-    reqs: &[Request],
-    cfg: &ReplayConfig,
-    inj: &Injector,
-) -> Vec<Response> {
-    replay_with(engine, &TimedRequest::burst(reqs), cfg, &faulted(inj, None)).responses
-}
-
-fn sharded_supervised(
     engine: &ShardedEngine,
     reqs: &[Request],
     cfg: &ShardReplayConfig,
@@ -109,16 +99,6 @@ fn sharded_supervised(
 }
 
 fn bounded(
-    engine: &FrozenEngine,
-    arrivals: &[TimedRequest],
-    (cfg, admission): &(ReplayConfig, AdmissionConfig),
-    inj: &Injector,
-) -> (Vec<Response>, AdmissionPlan) {
-    let out = replay_with(engine, arrivals, cfg, &faulted(inj, Some(admission)));
-    (out.responses, out.plan.expect("admission was requested"))
-}
-
-fn sharded_bounded(
     engine: &ShardedEngine,
     arrivals: &[TimedRequest],
     cfg: &ShardReplayConfig,
@@ -210,47 +190,35 @@ fn every_injection_point_is_exercised_and_absorbed() {
         "{err}"
     );
 
-    // serve/worker: a panicking worker is respawned and its batch served.
+    // serve/shard_worker: a panicking worker is respawned and its batch
+    // served.
     let engine = toy_engine();
     let reqs = request_log();
-    let inj =
-        Injector::new(FaultPlan::new(seed).inject("serve/worker", Trigger::Nth(1), Fault::Panic));
-    let scfg = ReplayConfig {
+    let inj = Injector::new(FaultPlan::new(seed).inject(
+        "serve/shard_worker",
+        Trigger::Nth(1),
+        Fault::Panic,
+    ));
+    let scfg = ShardReplayConfig {
         workers: 2,
         max_batch: 8,
-        ..ReplayConfig::default()
+        ..ShardReplayConfig::default()
     };
     let out = supervised(&engine, &reqs, &scfg, &inj);
     assert_eq!(out.len(), reqs.len());
     assert!(out.iter().all(|r| r.error.is_none()));
 
-    // serve/engine: outages become bounded retries, then typed errors.
+    // serve/shard/{s}: outages become bounded retries, then typed errors.
     let inj =
-        Injector::new(FaultPlan::new(seed).inject("serve/engine", Trigger::Always, Fault::Io));
-    let scfg = ReplayConfig {
-        ..ReplayConfig::default()
+        Injector::new(FaultPlan::new(seed).inject("serve/shard/0", Trigger::Always, Fault::Io));
+    let scfg = ShardReplayConfig {
+        ..ShardReplayConfig::default()
     };
     let out = supervised(&engine, &reqs[..4], &scfg, &inj);
     assert!(out.iter().all(|r| r
         .error
         .as_deref()
-        .is_some_and(|e| e.contains("engine unavailable"))));
-
-    // serve/request: injected latency past the deadline is typed.
-    let inj = Injector::new(FaultPlan::new(seed).inject(
-        "serve/request",
-        Trigger::Always,
-        Fault::Latency(1_000),
-    ));
-    let scfg = ReplayConfig {
-        deadline_ticks: 100,
-        ..ReplayConfig::default()
-    };
-    let out = supervised(&engine, &reqs[..4], &scfg, &inj);
-    assert!(out.iter().all(|r| r
-        .error
-        .as_deref()
-        .is_some_and(|e| e.contains("deadline exceeded"))));
+        .is_some_and(|e| e.contains("shard 0 unavailable"))));
 
     // train/epoch: an injected crash surfaces as Interrupted.
     let mut model = SceneRec::new(mcfg, &data);
@@ -275,27 +243,26 @@ fn every_injection_point_is_exercised_and_absorbed() {
 fn worker_panic_storms_never_lose_or_duplicate_responses() {
     let engine = toy_engine();
     let reqs = request_log();
-    let reference = responses_to_json(&replay(
+    let reference = responses_to_json(&replay_sharded(
         &engine,
         &reqs,
-        &ReplayConfig {
+        &ShardReplayConfig {
             max_batch: 4,
-            ..ReplayConfig::default()
+            ..ShardReplayConfig::default()
         },
     ));
     for workers in [1usize, 2, 4] {
         let inj = Injector::new(FaultPlan::new(chaos_seed()).inject(
-            "serve/worker",
+            "serve/shard_worker",
             Trigger::Every(3),
             Fault::Panic,
         ));
-        let cfg = ReplayConfig {
+        let cfg = ShardReplayConfig {
             workers,
             max_batch: 4,
             // Every third claim panics, so allow generous requeues: the
             // invariant under test is delivery, not the retry budget.
             max_retries: 32,
-            ..ReplayConfig::default()
         };
         let got = responses_to_json(&supervised(&engine, &reqs, &cfg, &inj));
         assert!(inj.injected() >= 1, "plan never fired at workers={workers}");
@@ -321,14 +288,14 @@ fn engine_outage_degrades_to_bit_identical_stale_results() {
 
     // The first 6 engine calls succeed, everything after is down.
     let inj = Injector::new(FaultPlan::new(chaos_seed()).inject(
-        "serve/engine",
+        "serve/shard/0",
         Trigger::After(6),
         Fault::Io,
     ));
-    let cfg = ReplayConfig {
+    let cfg = ShardReplayConfig {
         workers: 1, // keep the global invocation order = request order
         max_retries: 1,
-        ..ReplayConfig::default()
+        ..ShardReplayConfig::default()
     };
     let out = supervised(&engine, &reqs, &cfg, &inj);
     assert_eq!(out.len(), 12);
@@ -350,54 +317,20 @@ fn engine_outage_degrades_to_bit_identical_stale_results() {
 fn engine_outage_without_stale_results_is_a_typed_error() {
     let engine = toy_engine();
     let inj = Injector::new(FaultPlan::new(chaos_seed()).inject(
-        "serve/engine",
+        "serve/shard/0",
         Trigger::Always,
         Fault::Io,
     ));
-    let cfg = ReplayConfig {
+    let cfg = ShardReplayConfig {
         max_retries: 3,
-        ..ReplayConfig::default()
+        ..ShardReplayConfig::default()
     };
     let out = supervised(&engine, &[Request { user: 1, k: 2 }], &cfg, &inj);
     assert!(out[0]
         .error
         .as_deref()
-        .is_some_and(|e| e.contains("engine unavailable after 3 retries")));
+        .is_some_and(|e| e.contains("shard 0 unavailable after 3 retries")));
     assert!(out[0].recs.is_empty() && !out[0].degraded);
-}
-
-/// Latency injection on alternating requests: exactly the slowed
-/// requests miss the deadline; the rest are served normally.
-#[test]
-fn latency_injection_misses_deadlines_exactly_where_armed() {
-    let engine = toy_engine();
-    let reqs = request_log();
-    let inj = Injector::new(FaultPlan::new(chaos_seed()).inject(
-        "serve/request",
-        Trigger::Every(2),
-        Fault::Latency(500),
-    ));
-    let cfg = ReplayConfig {
-        workers: 1, // request i is invocation i + 1 of serve/request
-        deadline_ticks: 100,
-        ..ReplayConfig::default()
-    };
-    let out = supervised(&engine, &reqs, &cfg, &inj);
-    for (i, resp) in out.iter().enumerate() {
-        if (i + 1) % 2 == 0 {
-            assert!(
-                resp.error
-                    .as_deref()
-                    .is_some_and(|e| e.contains("deadline exceeded")),
-                "request {i} should have missed its deadline: {resp:?}"
-            );
-        } else {
-            assert!(
-                resp.error.is_none(),
-                "request {i} should be clean: {resp:?}"
-            );
-        }
-    }
 }
 
 /// A worker panic dumps the flight recorder: the supervisor's warning
@@ -416,15 +349,14 @@ fn worker_panic_dumps_flight_recorder() {
     let engine = toy_engine();
     let reqs = request_log();
     let inj = Injector::new(FaultPlan::new(chaos_seed()).inject(
-        "serve/worker",
+        "serve/shard_worker",
         Trigger::Nth(2),
         Fault::Panic,
     ));
-    let cfg = ReplayConfig {
+    let cfg = ShardReplayConfig {
         workers: 2,
         max_batch: 8,
         max_retries: 8,
-        ..ReplayConfig::default()
     };
     let out = supervised(&engine, &reqs, &cfg, &inj);
     remove_sink(handle);
@@ -449,11 +381,11 @@ fn worker_panic_dumps_flight_recorder() {
         })
         .expect("supervisor warning must carry a flight-recorder dump");
     assert!(
-        dump.contains("serve.batch.claim"),
+        dump.contains("serve.shard.claim"),
         "dump must show the claim that died:\n{dump}"
     );
     assert!(
-        dump.contains("faults.injected") && dump.contains("Panic at serve/worker"),
+        dump.contains("faults.injected") && dump.contains("Panic at serve/shard_worker"),
         "dump must show the injected fault:\n{dump}"
     );
 }
@@ -475,13 +407,12 @@ fn timed_burst() -> Vec<TimedRequest> {
 }
 
 /// Bounds small enough that the burst sheds in both lanes.
-fn tight_bounds(workers: usize) -> (ReplayConfig, AdmissionConfig) {
+fn tight_bounds(workers: usize) -> (ShardReplayConfig, AdmissionConfig) {
     (
-        ReplayConfig {
+        ShardReplayConfig {
             workers,
             max_batch: 4,
             max_retries: 32,
-            ..ReplayConfig::default()
         },
         AdmissionConfig {
             fast_capacity: 4,
@@ -502,8 +433,9 @@ fn tight_bounds(workers: usize) -> (ReplayConfig, AdmissionConfig) {
 fn bounded_worker_panics_at_capacity_preserve_exactly_once() {
     let arrivals = timed_burst();
     let engine = toy_engine();
+    let (cfg, admission) = tight_bounds(1);
     let (fault_free, reference_plan) =
-        bounded(&engine, &arrivals, &tight_bounds(1), &Injector::disabled());
+        bounded(&engine, &arrivals, &cfg, &admission, &Injector::disabled());
     let reference = responses_to_json(&fault_free);
     assert!(
         reference_plan.shed() > 0 && reference_plan.admitted() > 0,
@@ -512,11 +444,12 @@ fn bounded_worker_panics_at_capacity_preserve_exactly_once() {
 
     for workers in [1usize, 2, 4] {
         let inj = Injector::new(FaultPlan::new(chaos_seed()).inject(
-            "serve/worker",
+            "serve/shard_worker",
             Trigger::Every(3),
             Fault::Panic,
         ));
-        let (out, plan) = bounded(&engine, &arrivals, &tight_bounds(workers), &inj);
+        let (cfg, admission) = tight_bounds(workers);
+        let (out, plan) = bounded(&engine, &arrivals, &cfg, &admission, &inj);
         assert!(inj.injected() >= 1, "plan never fired at workers={workers}");
 
         // Panics cannot shed admitted work or admit shed work: the plan
@@ -560,7 +493,7 @@ fn bounded_worker_panics_at_capacity_preserve_exactly_once() {
 fn sharded_bounded_worker_panics_at_capacity_preserve_exactly_once() {
     let arrivals = timed_burst();
     let admission = tight_bounds(1).1;
-    let (fault_free, reference_plan) = sharded_bounded(
+    let (fault_free, reference_plan) = bounded(
         &toy_sharded(4),
         &arrivals,
         &ShardReplayConfig {
@@ -585,7 +518,7 @@ fn sharded_bounded_worker_panics_at_capacity_preserve_exactly_once() {
             max_batch: 4,
             max_retries: 32,
         };
-        let (out, plan) = sharded_bounded(&engine, &arrivals, &cfg, &admission, &inj);
+        let (out, plan) = bounded(&engine, &arrivals, &cfg, &admission, &inj);
         assert!(inj.injected() >= 1, "plan never fired at workers={workers}");
         assert_eq!(plan, reference_plan, "workers={workers} changed the plan");
         assert_eq!(out.len(), arrivals.len());
@@ -636,7 +569,7 @@ fn shard_worker_panic_storms_never_lose_or_duplicate_responses() {
             // exactly-once delivery, not the requeue budget.
             max_retries: 32,
         };
-        let got = responses_to_json(&sharded_supervised(&engine, &reqs, &cfg, &inj));
+        let got = responses_to_json(&supervised(&engine, &reqs, &cfg, &inj));
         assert!(inj.injected() >= 1, "plan never fired at workers={workers}");
         assert_eq!(
             reference, got,
@@ -658,7 +591,7 @@ fn shard_outage_degrades_to_exact_merge_of_survivors() {
         Trigger::Always,
         Fault::Io,
     ));
-    let out = sharded_supervised(&engine, &reqs, &ShardReplayConfig::default(), &inj);
+    let out = supervised(&engine, &reqs, &ShardReplayConfig::default(), &inj);
     assert_eq!(out.len(), reqs.len());
     let dead = engine.shard_map().range(2).expect("shard 2 exists");
     for (req, resp) in reqs.iter().zip(&out) {
@@ -698,7 +631,7 @@ fn full_shard_outage_is_a_typed_error_not_an_empty_result() {
         plan = plan.inject(&format!("serve/shard/{s}"), Trigger::Always, Fault::Io);
     }
     let inj = Injector::new(plan);
-    let out = sharded_supervised(
+    let out = supervised(
         &engine,
         &[Request { user: 1, k: 3 }],
         &ShardReplayConfig::default(),
@@ -708,6 +641,71 @@ fn full_shard_outage_is_a_typed_error_not_an_empty_result() {
     assert!(err.contains("shard 0 unavailable after 2 retries"), "{err}");
     assert!(out[0].recs.is_empty());
     assert!(!out[0].degraded && out[0].partial_shards.is_empty());
+}
+
+/// A shard outage after a warm pass, within one replay: every key the
+/// warm pass served answers from shard 2's stale partial — flagged
+/// `degraded`, with the fault-free recs bit for bit and no
+/// `partial_shards`, since shard 2's items are all there — while a key
+/// first asked during the outage still names shard 2. Each shard's
+/// cells run FIFO on one owner worker, so the outcome is the same at
+/// every worker count.
+#[test]
+fn shard_outage_after_a_warm_pass_serves_bit_identical_stale_partials() {
+    let pass = request_log();
+    let cold = Request { user: 1, k: 5 };
+    assert!(!pass.contains(&cold), "the cold key is new to the outage");
+    let mut reqs = pass.clone();
+    reqs.extend(pass.iter().copied());
+    reqs.push(cold);
+    let reference = replay_sharded(&toy_sharded(4), &reqs, &ShardReplayConfig::default());
+    let bits = |r: &Response| -> Vec<(u32, u32)> {
+        r.recs
+            .iter()
+            .map(|x| (x.item.raw(), x.score.to_bits()))
+            .collect()
+    };
+    for workers in [1usize, 2, 4] {
+        // Shard 2 serves one cell per warm-pass request, then goes down.
+        let inj = Injector::new(FaultPlan::new(chaos_seed()).inject(
+            "serve/shard/2",
+            Trigger::After(pass.len() as u64),
+            Fault::Io,
+        ));
+        let cfg = ShardReplayConfig {
+            workers,
+            ..ShardReplayConfig::default()
+        };
+        let out = supervised(&toy_sharded(4), &reqs, &cfg, &inj);
+        assert_eq!(out.len(), reqs.len());
+        let (warm, rest) = out.split_at(pass.len());
+        let (outage, cold_out) = rest.split_at(pass.len());
+        assert_eq!(
+            responses_to_json(warm),
+            responses_to_json(&reference[..pass.len()]),
+            "workers={workers}: the warm pass is fault-free"
+        );
+        for (i, (resp, want)) in outage.iter().zip(&reference[pass.len()..]).enumerate() {
+            assert!(
+                resp.error.is_none(),
+                "workers={workers} request {i}: {resp:?}"
+            );
+            assert!(resp.degraded, "workers={workers} request {i}: not flagged");
+            assert!(
+                resp.partial_shards.is_empty(),
+                "workers={workers} request {i}: a stale shard is not missing"
+            );
+            assert_eq!(bits(resp), bits(want), "workers={workers} request {i}");
+        }
+        let cold_out = &cold_out[0];
+        assert!(
+            cold_out.error.is_none() && cold_out.degraded,
+            "{cold_out:?}"
+        );
+        assert_eq!(cold_out.partial_shards, vec![2], "workers={workers}");
+        let dead = toy_sharded(4).shard_map().range(2).expect("shard 2 exists");
+        assert!(cold_out.recs.iter().all(|r| !dead.contains(&r.item.raw())));
+    }
 }
 
 // ---------------------------------------------------------------------

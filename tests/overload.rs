@@ -14,10 +14,7 @@
 //!    invariant across replays at a fixed worker count, and the
 //!    admission-side slice of the structure (everything the scheduler
 //!    thread opens before a worker exists) is invariant across worker
-//!    counts {1, 2, 4}. Engine-side spans are out of scope by design:
-//!    with a shared result cache, whether a repeated key hits is an
-//!    execution-order fact at workers > 1, and a miss adds a
-//!    `serve.score` span.
+//!    counts {1, 2, 4}.
 //! 3. Zero silent drops: every arrival gets exactly one response, typed
 //!    by its verdict (ok/degraded for admitted, overloaded for shed).
 //!
@@ -29,9 +26,8 @@ use scenerec_bench::traffic::{self, TrafficConfig};
 use scenerec_core::FrozenModel;
 use scenerec_obs::{metrics, structure_digest, structure_text};
 use scenerec_serve::{
-    replay_sharded_with, replay_with, responses_to_json, AdmissionConfig, AdmissionPlan,
-    EngineConfig, FrozenEngine, Replay, ReplayConfig, ReplayOptions, Response, ShardReplayConfig,
-    ShardedConfig, ShardedEngine, TimedRequest, Verdict,
+    replay_sharded_with, responses_to_json, AdmissionConfig, AdmissionPlan, Replay, ReplayOptions,
+    Response, ShardReplayConfig, ShardedConfig, ShardedEngine, TimedRequest, Verdict,
 };
 use std::sync::Mutex;
 
@@ -66,11 +62,11 @@ fn admission_cfg() -> AdmissionConfig {
     }
 }
 
-fn bounded_cfg(workers: usize) -> ReplayConfig {
-    ReplayConfig {
+fn bounded_cfg(workers: usize) -> ShardReplayConfig {
+    ShardReplayConfig {
         workers,
         max_batch: 8,
-        ..ReplayConfig::default()
+        ..ShardReplayConfig::default()
     }
 }
 
@@ -83,20 +79,21 @@ fn admitting(trace: bool) -> ReplayOptions {
 }
 
 fn bounded(
-    engine: &FrozenEngine,
+    engine: &ShardedEngine,
     trace: &[TimedRequest],
-    cfg: &ReplayConfig,
+    cfg: &ShardReplayConfig,
 ) -> (Vec<Response>, AdmissionPlan) {
-    let out = replay_with(engine, trace, cfg, &admitting(false));
+    let out = replay_sharded_with(engine, trace, cfg, &admitting(false));
     (out.responses, out.plan.expect("admission was requested"))
 }
 
-/// A fresh engine per run, so cache state never leaks between replays.
-fn engine() -> FrozenEngine {
+/// A fresh single engine (one shard) per run, so cache state never
+/// leaks between replays.
+fn engine() -> ShardedEngine {
     let frozen =
         FrozenModel::synthetic("overload-test", USERS, 32, 8, 11).expect("synthetic model");
     let seen: Vec<Vec<u32>> = vec![Vec::new(); USERS];
-    FrozenEngine::new(frozen, &seen, EngineConfig::default()).expect("engine")
+    ShardedEngine::new(frozen, &seen, ShardedConfig::with_shards(1)).expect("engine")
 }
 
 #[test]
@@ -145,11 +142,8 @@ fn heavy_tailed_replay_twice_is_identical_down_to_the_counters() {
 /// `serve.request` roots (open tick only — the root's close tick counts
 /// engine-side span events) plus every `serve.admit` / `serve.shed` /
 /// `serve.queue` line in full. These spans are all opened — and, bar
-/// the root, closed — in a fixed per-trace event order, so the slice is
-/// worker-count invariant even though the engine-side spans below the
-/// queue are not (a cache miss adds a `serve.score` span, and with a
-/// shared cache, which replay of a repeated key misses is an
-/// execution-order fact at workers > 1).
+/// the root, closed — in a fixed per-trace event order, so the slice
+/// is the same at any worker count and any shard count.
 fn admission_structure(text: &str) -> String {
     let mut out = String::new();
     for line in text.lines() {
@@ -177,7 +171,7 @@ fn admit_and_shed_span_structure_is_pinned_across_replays_and_workers() {
             responses: out,
             traces,
             plan,
-        } = replay_with(&engine(), &trace, &bounded_cfg(workers), &admitting(true));
+        } = replay_sharded_with(&engine(), &trace, &bounded_cfg(workers), &admitting(true));
         let plan = plan.expect("admission was requested");
         (
             structure_digest(&traces),
@@ -255,7 +249,8 @@ fn sharded_admission_traces_match_the_single_engine() {
     let _gate = METRICS_GATE.lock().unwrap_or_else(|p| p.into_inner());
     let trace = traffic::generate(&traffic_cfg());
     for workers in [1usize, 2] {
-        let single = replay_with(&engine(), &trace, &bounded_cfg(workers), &admitting(true));
+        let single =
+            replay_sharded_with(&engine(), &trace, &bounded_cfg(workers), &admitting(true));
         let frozen =
             FrozenModel::synthetic("overload-test", USERS, 32, 8, 11).expect("synthetic model");
         let sharded_engine =

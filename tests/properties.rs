@@ -179,14 +179,16 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Shard equivalence: a ShardedEngine is byte-identical to the single
-// FrozenEngine on the same frozen model — at any shard count, any
+// Shard equivalence: a ShardedEngine's top-K is byte-identical to a
+// whole-catalog scan of the same frozen model — at any shard count, any
 // precision, any k (including 0 and > candidates), under any seen mask
-// (including all-seen), with ties straddling every shard boundary.
+// (including all-seen), with ties straddling every shard boundary. The
+// scan runs no slice, select or merge code: `score_all` on a one-shard
+// engine, the seen filter, and `brute_force_top_k`.
 // ---------------------------------------------------------------------
 
 use scenerec_core::{FrozenHead, FrozenModel, Precision, Recommendation};
-use scenerec_serve::{EngineConfig, FrozenEngine, ShardedConfig, ShardedEngine};
+use scenerec_serve::{ShardedConfig, ShardedEngine};
 use scenerec_tensor::Matrix;
 
 fn splitmix64(x: u64) -> u64 {
@@ -236,11 +238,25 @@ fn rec_bits(recs: &[Recommendation]) -> Vec<(u32, u32)> {
         .collect()
 }
 
+/// The reference ranking: every catalog score from a one-shard engine's
+/// `score_all`, minus `seen`, ranked by the stable-sort oracle.
+fn scan_top_k(scan: &ShardedEngine, user: u32, seen: &[u32], k: usize) -> Vec<(u32, u32)> {
+    let unseen: Vec<(u32, f32)> = scan
+        .score_all(user)
+        .unwrap()
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| (i as u32, s))
+        .filter(|(i, _)| !seen.contains(i))
+        .collect();
+    brute_force_top_k(&unseen, k)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random models, every precision, shard counts {1,2,4,8}: sharded
-    /// top-K equals the single engine bit-for-bit — including k = 0,
+    /// top-K equals the whole-catalog scan bit-for-bit — including k = 0,
     /// k beyond the candidate count, and users whose entire catalog is
     /// masked as seen (`seen_mod == 1`).
     #[test]
@@ -267,17 +283,17 @@ proptest! {
                     .collect()
             })
             .collect();
-        let single = FrozenEngine::new(frozen.clone(), &seen, EngineConfig::default()).unwrap();
+        let scan = ShardedEngine::new(frozen.clone(), &seen, ShardedConfig::with_shards(1)).unwrap();
         for shards in [1usize, 2, 4, 8] {
             let sharded =
                 ShardedEngine::new(frozen.clone(), &seen, ShardedConfig::with_shards(shards))
                     .unwrap();
             for user in 0..num_users as u32 {
                 for k in [0usize, 1, k, num_items, num_items + 7] {
-                    let want = single.top_k(user, k).unwrap();
+                    let want = scan_top_k(&scan, user, &seen[user as usize], k);
                     let got = sharded.top_k(user, k).unwrap();
                     prop_assert_eq!(
-                        rec_bits(&want),
+                        want,
                         rec_bits(&got),
                         "shards={} user={} k={} precision={}",
                         shards, user, k, precision.name()
@@ -293,7 +309,7 @@ proptest! {
     /// Adversarial tie runs straddling every shard boundary: all items
     /// score on a tiny cyclic grid, so every contiguous partition cuts
     /// through maximal tie runs — the merge must still reproduce the
-    /// single engine's ascending-item tie order exactly.
+    /// scan's ascending-item tie order exactly.
     #[test]
     fn boundary_straddling_ties_merge_exactly(
         num_items in 8usize..120,
@@ -313,9 +329,8 @@ proptest! {
             items,
             FrozenHead::DotBias { bias: vec![0.0; num_items] },
         );
-        let single =
-            FrozenEngine::new(frozen.clone(), &[Vec::new()], EngineConfig::default()).unwrap();
-        let want = rec_bits(&single.top_k(0, k).unwrap());
+        let scan = ShardedEngine::new_unseen(frozen.clone(), ShardedConfig::with_shards(1)).unwrap();
+        let want = scan_top_k(&scan, 0, &[], k);
         for shards in [1usize, 2, 4, 8] {
             let sharded =
                 ShardedEngine::new_unseen(frozen.clone(), ShardedConfig::with_shards(shards))
@@ -337,8 +352,8 @@ proptest! {
 // ---------------------------------------------------------------------
 
 use scenerec_serve::{
-    admission_plan, replay_with, responses_to_json, AdmissionConfig, Lane, ReplayConfig,
-    ReplayOptions, Request, TimedRequest, Verdict,
+    admission_plan, replay_sharded_with, responses_to_json, AdmissionConfig, Lane, ReplayOptions,
+    Request, ShardReplayConfig, TimedRequest, Verdict,
 };
 
 /// Builds a trace from (gap, user, k) triples: cumulative bursty ticks
@@ -459,8 +474,9 @@ proptest! {
 
     /// Worker-count invariance end to end: the bounded replay returns
     /// the same plan and byte-identical responses at workers {1, 2, 4} —
-    /// shedding is decided before any worker exists, and the weighted
-    /// two-lane drain preserves the response order.
+    /// shedding is decided before any worker exists, and responses are
+    /// reassembled in arrival order. Four shards give every worker
+    /// count work.
     #[test]
     fn bounded_replay_is_byte_identical_across_workers(
         seed in 0u64..100_000,
@@ -475,17 +491,17 @@ proptest! {
         let mut reference: Option<(String, _)> = None;
         for workers in [1usize, 2, 4] {
             let engine =
-                FrozenEngine::new(frozen.clone(), &seen, EngineConfig::default()).unwrap();
-            let bounded = ReplayConfig {
+                ShardedEngine::new(frozen.clone(), &seen, ShardedConfig::with_shards(4)).unwrap();
+            let bounded = ShardReplayConfig {
                 workers,
                 max_batch,
-                ..ReplayConfig::default()
+                ..ShardReplayConfig::default()
             };
             let options = ReplayOptions {
                 admission: Some(cfg.clone()),
                 ..ReplayOptions::default()
             };
-            let replayed = replay_with(&engine, &arrivals, &bounded, &options);
+            let replayed = replay_sharded_with(&engine, &arrivals, &bounded, &options);
             let (out, plan) = (replayed.responses, replayed.plan.expect("admission was requested"));
             prop_assert_eq!(out.len(), arrivals.len());
             let rendered = responses_to_json(&out);

@@ -1,21 +1,22 @@
 //! Serving parity: the frozen engine must reproduce the training-side
 //! scoring path **bit for bit**.
 //!
-//! `FrozenEngine` replays the model head through dense kernels instead of
+//! `ShardedEngine` replays the model head through dense kernels instead of
 //! the autodiff tape; any reassociated reduction, lossy export, or
 //! tie-break drift would show up here as a `to_bits` mismatch. Covers
 //! both head shapes: SceneRec (Eq. 14 rating MLP) and BPR-MF (dot +
 //! item bias).
 
 use scenerec_baselines::BprMf;
+use scenerec_core::checkpoint::CheckpointStore;
 use scenerec_core::trainer::{train, TrainConfig};
 use scenerec_core::{top_k_unseen, PairwiseModel, Precision, SceneRec, SceneRecConfig};
 use scenerec_data::{generate, Dataset, GeneratorConfig};
+use scenerec_faults::Injector;
 use scenerec_graph::{ItemId, UserId};
 use scenerec_serve::{
-    replay, replay_sharded, replay_sharded_with, responses_to_json, EngineConfig, FrozenEngine,
-    ReplayConfig, ReplayOptions, Request, ShardReplayConfig, ShardedConfig, ShardedEngine,
-    TimedRequest,
+    replay_sharded, replay_sharded_with, responses_to_json, EngineConfig, ReplayOptions, Request,
+    ShardReplayConfig, ShardedConfig, ShardedEngine, TimedRequest,
 };
 
 const SAMPLED_USERS: u32 = 50;
@@ -40,13 +41,17 @@ fn train_cfg() -> TrainConfig {
 /// Exact-equality check of every score the engine produces against the
 /// tape, plus top-K (items AND score bits) for the sampled users.
 fn assert_parity<M: PairwiseModel + Sync>(model: &M, data: &Dataset) {
-    let engine = FrozenEngine::from_model(model, data, EngineConfig::default())
-        .unwrap_or_else(|e| panic!("freezing {} failed: {e}", model.name()));
+    let engine = ShardedEngine::from_model_quantized(
+        model,
+        data,
+        Precision::F32,
+        ShardedConfig::with_shards(1),
+    )
+    .unwrap_or_else(|e| panic!("freezing {} failed: {e}", model.name()));
     assert_eq!(engine.num_users(), data.num_users() as usize);
     assert_eq!(engine.num_items(), data.num_items() as usize);
 
     let all_items: Vec<ItemId> = (0..data.num_items()).map(ItemId).collect();
-    let all_ids: Vec<u32> = (0..data.num_items()).collect();
 
     for user in 0..SAMPLED_USERS {
         // Full-catalog scores: exact f32 equality, compared as bits so a
@@ -57,7 +62,7 @@ fn assert_parity<M: PairwiseModel + Sync>(model: &M, data: &Dataset) {
             .map(|s| s.to_bits())
             .collect();
         let frozen: Vec<u32> = engine
-            .score_items(user, &all_ids)
+            .score_all(user)
             .expect("engine scoring")
             .iter()
             .map(|s| s.to_bits())
@@ -124,12 +129,15 @@ fn quantized_engine(
     data: &Dataset,
     precision: Precision,
     cache_capacity: usize,
-) -> FrozenEngine {
-    let config = EngineConfig {
-        cache_capacity,
-        ..EngineConfig::default()
+) -> ShardedEngine {
+    let config = ShardedConfig {
+        shards: 1,
+        engine: EngineConfig {
+            cache_capacity,
+            ..EngineConfig::default()
+        },
     };
-    FrozenEngine::from_model_quantized(model, data, precision, config)
+    ShardedEngine::from_model_quantized(model, data, precision, config)
         .unwrap_or_else(|e| panic!("{} engine: {e}", precision.name()))
 }
 
@@ -148,12 +156,12 @@ fn quantized_replay_is_byte_identical_across_worker_counts() {
             // A fresh engine per run so every request is a cold miss
             // regardless of worker interleaving.
             let engine = quantized_engine(&model, &data, precision, 0);
-            let cfg = ReplayConfig {
+            let cfg = ShardReplayConfig {
                 workers,
                 max_batch: 16,
-                ..ReplayConfig::default()
+                ..ShardReplayConfig::default()
             };
-            responses_to_json(&replay(&engine, &requests, &cfg))
+            responses_to_json(&replay_sharded(&engine, &requests, &cfg))
         };
         let reference = run(1);
         for workers in [2usize, 4] {
@@ -200,11 +208,11 @@ fn quantized_top_k_overlap_at_20_is_at_least_95_percent() {
     }
 }
 
-/// The sharded engine is a partitioning of the single engine, not a new
-/// scoring path: on a trained model, at every storage precision,
-/// `replay_sharded` must render byte-identical responses to the
-/// single-engine `replay` — and those bytes must not move across worker
-/// counts {1, 2, 4}, since consistent-hash routing plus request-order
+/// Four shards are a partitioning of the single (one-shard) engine, not
+/// a new scoring path: on a trained model, at every storage precision,
+/// a 4-shard `replay_sharded` must render byte-identical responses to
+/// the one-shard replay — and those bytes must not move across worker
+/// counts {1, 2, 4}, since shard-pinned routing plus request-order
 /// assembly make scheduling invisible.
 #[test]
 fn sharded_replay_is_byte_identical_to_single_engine_at_every_precision() {
@@ -215,12 +223,12 @@ fn sharded_replay_is_byte_identical_to_single_engine_at_every_precision() {
         .collect();
     for precision in [Precision::F32, Precision::F16, Precision::Int8] {
         let engine = quantized_engine(&model, &data, precision, 0);
-        let reference = responses_to_json(&replay(
+        let reference = responses_to_json(&replay_sharded(
             &engine,
             &requests,
-            &ReplayConfig {
+            &ShardReplayConfig {
                 max_batch: 16,
-                ..ReplayConfig::default()
+                ..ShardReplayConfig::default()
             },
         ));
         for workers in [1usize, 2, 4] {
@@ -301,18 +309,27 @@ fn parity_is_invariant_to_band_and_threads() {
     let mut model = SceneRec::new(SceneRecConfig::default().with_dim(8), &data);
     train(&mut model, &data, &train_cfg());
 
-    let reference = FrozenEngine::from_model(&model, &data, EngineConfig::default())
-        .expect("freeze")
-        .score_all(0)
-        .expect("score");
+    let reference = ShardedEngine::from_model_quantized(
+        &model,
+        &data,
+        Precision::F32,
+        ShardedConfig::with_shards(1),
+    )
+    .expect("freeze")
+    .score_all(0)
+    .expect("score");
     for (band, threads) in [(1usize, 1usize), (7, 2), (64, 4), (100_000, 3)] {
-        let engine = FrozenEngine::from_model(
+        let engine = ShardedEngine::from_model_quantized(
             &model,
             &data,
-            EngineConfig {
-                band,
-                threads,
-                cache_capacity: 0,
+            Precision::F32,
+            ShardedConfig {
+                shards: 1,
+                engine: EngineConfig {
+                    band,
+                    threads,
+                    cache_capacity: 0,
+                },
             },
         )
         .expect("freeze");
@@ -325,4 +342,43 @@ fn parity_is_invariant_to_band_and_threads() {
             "band={band} threads={threads} perturbed scores"
         );
     }
+}
+
+/// A checkpoint's embedded int8 snapshot is served as saved:
+/// `from_checkpoint` answers with the bytes of an engine built straight
+/// from that snapshot, not from a re-freeze of the restored model.
+#[test]
+fn checkpointed_int8_snapshot_serves_the_same_bytes() {
+    let data = dataset();
+    let mut model = SceneRec::new(SceneRecConfig::default().with_dim(8), &data);
+    train(&mut model, &data, &train_cfg());
+    let frozen = model
+        .freeze_quantized(Precision::Int8)
+        .expect("SceneRec freezes at int8");
+    let dir = std::env::temp_dir().join("scenerec-serving-parity-int8-checkpoint");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let store = CheckpointStore::new(&dir, 1);
+    store
+        .save_with_frozen(&model, None, None, Some(&frozen), 0, &Injector::disabled())
+        .expect("save");
+
+    let loaded =
+        ShardedEngine::from_checkpoint(&store.path_for(0), &data, ShardedConfig::with_shards(2))
+            .expect("load");
+    assert_eq!(loaded.precision(), Precision::Int8);
+    let seen: Vec<Vec<u32>> = (0..data.num_users())
+        .map(|u| data.train_graph.items_of(UserId(u)).to_vec())
+        .collect();
+    let direct = ShardedEngine::new(frozen, &seen, ShardedConfig::with_shards(2)).expect("build");
+    let requests: Vec<Request> = (0..data.num_users())
+        .map(|user| Request { user, k: TOP_K })
+        .collect();
+    let cfg = ShardReplayConfig::default();
+    let want = responses_to_json(&replay_sharded(&direct, &requests, &cfg));
+    assert_eq!(
+        responses_to_json(&replay_sharded(&loaded, &requests, &cfg)),
+        want
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
