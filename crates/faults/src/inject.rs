@@ -177,15 +177,6 @@ impl Injector {
     pub fn crash(&self, point: &str) -> bool {
         matches!(self.probe(point), Some((Fault::Panic, _)))
     }
-
-    /// The artificial latency (logical ticks) armed here, or 0.
-    #[inline]
-    pub fn latency(&self, point: &str) -> u64 {
-        match self.probe(point) {
-            Some((Fault::Latency(ticks), _)) => ticks,
-            _ => 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -202,7 +193,6 @@ mod tests {
         assert!(!inj.corrupt("x", &mut b));
         assert_eq!(b, vec![1, 2, 3]);
         assert!(!inj.crash("x"));
-        assert_eq!(inj.latency("x"), 0);
         assert_eq!(inj.injected(), 0);
     }
 
@@ -256,13 +246,8 @@ mod tests {
     }
 
     #[test]
-    fn latency_and_crash_probe_their_kinds() {
-        let inj = Injector::new(
-            FaultPlan::new(1)
-                .inject("slow", Trigger::Always, Fault::Latency(42))
-                .inject("boom", Trigger::Nth(1), Fault::Panic),
-        );
-        assert_eq!(inj.latency("slow"), 42);
+    fn crash_fires_only_on_its_armed_invocation() {
+        let inj = Injector::new(FaultPlan::new(1).inject("boom", Trigger::Nth(1), Fault::Panic));
         assert!(inj.crash("boom"));
         assert!(!inj.crash("boom"));
     }

@@ -4,8 +4,8 @@
 //! batched serving) is only as strong as its failure paths, and failure
 //! paths that are never executed are broken by default. This crate makes
 //! failures *injectable on purpose*: a [`FaultPlan`] names the faults to
-//! fire (I/O errors, short reads, bit flips, worker panics, artificial
-//! latency), an [`Injector`] hands them out at named **injection
+//! fire (I/O errors, short reads, bit flips, worker panics), an
+//! [`Injector`] hands them out at named **injection
 //! points** compiled into the checkpoint, scheduler and trainer code
 //! paths, and the chaos suite (`tests/chaos.rs`) asserts the recovery
 //! invariants under seeded schedules.
@@ -21,8 +21,8 @@
 //!   length) is drawn from a `StdRng` seeded from
 //!   `(plan seed, point name, invocation index)` — the same plan against
 //!   the same bytes always produces the same corruption.
-//! * Artificial latency is measured in **logical ticks**, not wall time;
-//!   deadline and backoff arithmetic stays pure (see [`Backoff`]).
+//! * Retry backoff is measured in **logical ticks**, not wall time, so
+//!   its arithmetic stays pure (see [`Backoff`]).
 //!
 //! ## Disabled means free
 //!

@@ -12,8 +12,6 @@ pub enum Fault {
     BitFlip,
     /// The worker panics (serving) or the run is interrupted (training).
     Panic,
-    /// The operation takes this many extra logical ticks.
-    Latency(u64),
 }
 
 /// Which invocations of an injection point a spec fires on.

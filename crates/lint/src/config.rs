@@ -108,6 +108,10 @@ fn default_h1_roots() -> BTreeMap<String, BTreeSet<String>> {
         deny(&["alloc", "io", "block", "lock"]),
     );
     roots.insert(
+        "tensor::dot_rows_into_with_backend".to_string(),
+        deny(&["alloc", "io", "block", "lock"]),
+    );
+    roots.insert(
         "tensor::micro_kernel".to_string(),
         deny(&["alloc", "io", "block", "lock"]),
     );

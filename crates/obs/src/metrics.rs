@@ -213,15 +213,6 @@ pub fn counter(name: &str) -> Arc<Counter> {
         .clone()
 }
 
-/// Fetches (registering on first use) the counter `prefix/index/name` —
-/// the naming scheme for per-instance metric families (e.g. per-shard
-/// serving counters `serve/shard/3/requests`). Indices render in plain
-/// decimal so the family stays greppable and the registry's BTreeMap
-/// keeps members adjacent in snapshots and Prometheus exposition.
-pub fn indexed_counter(prefix: &str, index: usize, name: &str) -> Arc<Counter> {
-    counter(&format!("{prefix}/{index}/{name}"))
-}
-
 /// Fetches (registering on first use) the gauge named `name`.
 pub fn gauge(name: &str) -> Arc<Gauge> {
     let mut reg = lock_unpoisoned(registry());
@@ -496,19 +487,6 @@ mod tests {
             expected
         );
         assert_eq!(h.bucket_counts().iter().sum::<u64>(), h.count());
-    }
-
-    #[test]
-    fn indexed_counter_names_one_family_member_per_index() {
-        indexed_counter("test-metrics/fam", 0, "reqs").add(3);
-        indexed_counter("test-metrics/fam", 7, "reqs").add(5);
-        // Same (prefix, index, name) resolves to the same counter.
-        assert_eq!(indexed_counter("test-metrics/fam", 0, "reqs").get(), 3);
-        let snap = metrics_snapshot();
-        assert!(snap
-            .counters
-            .iter()
-            .any(|(k, v)| k == "test-metrics/fam/7/reqs" && *v >= 5));
     }
 
     #[test]

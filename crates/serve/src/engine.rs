@@ -11,9 +11,15 @@
 //!
 //! * the frozen user/item rows are tape-evaluated values (see
 //!   `scenerec_core::freeze`),
-//! * the head replays through `score_bt`, whose per-element reduction
-//!   order matches the tape's `affine` operator and is invariant to the
-//!   thread count and band size,
+//! * every f32 score — the dot head directly, each MLP layer through
+//!   `score_bt` — comes out of `linalg::dot_rows_into`, the workspace's
+//!   one dot-per-element loop, which the tape's `affine` runs too (via
+//!   `matvec`). Its AVX2 tile dots 8 item rows per step, but each row
+//!   keeps its own accumulator, reduced in `linalg::dot`'s pairwise
+//!   order with the tail added last, so each element equals `dot` on
+//!   its pair (the tape's `dot` operator), whatever rows share its
+//!   tile, band or thread,
+//! * the bias is one add after the dot, as in the tape's `affine`,
 //! * candidates are scanned in ascending item order and ties resolve to
 //!   the smaller item id, matching the training-side stable sort.
 //!
@@ -106,59 +112,58 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Scores `ids` (row indices into `items` / the head's per-item state)
-/// against `users` row `user`.
+/// Scores every row of `items` (with the head's per-item state)
+/// against `users` row `user`, in row order.
 ///
 /// This is the one scoring implementation behind the engine: each
-/// `ShardedEngine` shard calls it with shard-local ids over its sliced
-/// matrix + head. Per-element scores depend only on the user row, the
-/// item row, and that item's head state — never on which other ids
-/// ride in the same call — so slicing (like banding and threading,
-/// pinned by `parity_is_invariant_to_band_and_threads`) cannot change a
-/// single bit.
-///
-/// Callers are responsible for bounds checks; `ids` must index within
-/// `items`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn score_ids(
+/// `ShardedEngine` shard calls it over its sliced matrix + head, and
+/// its caller drops seen items while ranking. Per-element scores depend
+/// only on the user row, the item row, and that item's head state —
+/// never on which other rows ride in the same call — so slicing (like
+/// banding and threading, pinned by
+/// `parity_is_invariant_to_band_and_threads`) cannot change a single
+/// bit.
+pub(crate) fn score_rows(
     users: &EntityMatrix,
     items: &EntityMatrix,
     head: &FrozenHead,
     user: usize,
-    ids: &[u32],
     band: usize,
     threads: usize,
 ) -> Result<Vec<f32>, ServeError> {
     let band = band.max(1);
-    let mut out = Vec::with_capacity(ids.len());
+    let rows = items.rows();
+    let mut out = Vec::with_capacity(rows);
     match head {
         // Dot heads score straight off the stored representation:
-        // f32 keeps the tape-exact `linalg::dot`, f16 widens item
-        // lanes in-kernel against the (exactly widened) user row,
-        // int8 accumulates in exact integer arithmetic and rescales
-        // with one fixed-order f32 multiply chain per element.
+        // f32 runs the 8-row `linalg::dot_rows_into` tile, each score
+        // bit-identical to the tape's `linalg::dot`; f16 widens item
+        // lanes in-kernel against the (exactly widened) user row; int8
+        // accumulates in exact integer arithmetic and rescales with one
+        // fixed-order f32 multiply chain per element. The bias is one
+        // add after the dot, as in the tape.
         FrozenHead::DotBias { bias } => match (users, items) {
             (EntityMatrix::F32(users), EntityMatrix::F32(catalog)) => {
-                let u = users.row(user);
-                for &i in ids {
-                    out.push(linalg::dot(u, catalog.row(i as usize)) + bias[i as usize]);
+                out.resize(rows, 0.0);
+                linalg::dot_rows_into(users.row(user), catalog.as_slice(), &mut out);
+                for (v, &b) in out.iter_mut().zip(bias) {
+                    *v += b;
                 }
             }
             (EntityMatrix::F16(users), EntityMatrix::F16(catalog)) => {
                 let mut u = vec![0.0f32; users.cols()];
                 users.widen_row_into(user, &mut u);
-                for &i in ids {
-                    out.push(quant::dot_f16(&u, catalog.row(i as usize)) + bias[i as usize]);
+                for (i, &b) in bias.iter().enumerate() {
+                    out.push(quant::dot_f16(&u, catalog.row(i)) + b);
                 }
             }
             (EntityMatrix::Int8(users), EntityMatrix::Int8(catalog)) => {
                 let uc = users.centered_row(user);
                 let su = users.scale(user);
-                for &i in ids {
-                    let it = i as usize;
-                    let zv = catalog.zero_point(it) as i16;
-                    let idot = quant::dot_i8_centered(&uc, catalog.row(it), zv);
-                    out.push(su * catalog.scale(it) * idot as f32 + bias[it]);
+                for (i, &b) in bias.iter().enumerate() {
+                    let zv = catalog.zero_point(i) as i16;
+                    let idot = quant::dot_i8_centered(&uc, catalog.row(i), zv);
+                    out.push(su * catalog.scale(i) * idot as f32 + b);
                 }
             }
             // Engine constructors validate matching precisions;
@@ -177,12 +182,13 @@ pub(crate) fn score_ids(
             let di = items.cols();
             let mut u = vec![0.0f32; du];
             users.expand_row_into(user, &mut u);
-            for chunk in ids.chunks(band) {
-                let mut h = Matrix::zeros(chunk.len(), du + di);
-                for (r, &i) in chunk.iter().enumerate() {
+            for start in (0..rows).step_by(band) {
+                let end = rows.min(start + band);
+                let mut h = Matrix::zeros(end - start, du + di);
+                for (r, i) in (start..end).enumerate() {
                     let row = h.row_mut(r);
                     row[..du].copy_from_slice(&u);
-                    items.expand_row_into(i as usize, &mut row[du..]);
+                    items.expand_row_into(i, &mut row[du..]);
                 }
                 for layer in layers {
                     let mut y = try_score_bt(&h, &layer.w, Some(&layer.b), threads)

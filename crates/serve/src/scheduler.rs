@@ -574,6 +574,10 @@ mod tests {
 
     /// A one-shard engine: the whole catalog behind one cache.
     fn toy_engine() -> ShardedEngine {
+        toy_sharded(1)
+    }
+
+    fn toy_sharded(shards: usize) -> ShardedEngine {
         let mut users = Matrix::zeros(3, 2);
         users.set_row(0, &[1.0, 0.0]);
         users.set_row(1, &[0.0, 1.0]);
@@ -589,7 +593,7 @@ mod tests {
             FrozenHead::DotBias { bias: vec![0.0; 5] },
         );
         let seen = [vec![0], vec![], vec![4]];
-        ShardedEngine::new(frozen, &seen, ShardedConfig::with_shards(1)).unwrap()
+        ShardedEngine::new(frozen, &seen, ShardedConfig::with_shards(shards)).unwrap()
     }
 
     fn supervised(
@@ -664,6 +668,31 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(out[0].recs.is_empty());
         assert!(out[0].error.as_deref().is_some_and(|e| e.contains("42")));
+    }
+
+    /// A request's `k` never sizes an allocation: a `k` far past the
+    /// catalog (`1 << 40` once asked the allocator for 8 TiB and aborted
+    /// the process; `usize::MAX` overflowed `k + 1`) ranks the whole
+    /// catalog, exactly like `k = num_items`.
+    #[test]
+    fn huge_k_ranks_the_whole_catalog() {
+        for shards in [1, 2] {
+            let replay_at = |k: usize| {
+                let reqs: Vec<Request> = (0..3).map(|user| Request { user, k }).collect();
+                replay_sharded(&toy_sharded(shards), &reqs, &ShardReplayConfig::default())
+            };
+            let want = replay_at(toy_sharded(shards).num_items());
+            for k in [1usize << 40, usize::MAX] {
+                for (got, want) in replay_at(k).iter().zip(&want) {
+                    assert!(
+                        got.error.is_none(),
+                        "shards={shards} k={k}: {:?}",
+                        got.error
+                    );
+                    assert_eq!(got.recs, want.recs, "shards={shards} k={k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!
 //! Sharding never changes a byte of any response. Per-element scores
 //! depend only on the user row, the item row, and that item's head
-//! state (`score_ids`), so slicing cannot perturb them; and the
+//! state (`score_rows`), so slicing cannot perturb them; and the
 //! serving order `(score desc, item asc)` is a strict total order, so
 //! merging per-shard top-K lists with the same comparator
 //! ([`merge_top_k`]) reproduces the whole-catalog ranking exactly, ties
@@ -41,7 +41,7 @@
 //! atomics, never the cache lock.
 
 use crate::cache::{CacheStats, ResultCache};
-use crate::engine::{score_ids, seen_lists, EngineConfig, ServeError};
+use crate::engine::{score_rows, seen_lists, EngineConfig, ServeError};
 use crate::mask::SeenMask;
 use crate::topk::{merge_top_k, select_top_k};
 use scenerec_core::{
@@ -103,7 +103,7 @@ pub struct ShardPartial {
     pub recs: Vec<Recommendation>,
     /// Whether the shard's cache answered the request.
     pub hit: bool,
-    /// Unseen candidates scored on a miss (0 on a hit).
+    /// Unseen candidates ranked on a miss (0 on a hit).
     pub candidates: usize,
 }
 
@@ -340,26 +340,23 @@ impl ShardedEngine {
             });
         }
         metrics::counter(&shard.misses_counter).inc();
-        let rows = shard.items.rows() as u32;
-        // Candidate ids are shard-local rows; the seen filter and the
-        // emitted recommendations translate through `shard.start`.
-        let local: Vec<u32> = match self.seen.get(&user) {
-            Some(mask) => (0..rows)
-                .filter(|&l| !mask.contains(shard.start + l))
-                .collect(),
-            None => (0..rows).collect(),
-        };
-        let scores = score_ids(
+        let scores = score_rows(
             &self.users,
             &shard.items,
             &shard.head,
             user as usize,
-            &local,
             self.config.engine.band,
             self.config.engine.threads,
         )?;
-        let candidates = local.len();
-        let recs = select_top_k(local.iter().map(|&l| shard.start + l).zip(scores), k);
+        // Every row is scored; the seen filter drops rows while ranking,
+        // translating shard-local rows to global ids through `start`.
+        let mask = self.seen.get(&user);
+        let mut candidates = 0;
+        let unseen = (shard.start..)
+            .zip(scores)
+            .filter(|&(item, _)| !mask.is_some_and(|m| m.contains(item)))
+            .inspect(|_| candidates += 1);
+        let recs = select_top_k(unseen, k);
         lock_unpoisoned(&shard.cache).insert(user, key_k, tag, recs.clone());
         Ok(ShardPartial {
             recs,
@@ -392,13 +389,11 @@ impl ShardedEngine {
         self.check_user(user)?;
         let mut scores = Vec::with_capacity(self.num_items);
         for shard in &self.shards {
-            let ids: Vec<u32> = (0..shard.items.rows() as u32).collect();
-            scores.extend(score_ids(
+            scores.extend(score_rows(
                 &self.users,
                 &shard.items,
                 &shard.head,
                 user as usize,
-                &ids,
                 self.config.engine.band,
                 self.config.engine.threads,
             )?);

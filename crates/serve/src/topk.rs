@@ -57,14 +57,32 @@ impl Ord for Worst {
 /// descending by score and truncating to `k` — the exact contract of the
 /// training-side `top_k_for_user`. `k = 0` and `k > len` both behave like
 /// the sort-based oracle (empty result / all candidates ranked).
+///
+/// The heap is sized by the candidate count (the iterator's size hint),
+/// never by `k` alone: `k` comes from the request, and `k = 1 << 40`
+/// must not ask the allocator for terabytes.
 pub fn select_top_k<I>(candidates: I, k: usize) -> Vec<Recommendation>
 where
     I: IntoIterator<Item = (u32, f32)>,
 {
+    let candidates = candidates.into_iter();
+    let (lower, upper) = candidates.size_hint();
+    select_bounded(candidates, k, upper.unwrap_or(lower))
+}
+
+/// [`select_top_k`] with the heap capacity bounded by `len`, the
+/// caller's count of candidates.
+fn select_bounded(
+    candidates: impl Iterator<Item = (u32, f32)>,
+    k: usize,
+    len: usize,
+) -> Vec<Recommendation> {
     if k == 0 {
         return Vec::new();
     }
-    let mut heap: BinaryHeap<Worst> = BinaryHeap::with_capacity(k + 1);
+    // The heap never holds more than `k` entries: a replacement pops
+    // before it pushes.
+    let mut heap: BinaryHeap<Worst> = BinaryHeap::with_capacity(k.min(len));
     for (item, score) in candidates {
         if heap.len() < k {
             heap.push(Worst { score, item });
@@ -112,9 +130,10 @@ where
 /// equal to everything, which is not a total order) — exactly the same
 /// exclusion the single-engine parity contract already makes.
 pub fn merge_top_k(partials: &[Vec<Recommendation>], k: usize) -> Vec<Recommendation> {
-    select_top_k(
+    select_bounded(
         partials.iter().flatten().map(|r| (r.item.raw(), r.score)),
         k,
+        partials.iter().map(Vec::len).sum(),
     )
 }
 

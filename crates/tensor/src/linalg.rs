@@ -115,8 +115,9 @@ pub fn matmul_at(a: &Matrix, b: &Matrix) -> Matrix {
 /// `C = A * B^T` without materializing `B^T` (shape-checked): `A` is
 /// `m x k`, `B` is `n x k`, the result is `m x n`.
 ///
-/// Small products reduce to row-dot-row (both reads contiguous); larger
-/// ones dispatch to the blocked kernel.
+/// Small products dot each row of `A` against all of `B` with
+/// [`dot_rows_into`] (both reads contiguous); larger ones dispatch to the
+/// blocked kernel.
 pub fn try_matmul_bt(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
     if a.cols() != b.cols() {
         return Err(ShapeError::MatMul {
@@ -131,11 +132,7 @@ pub fn try_matmul_bt(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
     }
     let mut c = Matrix::zeros(m, n);
     for i in 0..m {
-        let a_row = a.row(i);
-        let c_row = c.row_mut(i);
-        for (c_v, j) in c_row.iter_mut().zip(0..n) {
-            *c_v = dot(a_row, b.row(j));
-        }
+        dot_rows_into(a.row(i), b.as_slice(), c.row_mut(i));
     }
     Ok(c)
 }
@@ -146,7 +143,8 @@ pub fn matmul_bt(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// `y = A * x` for a column vector `x` given as a slice; returns `Vec` of
-/// length `A.rows()`.
+/// length `A.rows()`. Each `y[r]` is [`dot`]`(x, A.row(r))` bit for bit,
+/// computed by [`dot_rows_into`].
 pub fn try_matvec(a: &Matrix, x: &[f32]) -> TensorResult<Vec<f32>> {
     if a.cols() != x.len() {
         return Err(ShapeError::MatMul {
@@ -154,7 +152,9 @@ pub fn try_matvec(a: &Matrix, x: &[f32]) -> TensorResult<Vec<f32>> {
             rhs: (x.len(), 1),
         });
     }
-    Ok(a.iter_rows().map(|row| dot(row, x)).collect())
+    let mut y = vec![0.0f32; a.rows()];
+    dot_rows_into(x, a.as_slice(), &mut y);
+    Ok(y)
 }
 
 /// `y = A * x`, panicking on shape mismatch.
@@ -214,6 +214,48 @@ pub fn dot_with_backend(a: &[f32], b: &[f32], backend: Backend) -> f32 {
     }
     let _ = backend;
     dot_scalar(a, b)
+}
+
+/// `out[r] = dot(x, row r)` for every row of the row-major block `rows`
+/// (`x.len()` floats per row, `out.len()` rows), routed through the
+/// process-wide [`crate::dispatch::backend`].
+///
+/// This is the one dot-per-element loop of the workspace: `matvec`, the
+/// small `matmul_bt` path, `score::score_bt` and the serving engine's
+/// dot head all call it. Every output is bit-identical to [`dot`] on the
+/// same pair, on either backend. The AVX2 kernel dots `x` against 8 rows
+/// per step, each row in `dot`'s float order (see `crate::simd`); the
+/// rows past the last multiple of 8 go through [`dot_with_backend`].
+///
+/// # Panics
+/// Panics if `rows.len() != out.len() * x.len()`.
+#[inline]
+pub fn dot_rows_into(x: &[f32], rows: &[f32], out: &mut [f32]) {
+    dot_rows_into_with_backend(x, rows, out, dispatch::backend())
+}
+
+/// [`dot_rows_into`] with an explicit backend request (degrades to
+/// scalar when the CPU lacks AVX2). The scalar side is a plain
+/// [`dot_with_backend`] per row, the reference the tile must match.
+pub fn dot_rows_into_with_backend(x: &[f32], rows: &[f32], out: &mut [f32], backend: Backend) {
+    let k = x.len();
+    assert_eq!(rows.len(), out.len() * k, "dot_rows length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    let done = if dispatch::resolve(backend) == Backend::Avx2 {
+        let done = out.len() - out.len() % 8;
+        // SAFETY: `resolve` returns Avx2 only when the guarding dispatch
+        // check (`detect_cpu`) saw avx2+fma+f16c on this CPU; `done` is a
+        // multiple of 8 and the two slices hold exactly `done` rows.
+        unsafe { crate::simd::dot_rows_avx2(x, &rows[..done * k], &mut out[..done]) };
+        done
+    } else {
+        0
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    for (r, o) in out.iter_mut().enumerate().skip(done) {
+        *o = dot_with_backend(x, &rows[r * k..(r + 1) * k], backend);
+    }
 }
 
 /// The scalar reference dot: 8 independent partial sums so the loop

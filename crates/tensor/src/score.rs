@@ -9,11 +9,13 @@
 //! `model.score_values` in the last bits and break exact-parity testing.
 //!
 //! [`score_bt`] therefore computes `C = A·Bᵀ (+ bias)` strictly
-//! **dot-per-element**, never dispatching to the blocked kernel, and
-//! threads over *row bands* of the output so every element is produced by
-//! the same `linalg::dot` call regardless of the thread count. The result
-//! is bit-identical to scoring each row with `linalg::matvec` + bias, at
-//! any `threads`.
+//! **dot-per-element**, never dispatching to the blocked kernel: each
+//! output row is one [`linalg::dot_rows_into`] call over all of `B`,
+//! whose AVX2 tile dots 8 rows of `B` per step but reduces each of them
+//! in `dot`'s exact order, so every element equals `linalg::dot` on its
+//! pair. It threads over *row bands* of the output, and no element
+//! depends on the band it falls in. The result is bit-identical to
+//! scoring each row with `linalg::matvec` + bias, at any `threads`.
 
 use crate::dispatch::{self, Backend};
 use crate::error::{ShapeError, TensorResult};
@@ -25,12 +27,14 @@ use crate::par;
 /// `bias` (when given) has length `n`, the result is `m x n` with
 /// `C[i][j] = dot(A.row(i), B.row(j)) + bias[j]`.
 ///
-/// Every element is one [`linalg::dot`] plus one scalar add — the exact
-/// float sequence of the tape's `affine` operator (`matvec` then
+/// Every element is [`linalg::dot`]'s value plus one scalar add — the
+/// exact float sequence of the tape's `affine` operator (`matvec` then
 /// `axpy(1.0, b, y)`) — so frozen-engine scores match tape scores bit for
-/// bit. `threads > 1` splits the *output rows* into contiguous bands via
-/// [`par::for_each_chunk_pair`]; per-element results do not depend on the
-/// band boundaries, so the output is bit-identical at any thread count.
+/// bit. Each output row is one [`linalg::dot_rows_into`] call, whose
+/// 8-row tile replays `dot`'s order per row. `threads > 1` splits the
+/// *output rows* into contiguous bands via [`par::for_each_chunk_pair`];
+/// per-element results do not depend on the band boundaries, so the
+/// output is bit-identical at any thread count.
 pub fn try_score_bt(
     a: &Matrix,
     b: &Matrix,
@@ -41,10 +45,10 @@ pub fn try_score_bt(
 }
 
 /// [`try_score_bt`] with an explicit backend request (degrades to scalar
-/// when the CPU lacks AVX2). Every element is still one
-/// [`linalg::dot_with_backend`] call, and the AVX2 dot replays the
-/// scalar float order — bit-identical across backends, threads and
-/// bands.
+/// when the CPU lacks AVX2). Rows go through
+/// [`linalg::dot_rows_into_with_backend`], whose scalar side is one
+/// [`linalg::dot_with_backend`] per element and whose AVX2 tile replays
+/// that float order — bit-identical across backends, threads and bands.
 pub fn try_score_bt_with_backend(
     a: &Matrix,
     b: &Matrix,
@@ -79,15 +83,16 @@ pub fn try_score_bt_with_backend(
     } else {
         m.div_ceil(threads)
     };
-    let a_rows: Vec<&[f32]> = a.iter_rows().collect();
+    // Not `iter_rows`: at k = 0 it yields no rows, and each output row
+    // still needs its bias.
+    let a_rows: Vec<&[f32]> = (0..m).map(|i| a.row(i)).collect();
     par::for_each_chunk_pair(c.as_mut_slice(), band * n, &a_rows, band, |_, out, rows| {
         for (c_row, a_row) in out.chunks_mut(n).zip(rows) {
-            for (j, c_v) in c_row.iter_mut().enumerate() {
-                let mut v = linalg::dot_with_backend(a_row, b.row(j), backend);
-                if let Some(bias) = bias {
-                    v += bias[j];
+            linalg::dot_rows_into_with_backend(a_row, b.as_slice(), c_row, backend);
+            if let Some(bias) = bias {
+                for (c_v, &b_v) in c_row.iter_mut().zip(bias) {
+                    *c_v += b_v;
                 }
-                *c_v = v;
             }
         }
     });

@@ -53,6 +53,77 @@ pub(crate) unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
         + tail
 }
 
+/// Dots `x` against 8 consecutive rows of the row-major block `rows`
+/// per step (`x.len()` floats per row, `out.len()` rows, a multiple of
+/// 8), writing `out[r] = dot_avx2(x, row r)` bit for bit.
+///
+/// Per row it replays [`dot_avx2`]: each 8-lane chunk updates the
+/// row's accumulator as `acc + x*row`, unfused. The 8 accumulators are
+/// then reduced together by a transpose: even-lane + odd-lane shuffles
+/// of row pairs, applied twice, leave `(l0+l1)+(l2+l3)` in the low and
+/// `(l4+l5)+(l6+l7)` in the high 128-bit half of each row's slot, and
+/// one cross-half add yields `dot`'s pairwise sum. Shuffles keep the
+/// even lane as the left operand, as `dot` does (`hadd` would add
+/// `l1+l0`). Each row's scalar tail is added last, even when the
+/// remainder is empty: `dot` adds `0.0` too, turning `-0.0` into `+0.0`.
+///
+// SAFETY: callers must hold the guarding dispatch check
+// `dispatch::resolve(..) == Backend::Avx2` (avx2+fma+f16c verified),
+// and pass `rows.len() == out.len() * x.len()`, `out.len() % 8 == 0`.
+#[target_feature(enable = "avx2,fma,f16c")]
+pub(crate) unsafe fn dot_rows_avx2(x: &[f32], rows: &[f32], out: &mut [f32]) {
+    const LANES: usize = 8;
+    const ROWS: usize = 8;
+    let k = x.len();
+    debug_assert_eq!(out.len() % ROWS, 0);
+    debug_assert_eq!(rows.len(), out.len() * k);
+    let main = k - k % LANES;
+    let px = x.as_ptr();
+    for (g, out8) in out.chunks_exact_mut(ROWS).enumerate() {
+        let block = &rows[g * ROWS * k..(g + 1) * ROWS * k];
+        let pb = block.as_ptr();
+        let mut acc = [_mm256_setzero_ps(); ROWS];
+        let mut i = 0;
+        while i < main {
+            // SAFETY: i + LANES <= main <= k == x.len(), and for r < ROWS
+            // r * k + i + LANES <= ROWS * k == block.len(), so every
+            // 8-lane unaligned load reads in bounds.
+            unsafe {
+                let xv = _mm256_loadu_ps(px.add(i));
+                for (r, a) in acc.iter_mut().enumerate() {
+                    let rv = _mm256_loadu_ps(pb.add(r * k + i));
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, rv));
+                }
+            }
+            i += LANES;
+        }
+        let mut tail = [0.0f32; ROWS];
+        for (r, t) in tail.iter_mut().enumerate() {
+            for (a, b) in x[main..].iter().zip(&block[r * k + main..(r + 1) * k]) {
+                *t += a * b;
+            }
+        }
+        let pairs = |a: __m256, b: __m256| {
+            _mm256_add_ps(
+                _mm256_shuffle_ps::<0x88>(a, b),
+                _mm256_shuffle_ps::<0xDD>(a, b),
+            )
+        };
+        // [r0 (l0+l1), r0 (l2+l3), r1 (l0+l1), r1 (l2+l3) | same for l4..l7]
+        let (p01, p23) = (pairs(acc[0], acc[1]), pairs(acc[2], acc[3]));
+        let (p45, p67) = (pairs(acc[4], acc[5]), pairs(acc[6], acc[7]));
+        // [r0..r3 (l0+l1)+(l2+l3) | r0..r3 (l4+l5)+(l6+l7)]
+        let (q03, q47) = (pairs(p01, p23), pairs(p45, p67));
+        let low = _mm256_permute2f128_ps::<0x20>(q03, q47);
+        let high = _mm256_permute2f128_ps::<0x31>(q03, q47);
+        // SAFETY: `tail` and `out8` are exactly 8 f32s, one ymm each.
+        unsafe {
+            let sum = _mm256_add_ps(_mm256_add_ps(low, high), _mm256_loadu_ps(tail.as_ptr()));
+            _mm256_storeu_ps(out8.as_mut_ptr(), sum);
+        }
+    }
+}
+
 /// Dot product of an `f32` row against an `f16` (bit-level `u16`) row,
 /// widening via `_mm256_cvtph_ps` — exact, like the scalar software
 /// widening — then following [`dot_avx2`]'s float order.

@@ -19,11 +19,6 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
-    prop::collection::vec(-5.0f32..5.0, rows * cols)
-        .prop_map(move |data| Matrix::from_vec(rows, cols, data).unwrap())
-}
-
 fn seeded(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
     let data = (0..rows * cols)
@@ -71,22 +66,51 @@ proptest! {
         prop_assert_eq!(bits(&s), bits(&v));
     }
 
-    /// score_bt: remainder columns, optional bias, several worker
-    /// counts — the serving determinism contract across backends.
+    /// score_bt over drawn shapes: every `n % 8` row remainder of the
+    /// 8-row tile and every `k % 8` lane tail, optional bias, several
+    /// worker counts — the serving determinism contract across backends.
+    /// Each element must also equal the scalar `dot` of its pair plus its
+    /// bias, and the tile's other two entries (`dot_rows_into`, `matvec`)
+    /// must give the same bits on the same rows.
     #[test]
     fn score_bt_scalar_vs_avx2_bit_exact(
-        a in matrix(9, 37),
-        b in matrix(23, 37),
-        bias_vec in prop::collection::vec(-2.0f32..2.0, 23),
+        m in 0usize..10,
+        n in 0usize..40,
+        k in 0usize..70,
         bias_on in 0u32..2,
         threads in 1usize..5,
+        seed in 0u64..1_000_000,
     ) {
-        let bias = (bias_on == 1).then_some(bias_vec);
+        let a = seeded(m, k, seed);
+        let b = seeded(n, k, seed ^ 1);
+        let bias = (bias_on == 1).then(|| seeded(1, n, seed ^ 2).as_slice().to_vec());
         let s = score::try_score_bt_with_backend(&a, &b, bias.as_deref(), threads, Backend::Scalar).unwrap();
         let v = score::try_score_bt_with_backend(&a, &b, bias.as_deref(), threads, Backend::Avx2).unwrap();
         let auto = score::try_score_bt(&a, &b, bias.as_deref(), threads).unwrap();
         prop_assert_eq!(bits(&s), bits(&v));
         prop_assert_eq!(bits(&s), bits(&auto));
+        for i in 0..m {
+            let x = a.row(i);
+            let dots: Vec<u32> = (0..n)
+                .map(|j| linalg::dot_with_backend(x, b.row(j), Backend::Scalar).to_bits())
+                .collect();
+            for (j, &dot) in dots.iter().enumerate() {
+                let want = match &bias {
+                    Some(bias) => (f32::from_bits(dot) + bias[j]).to_bits(),
+                    None => dot,
+                };
+                prop_assert_eq!(v.get(i, j).to_bits(), want, "element ({}, {})", i, j);
+            }
+            for backend in [Backend::Scalar, Backend::Avx2] {
+                let mut out = vec![f32::NAN; n];
+                linalg::dot_rows_into_with_backend(x, b.as_slice(), &mut out, backend);
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(&got, &dots, "dot_rows_into {:?}", backend);
+            }
+            let y = linalg::try_matvec(&b, x).unwrap();
+            let got: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&got, &dots, "matvec");
+        }
     }
 
     /// Mixed-precision dots: f16 (same float order) and int8 (exact
@@ -124,11 +148,19 @@ fn gemm_empty_and_k_zero_match_across_backends() {
     }
 }
 
+/// Degenerate shapes, plus a `k = 0` full tile (2, 0, 16) and a
+/// tail-only tile (1, 5, 8).
 #[test]
 fn score_bt_empty_and_k_zero_match_across_backends() {
-    for (m, k, n) in [(0usize, 4usize, 3usize), (2, 0, 3), (2, 4, 0)] {
-        let a = Matrix::zeros(m, k);
-        let b = Matrix::zeros(n, k);
+    for (m, k, n) in [
+        (0usize, 4usize, 3usize),
+        (2, 0, 3),
+        (2, 4, 0),
+        (2, 0, 16),
+        (1, 5, 8),
+    ] {
+        let a = seeded(m, k, 7);
+        let b = seeded(n, k, 8);
         let s = score::try_score_bt_with_backend(&a, &b, None, 2, Backend::Scalar).unwrap();
         let v = score::try_score_bt_with_backend(&a, &b, None, 2, Backend::Avx2).unwrap();
         assert_eq!(s.shape(), (m, n));
