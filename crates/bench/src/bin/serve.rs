@@ -40,7 +40,7 @@ use scenerec_graph::{ItemId, UserId};
 use scenerec_obs::{chrome_trace_json, metrics, reset_metrics, structure_digest, RunManifest};
 use scenerec_serve::{
     latency_edges, replay_sharded, replay_sharded_with, EngineConfig, ReplayOptions, Request,
-    ShardReplayConfig, ShardedConfig, ShardedEngine, TimedRequest,
+    ShardReplayConfig, ShardedConfig, ShardedEngine,
 };
 use scenerec_tensor::backend_name;
 use serde::{Deserialize, Serialize};
@@ -261,7 +261,6 @@ fn main() {
 
     // Optional causal-trace export + cross-worker structure check.
     if let Some(trace_out) = args.get("trace-out") {
-        let arrivals = TimedRequest::burst(&requests);
         let traced = ReplayOptions {
             trace: true,
             ..ReplayOptions::default()
@@ -272,7 +271,7 @@ fn main() {
                 max_batch: 32,
                 ..ShardReplayConfig::default()
             };
-            replay_sharded_with(&engine, &arrivals, &config, &traced).traces
+            replay_sharded_with(&engine, &requests, &config, &traced).traces
         };
         clear_cache();
         let traces = traced_replay(1);

@@ -1,4 +1,4 @@
-//! Seeded open-loop heavy-tailed traffic for the overload bench.
+//! Seeded open-loop heavy-tailed traffic for serving benchmarks.
 //!
 //! Real recommender front-ends see two heavy tails at once: request
 //! *timing* is bursty (long quiet stretches punctuated by arrival
@@ -8,29 +8,34 @@
 //!
 //! * **Pareto inter-arrival gaps** (`gap = x_m / U^(1/alpha)`, the
 //!   inverse-CDF transform). With `pareto_alpha` in (1, 2) the gap
-//!   distribution has finite mean but infinite variance — bursts large
-//!   enough to overflow any finite queue occur at every offered load,
-//!   which is exactly what the admission gate is tested against. The
-//!   scale `x_m` is solved from [`TrafficConfig::mean_gap_ticks`] so
-//!   the offered rate is `1 / mean_gap_ticks` requests per tick.
+//!   distribution has finite mean but infinite variance, so arrival
+//!   storms occur at every offered load. The scale `x_m` is solved from
+//!   [`TrafficConfig::mean_gap_ticks`] so the offered rate is
+//!   `1 / mean_gap_ticks` requests per tick.
 //! * **Zipf user popularity**: user rank `r` (0 = hottest) is drawn
 //!   with probability proportional to `1 / (r + 1)^zipf_exponent` via a
 //!   precomputed CDF and binary search. Hot users repeat quickly, so a
-//!   realistic share of traffic lands in the scheduler's fast
-//!   (cache-hit) lane.
+//!   realistic share of traffic lands on a result cache.
 //!
 //! The traffic is **open-loop**: arrival ticks never depend on
 //! responses, so offered load is a property of the trace alone.
-//! Scaling load is just shrinking the mean gap ([`TrafficConfig::
-//! at_load`]); the random stream is consumed identically, so a 10×
-//! trace is the *same* request sequence arriving 10× faster — exactly
-//! the controlled comparison the overload sweep wants.
+//! Everything here is pure: same config, same trace, byte for byte.
 //!
-//! Everything here is pure: same config, same trace, byte for byte
-//! (`tests/overload.rs` replays one trace twice and demands identical
-//! outcomes).
+//! Its consumer is the repository benchmark's `serve_hot` workload
+//! (`perfbench/`), which maps the logical ticks onto a wall-clock send
+//! schedule and serves each arrival's user.
 
-use scenerec_serve::{Request, TimedRequest};
+use scenerec_serve::Request;
+
+/// One request stamped with its logical arrival tick (open-loop
+/// traffic: arrivals do not wait for responses).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimedRequest {
+    /// Logical arrival tick; non-decreasing along a generated trace.
+    pub arrive_tick: u64,
+    /// The request itself.
+    pub request: Request,
+}
 
 /// Knobs for one generated trace.
 #[derive(Debug, Clone)]
@@ -63,17 +68,6 @@ impl Default for TrafficConfig {
             zipf_exponent: 1.1,
             pareto_alpha: 1.3,
             mean_gap_ticks: 100.0,
-        }
-    }
-}
-
-impl TrafficConfig {
-    /// The same traffic at `multiplier`× the offered load: identical
-    /// random stream, mean gap divided by the multiplier.
-    pub fn at_load(&self, multiplier: f64) -> TrafficConfig {
-        TrafficConfig {
-            mean_gap_ticks: self.mean_gap_ticks / multiplier.max(f64::MIN_POSITIVE),
-            ..self.clone()
         }
     }
 }
@@ -192,20 +186,5 @@ mod tests {
             hot > cold,
             "top-10 users ({hot}) should outdraw the bottom half ({cold})"
         );
-    }
-
-    #[test]
-    fn load_scaling_keeps_the_request_sequence() {
-        let base = TrafficConfig {
-            requests: 1_000,
-            ..TrafficConfig::default()
-        };
-        let one = generate(&base);
-        let ten = generate(&base.at_load(10.0));
-        assert_eq!(one.len(), ten.len());
-        for (a, b) in one.iter().zip(&ten) {
-            assert_eq!(a.request, b.request, "same users/k at every position");
-            assert!(b.arrive_tick <= a.arrive_tick, "10x arrives no later");
-        }
     }
 }

@@ -922,6 +922,69 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A writer that frames correctly but stores a `params` matrix one
+    /// element short of rows × cols: the CRCs all match, so only the
+    /// payload check can catch it. Loading must return a typed error,
+    /// not a model whose first full row read panics.
+    #[test]
+    fn short_params_matrix_is_malformed_not_a_later_panic() {
+        let data = generate(&GeneratorConfig::tiny(82)).unwrap();
+        let model = SceneRec::new(SceneRecConfig::default().with_dim(4), &data);
+        let ckpt = Checkpoint {
+            version: 3,
+            config: model.config().clone(),
+            params: model.store().clone(),
+            optimizer: None,
+            trainer: None,
+            frozen: None,
+        };
+        let bytes = encode_v3(&ckpt).unwrap();
+        let spans = section_spans(&bytes).unwrap();
+        let params = spans.iter().find(|s| s.name == "params").unwrap();
+        assert_eq!(
+            spans.last().unwrap().name,
+            "params",
+            "commit follows params"
+        );
+
+        // Drop the last value of the first matrix buffer.
+        let json = std::str::from_utf8(&bytes[params.payload_start..params.payload_end]).unwrap();
+        let open = json.find("\"data\":[").unwrap() + "\"data\":[".len();
+        let close = open + json[open..].find(']').unwrap();
+        let cut = open
+            + json[open..close]
+                .rfind(',')
+                .expect("buffer holds two values");
+        let short = format!("{}{}", &json[..cut], &json[close..]);
+
+        // Re-frame with the section and commit CRCs recomputed.
+        let mut framed = bytes[..params.header_start].to_vec();
+        framed.extend_from_slice(
+            format!(
+                "section params {} {:08x}\n",
+                short.len(),
+                crc32(short.as_bytes())
+            )
+            .as_bytes(),
+        );
+        framed.extend_from_slice(short.as_bytes());
+        framed.push(b'\n');
+        framed.extend_from_slice(format!("commit {:08x}\n", crc32(&framed)).as_bytes());
+        assert!(
+            section_spans(&framed).is_ok(),
+            "the framing itself is valid"
+        );
+
+        let path = tmp("short_params.sck");
+        std::fs::write(&path, &framed).unwrap();
+        match load_full(&path, &data, &Injector::disabled()) {
+            Err(CheckpointError::Malformed(e)) => assert!(e.contains("params"), "{e}"),
+            Err(other) => panic!("expected Malformed, got {other}"),
+            Ok(_) => panic!("a short params matrix loaded"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn injected_commit_failure_preserves_previous_checkpoint() {
         let data = generate(&GeneratorConfig::tiny(81)).unwrap();

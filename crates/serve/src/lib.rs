@@ -24,14 +24,13 @@
 //! ## Entry points
 //!
 //! One engine, [`ShardedEngine`], serves every deployment: one shard is
-//! the whole catalog behind one cache, more shards partition it. Two
-//! functions serve a log: [`replay_sharded`] takes a plain request log
-//! and returns responses; [`replay_sharded_with`] takes a timed arrival
-//! log plus [`ReplayOptions`] — admission control, fault injection and
-//! tracing, in any combination — and returns a [`Replay`] (responses,
-//! traces, admission plan). Each shard is pinned to one worker of a
-//! supervised pool, so a replay keeps `min(shards, workers)` workers
-//! busy.
+//! the whole catalog behind one cache, more shards partition it. One
+//! replay path serves a request log: [`replay_sharded`] returns its
+//! responses; [`replay_sharded_with`] takes the same log plus
+//! [`ReplayOptions`] — fault injection and tracing, in any combination —
+//! and returns a [`Replay`] (responses and traces). Each shard is pinned
+//! to one worker of a supervised pool, so a replay keeps
+//! `min(shards, workers)` workers busy.
 //!
 //! ## Invariants
 //!
@@ -39,8 +38,8 @@
 //!   (`tests/serving_parity.rs`), and `top_k` matches the training-side
 //!   `top_k_for_user` including tie-breaks.
 //! * **Determinism**: no wall-clock in any decision path (the LRU uses a
-//!   logical stamp), all maps are ordered, and the scheduler reassembles
-//!   responses by request index — worker count never changes output
+//!   logical stamp), all maps are ordered, and the scheduler gathers
+//!   responses in request order — worker count never changes output
 //!   bytes (`tests/determinism.rs`).
 //! * **No panics in the serving path**: fallible APIs return
 //!   [`ServeError`]; malformed requests become error responses.
@@ -62,7 +61,6 @@
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod admission;
 pub mod cache;
 pub mod engine;
 pub mod mask;
@@ -71,10 +69,6 @@ pub mod scheduler;
 pub mod shard;
 pub mod topk;
 
-pub use admission::{
-    plan as admission_plan, AdmissionConfig, AdmissionPlan, Lane, OverloadInfo, TimedRequest,
-    Verdict,
-};
 pub use cache::{CacheStats, ResultCache};
 pub use engine::{EngineConfig, ServeError};
 pub use mask::SeenMask;

@@ -1,29 +1,21 @@
-//! The replay entry points: admission, scatter, gather.
+//! The replay entry points: scatter, gather.
 //!
 //! [`replay_sharded`] serves a plain request log through a
-//! [`ShardedEngine`]; [`replay_sharded_with`] takes a timed arrival log
-//! plus [`ReplayOptions`] — admission control, fault injection and
-//! causal tracing, in any combination — and returns a [`Replay`]. A
-//! one-shard engine is the single-engine deployment; there is no other
-//! serving path. A replay runs in three steps:
+//! [`ShardedEngine`]; [`replay_sharded_with`] serves the same log under
+//! [`ReplayOptions`] — fault injection and causal tracing, in any
+//! combination — and returns a [`Replay`]. A one-shard engine is the
+//! single-engine deployment; there is no other serving path. A replay
+//! runs in two steps:
 //!
-//! 1. **Admission** (optional) plans the whole log up front, as a pure
-//!    function of (arrival order, capacities, lanes): shed arrivals are
-//!    answered with typed overload responses, and admitted ones are
-//!    served in the plan's global dequeue order
-//!    ([`AdmissionPlan::admitted_order`]), which already encodes the
-//!    lanes' weighted round-robin. Without admission every arrival is
-//!    served, in arrival order.
-//! 2. **Scatter** (`crate::pool`) serves every (request, shard) cell on
+//! 1. **Scatter** (`crate::pool`) serves every (request, shard) cell on
 //!    supervised workers, each shard pinned to one of them.
-//! 3. **Gather** runs on the calling thread, in serving order, walking
+//! 2. **Gather** runs on the calling thread, in request order, walking
 //!    shards in index order: it merges each request's cells with
-//!    [`merge_top_k`] into the request's arrival slot and records its
-//!    spans.
+//!    [`merge_top_k`] into its response and records its spans.
 //!
-//! Responses are reassembled **by arrival index**, and each shard's
-//! cells run FIFO on one owner worker, so response bytes, counters and
-//! trace structure are identical at any worker count (pinned by
+//! Responses come back **in request order**, and each shard's cells run
+//! FIFO on one owner worker, so response bytes, counters and trace
+//! structure are identical at any worker count (pinned by
 //! `tests/determinism.rs` and `tests/serving_parity.rs`).
 //!
 //! ## Failure handling
@@ -55,22 +47,17 @@
 //!
 //! ## Causal tracing
 //!
-//! With [`ReplayOptions::trace`] set, every arrival records one span
+//! With [`ReplayOptions::trace`] set, every request records one span
 //! tree (`serve.request` → `serve.queue` / `serve.batch` → one
 //! `serve.shard` per shard, then `serve.merge`) with logical-tick
 //! timestamps, so span *structure* is as deterministic as the response
 //! bytes. A shard span carries `shard` and `hit`; on a miss also
 //! `candidates`, `backend` and `precision`; a stale answer carries
-//! `stale`, a failed shard `error`. Under admission the root also
-//! carries a `lane` field, admitted requests record a `serve.admit`
-//! span before `serve.queue`, and shed requests a single `serve.shed`
-//! span. Workers log every task claim into the `scenerec_obs::flight`
-//! ring recorder, and the pool attaches a full flight dump to the
-//! `Warn` event it emits when it reaps a panicked worker.
+//! `stale`, a failed shard `error`. Workers log every task claim into
+//! the `scenerec_obs::flight` ring recorder, and the pool attaches a
+//! full flight dump to the `Warn` event it emits when it reaps a
+//! panicked worker.
 
-use crate::admission::{
-    self, AdmissionConfig, AdmissionPlan, Lane, OverloadInfo, TimedRequest, Verdict,
-};
 use crate::pool::{self, Cell};
 use crate::shard::ShardedEngine;
 use crate::topk::merge_top_k;
@@ -110,12 +97,12 @@ pub struct Response {
     /// unscored, in ascending shard order. A shard answered from a
     /// stale partial is not listed — its items are present.
     pub partial_shards: Vec<u32>,
-    /// Set when the admission gate shed this request instead of
-    /// queueing it (admission-controlled replays only): the lane that
-    /// was full, the queue depth observed, and a deterministic
-    /// retry-after hint in logical ticks. An overloaded response is
-    /// typed — never a silent drop, never conflated with an engine error.
-    pub overload: Option<OverloadInfo>,
+    /// Always `None`: the type is uninhabited, so no code path can set
+    /// it. It exists only so that the repository benchmark (`perfbench`),
+    /// which writes `overload: None` in a `Response` literal, keeps
+    /// building; the field and that literal go together when the
+    /// benchmark is next revised.
+    pub overload: Option<std::convert::Infallible>,
 }
 
 impl Response {
@@ -136,14 +123,6 @@ impl Response {
     pub(crate) fn error(req: &Request, error: String) -> Self {
         Response {
             error: Some(error),
-            ..Response::ok(req, Vec::new())
-        }
-    }
-
-    /// A request the admission gate shed.
-    pub(crate) fn shed(req: &Request, info: OverloadInfo) -> Self {
-        Response {
-            overload: Some(info),
             ..Response::ok(req, Vec::new())
         }
     }
@@ -188,26 +167,14 @@ impl Response {
             }
             s.push(']');
         }
-        if let Some(o) = &self.overload {
-            s.push_str(",\"overloaded\":{\"lane\":\"");
-            s.push_str(o.lane.name());
-            s.push_str("\",\"queue_depth\":");
-            s.push_str(&o.queue_depth.to_string());
-            s.push_str(",\"retry_after_ticks\":");
-            s.push_str(&o.retry_after_ticks.to_string());
-            s.push('}');
-        }
         s.push('}');
         s
     }
 
     /// Coarse outcome classification, for accounting and tests:
-    /// `"overloaded"` (shed at admission), `"error"`, `"degraded"`
-    /// (a shard outage), or `"ok"`.
+    /// `"error"`, `"degraded"` (a shard outage), or `"ok"`.
     pub fn outcome(&self) -> &'static str {
-        if self.overload.is_some() {
-            "overloaded"
-        } else if self.error.is_some() {
+        if self.error.is_some() {
             "error"
         } else if self.degraded {
             "degraded"
@@ -256,38 +223,24 @@ impl Default for ShardReplayConfig {
 }
 
 /// What a replay may do besides serving ([`replay_sharded_with`]). The
-/// default is a plain replay: no admission, no faults, no traces.
+/// default is a plain replay: no faults, no traces.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayOptions {
-    /// Bounded-queue admission control. When set, the whole replay is
-    /// planned up front by [`admission::plan`] — a pure function of
-    /// (arrival order, capacities, lanes) — and shed arrivals are
-    /// answered with typed overload responses; workers only ever see
-    /// admitted work, so shedding cannot depend on the worker count.
-    pub admission: Option<AdmissionConfig>,
     /// Fault injection; the disabled injector makes every probe a no-op.
     pub injector: Injector,
-    /// Record one [`TraceData`] per arrival ([`Replay::traces`]).
+    /// Record one [`TraceData`] per request ([`Replay::traces`]).
     pub trace: bool,
 }
 
 /// The outcome of [`replay_sharded_with`].
 #[derive(Debug)]
 pub struct Replay {
-    /// One response per arrival, in arrival order.
+    /// One response per request, in request order.
     pub responses: Vec<Response>,
-    /// One trace per arrival (`trace_id` = arrival index) when
+    /// One trace per request (`trace_id` = request index) when
     /// [`ReplayOptions::trace`] is set, else empty.
     pub traces: Vec<TraceData>,
-    /// The admission plan, when [`ReplayOptions::admission`] is set.
-    pub plan: Option<AdmissionPlan>,
 }
-
-/// Bucket edges for the queue-delay histogram.
-const COUNT_EDGES: [f64; 15] = [
-    1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0,
-    16384.0,
-];
 
 /// Bucket edges for the `serve/latency_ns` histogram (one observation
 /// per (request, shard) cell), in nanoseconds: log-spaced at 6 buckets
@@ -308,160 +261,75 @@ pub fn replay_sharded(
     requests: &[Request],
     config: &ShardReplayConfig,
 ) -> Vec<Response> {
-    let options = ReplayOptions::default();
-    replay_sharded_with(engine, &TimedRequest::burst(requests), config, &options).responses
+    replay_sharded_with(engine, requests, config, &ReplayOptions::default()).responses
 }
 
-/// Replays a timed arrival log through a [`ShardedEngine`] under
-/// `options`: admission control, fault injection and tracing, in any
-/// combination.
+/// Replays a request log through a [`ShardedEngine`] under `options`:
+/// fault injection and tracing, in any combination.
 ///
-/// The invariants `tests/chaos.rs` and `tests/overload.rs` pin: **every
-/// arrival gets exactly one response, in arrival order, at any worker
-/// count, under any fault plan** — a fault can change a response's
-/// content (error, degraded) but never lose or duplicate one; with
-/// admission, `admitted + shed == offered` and a fault can neither shed
-/// admitted work nor admit shed work, because the plan is decided before
-/// any worker exists.
+/// The invariant `tests/chaos.rs` pins: **every request gets exactly one
+/// response, in request order, at any worker count, under any fault
+/// plan** — a fault can change a response's content (error, degraded)
+/// but never lose or duplicate one.
 ///
-/// Traces: one [`TraceData`] per arrival. The gather assembles every
-/// tree in deterministic shard order, so span *structure* — ids,
-/// parentage, logical ticks — is identical at any worker count (pinned
-/// via `structure_digest` in `tests/serving_parity.rs`).
+/// Traces: one [`TraceData`] per request, opened on the calling thread
+/// before any worker runs, so each `serve.queue` span covers the
+/// request's wait through the scatter. The gather completes every tree
+/// in deterministic shard order, so span *structure* — ids, parentage,
+/// logical ticks — is identical at any worker count (pinned via
+/// `structure_digest` in `tests/serving_parity.rs`).
 pub fn replay_sharded_with(
     engine: &ShardedEngine,
-    arrivals: &[TimedRequest],
+    requests: &[Request],
     config: &ShardReplayConfig,
     options: &ReplayOptions,
 ) -> Replay {
-    let plan = plan_admission(arrivals, options);
-    // Arrival index of each served request: the plan's global dequeue
-    // order, or arrival order without admission.
-    let order = plan.as_ref().map_or_else(
-        || (0..arrivals.len()).collect(),
-        AdmissionPlan::admitted_order,
-    );
-    let requests: Vec<Request> = order.iter().map(|&idx| arrivals[idx].request).collect();
     let max_batch = config.max_batch.max(1);
     let num_shards = engine.num_shards();
     let precision = engine.precision().name();
-    let cells = pool::scatter(engine, &requests, config, &options.injector);
+    let mut traces = if options.trace {
+        open_traces(requests)
+    } else {
+        Vec::new()
+    };
+    let cells = pool::scatter(engine, requests, config, &options.injector);
 
-    // Gather single-threaded, in serving order, walking shards in index
+    // Gather single-threaded, in request order, walking shards in index
     // order — which is what makes trace structure trivially worker-count
     // invariant.
-    let mut slots = shed_slots(arrivals, plan.as_ref());
-    let mut traces = options.trace.then(|| open_traces(arrivals, plan.as_ref()));
+    let mut responses = Vec::with_capacity(requests.len());
     let mut cells = cells.into_iter();
-    for (pos, (&idx, req)) in order.iter().zip(&requests).enumerate() {
+    for (idx, req) in requests.iter().enumerate() {
         let (response, infos) = gather(req, cells.by_ref().take(num_shards));
-        if let Some(t) = traces.as_mut().and_then(|ts| ts[idx].as_mut()) {
-            let batch_start = pos - pos % max_batch;
+        if let Some(t) = traces.get_mut(idx) {
+            let batch_start = idx - idx % max_batch;
             let batch_end = (batch_start + max_batch).min(requests.len());
             let batch = (batch_start, batch_end);
             trace_gather(t, batch, &infos, precision, response.recs.len());
         }
-        debug_assert!(slots[idx].is_none(), "response {idx} served twice");
-        slots[idx] = Some(response);
+        responses.push(response);
     }
-    let expected = slots.len();
-    let responses: Vec<Response> = slots.into_iter().flatten().collect();
-    debug_assert_eq!(responses.len(), expected, "scheduler dropped a request");
     // `Trace::finish` touches the obs span registry, so traces close
     // here, owned, never under a lock.
-    let traces = traces.map_or_else(Vec::new, |ts| {
-        ts.into_iter()
-            .enumerate()
-            .map(|(idx, t)| t.unwrap_or_else(|| Trace::new(idx as u64)).finish())
-            .collect()
-    });
-    Replay {
-        responses,
-        traces,
-        plan,
-    }
+    let traces = traces.into_iter().map(Trace::finish).collect();
+    Replay { responses, traces }
 }
 
-/// Plans admission when `options` ask for it, recording the plan's
-/// admit/shed accounting into the obs registry: `serve/admitted`,
-/// `serve/shed`, their per-lane variants (`serve/admitted_fast`, ...),
-/// and the `serve/queue_delay_ticks` histogram.
-fn plan_admission(arrivals: &[TimedRequest], options: &ReplayOptions) -> Option<AdmissionPlan> {
-    let plan = admission::plan(arrivals, options.admission.as_ref()?);
-    metrics::counter("serve/admitted").add(plan.admitted() as u64);
-    metrics::counter("serve/shed").add(plan.shed() as u64);
-    for lane in [Lane::Fast, Lane::Cold] {
-        metrics::counter(&format!("serve/admitted_{}", lane.name()))
-            .add(plan.admitted_by_lane[lane.index()] as u64);
-        metrics::counter(&format!("serve/shed_{}", lane.name()))
-            .add(plan.shed_by_lane[lane.index()] as u64);
-    }
-    let delay_hist = metrics::histogram("serve/queue_delay_ticks", &COUNT_EDGES);
-    for delay in plan.queue_delays() {
-        delay_hist.observe(delay as f64);
-    }
-    Some(plan)
-}
-
-/// One response slot per arrival, pre-filled with a typed overload
-/// response for every shed arrival; workers only ever fill the rest.
-fn shed_slots(arrivals: &[TimedRequest], plan: Option<&AdmissionPlan>) -> Vec<Option<Response>> {
-    arrivals
+/// Opens every request's trace: the `serve.request` root and its
+/// `serve.queue` span, left open for the gather to close. This runs on
+/// the calling thread, in request order, before any worker exists, so
+/// none of these ticks can depend on worker interleaving.
+fn open_traces(requests: &[Request]) -> Vec<Trace> {
+    requests
         .iter()
         .enumerate()
-        .map(|(idx, arrival)| match plan.map(|p| &p.verdicts[idx]) {
-            Some(Verdict::Shed(info)) => Some(Response::shed(&arrival.request, *info)),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Opens every arrival's trace: the `serve.request` root, then either
-/// `serve.queue` (left open for the serving side to close), or under
-/// admission a closed `serve.admit` span before it, or a closed
-/// `serve.shed` span instead of it. This runs on the calling thread, in
-/// arrival order, before any worker exists, so none of these ticks can
-/// depend on worker interleaving.
-fn open_traces(arrivals: &[TimedRequest], plan: Option<&AdmissionPlan>) -> Vec<Option<Trace>> {
-    let lane_field = |t: &mut Trace, root, lane: Lane| {
-        t.add_field(root, "lane", FieldValue::Str(lane.name().to_string()));
-    };
-    arrivals
-        .iter()
-        .enumerate()
-        .map(|(idx, arrival)| {
+        .map(|(idx, req)| {
             let mut t = Trace::new(idx as u64);
             let root = t.start_span("serve.request");
-            t.add_field(root, "user", FieldValue::Int(arrival.request.user as i64));
-            t.add_field(root, "k", FieldValue::Int(arrival.request.k as i64));
-            match plan.map(|p| &p.verdicts[idx]) {
-                None => {
-                    t.start_span("serve.queue");
-                }
-                Some(Verdict::Admit { lane, seq, .. }) => {
-                    lane_field(&mut t, root, *lane);
-                    let admit = t.start_span("serve.admit");
-                    t.add_field(admit, "seq", FieldValue::Int(*seq as i64));
-                    t.end_span(admit);
-                    t.start_span("serve.queue");
-                }
-                Some(Verdict::Shed(info)) => {
-                    lane_field(&mut t, root, info.lane);
-                    let shed = t.start_span("serve.shed");
-                    t.add_field(
-                        shed,
-                        "queue_depth",
-                        FieldValue::Int(info.queue_depth as i64),
-                    );
-                    t.add_field(
-                        shed,
-                        "retry_after_ticks",
-                        FieldValue::Int(info.retry_after_ticks as i64),
-                    );
-                    t.end_span(shed);
-                }
-            }
-            Some(t)
+            t.add_field(root, "user", FieldValue::Int(req.user as i64));
+            t.add_field(root, "k", FieldValue::Int(req.k as i64));
+            t.start_span("serve.queue");
+            t
         })
         .collect()
 }
@@ -606,7 +474,7 @@ mod tests {
             injector: inj.clone(),
             ..ReplayOptions::default()
         };
-        replay_sharded_with(engine, &TimedRequest::burst(reqs), cfg, &options).responses
+        replay_sharded_with(engine, reqs, cfg, &options).responses
     }
 
     fn log() -> Vec<Request> {
@@ -830,103 +698,5 @@ mod tests {
             .as_deref()
             .is_some_and(|e| e.contains("shard 0 unavailable after 2 retries")));
         assert!(!out[0].degraded);
-    }
-
-    /// The 48-request log as a single tick-0 burst: everything arrives
-    /// before the first drain round, so tiny capacities must shed.
-    fn timed_burst() -> Vec<TimedRequest> {
-        log()
-            .into_iter()
-            .map(|request| TimedRequest {
-                arrive_tick: 0,
-                request,
-            })
-            .collect()
-    }
-
-    fn tiny_bounds() -> (ShardReplayConfig, AdmissionConfig) {
-        (
-            ShardReplayConfig {
-                max_batch: 4,
-                ..ShardReplayConfig::default()
-            },
-            AdmissionConfig {
-                fast_capacity: 4,
-                cold_capacity: 6,
-                drain_every_ticks: 100,
-                drain_per_round: 1,
-                ..AdmissionConfig::default()
-            },
-        )
-    }
-
-    fn bounded(
-        engine: &ShardedEngine,
-        arrivals: &[TimedRequest],
-        (replay, admission): &(ShardReplayConfig, AdmissionConfig),
-    ) -> (Vec<Response>, AdmissionPlan) {
-        let options = ReplayOptions {
-            admission: Some(admission.clone()),
-            ..ReplayOptions::default()
-        };
-        let out = replay_sharded_with(engine, arrivals, replay, &options);
-        (out.responses, out.plan.expect("admission was requested"))
-    }
-
-    #[test]
-    fn bounded_burst_sheds_typed_and_accounts_exactly() {
-        let engine = toy_engine();
-        let arrivals = timed_burst();
-        let (out, plan) = bounded(&engine, &arrivals, &tiny_bounds());
-        assert_eq!(out.len(), arrivals.len());
-        assert_eq!(plan.admitted() + plan.shed(), plan.offered());
-        assert!(plan.shed() > 0, "burst must overflow the toy capacities");
-        let shed = out.iter().filter(|r| r.overload.is_some()).count();
-        assert_eq!(shed, plan.shed(), "every planned shed is answered");
-        for r in &out {
-            match r.outcome() {
-                "overloaded" => {
-                    let info = r.overload.expect("typed overload info");
-                    assert!(info.retry_after_ticks >= 1);
-                    assert!(info.queue_depth > 0);
-                    assert!(r.recs.is_empty() && r.error.is_none() && !r.degraded);
-                    assert!(r.to_json().contains("\"overloaded\":{\"lane\":"));
-                }
-                "ok" => assert!(r.overload.is_none()),
-                other => panic!("unexpected outcome {other}"),
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_worker_count_does_not_change_bytes() {
-        let arrivals = timed_burst();
-        let cfg = tiny_bounds();
-        let (reference, ref_plan) = bounded(&toy_engine(), &arrivals, &cfg);
-        let reference = responses_to_json(&reference);
-        for workers in [2usize, 4] {
-            let mut cfg = cfg.clone();
-            cfg.0.workers = workers;
-            let (out, plan) = bounded(&toy_engine(), &arrivals, &cfg);
-            assert_eq!(plan, ref_plan, "plan changed at workers={workers}");
-            assert_eq!(
-                responses_to_json(&out),
-                reference,
-                "bytes diverged at workers={workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn zero_capacity_sheds_everything_and_still_answers() {
-        let engine = toy_engine();
-        let arrivals = timed_burst();
-        let mut cfg = tiny_bounds();
-        cfg.1.fast_capacity = 0;
-        cfg.1.cold_capacity = 0;
-        let (out, plan) = bounded(&engine, &arrivals, &cfg);
-        assert_eq!(plan.shed(), arrivals.len());
-        assert_eq!(out.len(), arrivals.len());
-        assert!(out.iter().all(|r| r.outcome() == "overloaded"));
     }
 }

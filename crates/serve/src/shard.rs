@@ -517,7 +517,6 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::TimedRequest;
     use crate::scheduler::{
         replay_sharded, replay_sharded_with, responses_to_json, ReplayOptions, Request, Response,
         ShardReplayConfig,
@@ -573,7 +572,7 @@ mod tests {
             injector,
             ..ReplayOptions::default()
         };
-        replay_sharded_with(engine, &TimedRequest::burst(requests), config, &options).responses
+        replay_sharded_with(engine, requests, config, &options).responses
     }
 
     /// A one-shard engine: the whole catalog behind one cache.
@@ -857,7 +856,7 @@ mod tests {
         let digest_at = |workers: usize| {
             let traces = replay_sharded_with(
                 &engine,
-                &TimedRequest::burst(&requests),
+                &requests,
                 &ShardReplayConfig {
                     workers,
                     max_batch: 4,

@@ -17,7 +17,7 @@ use scenerec_faults::{Fault, FaultPlan, Injector, Trigger};
 use scenerec_obs::{chrome_trace_json, structure_digest, structure_text, FieldValue, TraceData};
 use scenerec_serve::{
     replay_sharded, replay_sharded_with, EngineConfig, ReplayOptions, Request, Response,
-    ShardReplayConfig, ShardedConfig, ShardedEngine, TimedRequest,
+    ShardReplayConfig, ShardedConfig, ShardedEngine,
 };
 use scenerec_tensor::Matrix;
 
@@ -73,9 +73,8 @@ fn traced_supervised(
     let options = ReplayOptions {
         injector: injector.clone(),
         trace: true,
-        ..ReplayOptions::default()
     };
-    let out = replay_sharded_with(engine, &TimedRequest::burst(requests), config, &options);
+    let out = replay_sharded_with(engine, requests, config, &options);
     (out.responses, out.traces)
 }
 

@@ -12,11 +12,29 @@ use serde::{Deserialize, Serialize};
 /// The storage is a contiguous `Vec<f32>` with element `(r, c)` at
 /// `r * cols + c`, so rows are cache-friendly slices — the access pattern of
 /// every aggregation in the paper (sums over neighbor embedding rows).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+/// The serialized shape of a [`Matrix`]: the same three fields.
+#[derive(Deserialize)]
+struct MatrixRepr {
+    rows: usize,
+    cols: usize,
+    data: Vec<f32>,
+}
+
+/// Decodes through [`Matrix::from_vec`], so a buffer that does not hold
+/// exactly `rows * cols` values is a decode error, never a matrix whose
+/// row reads panic later.
+impl Deserialize for Matrix {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let MatrixRepr { rows, cols, data } = MatrixRepr::from_value(v)?;
+        Matrix::from_vec(rows, cols, data).map_err(|e| serde::Error::msg(e.to_string()))
+    }
 }
 
 impl Matrix {
@@ -50,9 +68,10 @@ impl Matrix {
     /// Creates a matrix from a row-major buffer.
     ///
     /// # Errors
-    /// Returns [`ShapeError::BadBuffer`] if `data.len() != rows * cols`.
+    /// Returns [`ShapeError::BadBuffer`] if `data.len() != rows * cols`,
+    /// including when `rows * cols` overflows `usize`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> TensorResult<Self> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(ShapeError::BadBuffer {
                 shape: (rows, cols),
                 len: data.len(),
@@ -356,5 +375,17 @@ mod tests {
         let json = serde_json::to_string(&m).unwrap();
         let back: Matrix = serde_json::from_str(&json).unwrap();
         assert_eq!(back, m);
+    }
+
+    /// A decoded buffer must hold exactly `rows * cols` values: one
+    /// element short is an error at decode time, and so is a shape whose
+    /// element count overflows `usize`.
+    #[test]
+    fn decoding_rejects_a_buffer_that_does_not_fit_the_shape() {
+        let short = serde_json::from_str::<Matrix>(r#"{"rows":2,"cols":2,"data":[1.0,2.0,3.0]}"#);
+        assert!(short.is_err(), "short buffer decoded: {short:?}");
+        let huge = format!(r#"{{"rows":{n},"cols":{n},"data":[]}}"#, n = 1u64 << 32);
+        assert!(serde_json::from_str::<Matrix>(&huge).is_err());
+        assert!(Matrix::from_vec(1 << 32, 1 << 32, Vec::new()).is_err());
     }
 }

@@ -23,9 +23,8 @@ use scenerec_core::{FrozenHead, FrozenModel, PairwiseModel, Precision, SceneRec,
 use scenerec_data::{generate, Dataset, GeneratorConfig};
 use scenerec_faults::{Fault, FaultPlan, Injector, Trigger};
 use scenerec_serve::{
-    merge_top_k, replay_sharded, replay_sharded_with, responses_to_json, AdmissionConfig,
-    AdmissionPlan, ReplayOptions, Request, Response, ShardReplayConfig, ShardedConfig,
-    ShardedEngine, TimedRequest, Verdict,
+    merge_top_k, replay_sharded, replay_sharded_with, responses_to_json, ReplayOptions, Request,
+    Response, ShardReplayConfig, ShardedConfig, ShardedEngine,
 };
 use scenerec_tensor::Matrix;
 
@@ -80,33 +79,18 @@ fn toy_sharded(shards: usize) -> ShardedEngine {
     ShardedEngine::new(frozen, &seen, ShardedConfig::with_shards(shards)).unwrap()
 }
 
-/// Replay options arming `inj`, with admission control when given.
-fn faulted(inj: &Injector, admission: Option<&AdmissionConfig>) -> ReplayOptions {
-    ReplayOptions {
-        admission: admission.cloned(),
-        injector: inj.clone(),
-        trace: false,
-    }
-}
-
+/// Replays `reqs` with `inj` armed.
 fn supervised(
     engine: &ShardedEngine,
     reqs: &[Request],
     cfg: &ShardReplayConfig,
     inj: &Injector,
 ) -> Vec<Response> {
-    replay_sharded_with(engine, &TimedRequest::burst(reqs), cfg, &faulted(inj, None)).responses
-}
-
-fn bounded(
-    engine: &ShardedEngine,
-    arrivals: &[TimedRequest],
-    cfg: &ShardReplayConfig,
-    admission: &AdmissionConfig,
-    inj: &Injector,
-) -> (Vec<Response>, AdmissionPlan) {
-    let out = replay_sharded_with(engine, arrivals, cfg, &faulted(inj, Some(admission)));
-    (out.responses, out.plan.expect("admission was requested"))
+    let options = ReplayOptions {
+        injector: inj.clone(),
+        trace: false,
+    };
+    replay_sharded_with(engine, reqs, cfg, &options).responses
 }
 
 fn request_log() -> Vec<Request> {
@@ -388,152 +372,6 @@ fn worker_panic_dumps_flight_recorder() {
         dump.contains("faults.injected") && dump.contains("Panic at serve/shard_worker"),
         "dump must show the injected fault:\n{dump}"
     );
-}
-
-// ---------------------------------------------------------------------
-// Admission-controlled serving under chaos
-// ---------------------------------------------------------------------
-
-/// The request log as a single burst at tick 0, so tiny queue bounds are
-/// guaranteed to overflow and the admission gate sheds under the fault.
-fn timed_burst() -> Vec<TimedRequest> {
-    request_log()
-        .into_iter()
-        .map(|request| TimedRequest {
-            arrive_tick: 0,
-            request,
-        })
-        .collect()
-}
-
-/// Bounds small enough that the burst sheds in both lanes.
-fn tight_bounds(workers: usize) -> (ShardReplayConfig, AdmissionConfig) {
-    (
-        ShardReplayConfig {
-            workers,
-            max_batch: 4,
-            max_retries: 32,
-        },
-        AdmissionConfig {
-            fast_capacity: 4,
-            cold_capacity: 6,
-            drain_every_ticks: 100,
-            drain_per_round: 1,
-            ..AdmissionConfig::default()
-        },
-    )
-}
-
-/// Worker panic storms while the queues are at capacity: the fault layer
-/// must neither lose an admitted request nor resurrect a shed one.
-/// Every arrival gets exactly one response — Ok, Degraded, or typed
-/// Overloaded — the shed set is unchanged from the fault-free run, and
-/// recovered output is byte-identical at every worker count.
-#[test]
-fn bounded_worker_panics_at_capacity_preserve_exactly_once() {
-    let arrivals = timed_burst();
-    let engine = toy_engine();
-    let (cfg, admission) = tight_bounds(1);
-    let (fault_free, reference_plan) =
-        bounded(&engine, &arrivals, &cfg, &admission, &Injector::disabled());
-    let reference = responses_to_json(&fault_free);
-    assert!(
-        reference_plan.shed() > 0 && reference_plan.admitted() > 0,
-        "the burst must actually contend with the bounds"
-    );
-
-    for workers in [1usize, 2, 4] {
-        let inj = Injector::new(FaultPlan::new(chaos_seed()).inject(
-            "serve/shard_worker",
-            Trigger::Every(3),
-            Fault::Panic,
-        ));
-        let (cfg, admission) = tight_bounds(workers);
-        let (out, plan) = bounded(&engine, &arrivals, &cfg, &admission, &inj);
-        assert!(inj.injected() >= 1, "plan never fired at workers={workers}");
-
-        // Panics cannot shed admitted work or admit shed work: the plan
-        // is decided before any worker exists.
-        assert_eq!(plan, reference_plan, "workers={workers} changed the plan");
-
-        // Exactly-once, typed: one response per arrival, each shaped by
-        // its verdict.
-        assert_eq!(out.len(), arrivals.len());
-        for (i, (verdict, resp)) in plan.verdicts.iter().zip(&out).enumerate() {
-            match verdict {
-                Verdict::Shed(info) => {
-                    assert_eq!(
-                        resp.overload,
-                        Some(*info),
-                        "request {i}: shed must be typed"
-                    );
-                    assert!(resp.error.is_none() && resp.recs.is_empty());
-                }
-                Verdict::Admit { .. } => {
-                    assert!(
-                        resp.overload.is_none(),
-                        "request {i}: admitted yet overloaded"
-                    );
-                    assert!(resp.error.is_none(), "request {i}: {:?}", resp.error);
-                }
-            }
-        }
-        assert_eq!(
-            reference,
-            responses_to_json(&out),
-            "workers={workers} diverged under panics at capacity"
-        );
-    }
-}
-
-/// The same storm on the sharded bounded path: scatter-gather across
-/// shards with panicking shard workers still answers every arrival
-/// exactly once with the fault-free bytes and the fault-free shed set.
-#[test]
-fn sharded_bounded_worker_panics_at_capacity_preserve_exactly_once() {
-    let arrivals = timed_burst();
-    let admission = tight_bounds(1).1;
-    let (fault_free, reference_plan) = bounded(
-        &toy_sharded(4),
-        &arrivals,
-        &ShardReplayConfig {
-            max_batch: 4,
-            ..ShardReplayConfig::default()
-        },
-        &admission,
-        &Injector::disabled(),
-    );
-    let reference = responses_to_json(&fault_free);
-    assert!(reference_plan.shed() > 0 && reference_plan.admitted() > 0);
-
-    for workers in [1usize, 2, 4] {
-        let engine = toy_sharded(4);
-        let inj = Injector::new(FaultPlan::new(chaos_seed()).inject(
-            "serve/shard_worker",
-            Trigger::Every(3),
-            Fault::Panic,
-        ));
-        let cfg = ShardReplayConfig {
-            workers,
-            max_batch: 4,
-            max_retries: 32,
-        };
-        let (out, plan) = bounded(&engine, &arrivals, &cfg, &admission, &inj);
-        assert!(inj.injected() >= 1, "plan never fired at workers={workers}");
-        assert_eq!(plan, reference_plan, "workers={workers} changed the plan");
-        assert_eq!(out.len(), arrivals.len());
-        for (verdict, resp) in plan.verdicts.iter().zip(&out) {
-            match verdict {
-                Verdict::Shed(info) => assert_eq!(resp.overload, Some(*info)),
-                Verdict::Admit { .. } => assert!(resp.overload.is_none()),
-            }
-        }
-        assert_eq!(
-            reference,
-            responses_to_json(&out),
-            "workers={workers} diverged under shard panics at capacity"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------

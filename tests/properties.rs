@@ -346,176 +346,49 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Admission control (scenerec_serve::admission): the overload gate is a
-// pure plan. Accounting is exact, verdicts are causal in arrival order,
-// and bounded replays are byte-identical at any worker count.
+// Worker-count invariance end to end: an arbitrary request log replays
+// to byte-identical NDJSON at any worker count.
 // ---------------------------------------------------------------------
 
-use scenerec_serve::{
-    admission_plan, replay_sharded_with, responses_to_json, AdmissionConfig, Lane, ReplayOptions,
-    Request, ShardReplayConfig, TimedRequest, Verdict,
-};
-
-/// Builds a trace from (gap, user, k) triples: cumulative bursty ticks
-/// over a small user space so lanes and capacities genuinely contend.
-fn arrivals_from(parts: &[(u64, u32, usize)]) -> Vec<TimedRequest> {
-    let mut tick = 0u64;
-    parts
-        .iter()
-        .map(|&(gap, user, k)| {
-            tick += gap;
-            TimedRequest {
-                arrive_tick: tick,
-                request: Request {
-                    user: user % 6,
-                    k: 1 + k % 3,
-                },
-            }
-        })
-        .collect()
-}
-
-/// Arbitrary small admission configs, including zero capacities, from a
-/// knob tuple (the vendored proptest has no `prop_compose!`).
-type CfgKnobs = ((usize, usize), (u32, u32), (u64, u32));
-
-fn admission_cfg_from(knobs: CfgKnobs) -> AdmissionConfig {
-    let (
-        (fast_capacity, cold_capacity),
-        (fast_weight, cold_weight),
-        (drain_every_ticks, drain_per_round),
-    ) = knobs;
-    AdmissionConfig {
-        fast_capacity,
-        cold_capacity,
-        fast_weight,
-        cold_weight,
-        drain_every_ticks,
-        drain_per_round,
-    }
-}
-
-fn cfg_knobs() -> impl Strategy<Value = CfgKnobs> {
-    (
-        (0usize..8, 0usize..8),
-        (1u32..6, 1u32..4),
-        (1u64..10, 1u32..4),
-    )
-}
+use scenerec_serve::{replay_sharded, responses_to_json, Request, ShardReplayConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Conservation: every arrival is either admitted or shed — never
-    /// both, never neither — for any trace and any config, and the
-    /// per-lane counters agree with the verdict list exactly.
+    /// The replay returns byte-identical responses at workers {1, 2, 4}:
+    /// each shard's cells run FIFO on one owner worker and responses are
+    /// gathered in request order. Four shards give every worker count
+    /// work.
     #[test]
-    fn admission_accounting_is_exact(
-        parts in prop::collection::vec((0u64..30, 0u32..16, 0usize..5), 0..120),
-        knobs in cfg_knobs(),
-    ) {
-        let cfg = admission_cfg_from(knobs);
-        let arrivals = arrivals_from(&parts);
-        let plan = admission_plan(&arrivals, &cfg);
-        prop_assert_eq!(plan.offered(), arrivals.len());
-        prop_assert_eq!(plan.admitted() + plan.shed(), plan.offered());
-        for lane in [Lane::Fast, Lane::Cold] {
-            let admitted = plan
-                .verdicts
-                .iter()
-                .filter(|v| matches!(v, Verdict::Admit { lane: l, .. } if *l == lane))
-                .count();
-            let shed = plan
-                .verdicts
-                .iter()
-                .filter(|v| matches!(v, Verdict::Shed(i) if i.lane == lane))
-                .count();
-            prop_assert_eq!(admitted, plan.admitted_by_lane[lane.index()]);
-            prop_assert_eq!(shed, plan.shed_by_lane[lane.index()]);
-            prop_assert!(plan.peak_depth_by_lane[lane.index()] <= match lane {
-                Lane::Fast => cfg.fast_capacity,
-                Lane::Cold => cfg.cold_capacity,
-            });
-        }
-        // Every shed is typed with a full queue and a positive retry hint.
-        for v in &plan.verdicts {
-            if let Verdict::Shed(info) = v {
-                let cap = match info.lane {
-                    Lane::Fast => cfg.fast_capacity,
-                    Lane::Cold => cfg.cold_capacity,
-                };
-                prop_assert!(info.queue_depth >= cap, "shed below capacity");
-                prop_assert!(info.retry_after_ticks >= 1);
-            }
-        }
-    }
-
-    /// Purity and causality: the plan is a function of (arrival order,
-    /// ticks, config) alone — recomputing it changes nothing, and
-    /// appending future arrivals never rewrites past verdicts.
-    #[test]
-    fn shed_decisions_are_pure_and_causal(
-        parts in prop::collection::vec((0u64..30, 0u32..16, 0usize..5), 1..100),
-        cut in 0usize..100,
-        knobs in cfg_knobs(),
-    ) {
-        let cfg = admission_cfg_from(knobs);
-        let arrivals = arrivals_from(&parts);
-        let plan = admission_plan(&arrivals, &cfg);
-        prop_assert_eq!(&plan, &admission_plan(&arrivals, &cfg));
-        let m = cut.min(arrivals.len());
-        let prefix = admission_plan(&arrivals[..m], &cfg);
-        prop_assert_eq!(
-            &prefix.verdicts[..],
-            &plan.verdicts[..m],
-            "a later arrival changed an earlier verdict"
-        );
-    }
-
-    /// Worker-count invariance end to end: the bounded replay returns
-    /// the same plan and byte-identical responses at workers {1, 2, 4} —
-    /// shedding is decided before any worker exists, and responses are
-    /// reassembled in arrival order. Four shards give every worker
-    /// count work.
-    #[test]
-    fn bounded_replay_is_byte_identical_across_workers(
+    fn replay_is_byte_identical_across_workers(
         seed in 0u64..100_000,
-        parts in prop::collection::vec((0u64..6, 0u32..6, 0usize..3), 1..60),
-        knobs in cfg_knobs(),
+        parts in prop::collection::vec((0u32..6, 0usize..3), 1..60),
         max_batch in 1usize..6,
     ) {
-        let cfg = admission_cfg_from(knobs);
         let frozen = random_frozen(seed, 6, 12, 4, false);
         let seen: Vec<Vec<u32>> = vec![Vec::new(); 6];
-        let arrivals = arrivals_from(&parts);
-        let mut reference: Option<(String, _)> = None;
+        let requests: Vec<Request> =
+            parts.iter().map(|&(user, k)| Request { user, k: 1 + k }).collect();
+        let mut reference: Option<String> = None;
         for workers in [1usize, 2, 4] {
             let engine =
                 ShardedEngine::new(frozen.clone(), &seen, ShardedConfig::with_shards(4)).unwrap();
-            let bounded = ShardReplayConfig {
+            let config = ShardReplayConfig {
                 workers,
                 max_batch,
                 ..ShardReplayConfig::default()
             };
-            let options = ReplayOptions {
-                admission: Some(cfg.clone()),
-                ..ReplayOptions::default()
-            };
-            let replayed = replay_sharded_with(&engine, &arrivals, &bounded, &options);
-            let (out, plan) = (replayed.responses, replayed.plan.expect("admission was requested"));
-            prop_assert_eq!(out.len(), arrivals.len());
+            let out = replay_sharded(&engine, &requests, &config);
+            prop_assert_eq!(out.len(), requests.len());
             let rendered = responses_to_json(&out);
             match &reference {
-                None => reference = Some((rendered, plan)),
-                Some((want_bytes, want_plan)) => {
-                    prop_assert_eq!(want_plan, &plan, "workers={} changed the plan", workers);
-                    prop_assert_eq!(
-                        want_bytes,
-                        &rendered,
-                        "workers={} changed the bytes",
-                        workers
-                    );
-                }
+                None => reference = Some(rendered),
+                Some(want) => prop_assert_eq!(
+                    want,
+                    &rendered,
+                    "workers={} changed the bytes",
+                    workers
+                ),
             }
         }
     }

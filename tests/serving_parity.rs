@@ -16,7 +16,7 @@ use scenerec_faults::Injector;
 use scenerec_graph::{ItemId, UserId};
 use scenerec_serve::{
     replay_sharded, replay_sharded_with, responses_to_json, EngineConfig, ReplayOptions, Request,
-    ShardReplayConfig, ShardedConfig, ShardedEngine, TimedRequest,
+    ShardReplayConfig, ShardedConfig, ShardedEngine,
 };
 
 const SAMPLED_USERS: u32 = 50;
@@ -277,7 +277,7 @@ fn sharded_trace_structure_digest_is_pinned_across_worker_counts() {
     let digest_at = |workers: usize| {
         let replayed = replay_sharded_with(
             &engine,
-            &TimedRequest::burst(&requests),
+            &requests,
             &ShardReplayConfig {
                 workers,
                 max_batch: 16,
