@@ -223,6 +223,59 @@ mod tests {
         );
     }
 
+    fn split_store() -> ParamStore {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut store = ParamStore::new();
+        store.add_dense("w", 4, 7, Initializer::XavierUniform, &mut rng);
+        store.add_dense("b", 4, 1, Initializer::Uniform(0.3), &mut rng);
+        store.add_embedding("e", 3, 3, Initializer::Uniform(0.8), &mut rng);
+        store.add_embedding("f", 2, 4, Initializer::Uniform(0.8), &mut rng);
+        store
+    }
+
+    /// `tanh(W [a ‖ c] + b)` through the split op, reduced to a scalar
+    /// that depends non-linearly on every input.
+    fn split_loss<'s>(g: &mut Graph<'s>, store: &'s ParamStore) -> crate::graph::Var {
+        let w = store.lookup("w").unwrap();
+        let b = store.lookup("b").unwrap();
+        let a = g.embed_sum(store.lookup("e").unwrap(), &[0, 2]);
+        let c = g.embed_row(store.lookup("f").unwrap(), 1);
+        let y = g.affine_split(w, b, a, c);
+        let y = g.activation(y, Act::Tanh);
+        let sq = g.squared_norm(y);
+        let s = g.sum(y);
+        g.add(sq, s)
+    }
+
+    /// The split affine (Eq. 14's first layer): W, b and both inputs.
+    #[test]
+    fn affine_split_gradcheck() {
+        let mut store = split_store();
+        let mut grads = GradStore::new(&store);
+        {
+            let mut g = Graph::new(&store);
+            let loss = split_loss(&mut g, &store);
+            g.backward(loss, &mut grads);
+        }
+        let e = store.lookup("e").unwrap();
+        let f = store.lookup("f").unwrap();
+        assert_eq!(grads.sparse(e).keys().copied().collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(grads.sparse(f).keys().copied().collect::<Vec<_>>(), [1]);
+        let report = check_gradients(&mut store, &grads, 1e-2, 64, |s| {
+            let mut g = Graph::new(s);
+            let loss = split_loss(&mut g, s);
+            g.scalar(loss)
+        });
+        // 28 weights + 4 biases + 2 rows of a + 1 row of c.
+        assert_eq!(report.checked, 28 + 4 + 6 + 4);
+        assert!(
+            report.passes(0.02),
+            "max rel error {} at {:?}",
+            report.max_rel_error,
+            report.worst
+        );
+    }
+
     #[test]
     fn report_passes_threshold_logic() {
         let r = GradCheckReport {

@@ -58,6 +58,25 @@ impl Act {
         }
     }
 
+    /// Applies the activation to every element of `xs` in place, bit for
+    /// bit as [`Act::apply`] would. The variant is matched once per call,
+    /// not per element, so each arm's loop is straight-line code the
+    /// compiler can vectorize.
+    pub fn apply_all(self, xs: &mut [f32]) {
+        fn each(xs: &mut [f32], f: impl Fn(f32) -> f32) {
+            for v in xs {
+                *v = f(*v);
+            }
+        }
+        match self {
+            Act::Identity => {}
+            Act::Sigmoid => each(xs, numeric::sigmoid),
+            Act::Relu => each(xs, numeric::relu),
+            Act::Tanh => each(xs, numeric::tanh),
+            Act::LeakyRelu(a) => each(xs, |x| numeric::leaky_relu(x, a)),
+        }
+    }
+
     /// Derivative given both the input `x` and the output `y = f(x)`.
     #[inline]
     fn grad(self, x: f32, y: f32) -> f32 {
@@ -92,8 +111,15 @@ enum Op {
         rows: Vec<u32>,
         weights: Var,
     },
-    /// `W x + b`.
-    Affine { w: ParamId, b: ParamId, x: Var },
+    /// `W x + b`; with a second input `c`, the split form
+    /// `(W[:, ..l] x + b) + W[:, l..] c` (`l = x.rows()`), which is
+    /// `W [x ‖ c] + b` without the concatenation.
+    Affine {
+        w: ParamId,
+        b: ParamId,
+        x: Var,
+        c: Option<Var>,
+    },
     /// `W x`.
     Linear { w: ParamId, x: Var },
     /// `a + b` (element-wise).
@@ -281,7 +307,51 @@ impl<'s> Graph<'s> {
         assert_eq!(bv.shape(), (wv.rows(), 1), "affine: bias shape mismatch");
         let mut y = linalg::matvec(wv, xv.as_slice());
         linalg::axpy(1.0, bv.as_slice(), &mut y);
-        self.push(Matrix::col_vector(&y), Op::Affine { w, b, x })
+        self.push(Matrix::col_vector(&y), Op::Affine { w, b, x, c: None })
+    }
+
+    /// `W [a ‖ c] + b` without building `[a ‖ c]`: computed as
+    /// `(W[:, ..l] a + b) + W[:, l..] c` with `l = a.rows()`, in that
+    /// float order. Each half is one strided [`linalg::dot_rows_into`]
+    /// call over `W`'s column window, so `W[:, l..] c` depends on `c`
+    /// alone and a frozen engine can project it once per item (Eq. 14).
+    /// The backward pass is the concat + affine one.
+    pub fn affine_split(&mut self, w: ParamId, b: ParamId, a: Var, c: Var) -> Var {
+        let wv = self.store.value(w);
+        let bv = self.store.value(b);
+        let av = &self.nodes[a.0].value;
+        let cv = &self.nodes[c.0].value;
+        assert!(
+            av.cols() == 1 && cv.cols() == 1,
+            "affine_split inputs must be column vectors"
+        );
+        assert_eq!(
+            wv.cols(),
+            av.rows() + cv.rows(),
+            "affine_split: W cols != a rows + c rows"
+        );
+        assert_eq!(
+            bv.shape(),
+            (wv.rows(), 1),
+            "affine_split: bias shape mismatch"
+        );
+        let (h, k) = wv.shape();
+        let mut y = vec![0.0f32; h];
+        linalg::dot_rows_into(av.as_slice(), wv.as_slice(), k, &mut y);
+        linalg::axpy(1.0, bv.as_slice(), &mut y);
+        let mut yc = vec![0.0f32; h];
+        let w_c = wv.as_slice().get(av.rows()..).unwrap_or_default();
+        linalg::dot_rows_into(cv.as_slice(), w_c, k, &mut yc);
+        linalg::axpy(1.0, &yc, &mut y);
+        self.push(
+            Matrix::col_vector(&y),
+            Op::Affine {
+                w,
+                b,
+                x: a,
+                c: Some(c),
+            },
+        )
     }
 
     /// `W x` without bias.
@@ -491,13 +561,25 @@ impl<'s> Graph<'s> {
                     }
                     accumulate(&mut adj, weights.0, &wgrad);
                 }
-                Op::Affine { w, b, x } => {
-                    let xv = &self.nodes[x.0].value;
-                    // gW += g xᵀ ; gb += g ; gx += Wᵀ g
-                    grads.add_dense(*w, &linalg::outer(g.as_slice(), xv.as_slice()));
-                    grads.add_dense(*b, &g);
+                Op::Affine { w, b, x, c } => {
+                    let xv = self.nodes[x.0].value.as_slice();
+                    // gW += g [x ‖ c]ᵀ ; gb += g ; g[x ‖ c] += Wᵀ g, split
+                    // at x's length
                     let gx = linalg::matvec_t(self.store.value(*w), g.as_slice());
-                    accumulate(&mut adj, x.0, &Matrix::col_vector(&gx));
+                    grads.add_dense(*b, &g);
+                    match c {
+                        None => {
+                            grads.add_dense(*w, &linalg::outer(g.as_slice(), xv));
+                            accumulate(&mut adj, x.0, &Matrix::col_vector(&gx));
+                        }
+                        Some(c) => {
+                            let cat = [xv, self.nodes[c.0].value.as_slice()].concat();
+                            grads.add_dense(*w, &linalg::outer(g.as_slice(), &cat));
+                            let (ga, gc) = gx.split_at(xv.len());
+                            accumulate(&mut adj, x.0, &Matrix::col_vector(ga));
+                            accumulate(&mut adj, c.0, &Matrix::col_vector(gc));
+                        }
+                    }
                 }
                 Op::Linear { w, x } => {
                     let xv = &self.nodes[x.0].value;
@@ -649,6 +731,24 @@ mod tests {
     }
 
     #[test]
+    fn apply_all_matches_apply_bit_for_bit() {
+        let xs = [-3.5f32, -1.0, -0.0, 0.0, 1e-30, 0.5, 2.0, 40.0, f32::NAN];
+        for act in [
+            Act::Identity,
+            Act::Sigmoid,
+            Act::Relu,
+            Act::Tanh,
+            Act::LeakyRelu(0.125),
+        ] {
+            let mut all = xs;
+            act.apply_all(&mut all);
+            for (&x, y) in xs.iter().zip(all) {
+                assert_eq!(act.apply(x).to_bits(), y.to_bits(), "{act:?} at {x}");
+            }
+        }
+    }
+
+    #[test]
     fn constant_and_scalar_access() {
         let store = ParamStore::new();
         let mut g = Graph::new(&store);
@@ -723,6 +823,55 @@ mod tests {
         // gW = 1 * xᵀ for each output row.
         assert_eq!(grads.dense(w).unwrap().as_slice(), &[1.0, 1.0, 1.0, 1.0]);
         assert_eq!(grads.dense(b).unwrap().as_slice(), &[1.0, 1.0]);
+    }
+
+    /// On exactly representable values the split form equals the affine
+    /// map of the concatenation, forward and backward.
+    #[test]
+    fn affine_split_matches_affine_of_concat() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut store = ParamStore::new();
+        let w = store.add_dense("w", 2, 5, Initializer::Zeros, &mut rng);
+        let b = store.add_dense("b", 2, 1, Initializer::Zeros, &mut rng);
+        let e = store.add_embedding("e", 2, 3, Initializer::Zeros, &mut rng);
+        let f = store.add_embedding("f", 1, 2, Initializer::Zeros, &mut rng);
+        store
+            .param_mut(w)
+            .value_mut()
+            .set_row(0, &[1.0, -2.0, 0.5, 3.0, -1.0]);
+        store
+            .param_mut(w)
+            .value_mut()
+            .set_row(1, &[0.25, 4.0, -1.5, 2.0, 1.0]);
+        store.param_mut(b).value_mut().set_row(1, &[-0.5]);
+        store.param_mut(e).value_mut().set_row(1, &[2.0, 1.0, -3.0]);
+        store.param_mut(f).value_mut().set_row(0, &[0.5, -4.0]);
+
+        let run = |split: bool| {
+            let mut g = Graph::new(&store);
+            let a = g.embed_row(e, 1);
+            let c = g.embed_row(f, 0);
+            let y = if split {
+                g.affine_split(w, b, a, c)
+            } else {
+                let cat = g.concat(&[a, c]);
+                g.affine(w, b, cat)
+            };
+            let value = g.value(y).as_slice().to_vec();
+            let sq = g.squared_norm(y);
+            let mut grads = GradStore::new(&store);
+            g.backward(sq, &mut grads);
+            (
+                value,
+                grads.dense(w).unwrap().as_slice().to_vec(),
+                grads.dense(b).unwrap().as_slice().to_vec(),
+                grads.sparse(e)[&1].clone(),
+                grads.sparse(f)[&0].clone(),
+            )
+        };
+        let split = run(true);
+        assert_eq!(split.0, vec![4.0, 5.5]);
+        assert_eq!(split, run(false));
     }
 
     #[test]

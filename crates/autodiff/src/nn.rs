@@ -45,6 +45,17 @@ impl Dense {
     /// Applies the layer on the tape.
     pub fn forward(&self, g: &mut Graph<'_>, x: Var) -> Var {
         let y = g.affine(self.w, self.b, x);
+        self.activate(g, y)
+    }
+
+    /// Applies the layer to `[a ‖ c]` without building the
+    /// concatenation ([`Graph::affine_split`]).
+    pub fn forward_split(&self, g: &mut Graph<'_>, a: Var, c: Var) -> Var {
+        let y = g.affine_split(self.w, self.b, a, c);
+        self.activate(g, y)
+    }
+
+    fn activate(&self, g: &mut Graph<'_>, y: Var) -> Var {
         match self.act {
             Act::Identity => y,
             act => g.activation(y, act),
@@ -134,6 +145,17 @@ impl Mlp {
         h
     }
 
+    /// Applies the MLP to `[a ‖ c]`, its first layer reading the two
+    /// parts in place ([`Dense::forward_split`]) — Eq. 14's rating head
+    /// on `[m_u ‖ m_i]`.
+    pub fn forward_split(&self, g: &mut Graph<'_>, a: Var, c: Var) -> Var {
+        let mut h = self.layers[0].forward_split(g, a, c);
+        for layer in &self.layers[1..] {
+            h = layer.forward(g, h);
+        }
+        h
+    }
+
     /// Number of layers.
     pub fn depth(&self) -> usize {
         self.layers.len()
@@ -214,6 +236,30 @@ mod tests {
         let x = g.constant_vec(&[0.1; 6]);
         let y = mlp.forward(&mut g, x);
         assert_eq!(g.value(y).shape(), (1, 1));
+    }
+
+    #[test]
+    fn mlp_forward_split_reads_both_parts() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut store = ParamStore::new();
+        let mlp = Mlp::new(
+            &mut store,
+            "m",
+            &[5, 4, 1],
+            Act::Relu,
+            Act::Identity,
+            &mut rng,
+        );
+        let mut g = Graph::new(&store);
+        let a = g.constant_vec(&[0.5, -1.0]);
+        let c = g.constant_vec(&[0.25, 2.0, -0.75]);
+        let before = g.len();
+        let y = mlp.forward_split(&mut g, a, c);
+        // split affine + relu, then the output affine: no concat node.
+        assert_eq!(g.len() - before, 3);
+        let cat = g.concat(&[a, c]);
+        let z = mlp.forward(&mut g, cat);
+        assert!((g.scalar(y) - g.scalar(z)).abs() < 1e-5);
     }
 
     #[test]

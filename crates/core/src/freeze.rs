@@ -11,10 +11,21 @@
 //! matrices, leaving only the pairing head (Eq. 14's rating MLP, or a dot
 //! product for embedding baselines) to run per request.
 //!
-//! The head is replayed with `scenerec_tensor::score::score_bt`, whose
-//! per-element reduction order matches the tape's `affine` operator, so a
-//! frozen `f32` engine reproduces `PairwiseModel::score_values` **bit for
-//! bit** (see `tests/serving_parity.rs`).
+//! The head is replayed with `scenerec_tensor::linalg::dot_rows_into`,
+//! whose per-element reduction order matches the tape's `affine`
+//! operator, so a frozen `f32` engine reproduces
+//! `PairwiseModel::score_values` **bit for bit** (see
+//! `tests/serving_parity.rs`). The rating MLP's first layer runs on the
+//! tape as `Graph::affine_split`, `(W[:, ..d]·m_u + b) + W[:, d..]·m_i`
+//! in that float order, so its item half is a function of `m_i` alone:
+//! the engine projects it once per item when it is built, and per
+//! request adds it to the user half. The head is stored whole, as the
+//! `rating.0.w` parameter has it (`h x 2d`); the split is a matter of
+//! which columns each half reads, so neither this snapshot nor
+//! checkpoints change shape. The output layer's dots commute: the
+//! engine's `dot(w_out, h_i)` equals the tape's `dot(h_i, w_out)` bit for
+//! bit (same lane order, and `a*b == b*a` in IEEE 754); the
+//! `serve::engine` parity contract spells the argument out.
 //!
 //! # Quantized snapshots
 //!
@@ -213,6 +224,63 @@ pub enum FrozenHead {
 }
 
 impl FrozenHead {
+    /// Checks the head against the rows it pairs: user rows of
+    /// `user_dim` floats, and `num_items` item rows of `item_dim`.
+    ///
+    /// # Errors
+    /// A human-readable description of the first inconsistency found.
+    pub fn validate(
+        &self,
+        user_dim: usize,
+        item_dim: usize,
+        num_items: usize,
+    ) -> Result<(), String> {
+        let (du, di) = (user_dim, item_dim);
+        match self {
+            FrozenHead::DotBias { bias } => {
+                if du != di {
+                    return Err(format!("dot head with user dim {du} vs item dim {di}"));
+                }
+                if bias.len() != num_items {
+                    return Err(format!("bias length {} vs {num_items} items", bias.len()));
+                }
+            }
+            FrozenHead::Mlp { layers } => {
+                let Some(first) = layers.first() else {
+                    return Err("MLP head with no layers".to_owned());
+                };
+                if first.w.cols() != du + di {
+                    return Err(format!(
+                        "MLP head expects input {} but [u ‖ i] has {}",
+                        first.w.cols(),
+                        du + di
+                    ));
+                }
+                let mut dim = first.w.cols();
+                for (idx, layer) in layers.iter().enumerate() {
+                    if layer.w.cols() != dim {
+                        return Err(format!(
+                            "layer {idx} expects input {} but receives {dim}",
+                            layer.w.cols()
+                        ));
+                    }
+                    if layer.b.len() != layer.w.rows() {
+                        return Err(format!(
+                            "layer {idx} bias length {} vs {} outputs",
+                            layer.b.len(),
+                            layer.w.rows()
+                        ));
+                    }
+                    dim = layer.w.rows();
+                }
+                if dim != 1 {
+                    return Err(format!("MLP head outputs {dim} values, want a scalar"));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Restricts the head to items `start..end` of the catalog.
     ///
     /// A dot head carries per-item bias, so the slice keeps exactly the
@@ -402,54 +470,8 @@ impl FrozenModel {
                 self.items.precision().name()
             ));
         }
-        let (du, di) = (self.users.cols(), self.items.cols());
-        match &self.head {
-            FrozenHead::DotBias { bias } => {
-                if du != di {
-                    return Err(format!("dot head with user dim {du} vs item dim {di}"));
-                }
-                if bias.len() != self.items.rows() {
-                    return Err(format!(
-                        "bias length {} vs {} items",
-                        bias.len(),
-                        self.items.rows()
-                    ));
-                }
-            }
-            FrozenHead::Mlp { layers } => {
-                let Some(first) = layers.first() else {
-                    return Err("MLP head with no layers".to_owned());
-                };
-                if first.w.cols() != du + di {
-                    return Err(format!(
-                        "MLP head expects input {} but [u ‖ i] has {}",
-                        first.w.cols(),
-                        du + di
-                    ));
-                }
-                let mut dim = first.w.cols();
-                for (idx, layer) in layers.iter().enumerate() {
-                    if layer.w.cols() != dim {
-                        return Err(format!(
-                            "layer {idx} expects input {} but receives {dim}",
-                            layer.w.cols()
-                        ));
-                    }
-                    if layer.b.len() != layer.w.rows() {
-                        return Err(format!(
-                            "layer {idx} bias length {} vs {} outputs",
-                            layer.b.len(),
-                            layer.w.rows()
-                        ));
-                    }
-                    dim = layer.w.rows();
-                }
-                if dim != 1 {
-                    return Err(format!("MLP head outputs {dim} values, want a scalar"));
-                }
-            }
-        }
-        Ok(())
+        self.head
+            .validate(self.users.cols(), self.items.cols(), self.items.rows())
     }
 
     /// Slices the *item side* of the model to `start..end`: the item
@@ -615,17 +637,9 @@ fn entity_from_payload(p: EntityPayload, precision: Precision) -> Result<EntityM
             let data = p
                 .f32_data
                 .ok_or("f32 entity payload missing f32_data".to_owned())?;
-            if data.len() != p.rows * p.cols {
-                return Err(format!(
-                    "f32 entity payload: {} values for {}x{}",
-                    data.len(),
-                    p.rows,
-                    p.cols
-                ));
-            }
-            let mut m = Matrix::zeros(p.rows, p.cols);
-            m.as_mut_slice().copy_from_slice(&data);
-            Ok(EntityMatrix::F32(m))
+            Matrix::from_vec(p.rows, p.cols, data)
+                .map(EntityMatrix::F32)
+                .map_err(|e| format!("f32 entity payload: {e}"))
         }
         Precision::F16 => {
             let bits = p
@@ -1007,5 +1021,17 @@ mod tests {
         let mut snap = FrozenSnapshot::from(&m);
         snap.head.kind = "mystery".to_owned();
         assert!(snap.into_model().is_err());
+        // Entity shapes whose `rows * cols` overflows are errors at every
+        // precision, whatever the payload holds.
+        let huge = 1usize << (usize::BITS / 2);
+        for p in [Precision::F32, Precision::F16, Precision::Int8] {
+            let mut snap = FrozenSnapshot::from(&m.quantize(p).unwrap());
+            snap.items.rows = huge;
+            snap.items.cols = huge;
+            snap.items.f32_data = snap.items.f32_data.map(|_| vec![]);
+            snap.items.f16_bits = snap.items.f16_bits.map(|_| vec![]);
+            snap.items.int8_codes = snap.items.int8_codes.map(|_| vec![]);
+            assert!(snap.into_model().is_err(), "{}", p.name());
+        }
     }
 }

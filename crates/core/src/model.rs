@@ -343,7 +343,10 @@ impl SceneRec {
         self.fusion.forward(g, cat)
     }
 
-    /// Eq. 14 given a precomputed user representation.
+    /// Eq. 14 given a precomputed user representation. The rating MLP's
+    /// first layer reads `[m_u ‖ m_i]` in two parts
+    /// (`Graph::affine_split`), so its item half is a function of the
+    /// item alone, which the frozen engine projects once per item.
     fn score_with_user<'s>(
         &'s self,
         g: &mut Graph<'s>,
@@ -353,8 +356,7 @@ impl SceneRec {
         cat_reprs: &mut BTreeMap<u32, Var>,
     ) -> Var {
         let m_item = self.item_repr(g, i, scene_sums, cat_reprs);
-        let cat = g.concat(&[m_user, m_item]);
-        self.rating.forward(g, cat)
+        self.rating.forward_split(g, m_user, m_item)
     }
 
     /// The raw (pre-softmax) scene-based attention score between two items

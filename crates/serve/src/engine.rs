@@ -11,15 +11,27 @@
 //!
 //! * the frozen user/item rows are tape-evaluated values (see
 //!   `scenerec_core::freeze`),
-//! * every f32 score — the dot head directly, each MLP layer through
-//!   `score_bt` — comes out of `linalg::dot_rows_into`, the workspace's
-//!   one dot-per-element loop, which the tape's `affine` runs too (via
-//!   `matvec`). Its AVX2 tile dots 8 item rows per step, but each row
-//!   keeps its own accumulator, reduced in `linalg::dot`'s pairwise
+//! * every f32 dot — the dot head, each half of the MLP head's first
+//!   layer, its hidden layers through `score_bt` and its output layer —
+//!   comes out of `linalg::dot_rows_into`, the workspace's one
+//!   dot-per-element loop, which the tape's `affine`, `affine_split`
+//!   and `matvec` run too. Its AVX2 tile dots 8 rows per step, but each
+//!   row keeps its own accumulator, reduced in `linalg::dot`'s pairwise
 //!   order with the tail added last, so each element equals `dot` on
 //!   its pair (the tape's `dot` operator), whatever rows share its
 //!   tile, band or thread,
 //! * the bias is one add after the dot, as in the tape's `affine`,
+//! * the MLP head's first layer follows the tape's `affine_split` float
+//!   order, `(W[:, ..du]·m_u + b) + W[:, du..]·m_i`: the engine keeps
+//!   the right-hand term per item (`P`, projected once when the shard is
+//!   built, from the same rows and the same tile) and adds it to the
+//!   left-hand term, computed once per request; the activation follows
+//!   the add, as on the tape,
+//! * the scalar output layer is one tile call `dot(w_out, h_i)` over the
+//!   items' hidden rows, where the tape computes `dot(h_i, w_out)`: each
+//!   lane multiplies the same pair of floats (IEEE 754 multiplication is
+//!   commutative, `a*b == b*a` bit for bit) and the lanes accumulate and
+//!   reduce in the same order, so the two are the same float,
 //! * candidates are scanned in ascending item order and ties resolve to
 //!   the smaller item id, matching the training-side stable sort.
 //!
@@ -39,6 +51,16 @@
 //!   (`scenerec_tensor::quant::dot_i8_centered`) with one fixed-order
 //!   f32 rescale per element.
 //!
+//! MLP heads at f16 and int8 expand rows to f32 (exact widening /
+//! dequantization) and run the f32 path above, so a quantized MLP engine
+//! scores exactly like an f32 engine over the expanded rows. Its item
+//! projection is built from those expanded rows and always stays f32:
+//! `h` floats per item, 128 B at the default `h = 32`, against 128 B for
+//! the item's f32 row, 64 B for its f16 row and 40 B for its int8 row
+//! (`d = 32` codes plus a scale and a zero point). So an f16 or int8 MLP
+//! engine serves from about 3x or 4x the item bytes its rows alone
+//! take; dot heads keep no projection.
+//!
 //! Every precision keeps the *determinism* contract: identical bytes
 //! across kernel backends, thread counts and worker counts. Cache keys
 //! carry the precision tag, so entries can never cross precisions.
@@ -54,7 +76,9 @@ use scenerec_tensor::{linalg, quant, Matrix};
 pub struct EngineConfig {
     /// Candidate rows scored per kernel call (bounds scratch memory).
     pub band: usize,
-    /// Threads handed to the scoring kernel within one request.
+    /// Threads handed to `score_bt` within one request, which scores an
+    /// MLP head's hidden layers after the first; the first layer, the
+    /// scalar output layer and dot heads run on the calling thread.
     pub threads: usize,
     /// Max entries in the (user, k) result cache; 0 disables caching.
     pub cache_capacity: usize,
@@ -112,97 +136,174 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Scores every row of `items` (with the head's per-item state)
-/// against `users` row `user`, in row order.
-///
-/// This is the one scoring implementation behind the engine: each
-/// `ShardedEngine` shard calls it over its sliced matrix + head, and
-/// its caller drops seen items while ranking. Per-element scores depend
-/// only on the user row, the item row, and that item's head state —
-/// never on which other rows ride in the same call — so slicing (like
-/// banding and threading, pinned by
-/// `parity_is_invariant_to_band_and_threads`) cannot change a single
-/// bit.
-pub(crate) fn score_rows(
-    users: &EntityMatrix,
-    items: &EntityMatrix,
-    head: &FrozenHead,
-    user: usize,
-    band: usize,
-    threads: usize,
-) -> Result<Vec<f32>, ServeError> {
-    let band = band.max(1);
-    let rows = items.rows();
-    let mut out = Vec::with_capacity(rows);
-    match head {
-        // Dot heads score straight off the stored representation:
-        // f32 runs the 8-row `linalg::dot_rows_into` tile, each score
-        // bit-identical to the tape's `linalg::dot`; f16 widens item
-        // lanes in-kernel against the (exactly widened) user row; int8
-        // accumulates in exact integer arithmetic and rescales with one
-        // fixed-order f32 multiply chain per element. The bias is one
-        // add after the dot, as in the tape.
-        FrozenHead::DotBias { bias } => match (users, items) {
-            (EntityMatrix::F32(users), EntityMatrix::F32(catalog)) => {
-                out.resize(rows, 0.0);
-                linalg::dot_rows_into(users.row(user), catalog.as_slice(), &mut out);
-                for (v, &b) in out.iter_mut().zip(bias) {
+/// One catalog range as the engine scores it: its item rows, its slice
+/// of the head, and, for an MLP head, the item half of the first layer
+/// projected once per item.
+#[derive(Debug)]
+pub(crate) struct ItemSide {
+    items: EntityMatrix,
+    head: FrozenHead,
+    /// MLP heads: row `i` is `W[:, du..] · m_i` for the first layer's
+    /// weights `W`, the user width `du` and item row `i` expanded to f32
+    /// (`rows x h`). Dot heads: `0 x 0`.
+    proj: Matrix,
+}
+
+impl ItemSide {
+    /// Checks `head` against `user_dim` and the item rows, and for an MLP
+    /// head projects every item row through the item half of its first
+    /// layer. The one constructor: engine builds and shard swaps both
+    /// come through here, so a shard's projection always matches its rows.
+    ///
+    /// # Errors
+    /// [`ServeError::Invalid`] when the head does not fit the rows.
+    pub(crate) fn new(
+        items: EntityMatrix,
+        head: FrozenHead,
+        user_dim: usize,
+    ) -> Result<Self, ServeError> {
+        head.validate(user_dim, items.cols(), items.rows())
+            .map_err(ServeError::Invalid)?;
+        let proj = match &head {
+            FrozenHead::DotBias { .. } => Matrix::zeros(0, 0),
+            FrozenHead::Mlp { layers } => {
+                let w = &layers[0].w;
+                let w_items = w.as_slice().get(user_dim..).unwrap_or_default();
+                let mut proj = Matrix::zeros(items.rows(), w.rows());
+                let mut m = vec![0.0f32; items.cols()];
+                for i in 0..items.rows() {
+                    items.expand_row_into(i, &mut m);
+                    linalg::dot_rows_into(&m, w_items, w.cols(), proj.row_mut(i));
+                }
+                proj
+            }
+        };
+        Ok(ItemSide { items, head, proj })
+    }
+
+    /// The item rows, at the engine's storage precision.
+    pub(crate) fn items(&self) -> &EntityMatrix {
+        &self.items
+    }
+
+    /// Scores every item row against `users` row `user`, in row order.
+    ///
+    /// This is the one scoring implementation behind the engine: each
+    /// `ShardedEngine` shard calls it over its own rows, and its caller
+    /// drops seen items while ranking. Per-element scores depend only on
+    /// the user row, the item row, and that item's head state (its bias
+    /// or its projection), never on which other rows ride in the same
+    /// call, so slicing (like banding and threading, pinned by
+    /// `parity_is_invariant_to_band_and_threads`) cannot change a bit.
+    pub(crate) fn score(
+        &self,
+        users: &EntityMatrix,
+        user: usize,
+        band: usize,
+        threads: usize,
+    ) -> Result<Vec<f32>, ServeError> {
+        let band = band.max(1);
+        let rows = self.items.rows();
+        let mut out = Vec::with_capacity(rows);
+        match &self.head {
+            // Dot heads score straight off the stored representation:
+            // f32 runs the 8-row `linalg::dot_rows_into` tile, each score
+            // bit-identical to the tape's `linalg::dot`; f16 widens item
+            // lanes in-kernel against the (exactly widened) user row; int8
+            // accumulates in exact integer arithmetic and rescales with one
+            // fixed-order f32 multiply chain per element. The bias is one
+            // add after the dot, as in the tape.
+            FrozenHead::DotBias { bias } => match (users, &self.items) {
+                (EntityMatrix::F32(users), EntityMatrix::F32(catalog)) => {
+                    out.resize(rows, 0.0);
+                    linalg::dot_rows_into(
+                        users.row(user),
+                        catalog.as_slice(),
+                        catalog.cols(),
+                        &mut out,
+                    );
+                    for (v, &b) in out.iter_mut().zip(bias) {
+                        *v += b;
+                    }
+                }
+                (EntityMatrix::F16(users), EntityMatrix::F16(catalog)) => {
+                    let mut u = vec![0.0f32; users.cols()];
+                    users.widen_row_into(user, &mut u);
+                    for (i, &b) in bias.iter().enumerate() {
+                        out.push(quant::dot_f16(&u, catalog.row(i)) + b);
+                    }
+                }
+                (EntityMatrix::Int8(users), EntityMatrix::Int8(catalog)) => {
+                    let uc = users.centered_row(user);
+                    let su = users.scale(user);
+                    for (i, &b) in bias.iter().enumerate() {
+                        let zv = catalog.zero_point(i) as i16;
+                        let idot = quant::dot_i8_centered(&uc, catalog.row(i), zv);
+                        out.push(su * catalog.scale(i) * idot as f32 + b);
+                    }
+                }
+                // Engine constructors validate matching precisions;
+                // reachable only through a hand-built inconsistent model.
+                _ => {
+                    return Err(ServeError::Invalid(
+                        "user/item entity matrices disagree on precision".to_owned(),
+                    ))
+                }
+            },
+            // MLP heads: the first layer is `(W[:, ..du]·u + b) +
+            // W[:, du..]·m_i`, the tape's `affine_split` order. The user
+            // half plus the bias is one strided tile call per request;
+            // the item half is the projection. Each band then needs the
+            // add and the activation per element, any hidden layers
+            // through `score_bt`, and the scalar output layer as one tile
+            // call `dot(w_out, h_i)` over the band's rows, which equals
+            // the tape's `dot(h_i, w_out)` bit for bit: each lane
+            // multiplies the same pair (`a*b == b*a` in IEEE 754) and
+            // accumulates in the same order.
+            FrozenHead::Mlp { layers } => {
+                let Some((first, rest)) = layers.split_first() else {
+                    return Err(ServeError::Invalid("MLP head with no layers".to_owned()));
+                };
+                let mut u = vec![0.0f32; users.cols()];
+                users.expand_row_into(user, &mut u);
+                let h = first.w.rows();
+                let mut q = vec![0.0f32; h];
+                linalg::dot_rows_into(&u, first.w.as_slice(), first.w.cols(), &mut q);
+                for (v, &b) in q.iter_mut().zip(&first.b) {
                     *v += b;
                 }
-            }
-            (EntityMatrix::F16(users), EntityMatrix::F16(catalog)) => {
-                let mut u = vec![0.0f32; users.cols()];
-                users.widen_row_into(user, &mut u);
-                for (i, &b) in bias.iter().enumerate() {
-                    out.push(quant::dot_f16(&u, catalog.row(i)) + b);
-                }
-            }
-            (EntityMatrix::Int8(users), EntityMatrix::Int8(catalog)) => {
-                let uc = users.centered_row(user);
-                let su = users.scale(user);
-                for (i, &b) in bias.iter().enumerate() {
-                    let zv = catalog.zero_point(i) as i16;
-                    let idot = quant::dot_i8_centered(&uc, catalog.row(i), zv);
-                    out.push(su * catalog.scale(i) * idot as f32 + b);
-                }
-            }
-            // Engine constructors validate matching precisions;
-            // reachable only through a hand-built inconsistent model.
-            _ => {
-                return Err(ServeError::Invalid(
-                    "user/item entity matrices disagree on precision".to_owned(),
-                ))
-            }
-        },
-        // MLP heads expand rows to f32 (copy / exact widen /
-        // dequantize) and replay the f32 layer stack; the expansion
-        // is deterministic, so so is the whole path.
-        FrozenHead::Mlp { layers } => {
-            let du = users.cols();
-            let di = items.cols();
-            let mut u = vec![0.0f32; du];
-            users.expand_row_into(user, &mut u);
-            for start in (0..rows).step_by(band) {
-                let end = rows.min(start + band);
-                let mut h = Matrix::zeros(end - start, du + di);
-                for (r, i) in (start..end).enumerate() {
-                    let row = h.row_mut(r);
-                    row[..du].copy_from_slice(&u);
-                    items.expand_row_into(i, &mut row[du..]);
-                }
-                for layer in layers {
-                    let mut y = try_score_bt(&h, &layer.w, Some(&layer.b), threads)
-                        .map_err(|e| ServeError::Invalid(e.to_string()))?;
-                    for v in y.as_mut_slice() {
-                        *v = layer.act.apply(*v);
+                out.resize(rows, 0.0);
+                for start in (0..rows).step_by(band) {
+                    let end = rows.min(start + band);
+                    let mut x = Vec::with_capacity((end - start) * h);
+                    for r in start..end {
+                        let p = self.proj.row(r);
+                        x.extend(q.iter().zip(p).map(|(&qv, &pv)| qv + pv));
                     }
-                    h = y;
+                    first.act.apply_all(&mut x);
+                    let scores = &mut out[start..end];
+                    let Some((last, hidden)) = rest.split_last() else {
+                        // The first layer is the scalar output layer.
+                        scores.copy_from_slice(&x);
+                        continue;
+                    };
+                    let mut x = Matrix::from_vec(end - start, h, x)
+                        .map_err(|e| ServeError::Invalid(e.to_string()))?;
+                    for layer in hidden {
+                        x = try_score_bt(&x, &layer.w, Some(&layer.b), threads)
+                            .map_err(|e| ServeError::Invalid(e.to_string()))?;
+                        layer.act.apply_all(x.as_mut_slice());
+                    }
+                    linalg::dot_rows_into(last.w.as_slice(), x.as_slice(), x.cols(), scores);
+                    for v in scores.iter_mut() {
+                        *v += last.b[0];
+                    }
+                    last.act.apply_all(scores);
                 }
-                out.extend_from_slice(h.as_slice());
             }
         }
+        Ok(out)
     }
-    Ok(out)
 }
 
 /// Per-user seen-item lists from the dataset's training interactions —

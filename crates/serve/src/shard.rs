@@ -20,7 +20,8 @@
 //!
 //! Sharding never changes a byte of any response. Per-element scores
 //! depend only on the user row, the item row, and that item's head
-//! state (`score_rows`), so slicing cannot perturb them; and the
+//! state (its bias, or its MLP projection; `ItemSide::score`), so
+//! slicing cannot perturb them; and the
 //! serving order `(score desc, item asc)` is a strict total order, so
 //! merging per-shard top-K lists with the same comparator
 //! ([`merge_top_k`]) reproduces the whole-catalog ranking exactly, ties
@@ -41,7 +42,7 @@
 //! atomics, never the cache lock.
 
 use crate::cache::{CacheStats, ResultCache};
-use crate::engine::{score_rows, seen_lists, EngineConfig, ServeError};
+use crate::engine::{seen_lists, EngineConfig, ItemSide, ServeError};
 use crate::mask::SeenMask;
 use crate::topk::{merge_top_k, select_top_k};
 use scenerec_core::{
@@ -76,13 +77,12 @@ impl ShardedConfig {
 }
 
 /// One contiguous item range of the frozen catalog: its sliced entity
-/// rows, its slice of the head, and its own result cache.
+/// rows with their slice of the head, and its own result cache.
 #[derive(Debug)]
 struct Shard {
     /// First global item id in this shard (ids are `start..start+rows`).
     start: u32,
-    items: EntityMatrix,
-    head: FrozenHead,
+    side: ItemSide,
     cache: Mutex<ResultCache>,
     /// The cache's hit/miss counters, cloned out before the cache goes
     /// behind its mutex, so stats reads never contend with serving for
@@ -222,6 +222,7 @@ impl ShardedEngine {
         let num_users = frozen.num_users();
         let num_items = frozen.num_items();
         let precision = frozen.precision();
+        let user_dim = frozen.users.cols();
         let map = ShardMap::contiguous(num_items, config.shards.max(1));
         // One shard is the whole catalog: keep its matrices as they are
         // instead of copying them through a slice.
@@ -241,18 +242,17 @@ impl ShardedEngine {
             .enumerate()
             .map(|(s, (&start, (items, head)))| {
                 let cache = ResultCache::new(config.engine.cache_capacity);
-                Shard {
+                Ok(Shard {
                     start,
-                    items,
-                    head,
+                    side: ItemSide::new(items, head, user_dim)?,
                     stats: cache.stats(),
                     cache: Mutex::new(cache),
                     requests_counter: format!("serve/shard/{s}/requests"),
                     hits_counter: format!("serve/shard/{s}/cache_hits"),
                     misses_counter: format!("serve/shard/{s}/cache_misses"),
-                }
+                })
             })
-            .collect();
+            .collect::<Result<_, ServeError>>()?;
         Ok(ShardedEngine {
             name: frozen.name,
             users: frozen.users,
@@ -340,10 +340,8 @@ impl ShardedEngine {
             });
         }
         metrics::counter(&shard.misses_counter).inc();
-        let scores = score_rows(
+        let scores = shard.side.score(
             &self.users,
-            &shard.items,
-            &shard.head,
             user as usize,
             self.config.engine.band,
             self.config.engine.threads,
@@ -389,10 +387,8 @@ impl ShardedEngine {
         self.check_user(user)?;
         let mut scores = Vec::with_capacity(self.num_items);
         for shard in &self.shards {
-            scores.extend(score_rows(
+            scores.extend(shard.side.score(
                 &self.users,
-                &shard.items,
-                &shard.head,
                 user as usize,
                 self.config.engine.band,
                 self.config.engine.threads,
@@ -435,12 +431,13 @@ impl ShardedEngine {
     }
 
     /// Replaces shard `s`'s item rows and head slice (e.g. after an
-    /// incremental re-freeze of one catalog range) and invalidates
-    /// exactly that shard's cache.
+    /// incremental re-freeze of one catalog range), projects the new rows
+    /// for an MLP head, and invalidates exactly that shard's cache.
     ///
     /// # Errors
-    /// [`ServeError::Invalid`] when the replacement's shape, precision,
-    /// or (for dot heads) bias length disagrees with the shard's range.
+    /// [`ServeError::Invalid`] when the replacement's shape or precision
+    /// disagrees with the shard's range, or its head does not fit the
+    /// rows (`FrozenHead::validate`).
     pub fn swap_shard(
         &mut self,
         s: usize,
@@ -467,24 +464,16 @@ impl ShardedEngine {
                 self.precision.name()
             )));
         }
-        if items.cols() != self.shards[s].items.cols() {
+        let cols = self.shards[s].side.items().cols();
+        if items.cols() != cols {
             return Err(ServeError::Invalid(format!(
-                "shard {s} replacement has {} cols but the catalog has {}",
-                items.cols(),
-                self.shards[s].items.cols()
+                "shard {s} replacement has {} cols but the catalog has {cols}",
+                items.cols()
             )));
         }
-        if let FrozenHead::DotBias { bias } = &head {
-            if bias.len() != rows {
-                return Err(ServeError::Invalid(format!(
-                    "shard {s} replacement bias has {} entries but the range needs {rows}",
-                    bias.len()
-                )));
-            }
-        }
+        let side = ItemSide::new(items, head, self.users.cols())?;
         let shard = &mut self.shards[s];
-        shard.items = items;
-        shard.head = head;
+        shard.side = side;
         lock_unpoisoned(&shard.cache).bump_epoch();
         Ok(())
     }

@@ -132,7 +132,7 @@ pub fn try_matmul_bt(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
     }
     let mut c = Matrix::zeros(m, n);
     for i in 0..m {
-        dot_rows_into(a.row(i), b.as_slice(), c.row_mut(i));
+        dot_rows_into(a.row(i), b.as_slice(), k, c.row_mut(i));
     }
     Ok(c)
 }
@@ -153,7 +153,7 @@ pub fn try_matvec(a: &Matrix, x: &[f32]) -> TensorResult<Vec<f32>> {
         });
     }
     let mut y = vec![0.0f32; a.rows()];
-    dot_rows_into(x, a.as_slice(), &mut y);
+    dot_rows_into(x, a.as_slice(), a.cols(), &mut y);
     Ok(y)
 }
 
@@ -216,37 +216,52 @@ pub fn dot_with_backend(a: &[f32], b: &[f32], backend: Backend) -> f32 {
     dot_scalar(a, b)
 }
 
-/// `out[r] = dot(x, row r)` for every row of the row-major block `rows`
-/// (`x.len()` floats per row, `out.len()` rows), routed through the
+/// `out[r] = dot(x, row r)` for `out.len()` rows of `rows`, row `r`
+/// being `rows[r * stride..r * stride + x.len()]`, routed through the
 /// process-wide [`crate::dispatch::backend`].
 ///
 /// This is the one dot-per-element loop of the workspace: `matvec`, the
-/// small `matmul_bt` path, `score::score_bt` and the serving engine's
-/// dot head all call it. Every output is bit-identical to [`dot`] on the
+/// small `matmul_bt` path, `score::score_bt` and the serving engine all
+/// call it. `stride == x.len()` walks a contiguous row-major block;
+/// a wider stride reads a column window of a wider matrix in place
+/// (the serving engine's and the tape's split first layer dot each half
+/// of `W` this way). Every output is bit-identical to [`dot`] on the
 /// same pair, on either backend. The AVX2 kernel dots `x` against 8 rows
 /// per step, each row in `dot`'s float order (see `crate::simd`); the
 /// rows past the last multiple of 8 go through [`dot_with_backend`].
 ///
 /// # Panics
-/// Panics if `rows.len() != out.len() * x.len()`.
+/// Panics if `rows` is shorter than `(out.len() - 1) * stride + x.len()`
+/// (nothing is read when `out` is empty).
 #[inline]
-pub fn dot_rows_into(x: &[f32], rows: &[f32], out: &mut [f32]) {
-    dot_rows_into_with_backend(x, rows, out, dispatch::backend())
+pub fn dot_rows_into(x: &[f32], rows: &[f32], stride: usize, out: &mut [f32]) {
+    dot_rows_into_with_backend(x, rows, stride, out, dispatch::backend())
 }
 
 /// [`dot_rows_into`] with an explicit backend request (degrades to
 /// scalar when the CPU lacks AVX2). The scalar side is a plain
 /// [`dot_with_backend`] per row, the reference the tile must match.
-pub fn dot_rows_into_with_backend(x: &[f32], rows: &[f32], out: &mut [f32], backend: Backend) {
+pub fn dot_rows_into_with_backend(
+    x: &[f32],
+    rows: &[f32],
+    stride: usize,
+    out: &mut [f32],
+    backend: Backend,
+) {
     let k = x.len();
-    assert_eq!(rows.len(), out.len() * k, "dot_rows length mismatch");
+    let n = out.len();
+    if n == 0 {
+        return;
+    }
+    let needed = (n - 1).saturating_mul(stride).saturating_add(k);
+    assert!(rows.len() >= needed, "dot_rows length mismatch");
     #[cfg(target_arch = "x86_64")]
     let done = if dispatch::resolve(backend) == Backend::Avx2 {
-        let done = out.len() - out.len() % 8;
+        let done = n - n % 8;
         // SAFETY: `resolve` returns Avx2 only when the guarding dispatch
         // check (`detect_cpu`) saw avx2+fma+f16c on this CPU; `done` is a
-        // multiple of 8 and the two slices hold exactly `done` rows.
-        unsafe { crate::simd::dot_rows_avx2(x, &rows[..done * k], &mut out[..done]) };
+        // multiple of 8, at most `n`, so `rows` covers its `done` rows.
+        unsafe { crate::simd::dot_rows_avx2(x, rows, stride, &mut out[..done]) };
         done
     } else {
         0
@@ -254,7 +269,7 @@ pub fn dot_rows_into_with_backend(x: &[f32], rows: &[f32], out: &mut [f32], back
     #[cfg(not(target_arch = "x86_64"))]
     let done = 0;
     for (r, o) in out.iter_mut().enumerate().skip(done) {
-        *o = dot_with_backend(x, &rows[r * k..(r + 1) * k], backend);
+        *o = dot_with_backend(x, &rows[r * stride..r * stride + k], backend);
     }
 }
 

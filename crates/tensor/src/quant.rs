@@ -107,9 +107,10 @@ impl HalfMatrix {
         }
     }
 
-    /// Rebuilds from raw parts (checkpoint decode path).
+    /// Rebuilds from raw parts (checkpoint decode path). `rows * cols`
+    /// is checked for overflow, so no shape can pass for a short payload.
     pub fn from_parts(rows: usize, cols: usize, bits: Vec<u16>) -> Result<HalfMatrix, String> {
-        if bits.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(bits.len()) {
             return Err(format!(
                 "f16 matrix payload: {} bits for {rows}x{cols}",
                 bits.len()
@@ -189,7 +190,8 @@ impl Int8Matrix {
         }
     }
 
-    /// Rebuilds from raw parts (checkpoint decode path).
+    /// Rebuilds from raw parts (checkpoint decode path). `rows * cols`
+    /// is checked for overflow, so no shape can pass for a short payload.
     pub fn from_parts(
         rows: usize,
         cols: usize,
@@ -197,7 +199,10 @@ impl Int8Matrix {
         scales: Vec<f32>,
         zero_points: Vec<i32>,
     ) -> Result<Int8Matrix, String> {
-        if q.len() != rows * cols || scales.len() != rows || zero_points.len() != rows {
+        if rows.checked_mul(cols) != Some(q.len())
+            || scales.len() != rows
+            || zero_points.len() != rows
+        {
             return Err(format!(
                 "int8 matrix payload: {} codes / {} scales / {} zero points for {rows}x{cols}",
                 q.len(),
@@ -527,6 +532,19 @@ mod tests {
             let w = dot_i8_centered_with_backend(&uc, &v, zv, dispatch::backend());
             assert_eq!(s, w, "i8 len={len}");
         }
+    }
+
+    /// A shape whose `rows * cols` overflows `usize` is an error, not a
+    /// debug-build panic or a release-build wrap that an empty payload
+    /// would match.
+    #[test]
+    fn from_parts_rejects_overflowing_shapes() {
+        let huge = 1usize << (usize::BITS / 2);
+        assert!(HalfMatrix::from_parts(huge, huge, vec![]).is_err());
+        assert!(Int8Matrix::from_parts(huge, huge, vec![], vec![], vec![]).is_err());
+        assert!(HalfMatrix::from_parts(2, 3, vec![0; 5]).is_err());
+        assert!(HalfMatrix::from_parts(2, 3, vec![0; 6]).is_ok());
+        assert!(Int8Matrix::from_parts(2, 3, vec![0; 6], vec![1.0; 2], vec![0; 2]).is_ok());
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub fn try_score_bt_with_backend(
     let a_rows: Vec<&[f32]> = (0..m).map(|i| a.row(i)).collect();
     par::for_each_chunk_pair(c.as_mut_slice(), band * n, &a_rows, band, |_, out, rows| {
         for (c_row, a_row) in out.chunks_mut(n).zip(rows) {
-            linalg::dot_rows_into_with_backend(a_row, b.as_slice(), c_row, backend);
+            linalg::dot_rows_into_with_backend(a_row, b.as_slice(), b.cols(), c_row, backend);
             if let Some(bias) = bias {
                 for (c_v, &b_v) in c_row.iter_mut().zip(bias) {
                     *c_v += b_v;

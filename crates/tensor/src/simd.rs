@@ -53,9 +53,9 @@ pub(crate) unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
         + tail
 }
 
-/// Dots `x` against 8 consecutive rows of the row-major block `rows`
-/// per step (`x.len()` floats per row, `out.len()` rows, a multiple of
-/// 8), writing `out[r] = dot_avx2(x, row r)` bit for bit.
+/// Dots `x` against 8 rows of `rows` per step (row `r` starts at
+/// `r * stride` and is `x.len()` floats long; `out.len()` rows, a
+/// multiple of 8), writing `out[r] = dot_avx2(x, row r)` bit for bit.
 ///
 /// Per row it replays [`dot_avx2`]: each 8-lane chunk updates the
 /// row's accumulator as `acc + x*row`, unfused. The 8 accumulators are
@@ -69,29 +69,30 @@ pub(crate) unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
 ///
 // SAFETY: callers must hold the guarding dispatch check
 // `dispatch::resolve(..) == Backend::Avx2` (avx2+fma+f16c verified),
-// and pass `rows.len() == out.len() * x.len()`, `out.len() % 8 == 0`.
+// and pass `out.len() % 8 == 0`; each 8-row block is sliced (and so
+// bounds-checked) before any load reads it.
 #[target_feature(enable = "avx2,fma,f16c")]
-pub(crate) unsafe fn dot_rows_avx2(x: &[f32], rows: &[f32], out: &mut [f32]) {
+pub(crate) unsafe fn dot_rows_avx2(x: &[f32], rows: &[f32], stride: usize, out: &mut [f32]) {
     const LANES: usize = 8;
     const ROWS: usize = 8;
     let k = x.len();
     debug_assert_eq!(out.len() % ROWS, 0);
-    debug_assert_eq!(rows.len(), out.len() * k);
     let main = k - k % LANES;
     let px = x.as_ptr();
     for (g, out8) in out.chunks_exact_mut(ROWS).enumerate() {
-        let block = &rows[g * ROWS * k..(g + 1) * ROWS * k];
+        let start = g * ROWS * stride;
+        let block = &rows[start..start + (ROWS - 1) * stride + k];
         let pb = block.as_ptr();
         let mut acc = [_mm256_setzero_ps(); ROWS];
         let mut i = 0;
         while i < main {
             // SAFETY: i + LANES <= main <= k == x.len(), and for r < ROWS
-            // r * k + i + LANES <= ROWS * k == block.len(), so every
-            // 8-lane unaligned load reads in bounds.
+            // r * stride + i + LANES <= (ROWS - 1) * stride + k ==
+            // block.len(), so every 8-lane unaligned load reads in bounds.
             unsafe {
                 let xv = _mm256_loadu_ps(px.add(i));
                 for (r, a) in acc.iter_mut().enumerate() {
-                    let rv = _mm256_loadu_ps(pb.add(r * k + i));
+                    let rv = _mm256_loadu_ps(pb.add(r * stride + i));
                     *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, rv));
                 }
             }
@@ -99,7 +100,8 @@ pub(crate) unsafe fn dot_rows_avx2(x: &[f32], rows: &[f32], out: &mut [f32]) {
         }
         let mut tail = [0.0f32; ROWS];
         for (r, t) in tail.iter_mut().enumerate() {
-            for (a, b) in x[main..].iter().zip(&block[r * k + main..(r + 1) * k]) {
+            let row = &block[r * stride..r * stride + k];
+            for (a, b) in x[main..].iter().zip(&row[main..]) {
                 *t += a * b;
             }
         }

@@ -103,13 +103,47 @@ proptest! {
             }
             for backend in [Backend::Scalar, Backend::Avx2] {
                 let mut out = vec![f32::NAN; n];
-                linalg::dot_rows_into_with_backend(x, b.as_slice(), &mut out, backend);
+                linalg::dot_rows_into_with_backend(x, b.as_slice(), k, &mut out, backend);
                 let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(&got, &dots, "dot_rows_into {:?}", backend);
             }
             let y = linalg::try_matvec(&b, x).unwrap();
             let got: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(&got, &dots, "matvec");
+        }
+    }
+
+    /// Strided `dot_rows_into`: rows read as a column window
+    /// `offset..offset + k` of a wider `n x stride` matrix, with
+    /// `stride > k`, `k` off the 8-lane width and `n` off the 8-row tile.
+    /// Scalar and AVX2 must equal the scalar `dot` of each row's window
+    /// bit for bit, and write nothing past `out`.
+    #[test]
+    fn strided_dot_rows_scalar_vs_avx2_bit_exact(
+        n in 0usize..30,
+        k in 0usize..40,
+        extra in 1usize..40,
+        offset_pick in 0usize..40,
+        seed in 0u64..1_000_000,
+    ) {
+        let stride = k + extra;
+        let offset = offset_pick % (extra + 1);
+        let wide = seeded(n, stride, seed);
+        let x = seeded(1, k, seed ^ 3);
+        let x = x.as_slice();
+        let rows = &wide.as_slice()[offset.min(wide.as_slice().len())..];
+        let want: Vec<u32> = (0..n)
+            .map(|r| {
+                let row = &wide.row(r)[offset..offset + k];
+                linalg::dot_with_backend(x, row, Backend::Scalar).to_bits()
+            })
+            .collect();
+        for backend in [Backend::Scalar, Backend::Avx2] {
+            let mut out = vec![f32::NAN; n + 1];
+            linalg::dot_rows_into_with_backend(x, rows, stride, &mut out[..n], backend);
+            let got: Vec<u32> = out[..n].iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&got, &want, "strided dot_rows_into {:?}", backend);
+            prop_assert!(out[n].is_nan(), "wrote past the output");
         }
     }
 

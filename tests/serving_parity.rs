@@ -10,7 +10,9 @@
 use scenerec_baselines::BprMf;
 use scenerec_core::checkpoint::CheckpointStore;
 use scenerec_core::trainer::{train, TrainConfig};
-use scenerec_core::{top_k_unseen, PairwiseModel, Precision, SceneRec, SceneRecConfig};
+use scenerec_core::{
+    top_k_unseen, FrozenModel, PairwiseModel, Precision, SceneRec, SceneRecConfig,
+};
 use scenerec_data::{generate, Dataset, GeneratorConfig};
 use scenerec_faults::Injector;
 use scenerec_graph::{ItemId, UserId};
@@ -38,29 +40,41 @@ fn train_cfg() -> TrainConfig {
     }
 }
 
-/// Exact-equality check of every score the engine produces against the
-/// tape, plus top-K (items AND score bits) for the sampled users.
-fn assert_parity<M: PairwiseModel + Sync>(model: &M, data: &Dataset) {
-    let engine = ShardedEngine::from_model_quantized(
-        model,
-        data,
-        Precision::F32,
-        ShardedConfig::with_shards(1),
-    )
-    .unwrap_or_else(|e| panic!("freezing {} failed: {e}", model.name()));
+/// Exact-equality check of every score the engine at `precision`
+/// produces against its reference, plus top-K (items AND score bits) for
+/// the sampled users. At f32 the reference is the tape. At f16 and int8
+/// it is an f32 engine over the quantized snapshot's rows expanded to
+/// f32 (exact widening / dequantization): the rows a quantized engine
+/// scores, and for an MLP head the rows it projects.
+fn assert_parity<M: PairwiseModel + Sync>(model: &M, data: &Dataset, precision: Precision) {
+    let label = format!("{} at {}", model.name(), precision.name());
+    let engine =
+        ShardedEngine::from_model_quantized(model, data, precision, ShardedConfig::with_shards(1))
+            .unwrap_or_else(|e| panic!("freezing {label} failed: {e}"));
     assert_eq!(engine.num_users(), data.num_users() as usize);
     assert_eq!(engine.num_items(), data.num_items() as usize);
 
     let all_items: Vec<ItemId> = (0..data.num_items()).map(ItemId).collect();
+    let expanded = (precision != Precision::F32).then(|| {
+        let q = model.freeze_quantized(precision).expect("model freezes");
+        let dense = FrozenModel::dense(
+            q.name.clone(),
+            q.users.to_f32(),
+            q.items.to_f32(),
+            q.head.clone(),
+        );
+        ShardedEngine::new(dense, &seen_lists(data), ShardedConfig::with_shards(1))
+            .expect("expanded engine")
+    });
 
     for user in 0..SAMPLED_USERS {
         // Full-catalog scores: exact f32 equality, compared as bits so a
         // -0.0/0.0 or NaN drift cannot slip through.
-        let tape: Vec<u32> = model
-            .score_values(UserId(user), &all_items)
-            .iter()
-            .map(|s| s.to_bits())
-            .collect();
+        let want = match &expanded {
+            None => model.score_values(UserId(user), &all_items),
+            Some(reference) => reference.score_all(user).expect("reference scoring"),
+        };
+        let want: Vec<u32> = want.iter().map(|s| s.to_bits()).collect();
         let frozen: Vec<u32> = engine
             .score_all(user)
             .expect("engine scoring")
@@ -68,36 +82,45 @@ fn assert_parity<M: PairwiseModel + Sync>(model: &M, data: &Dataset) {
             .map(|s| s.to_bits())
             .collect();
         assert_eq!(
-            tape,
-            frozen,
-            "{}: user {user} frozen scores diverged from the tape",
-            model.name()
+            want, frozen,
+            "{label}: user {user} frozen scores diverged from the reference"
         );
 
         // Top-K: identical items in identical order with identical bits.
         let served = engine.top_k(user, TOP_K).expect("engine top_k");
-        let trained = top_k_unseen(model, data, UserId(user), TOP_K);
+        let trained = match &expanded {
+            None => top_k_unseen(model, data, UserId(user), TOP_K),
+            Some(reference) => reference.top_k(user, TOP_K).expect("reference top_k"),
+        };
         assert_eq!(
             served.len(),
             trained.len(),
-            "{}: user {user} top-k length",
-            model.name()
+            "{label}: user {user} top-k length"
         );
         for (rank, (a, b)) in served.iter().zip(&trained).enumerate() {
             assert_eq!(
-                a.item,
-                b.item,
-                "{}: user {user} rank {rank} item mismatch",
-                model.name()
+                a.item, b.item,
+                "{label}: user {user} rank {rank} item mismatch"
             );
             assert_eq!(
                 a.score.to_bits(),
                 b.score.to_bits(),
-                "{}: user {user} rank {rank} score bits mismatch",
-                model.name()
+                "{label}: user {user} rank {rank} score bits mismatch"
             );
         }
     }
+}
+
+fn seen_lists(data: &Dataset) -> Vec<Vec<u32>> {
+    (0..data.num_users())
+        .map(|u| data.train_graph.items_of(UserId(u)).to_vec())
+        .collect()
+}
+
+fn trained_scenerec(data: &Dataset, cfg: SceneRecConfig) -> SceneRec {
+    let mut model = SceneRec::new(cfg, data);
+    train(&mut model, data, &train_cfg());
+    model
 }
 
 #[test]
@@ -105,7 +128,80 @@ fn scenerec_frozen_scores_match_tape_bit_for_bit() {
     let data = dataset();
     let mut model = SceneRec::new(SceneRecConfig::default().with_dim(8), &data);
     train(&mut model, &data, &train_cfg());
-    assert_parity(&model, &data);
+    assert_parity(&model, &data, Precision::F32);
+}
+
+/// The split first layer at every rating-head shape: the split layer as
+/// the scalar output layer (`rating_hidden = []`), followed by the output
+/// layer (the default `[32]`), and followed by a hidden layer
+/// (`[32, 16]`), each at every storage precision.
+#[test]
+fn scenerec_head_shapes_match_at_every_precision() {
+    let data = dataset();
+    for hidden in [vec![], vec![32], vec![32, 16]] {
+        let mut cfg = SceneRecConfig::default().with_dim(8);
+        cfg.rating_hidden = hidden;
+        let model = trained_scenerec(&data, cfg);
+        for precision in [Precision::F32, Precision::F16, Precision::Int8] {
+            assert_parity(&model, &data, precision);
+        }
+    }
+}
+
+/// Swapping a shard of an MLP engine re-projects the new rows: after
+/// shard 1 takes another model's item rows, every score equals a fresh
+/// engine built over the spliced catalog.
+#[test]
+fn swapped_mlp_shard_scores_like_a_fresh_engine() {
+    let data = dataset();
+    let base = SceneRecConfig::default().with_dim(8);
+    let a = trained_scenerec(&data, base.clone())
+        .freeze()
+        .expect("SceneRec freezes");
+    let b = trained_scenerec(&data, base.with_seed(8))
+        .freeze()
+        .expect("SceneRec freezes");
+    let seen = seen_lists(&data);
+    let mut engine =
+        ShardedEngine::new(a.clone(), &seen, ShardedConfig::with_shards(2)).expect("build");
+    let range = engine.shard_map().range(1).expect("shard 1");
+    let (start, end) = (range.start as usize, range.end as usize);
+    let before = engine.score_all(0).expect("score");
+
+    let (rows, _) = b.slice_items(start, end).expect("slice");
+    let head = a.head.slice_items(start, end).expect("slice");
+    engine.swap_shard(1, rows, head).expect("swap");
+
+    let (mut spliced, b_items) = (a.items.to_f32(), b.items.to_f32());
+    for r in start..end {
+        spliced.set_row(r, b_items.row(r));
+    }
+    let fresh = FrozenModel::dense("spliced", a.users.to_f32(), spliced, a.head.clone());
+    let fresh = ShardedEngine::new(fresh, &seen, ShardedConfig::with_shards(2)).expect("build");
+    for user in 0..SAMPLED_USERS {
+        let got: Vec<u32> = engine
+            .score_all(user)
+            .unwrap()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let want: Vec<u32> = fresh
+            .score_all(user)
+            .unwrap()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(got, want, "user {user}");
+        assert_eq!(
+            engine.top_k(user, TOP_K).unwrap(),
+            fresh.top_k(user, TOP_K).unwrap()
+        );
+    }
+    assert_ne!(
+        before,
+        engine.score_all(0).unwrap(),
+        "the swap changed nothing"
+    );
 }
 
 #[test]
@@ -113,7 +209,7 @@ fn bprmf_frozen_scores_match_tape_bit_for_bit() {
     let data = dataset();
     let mut model = BprMf::new(&data, 16, 11);
     train(&mut model, &data, &train_cfg());
-    assert_parity(&model, &data);
+    assert_parity(&model, &data, Precision::F32);
 }
 
 const OVERLAP_K: usize = 20;
@@ -367,10 +463,8 @@ fn checkpointed_int8_snapshot_serves_the_same_bytes() {
         ShardedEngine::from_checkpoint(&store.path_for(0), &data, ShardedConfig::with_shards(2))
             .expect("load");
     assert_eq!(loaded.precision(), Precision::Int8);
-    let seen: Vec<Vec<u32>> = (0..data.num_users())
-        .map(|u| data.train_graph.items_of(UserId(u)).to_vec())
-        .collect();
-    let direct = ShardedEngine::new(frozen, &seen, ShardedConfig::with_shards(2)).expect("build");
+    let direct = ShardedEngine::new(frozen, &seen_lists(&data), ShardedConfig::with_shards(2))
+        .expect("build");
     let requests: Vec<Request> = (0..data.num_users())
         .map(|user| Request { user, k: TOP_K })
         .collect();
