@@ -76,7 +76,7 @@ pub fn check_gradients(
                 ParamKind::Embedding => {
                     let r = (flat / cols) as u32;
                     let c = flat % cols;
-                    grads.sparse(id).get(&r).map_or(0.0, |row| row[c])
+                    grads.sparse(id).get(r).map_or(0.0, |row| row[c])
                 }
             };
 

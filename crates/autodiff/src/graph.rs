@@ -521,28 +521,54 @@ impl<'s> Graph<'s> {
     ///
     /// May be called once per tape; building further nodes afterwards and
     /// calling it again is allowed but each call re-seeds only from `loss`.
+    ///
+    /// The sweep allocates once, not per node: every adjoint lives in one
+    /// flat buffer at an offset fixed by the node value lengths, the first
+    /// contribution to a node copies and later ones add. Dense gradients
+    /// go straight into their slots of `grads` (`W` through the rank-1
+    /// [`linalg::add_outer`]), row gradients into its row arenas.
     pub fn backward(&self, loss: Var, grads: &mut GradStore) {
         assert_eq!(
             self.nodes[loss.0].value.shape(),
             (1, 1),
             "backward requires a scalar loss"
         );
-        let mut adj: Vec<Option<Matrix>> = (0..self.nodes.len()).map(|_| None).collect();
-        adj[loss.0] = Some(Matrix::full(1, 1, 1.0));
+        // Node `i`'s adjoint is `buf[off[i]..off[i + 1]]`.
+        let mut off = Vec::with_capacity(loss.0 + 2);
+        off.push(0usize);
+        for n in &self.nodes[..=loss.0] {
+            off.push(off[off.len() - 1] + n.value.len());
+        }
+        let mut buf = vec![0.0f32; off[loss.0 + 1]];
+        let mut seen = vec![false; loss.0 + 1];
+        buf[off[loss.0]] = 1.0;
+        seen[loss.0] = true;
+        // Wᵀg, computed whole before it joins an input's adjoint.
+        let mut wtg: Vec<f32> = Vec::new();
 
         for i in (0..=loss.0).rev() {
-            let Some(g) = adj[i].take() else { continue };
-            // `adj` and `grads` are disjoint from `self`, so ops and node
-            // values are borrowed in place — no per-node clones.
-            match &self.nodes[i].op {
+            if !seen[i] {
+                continue;
+            }
+            let node = &self.nodes[i];
+            // Inputs precede their node on the tape, so their adjoints
+            // all lie below this node's offset.
+            let (below, rest) = buf.split_at_mut(off[i]);
+            let g = &rest[..node.value.len()];
+            let mut adj = Adjoints {
+                off: &off,
+                buf: below,
+                seen: &mut seen[..i],
+            };
+            match &node.op {
                 Op::Constant => {}
                 Op::EmbedRow { table, row } => {
-                    grads.add_row(*table, *row, g.as_slice());
+                    linalg::axpy(1.0, g, grads.row_mut(*table, *row));
                 }
                 Op::EmbedSum { table, rows, scale } => {
                     if *scale != 0.0 {
                         for &r in rows {
-                            grads.add_row_scaled(*table, r, *scale, g.as_slice());
+                            linalg::axpy(*scale, g, grads.row_mut(*table, r));
                         }
                     }
                 }
@@ -552,168 +578,204 @@ impl<'s> Graph<'s> {
                     weights,
                 } => {
                     let t = self.store.value(*table);
-                    let wv = &self.nodes[weights.0].value;
-                    let mut wgrad = Matrix::zeros(rows.len(), 1);
-                    for (k, &r) in rows.iter().enumerate() {
-                        let row = t.row(r as usize);
-                        grads.add_row_scaled(*table, r, wv.get(k, 0), g.as_slice());
-                        wgrad.set(k, 0, linalg::dot(g.as_slice(), row));
+                    let wv = self.nodes[weights.0].value.as_slice();
+                    for (&r, &w) in rows.iter().zip(wv) {
+                        linalg::axpy(w, g, grads.row_mut(*table, r));
                     }
-                    accumulate(&mut adj, weights.0, &wgrad);
+                    adj.add(*weights, |k| linalg::dot(g, t.row(rows[k] as usize)));
                 }
                 Op::Affine { w, b, x, c } => {
-                    let xv = self.nodes[x.0].value.as_slice();
                     // gW += g [x ‖ c]ᵀ ; gb += g ; g[x ‖ c] += Wᵀ g, split
                     // at x's length
-                    let gx = linalg::matvec_t(self.store.value(*w), g.as_slice());
-                    grads.add_dense(*b, &g);
-                    match c {
-                        None => {
-                            grads.add_dense(*w, &linalg::outer(g.as_slice(), xv));
-                            accumulate(&mut adj, x.0, &Matrix::col_vector(&gx));
-                        }
-                        Some(c) => {
-                            let cat = [xv, self.nodes[c.0].value.as_slice()].concat();
-                            grads.add_dense(*w, &linalg::outer(g.as_slice(), &cat));
-                            let (ga, gc) = gx.split_at(xv.len());
-                            accumulate(&mut adj, x.0, &Matrix::col_vector(ga));
-                            accumulate(&mut adj, c.0, &Matrix::col_vector(gc));
-                        }
+                    let wv = self.store.value(*w);
+                    let xv = self.nodes[x.0].value.as_slice();
+                    wtg.resize(wv.cols(), 0.0);
+                    linalg::matvec_t_into(wv, g, &mut wtg);
+                    linalg::axpy(1.0, g, grads.dense_mut(*b).as_mut_slice());
+                    let gw = grads.dense_mut(*w).as_mut_slice();
+                    linalg::add_outer(gw, wv.cols(), g, xv);
+                    let (ga, gc) = wtg.split_at(xv.len());
+                    if let Some(c) = c {
+                        let cv = self.nodes[c.0].value.as_slice();
+                        linalg::add_outer(&mut gw[xv.len()..], wv.cols(), g, cv);
+                        adj.add_slice(*x, ga);
+                        adj.add_slice(*c, gc);
+                    } else {
+                        adj.add_slice(*x, ga);
                     }
                 }
                 Op::Linear { w, x } => {
-                    let xv = &self.nodes[x.0].value;
-                    grads.add_dense(*w, &linalg::outer(g.as_slice(), xv.as_slice()));
-                    let gx = linalg::matvec_t(self.store.value(*w), g.as_slice());
-                    accumulate(&mut adj, x.0, &Matrix::col_vector(&gx));
+                    let wv = self.store.value(*w);
+                    let xv = self.nodes[x.0].value.as_slice();
+                    linalg::add_outer(grads.dense_mut(*w).as_mut_slice(), wv.cols(), g, xv);
+                    wtg.resize(wv.cols(), 0.0);
+                    linalg::matvec_t_into(wv, g, &mut wtg);
+                    adj.add_slice(*x, &wtg);
                 }
                 Op::Add { a, b } => {
-                    accumulate(&mut adj, a.0, &g);
-                    accumulate(&mut adj, b.0, &g);
+                    adj.add_slice(*a, g);
+                    adj.add_slice(*b, g);
                 }
                 Op::Sub { a, b } => {
-                    accumulate(&mut adj, a.0, &g);
-                    let neg = g.map(|v| -v);
-                    accumulate(&mut adj, b.0, &neg);
+                    adj.add_slice(*a, g);
+                    adj.add(*b, |k| -g[k]);
                 }
                 Op::Mul { a, b } => {
-                    let ga = linalg::hadamard(&g, &self.nodes[b.0].value);
-                    let gb = linalg::hadamard(&g, &self.nodes[a.0].value);
-                    accumulate(&mut adj, a.0, &ga);
-                    accumulate(&mut adj, b.0, &gb);
+                    let av = self.nodes[a.0].value.as_slice();
+                    let bv = self.nodes[b.0].value.as_slice();
+                    adj.add(*a, |k| g[k] * bv[k]);
+                    adj.add(*b, |k| g[k] * av[k]);
                 }
                 Op::Scale { a, c } => {
                     let c = *c;
-                    let ga = g.map(|v| c * v);
-                    accumulate(&mut adj, a.0, &ga);
+                    adj.add(*a, |k| c * g[k]);
                 }
                 Op::ScalarMul { s, v } => {
                     let sv = self.nodes[s.0].value.get(0, 0);
-                    let vv = &self.nodes[v.0].value;
-                    let gs = linalg::dot(g.as_slice(), vv.as_slice());
-                    accumulate(&mut adj, s.0, &Matrix::full(1, 1, gs));
-                    let gv = g.map(|x| sv * x);
-                    accumulate(&mut adj, v.0, &gv);
+                    let gs = linalg::dot(g, self.nodes[v.0].value.as_slice());
+                    adj.add(*s, |_| gs);
+                    adj.add(*v, |k| sv * g[k]);
                 }
                 Op::Dot { a, b } => {
-                    let gs = g.get(0, 0);
-                    let ga = self.nodes[b.0].value.map(|v| gs * v);
-                    let gb = self.nodes[a.0].value.map(|v| gs * v);
-                    accumulate(&mut adj, a.0, &ga);
-                    accumulate(&mut adj, b.0, &gb);
+                    let gs = g[0];
+                    let av = self.nodes[a.0].value.as_slice();
+                    let bv = self.nodes[b.0].value.as_slice();
+                    adj.add(*a, |k| gs * bv[k]);
+                    adj.add(*b, |k| gs * av[k]);
                 }
                 Op::Concat { parts } => {
                     let mut offset = 0usize;
                     for &p in parts {
                         let n = self.nodes[p.0].value.rows();
-                        let slice = &g.as_slice()[offset..offset + n];
-                        accumulate(&mut adj, p.0, &Matrix::col_vector(slice));
+                        adj.add_slice(p, &g[offset..offset + n]);
                         offset += n;
                     }
                 }
                 Op::Activation { a, act } => {
                     let act = *act;
-                    let xin = &self.nodes[a.0].value;
-                    let yout = &self.nodes[i].value;
-                    let data: Vec<f32> = g
-                        .as_slice()
-                        .iter()
-                        .zip(xin.as_slice().iter().zip(yout.as_slice()))
-                        .map(|(&gv, (&x, &y))| gv * act.grad(x, y))
-                        .collect();
-                    let ga =
-                        Matrix::from_vec(g.rows(), g.cols(), data).expect("activation grad shape"); // lint:allow(R1): data zips g element-wise
-                    accumulate(&mut adj, a.0, &ga);
+                    let xin = self.nodes[a.0].value.as_slice();
+                    let yout = node.value.as_slice();
+                    adj.add(*a, |k| g[k] * act.grad(xin[k], yout[k]));
                 }
                 Op::Softmax { a } => {
-                    let p = &self.nodes[i].value;
-                    let inner = linalg::dot(p.as_slice(), g.as_slice());
-                    let data: Vec<f32> = p
-                        .as_slice()
-                        .iter()
-                        .zip(g.as_slice())
-                        .map(|(&pi, &gi)| pi * (gi - inner))
-                        .collect();
-                    let ga = Matrix::from_vec(p.rows(), 1, data).expect("softmax grad shape"); // lint:allow(R1): data zips p element-wise
-                    accumulate(&mut adj, a.0, &ga);
+                    let p = node.value.as_slice();
+                    let inner = linalg::dot(p, g);
+                    adj.add(*a, |k| p[k] * (g[k] - inner));
                 }
                 Op::StackScalars { parts } => {
-                    for (k, &p) in parts.iter().enumerate() {
-                        let gp = Matrix::full(1, 1, g.get(k, 0));
-                        accumulate(&mut adj, p.0, &gp);
+                    for (&p, &gk) in parts.iter().zip(g) {
+                        adj.add(p, |_| gk);
                     }
                 }
                 Op::Cosine { a, b } => {
-                    let gs = g.get(0, 0);
+                    let gs = g[0];
                     let av = self.nodes[a.0].value.as_slice();
                     let bv = self.nodes[b.0].value.as_slice();
-                    let mut ga = numeric::cosine_grad_wrt_a(av, bv);
-                    let mut gb = numeric::cosine_grad_wrt_a(bv, av);
-                    linalg::scale(gs, &mut ga);
-                    linalg::scale(gs, &mut gb);
-                    accumulate(&mut adj, a.0, &Matrix::col_vector(&ga));
-                    accumulate(&mut adj, b.0, &Matrix::col_vector(&gb));
+                    // `cosine_grad_wrt_a(a, b)` and `(b, a)` share their
+                    // norms and dot product; each expression keeps its
+                    // order, and products commute.
+                    match CosineParts::of(av, bv) {
+                        Some(cp) => {
+                            adj.add(*a, |k| cp.grad_a(av[k], bv[k]) * gs);
+                            adj.add(*b, |k| cp.grad_b(av[k], bv[k]) * gs);
+                        }
+                        None => {
+                            adj.add(*a, |_| 0.0 * gs);
+                            adj.add(*b, |_| 0.0 * gs);
+                        }
+                    }
                 }
                 Op::Select { a, index } => {
-                    let gs = g.get(0, 0);
-                    let shape = self.nodes[a.0].value.shape();
-                    let mut ga = Matrix::zeros(shape.0, shape.1);
-                    ga.set(*index, 0, gs);
-                    accumulate(&mut adj, a.0, &ga);
+                    let gs = g[0];
+                    let index = *index;
+                    adj.add(*a, |k| if k == index { gs } else { 0.0 });
                 }
                 Op::Sum { a } => {
-                    let gs = g.get(0, 0);
-                    let shape = self.nodes[a.0].value.shape();
-                    let ga = Matrix::full(shape.0, shape.1, gs);
-                    accumulate(&mut adj, a.0, &ga);
+                    let gs = g[0];
+                    adj.add(*a, |_| gs);
                 }
                 Op::LogSigmoid { a } => {
                     // d/dx ln σ(x) = 1 - σ(x) = σ(-x)
-                    let xin = &self.nodes[a.0].value;
-                    let data: Vec<f32> = g
-                        .as_slice()
-                        .iter()
-                        .zip(xin.as_slice())
-                        .map(|(&gv, &x)| gv * numeric::sigmoid(-x))
-                        .collect();
-                    let ga =
-                        Matrix::from_vec(g.rows(), g.cols(), data).expect("log_sigmoid grad shape"); // lint:allow(R1): data zips g element-wise
-                    accumulate(&mut adj, a.0, &ga);
+                    let xin = self.nodes[a.0].value.as_slice();
+                    adj.add(*a, |k| g[k] * numeric::sigmoid(-xin[k]));
                 }
                 Op::SquaredNorm { a } => {
-                    let gs = g.get(0, 0);
-                    let ga = self.nodes[a.0].value.map(|v| 2.0 * gs * v);
-                    accumulate(&mut adj, a.0, &ga);
+                    let c = 2.0 * g[0];
+                    let av = self.nodes[a.0].value.as_slice();
+                    adj.add(*a, |k| c * av[k]);
                 }
             }
         }
+        grads.sort_rows();
     }
 }
 
-fn accumulate(adj: &mut [Option<Matrix>], idx: usize, g: &Matrix) {
-    match &mut adj[idx] {
-        Some(existing) => linalg::add_scaled(existing, 1.0, g),
-        slot @ None => *slot = Some(g.clone()),
+/// The adjoints below the node a backward step is working on.
+struct Adjoints<'a> {
+    off: &'a [usize],
+    buf: &'a mut [f32],
+    seen: &'a mut [bool],
+}
+
+impl Adjoints<'_> {
+    /// Adds `f(k)` to element `k` of `v`'s adjoint; the first contribution
+    /// to a node copies instead.
+    #[inline]
+    fn add(&mut self, v: Var, f: impl Fn(usize) -> f32) {
+        let dst = &mut self.buf[self.off[v.0]..self.off[v.0 + 1]];
+        if std::mem::replace(&mut self.seen[v.0], true) {
+            for (k, d) in dst.iter_mut().enumerate() {
+                *d += f(k);
+            }
+        } else {
+            for (k, d) in dst.iter_mut().enumerate() {
+                *d = f(k);
+            }
+        }
+    }
+
+    fn add_slice(&mut self, v: Var, g: &[f32]) {
+        self.add(v, |k| g[k]);
+    }
+}
+
+/// The shared terms of `numeric::cosine_grad_wrt_a(a, b)` and
+/// `cosine_grad_wrt_a(b, a)`.
+struct CosineParts {
+    na2: f32,
+    nb2: f32,
+    nab: f32,
+    cos: f32,
+}
+
+impl CosineParts {
+    /// `None` when either norm vanishes (both gradients are then zero).
+    fn of(a: &[f32], b: &[f32]) -> Option<Self> {
+        let na2: f32 = a.iter().map(|v| v * v).sum();
+        let nb2: f32 = b.iter().map(|v| v * v).sum();
+        let nab = na2.sqrt() * nb2.sqrt();
+        if nab <= f32::EPSILON {
+            return None;
+        }
+        let dot: f32 = a.iter().zip(b).map(|(&x, &y)| x * y).sum();
+        Some(CosineParts {
+            na2,
+            nb2,
+            nab,
+            cos: dot / nab,
+        })
+    }
+
+    /// Element of `∂cos/∂a` at `(a_k, b_k)`.
+    #[inline]
+    fn grad_a(&self, x: f32, y: f32) -> f32 {
+        y / self.nab - self.cos * x / self.na2
+    }
+
+    /// Element of `∂cos/∂b` at `(a_k, b_k)`.
+    #[inline]
+    fn grad_b(&self, x: f32, y: f32) -> f32 {
+        x / self.nab - self.cos * y / self.nb2
     }
 }
 
@@ -797,8 +859,8 @@ mod tests {
         g.backward(loss, &mut grads);
         let rows = grads.sparse(e);
         // d loss / d row_0 = w_0 * [1,1]
-        assert_eq!(rows[&0], vec![0.25, 0.25]);
-        assert_eq!(rows[&1], vec![0.75, 0.75]);
+        assert_eq!(rows.get(0).unwrap(), vec![0.25, 0.25]);
+        assert_eq!(rows.get(1).unwrap(), vec![0.75, 0.75]);
     }
 
     #[test]
@@ -865,8 +927,8 @@ mod tests {
                 value,
                 grads.dense(w).unwrap().as_slice().to_vec(),
                 grads.dense(b).unwrap().as_slice().to_vec(),
-                grads.sparse(e)[&1].clone(),
-                grads.sparse(f)[&0].clone(),
+                grads.sparse(e).get(1).unwrap().to_vec(),
+                grads.sparse(f).get(0).unwrap().to_vec(),
             )
         };
         let split = run(true);
@@ -916,8 +978,8 @@ mod tests {
         let loss = g.dot(cat, weights);
         let mut grads = GradStore::new(&store);
         g.backward(loss, &mut grads);
-        assert_eq!(grads.sparse(e)[&0], vec![1.0, 2.0]);
-        assert_eq!(grads.sparse(e)[&1], vec![3.0, 4.0]);
+        assert_eq!(grads.sparse(e).get(0).unwrap(), vec![1.0, 2.0]);
+        assert_eq!(grads.sparse(e).get(1).unwrap(), vec![3.0, 4.0]);
     }
 
     #[test]
@@ -932,7 +994,7 @@ mod tests {
         let loss = g.sum(y);
         let mut grads = GradStore::new(&store);
         g.backward(loss, &mut grads);
-        assert_eq!(grads.sparse(e)[&0], vec![2.0, 2.0, 2.0]);
+        assert_eq!(grads.sparse(e).get(0).unwrap(), vec![2.0, 2.0, 2.0]);
     }
 
     #[test]
@@ -958,7 +1020,7 @@ mod tests {
         let doubled = g.scale(s, 2.0);
         let mut grads = GradStore::new(&store);
         g.backward(doubled, &mut grads);
-        assert_eq!(grads.sparse(e)[&0], vec![0.0, 2.0, 0.0]);
+        assert_eq!(grads.sparse(e).get(0).unwrap(), vec![0.0, 2.0, 0.0]);
     }
 
     #[test]
@@ -988,7 +1050,7 @@ mod tests {
         let mut grads = GradStore::new(&store);
         g.backward(loss, &mut grads);
         // d/d row0 = s * 1 = 4; d/d s = sum(v) = 5 routed through dot.
-        assert_eq!(grads.sparse(e)[&0], vec![4.0, 4.0]);
-        assert_eq!(grads.sparse(e)[&1], vec![5.0, 0.0]);
+        assert_eq!(grads.sparse(e).get(0).unwrap(), vec![4.0, 4.0]);
+        assert_eq!(grads.sparse(e).get(1).unwrap(), vec![5.0, 0.0]);
     }
 }

@@ -123,9 +123,8 @@ impl WeightDecay {
                     }
                 }
                 ParamKind::Embedding => {
-                    let rows: Vec<u32> = grads.sparse(id).keys().copied().collect();
                     let value = store.param_mut(id).value_mut();
-                    for r in rows {
+                    for &r in grads.sparse(id).keys() {
                         for v in value.row_mut(r as usize) {
                             *v -= factor * *v;
                         }
@@ -167,19 +166,13 @@ impl Optimizer for Sgd {
             match store.param(id).kind() {
                 ParamKind::Dense => {
                     if let Some(g) = grads.dense(id) {
-                        let g = g.clone();
-                        linalg::add_scaled(store.param_mut(id).value_mut(), -self.lr, &g);
+                        linalg::add_scaled(store.param_mut(id).value_mut(), -self.lr, g);
                     }
                 }
                 ParamKind::Embedding => {
-                    let sparse: Vec<(u32, Vec<f32>)> = grads
-                        .sparse(id)
-                        .iter()
-                        .map(|(&r, g)| (r, g.clone()))
-                        .collect();
                     let value = store.param_mut(id).value_mut();
-                    for (r, g) in sparse {
-                        linalg::axpy(-self.lr, &g, value.row_mut(r as usize));
+                    for (r, g) in grads.sparse(id) {
+                        linalg::axpy(-self.lr, g, value.row_mut(r as usize));
                     }
                 }
             }
@@ -241,27 +234,28 @@ impl Momentum {
 impl Optimizer for Momentum {
     fn step(&mut self, store: &mut ParamStore, grads: &GradStore) {
         self.ensure_state(store);
+        // v = beta v + g ; θ -= lr v, fused per element.
+        let (beta, lr) = (self.beta, self.lr);
+        let update = |v: &mut [f32], g: &[f32], p: &mut [f32]| {
+            for ((v, &g), p) in v.iter_mut().zip(g).zip(p) {
+                *v *= beta;
+                *v += g;
+                *p += -lr * *v;
+            }
+        };
         for idx in 0..store.len() {
             let id = ParamId(idx);
             let vel = &mut self.velocity[idx];
-            match store.param(id).kind() {
+            let value = store.param_mut(id).value_mut();
+            match grads.kind(id) {
                 ParamKind::Dense => {
                     if let Some(g) = grads.dense(id) {
-                        // v = beta v + g ; θ -= lr v
-                        vel.map_inplace(|v| v * self.beta);
-                        linalg::add_scaled(vel, 1.0, g);
-                        let delta = vel.clone();
-                        linalg::add_scaled(store.param_mut(id).value_mut(), -self.lr, &delta);
+                        update(vel.as_mut_slice(), g.as_slice(), value.as_mut_slice());
                     }
                 }
                 ParamKind::Embedding => {
-                    for (&r, g) in grads.sparse(id) {
-                        let vrow = vel.row_mut(r as usize);
-                        linalg::scale(self.beta, vrow);
-                        linalg::axpy(1.0, g, vrow);
-                        let vrow = vel.row(r as usize).to_vec();
-                        let value = store.param_mut(id).value_mut();
-                        linalg::axpy(-self.lr, &vrow, value.row_mut(r as usize));
+                    for (r, g) in grads.sparse(id) {
+                        update(vel.row_mut(r as usize), g, value.row_mut(r as usize));
                     }
                 }
             }
@@ -368,14 +362,11 @@ impl Optimizer for RmsProp {
                     }
                 }
                 ParamKind::Embedding => {
-                    for (&r, g) in grads.sparse(id) {
+                    let value = store.param_mut(id).value_mut();
+                    for (r, g) in grads.sparse(id) {
                         let crow = cache.row_mut(r as usize);
-                        for (c, &gv) in crow.iter_mut().zip(g) {
+                        for ((c, &gv), v) in crow.iter_mut().zip(g).zip(value.row_mut(r as usize)) {
                             *c = rho * *c + (1.0 - rho) * gv * gv;
-                        }
-                        let crow = cache.row(r as usize).to_vec();
-                        let value = store.param_mut(id).value_mut();
-                        for ((v, &gv), c) in value.row_mut(r as usize).iter_mut().zip(g).zip(crow) {
                             *v -= lr * gv / (c.sqrt() + eps);
                         }
                     }
@@ -489,23 +480,20 @@ impl Optimizer for Adam {
                     }
                 }
                 ParamKind::Embedding => {
-                    for (&r, g) in grads.sparse(id) {
-                        let mrow = m.row_mut(r as usize);
-                        for (mv, &gv) in mrow.iter_mut().zip(g) {
-                            *mv = b1 * *mv + (1.0 - b1) * gv;
-                        }
-                        let vrow = v.row_mut(r as usize);
-                        for (vv, &gv) in vrow.iter_mut().zip(g) {
-                            *vv = b2 * *vv + (1.0 - b2) * gv * gv;
-                        }
-                        let mrow = m.row(r as usize).to_vec();
-                        let vrow = v.row(r as usize).to_vec();
-                        let value = store.param_mut(id).value_mut();
-                        for ((p, mv), vv) in
-                            value.row_mut(r as usize).iter_mut().zip(mrow).zip(vrow)
+                    let value = store.param_mut(id).value_mut();
+                    for (r, g) in grads.sparse(id) {
+                        let r = r as usize;
+                        for (((mv, vv), &gv), p) in m
+                            .row_mut(r)
+                            .iter_mut()
+                            .zip(v.row_mut(r))
+                            .zip(g)
+                            .zip(value.row_mut(r))
                         {
-                            let mhat = mv / bc1;
-                            let vhat = vv / bc2;
+                            *mv = b1 * *mv + (1.0 - b1) * gv;
+                            *vv = b2 * *vv + (1.0 - b2) * gv * gv;
+                            let mhat = *mv / bc1;
+                            let vhat = *vv / bc2;
                             *p -= lr * mhat / (vhat.sqrt() + eps);
                         }
                     }

@@ -22,9 +22,8 @@ fn grad_of_row(store: &ParamStore, grads: &GradStore) -> Vec<f32> {
     let dim = store.value(id).cols();
     grads
         .sparse(id)
-        .get(&0)
-        .cloned()
-        .unwrap_or_else(|| vec![0.0; dim])
+        .get(0)
+        .map_or_else(|| vec![0.0; dim], <[f32]>::to_vec)
 }
 
 fn finite_vec() -> impl Strategy<Value = Vec<f32>> {

@@ -110,8 +110,9 @@ fn bench_softmax_cosine(c: &mut Criterion) {
 fn bench_outer(c: &mut Criterion) {
     let x: Vec<f32> = (0..64).map(|i| i as f32 * 0.01).collect();
     let y: Vec<f32> = (0..128).map(|i| i as f32 * 0.02).collect();
-    c.bench_function("outer_64x128", |b| {
-        b.iter(|| black_box(linalg::outer(black_box(&x), black_box(&y))))
+    let mut a = vec![0.0f32; 64 * 128];
+    c.bench_function("add_outer_64x128", |b| {
+        b.iter(|| linalg::add_outer(black_box(&mut a), 128, black_box(&x), black_box(&y)))
     });
 }
 

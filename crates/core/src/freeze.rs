@@ -632,6 +632,12 @@ fn entity_to_payload(e: &EntityMatrix) -> EntityPayload {
 }
 
 fn entity_from_payload(p: EntityPayload, precision: Precision) -> Result<EntityMatrix, String> {
+    // The payload length bounds `rows` only through `cols`: with no
+    // columns, any row count decodes from an empty buffer, and an engine
+    // then sizes its seen masks and item projection from it.
+    if p.cols == 0 && p.rows > 0 {
+        return Err(format!("entity payload of {} rows has 0 columns", p.rows));
+    }
     match precision {
         Precision::F32 => {
             let data = p
@@ -1007,6 +1013,48 @@ mod tests {
             .as_slice()
             .iter()
             .all(|v| v.abs() <= 0.5));
+    }
+
+    /// A zero-width entity payload bounds no row count: a consistent
+    /// model of 2⁴⁰ zero-width items must not come back from a snapshot.
+    #[test]
+    fn snapshot_rejects_rows_without_columns() {
+        let m = FrozenModel {
+            name: "zero-width".to_owned(),
+            users: EntityMatrix::F32(Matrix::zeros(4, 0)),
+            items: EntityMatrix::F32(Matrix::zeros(1 << 40, 0)),
+            head: FrozenHead::Mlp {
+                layers: vec![
+                    FrozenLayer {
+                        w: Matrix::zeros(32, 0),
+                        b: vec![0.0; 32],
+                        act: Act::Relu,
+                    },
+                    FrozenLayer {
+                        w: Matrix::zeros(1, 32),
+                        b: vec![0.0],
+                        act: Act::Identity,
+                    },
+                ],
+            },
+        };
+        assert!(m.validate().is_ok(), "the model alone is consistent");
+        for p in [Precision::F32, Precision::F16] {
+            let err = FrozenSnapshot::from(&m.quantize(p).unwrap())
+                .into_model()
+                .unwrap_err();
+            assert!(err.contains("0 columns"), "{}: {err}", p.name());
+        }
+        // int8 carries one scale per row, so its payload bounds the rows;
+        // a zero-width table is still rejected.
+        let small = FrozenModel {
+            items: EntityMatrix::F32(Matrix::zeros(3, 0)),
+            ..m
+        };
+        let err = FrozenSnapshot::from(&small.quantize(Precision::Int8).unwrap())
+            .into_model()
+            .unwrap_err();
+        assert!(err.contains("0 columns"), "int8: {err}");
     }
 
     #[test]

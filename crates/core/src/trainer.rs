@@ -18,7 +18,7 @@ use scenerec_autodiff::{GradStore, Graph};
 use scenerec_data::Dataset;
 use scenerec_eval::{evaluate, EvalSummary};
 use scenerec_faults::Injector;
-use scenerec_graph::ItemId;
+use scenerec_graph::{ItemId, UserId};
 use scenerec_obs::{obs_event, FieldValue, Level, Stopwatch, Trace, TraceData};
 use scenerec_tensor::stats::RunningStats;
 use serde::{Deserialize, Serialize};
@@ -64,7 +64,9 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// Sampling / shuffling seed.
     pub seed: u64,
-    /// Evaluation thread count.
+    /// Worker threads for the training fan-out and gradient reduce, and
+    /// for validation/test evaluation. 0 runs serially, like 1; the
+    /// default is the machine's available parallelism.
     pub threads: usize,
     /// Print per-epoch progress to stderr.
     pub verbose: bool,
@@ -126,13 +128,15 @@ pub struct PhaseBreakdown {
     pub step_ns: u64,
     /// Validation evaluation.
     pub eval_ns: u64,
-    /// Wall-clock time of the parallel forward/backward fan-out region.
+    /// Wall-clock time of the parallel forward/backward fan-out, until
+    /// every worker has finished its examples.
     /// `(forward_ns + backward_ns) / (fanout_ns * workers)` is the
     /// parallel efficiency of a run. Not counted in [`Self::total_ns`] —
     /// the same work already appears in `forward_ns`/`backward_ns`.
     pub fanout_ns: u64,
-    /// Fixed-order merging of per-example gradients into the batch
-    /// accumulator (the reduction step of data-parallel training).
+    /// Wall-clock time of the fixed-order reduce of per-example gradients
+    /// into the batch accumulator (the reduction step of data-parallel
+    /// training), which follows the fan-out.
     pub reduce_ns: u64,
 }
 
@@ -195,22 +199,28 @@ const GRAD_NORM_EDGES: [f64; 10] = [0.01, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 2
 /// ## Data-parallel batches
 ///
 /// Each mini-batch is trained data-parallel across
-/// [`TrainConfig::threads`] workers, **bit-identical to serial for the
-/// same seed at any thread count**:
+/// `max(1, `[`TrainConfig::threads`]`)` workers, **bit-identical to
+/// serial for the same seed at any thread count**:
 ///
 /// 1. negatives for the whole batch are rejection-sampled *serially* on
 ///    the calling thread (RNG consumption is data-dependent, so this is
 ///    the only order that keeps the stream stable),
-/// 2. the batch is split into contiguous sub-ranges, one per worker; each
-///    worker runs forward/backward on its own tape and produces a
-///    **per-example** [`GradStore`],
-/// 3. the per-example gradients are merged into the batch accumulator in
-///    example order on the calling thread, then clipped and applied in
-///    one optimizer step.
+/// 2. the batch is split into contiguous sub-ranges, one per worker (the
+///    calling thread works the first); each worker runs forward/backward
+///    on its own tape into a **per-example** [`GradStore`]. The call
+///    builds one store per batch slot up front and resets it for every
+///    example, so a step allocates no gradient storage,
+/// 3. once every worker is done, the same workers sum the per-example
+///    stores into the batch accumulator ([`GradStore::reduce_with`] in
+///    `scenerec_tensor::par::fan_out_then_reduce`): dense parameters are
+///    shared out whole and embedding tables by contiguous row range, and
+///    each slot adds its contributions in example order. The calling
+///    thread then scales, clips and applies one optimizer step.
 ///
 /// Per-example stores (rather than per-worker accumulators) are what make
-/// the reduction exact: the merge performs the same floating-point sums
-/// in the same order regardless of where worker boundaries fall.
+/// the reduction exact: every slot sums the same floating-point values
+/// in the same order regardless of where worker or share boundaries
+/// fall.
 pub fn train<M: PairwiseModel + Sync>(
     model: &mut M,
     data: &Dataset,
@@ -273,22 +283,7 @@ pub fn train_with_optimizer_traced<M: PairwiseModel + Sync>(
         s
     });
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut grads = GradStore::new(model.store());
-
-    // All known positives per user (for negative rejection).
-    let num_users = data.num_users() as usize;
-    let mut known: Vec<HashSet<u32>> = vec![HashSet::new(); num_users];
-    for (u, i, _) in data.interactions.iter_interactions() {
-        known[u.index()].insert(i.raw());
-    }
-
-    let mut pairs: Vec<(u32, u32)> = data
-        .split
-        .train
-        .iter()
-        .map(|&(u, i)| (u.raw(), i.raw()))
-        .collect();
-    let num_items = data.num_items();
+    let mut runner = EpochRunner::new(model, data, cfg);
 
     let mut report = TrainReport {
         epochs: Vec::with_capacity(cfg.epochs),
@@ -307,32 +302,13 @@ pub fn train_with_optimizer_traced<M: PairwiseModel + Sync>(
     } else {
         Level::Debug
     };
-    // Pre-clip global gradient-norm distribution (lock-free observes).
-    let grad_norm_hist = scenerec_obs::metrics::histogram("train/grad_norm", &GRAD_NORM_EDGES);
-
-    let workers = cfg.threads.max(1);
-    scenerec_obs::metrics::gauge("train/workers").set(workers as f64);
-
-    let mut triples: Vec<(u32, u32, u32)> = Vec::with_capacity(cfg.batch_size.max(1));
     for epoch in 0..cfg.epochs {
         let epoch_span = trace.as_deref_mut().map(|t| {
             let s = t.start_span("trainer.epoch");
             t.add_field(s, "epoch", FieldValue::Int(epoch as i64));
             s
         });
-        let (mean_loss, mut phases) = run_epoch(
-            model,
-            cfg,
-            opt,
-            &mut rng,
-            &mut pairs,
-            &known,
-            num_items,
-            &mut grads,
-            &mut triples,
-            &grad_norm_hist,
-            workers,
-        );
+        let (mean_loss, mut phases) = runner.run_epoch(model, cfg, opt, &mut rng);
 
         let mut record = EpochRecord {
             epoch,
@@ -375,23 +351,7 @@ pub fn train_with_optimizer_traced<M: PairwiseModel + Sync>(
             t.add_field(s, "mean_loss", FieldValue::Float(record.mean_loss as f64));
             t.end_span(s);
         }
-        record_epoch_telemetry(model.name(), &record, &phases, pairs.len());
-        obs_event!(
-            epoch_level, "trainer", "epoch";
-            "model" => model.name(),
-            "epoch" => epoch,
-            "mean_loss" => record.mean_loss as f64,
-            "val_ndcg" => opt_metric(record.val_ndcg),
-            "val_hr" => opt_metric(record.val_hr),
-            "sample_ns" => phases.sample_ns,
-            "forward_ns" => phases.forward_ns,
-            "backward_ns" => phases.backward_ns,
-            "step_ns" => phases.step_ns,
-            "eval_ns" => phases.eval_ns,
-            "fanout_ns" => phases.fanout_ns,
-            "reduce_ns" => phases.reduce_ns,
-            "workers" => workers,
-        );
+        runner.record_epoch(model.name(), epoch_level, &record, &phases);
         report.phases.add(&phases);
         report.epochs.push(record);
 
@@ -406,111 +366,209 @@ pub fn train_with_optimizer_traced<M: PairwiseModel + Sync>(
     report
 }
 
-/// One epoch of BPR training: shuffle `pairs` with `rng`, then run the
-/// batched data-parallel update loop. Returns the epoch's mean loss and
-/// wall-time breakdown.
-///
-/// This is the body shared by [`train_with_optimizer`] (one rng stream
-/// across all epochs) and [`train_resumable`] (a fresh rng per epoch, so
-/// every epoch's outcome is a pure function of the parameters, optimizer
-/// state, and epoch index — the property that makes crash-resume
-/// byte-identical to an uninterrupted run).
-#[allow(clippy::too_many_arguments)]
-fn run_epoch<M: PairwiseModel + Sync>(
-    model: &mut M,
-    cfg: &TrainConfig,
-    opt: &mut dyn Optimizer,
-    rng: &mut StdRng,
-    pairs: &mut [(u32, u32)],
-    known: &[HashSet<u32>],
+/// The state a training call builds once and every epoch reuses: the
+/// known positives for negative rejection, the training pairs, the
+/// triple buffer, one gradient store per batch example, the batch
+/// accumulator and the telemetry handles.
+struct EpochRunner {
+    /// All known positives per user (for negative rejection).
+    known: Vec<HashSet<u32>>,
+    pairs: Vec<(u32, u32)>,
     num_items: u32,
-    grads: &mut GradStore,
-    triples: &mut Vec<(u32, u32, u32)>,
-    grad_norm_hist: &scenerec_obs::metrics::Histogram,
+    triples: Vec<(u32, u32, u32)>,
+    /// One gradient store per batch slot, reset (not rebuilt) for each
+    /// example.
+    examples: Vec<Example>,
+    /// The batch accumulator.
+    grads: GradStore,
+    /// Pre-clip global gradient-norm distribution (lock-free observes).
+    grad_norm_hist: std::sync::Arc<scenerec_obs::metrics::Histogram>,
     workers: usize,
-) -> (f32, PhaseBreakdown) {
-    let batch = cfg.batch_size.max(1);
-    let mut phases = PhaseBreakdown::default();
-    let mut mark = Stopwatch::start();
-    pairs.shuffle(rng);
-    let mut loss_stats = RunningStats::new();
-    phases.sample_ns += mark.lap_ns();
+}
 
-    for chunk in pairs.chunks(batch) {
-        grads.clear();
-
-        // Rejection-sample all negatives for the batch serially: the
-        // number of draws per pair is data-dependent, so only a fixed
-        // consumption order keeps the RNG stream thread-invariant.
-        mark = Stopwatch::start();
-        triples.clear();
-        for &(u, pos) in chunk {
-            let neg = loop {
-                let cand = rng.gen_range(0..num_items);
-                if !known[u as usize].contains(&cand) {
-                    break cand;
-                }
-            };
-            triples.push((u, pos, neg));
+impl EpochRunner {
+    fn new<M: PairwiseModel>(model: &M, data: &Dataset, cfg: &TrainConfig) -> Self {
+        let batch = cfg.batch_size.max(1);
+        let mut known: Vec<HashSet<u32>> = vec![HashSet::new(); data.num_users() as usize];
+        for (u, i, _) in data.interactions.iter_interactions() {
+            known[u.index()].insert(i.raw());
         }
-        phases.sample_ns += mark.lap_ns();
-
-        // Fan out: contiguous sub-ranges, one tape per example. A
-        // single worker (or a single-example batch) runs inline.
-        let fan = workers.min(triples.len());
-        let sub = triples.len().div_ceil(fan.max(1));
-        let model_ref: &M = model;
-        let triples_ref: &[(u32, u32, u32)] = triples;
-        let fan_start = Stopwatch::start();
-        let worker_out = scenerec_tensor::par::map_workers(fan, |w| {
-            let lo = (w * sub).min(triples_ref.len());
-            let hi = (lo + sub).min(triples_ref.len());
-            let mut out = Vec::with_capacity(hi - lo);
-            let (mut fwd_ns, mut bwd_ns) = (0u64, 0u64);
-            for &(u, pos, neg) in &triples_ref[lo..hi] {
-                let mut wmark = Stopwatch::start();
-                let mut g = Graph::new(model_ref.store());
-                let p = model_ref.build_score(&mut g, scenerec_graph::UserId(u), ItemId(pos));
-                let n = model_ref.build_score(&mut g, scenerec_graph::UserId(u), ItemId(neg));
-                let loss = g.bpr_loss(p, n);
-                let loss_val = g.scalar(loss);
-                fwd_ns += wmark.lap_ns();
-                let mut example_grads = GradStore::new(model_ref.store());
-                g.backward(loss, &mut example_grads);
-                bwd_ns += wmark.lap_ns();
-                out.push((loss_val, example_grads));
-            }
-            (out, fwd_ns, bwd_ns)
-        });
-        phases.fanout_ns += fan_start.elapsed_ns();
-
-        // Reduce in example order (workers come back in worker order
-        // and each holds a contiguous sub-range, so flattening is the
-        // original example order).
-        mark = Stopwatch::start();
-        for (out, fwd_ns, bwd_ns) in worker_out {
-            phases.forward_ns += fwd_ns;
-            phases.backward_ns += bwd_ns;
-            for (loss_val, example_grads) in &out {
-                loss_stats.push(*loss_val);
-                grads.merge(example_grads);
-            }
+        let workers = cfg.threads.max(1);
+        scenerec_obs::metrics::gauge("train/workers").set(workers as f64);
+        EpochRunner {
+            known,
+            pairs: train_pairs(data),
+            num_items: data.num_items(),
+            triples: Vec::with_capacity(batch),
+            examples: (0..batch)
+                .map(|_| Example {
+                    grads: GradStore::new(model.store()),
+                    loss: 0.0,
+                })
+                .collect(),
+            grads: GradStore::new(model.store()),
+            grad_norm_hist: scenerec_obs::metrics::histogram("train/grad_norm", &GRAD_NORM_EDGES),
+            workers,
         }
-        phases.reduce_ns += mark.lap_ns();
-        if chunk.len() > 1 {
-            // Mean gradient over the batch, matching the per-example
-            // loss scale of batch_size = 1.
-            grads.scale(1.0 / chunk.len() as f32);
-        }
-        if cfg.clip_norm > 0.0 {
-            let norm = scenerec_autodiff::optim::clip_global_norm(grads, cfg.clip_norm);
-            grad_norm_hist.observe(norm as f64);
-        }
-        opt.step(model.store_mut(), grads);
-        phases.step_ns += mark.lap_ns();
     }
 
-    (loss_stats.mean(), phases)
+    /// One epoch of BPR training: shuffle the pairs with `rng`, then run
+    /// the batched data-parallel update loop. Returns the epoch's mean loss
+    /// and wall-time breakdown.
+    ///
+    /// This is the body shared by [`train_with_optimizer`] (one rng stream
+    /// across all epochs) and [`train_resumable`] (a fresh rng per epoch,
+    /// over the pairs in their original order, so every epoch's outcome is
+    /// a pure function of the parameters, optimizer state, and epoch index
+    /// — the property that makes crash-resume byte-identical to an
+    /// uninterrupted run).
+    fn run_epoch<M: PairwiseModel + Sync>(
+        &mut self,
+        model: &mut M,
+        cfg: &TrainConfig,
+        opt: &mut dyn Optimizer,
+        rng: &mut StdRng,
+    ) -> (f32, PhaseBreakdown) {
+        let batch = cfg.batch_size.max(1);
+        let mut phases = PhaseBreakdown::default();
+        let mut mark = Stopwatch::start();
+        self.pairs.shuffle(rng);
+        let mut loss_stats = RunningStats::new();
+        phases.sample_ns += mark.lap_ns();
+
+        for chunk in self.pairs.chunks(batch) {
+            self.grads.clear();
+
+            // Rejection-sample all negatives for the batch serially: the
+            // number of draws per pair is data-dependent, so only a fixed
+            // consumption order keeps the RNG stream thread-invariant.
+            mark = Stopwatch::start();
+            self.triples.clear();
+            for &(u, pos) in chunk {
+                let neg = loop {
+                    let cand = rng.gen_range(0..self.num_items);
+                    if !self.known[u as usize].contains(&cand) {
+                        break cand;
+                    }
+                };
+                self.triples.push((u, pos, neg));
+            }
+            phases.sample_ns += mark.lap_ns();
+
+            // Fan out over contiguous sub-ranges, one tape and one pooled
+            // store per example, the calling thread working the first;
+            // then each of the same workers reduces its share of the
+            // slots over the whole batch, in example order.
+            let n = self.triples.len();
+            let sub = n.div_ceil(self.workers.min(n).max(1));
+            let parts = n.div_ceil(sub);
+            let model_ref: &M = model;
+            let triples: &[(u32, u32, u32)] = &self.triples;
+            let examples = &mut self.examples[..n];
+            let fan_start = Stopwatch::start();
+            let out = self.grads.reduce_with(parts, |shares| {
+                scenerec_tensor::par::fan_out_then_reduce(
+                    examples,
+                    sub,
+                    shares,
+                    |w, part| {
+                        let (mut fwd_ns, mut bwd_ns) = (0u64, 0u64);
+                        for (ex, &(u, pos, neg)) in part.iter_mut().zip(&triples[w * sub..]) {
+                            let mut wmark = Stopwatch::start();
+                            let mut g = Graph::new(model_ref.store());
+                            let p = model_ref.build_score(&mut g, UserId(u), ItemId(pos));
+                            let n = model_ref.build_score(&mut g, UserId(u), ItemId(neg));
+                            let loss = g.bpr_loss(p, n);
+                            ex.loss = g.scalar(loss);
+                            fwd_ns += wmark.lap_ns();
+                            ex.grads.reset();
+                            g.backward(loss, &mut ex.grads);
+                            bwd_ns += wmark.lap_ns();
+                        }
+                        (fwd_ns, bwd_ns)
+                    },
+                    |_, share, done| {
+                        let fanout_ns = fan_start.elapsed_ns();
+                        share.absorb(done.iter().flat_map(|c| c.iter().map(|e| &e.grads)));
+                        fanout_ns
+                    },
+                )
+            });
+            let total_ns = fan_start.elapsed_ns();
+            // Worker 0 is the calling thread: the fan-out ends, for the
+            // wall clock, when it starts reducing.
+            let fanout_ns = out.first().map_or(total_ns, |&(_, f)| f);
+            phases.fanout_ns += fanout_ns;
+            phases.reduce_ns += total_ns - fanout_ns;
+            for &((fwd_ns, bwd_ns), _) in &out {
+                phases.forward_ns += fwd_ns;
+                phases.backward_ns += bwd_ns;
+            }
+
+            mark = Stopwatch::start();
+            for ex in &self.examples[..n] {
+                loss_stats.push(ex.loss);
+            }
+            if chunk.len() > 1 {
+                // Mean gradient over the batch, matching the per-example
+                // loss scale of batch_size = 1.
+                self.grads.scale(1.0 / chunk.len() as f32);
+            }
+            if cfg.clip_norm > 0.0 {
+                let norm =
+                    scenerec_autodiff::optim::clip_global_norm(&mut self.grads, cfg.clip_norm);
+                self.grad_norm_hist.observe(norm as f64);
+            }
+            opt.step(model.store_mut(), &self.grads);
+            phases.step_ns += mark.lap_ns();
+        }
+
+        (loss_stats.mean(), phases)
+    }
+
+    /// Folds one finished epoch into the obs registries and emits its
+    /// `trainer`/`epoch` event.
+    fn record_epoch(
+        &self,
+        model: &str,
+        level: Level,
+        record: &EpochRecord,
+        phases: &PhaseBreakdown,
+    ) {
+        record_epoch_telemetry(model, record, phases, self.pairs.len());
+        obs_event!(
+            level, "trainer", "epoch";
+            "model" => model,
+            "epoch" => record.epoch,
+            "mean_loss" => record.mean_loss as f64,
+            "val_ndcg" => opt_metric(record.val_ndcg),
+            "val_hr" => opt_metric(record.val_hr),
+            "sample_ns" => phases.sample_ns,
+            "forward_ns" => phases.forward_ns,
+            "backward_ns" => phases.backward_ns,
+            "step_ns" => phases.step_ns,
+            "eval_ns" => phases.eval_ns,
+            "fanout_ns" => phases.fanout_ns,
+            "reduce_ns" => phases.reduce_ns,
+            "workers" => self.workers,
+        );
+    }
+}
+
+/// One batch slot: the gradient store its example's backward pass fills,
+/// and the example's loss.
+struct Example {
+    grads: GradStore,
+    loss: f32,
+}
+
+/// The training split as `(user, item)` pairs, in split order.
+fn train_pairs(data: &Dataset) -> Vec<(u32, u32)> {
+    data.split
+        .train
+        .iter()
+        .map(|&(u, i)| (u.raw(), i.raw()))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -684,48 +742,20 @@ pub fn train_resumable(
         return Ok(report);
     }
 
-    let mut grads = GradStore::new(model.store());
-    let num_users = data.num_users() as usize;
-    let mut known: Vec<HashSet<u32>> = vec![HashSet::new(); num_users];
-    for (u, i, _) in data.interactions.iter_interactions() {
-        known[u.index()].insert(i.raw());
-    }
-    let base_pairs: Vec<(u32, u32)> = data
-        .split
-        .train
-        .iter()
-        .map(|&(u, i)| (u.raw(), i.raw()))
-        .collect();
-    let num_items = data.num_items();
-
+    let mut runner = EpochRunner::new(model, data, cfg);
     let epoch_level = if cfg.verbose {
         Level::Info
     } else {
         Level::Debug
     };
-    let grad_norm_hist = scenerec_obs::metrics::histogram("train/grad_norm", &GRAD_NORM_EDGES);
-    let workers = cfg.threads.max(1);
-    scenerec_obs::metrics::gauge("train/workers").set(workers as f64);
-    let mut triples: Vec<(u32, u32, u32)> = Vec::with_capacity(cfg.batch_size.max(1));
 
     for epoch in start_epoch..cfg.epochs {
-        // A fresh, epoch-indexed rng: resume replays the exact stream the
-        // uninterrupted run would have consumed.
+        // A fresh, epoch-indexed rng over the pairs in split order: resume
+        // replays the exact stream the uninterrupted run would have
+        // consumed.
         let mut rng = StdRng::seed_from_u64(epoch_seed(cfg.seed, epoch));
-        let mut pairs = base_pairs.clone();
-        let (mean_loss, mut phases) = run_epoch(
-            model,
-            cfg,
-            opt.as_mut(),
-            &mut rng,
-            &mut pairs,
-            &known,
-            num_items,
-            &mut grads,
-            &mut triples,
-            &grad_norm_hist,
-            workers,
-        );
+        runner.pairs = train_pairs(data);
+        let (mean_loss, mut phases) = runner.run_epoch(model, cfg, opt.as_mut(), &mut rng);
 
         let mut record = EpochRecord {
             epoch,
@@ -749,23 +779,7 @@ pub fn train_resumable(
             }
         }
 
-        record_epoch_telemetry(model.name(), &record, &phases, base_pairs.len());
-        obs_event!(
-            epoch_level, "trainer", "epoch";
-            "model" => model.name(),
-            "epoch" => epoch,
-            "mean_loss" => record.mean_loss as f64,
-            "val_ndcg" => opt_metric(record.val_ndcg),
-            "val_hr" => opt_metric(record.val_hr),
-            "sample_ns" => phases.sample_ns,
-            "forward_ns" => phases.forward_ns,
-            "backward_ns" => phases.backward_ns,
-            "step_ns" => phases.step_ns,
-            "eval_ns" => phases.eval_ns,
-            "fanout_ns" => phases.fanout_ns,
-            "reduce_ns" => phases.reduce_ns,
-            "workers" => workers,
-        );
+        runner.record_epoch(model.name(), epoch_level, &record, &phases);
         report.phases.add(&phases);
         report.epochs.push(record);
 

@@ -172,18 +172,29 @@ pub fn try_matvec_t(a: &Matrix, x: &[f32]) -> TensorResult<Vec<f32>> {
         });
     }
     let mut y = vec![0.0f32; a.cols()];
-    for (row, &xv) in a.iter_rows().zip(x) {
-        if xv == 0.0 {
-            continue;
-        }
-        axpy(xv, row, &mut y);
-    }
+    matvec_t_into(a, x, &mut y);
     Ok(y)
 }
 
 /// `y = A^T * x`, panicking on shape mismatch.
 pub fn matvec_t(a: &Matrix, x: &[f32]) -> Vec<f32> {
     try_matvec_t(a, x).expect("matvec_t shape mismatch") // lint:allow(R1): documented panicking wrapper over the try_ twin
+}
+
+/// [`matvec_t`] into a caller-owned buffer: zeroes `y`, then adds
+/// `x[r] * A.row(r)` for every row with `x[r] != 0`, in row order.
+///
+/// # Panics
+/// Panics if `x.len() != A.rows()` or `y.len() != A.cols()`.
+pub fn matvec_t_into(a: &Matrix, x: &[f32], y: &mut [f32]) {
+    assert_eq!(a.rows(), x.len(), "matvec_t shape mismatch");
+    y.fill(0.0);
+    for (row, &xv) in a.iter_rows().zip(x) {
+        if xv == 0.0 {
+            continue;
+        }
+        axpy(xv, row, y);
+    }
 }
 
 /// Dot product of two equal-length slices, routed through the
@@ -367,19 +378,33 @@ fn elementwise(
     Matrix::from_vec(a.rows(), a.cols(), data)
 }
 
-/// Outer product `x ⊗ y` producing an `x.len() x y.len()` matrix.
-pub fn outer(x: &[f32], y: &[f32]) -> Matrix {
-    let mut out = Matrix::zeros(x.len(), y.len());
+/// The rank-1 update `A += x yᵀ` in place, row `r` of `A` being
+/// `a[r * stride..r * stride + y.len()]`.
+///
+/// Each element becomes `a + x[r] * y[c]`: a multiply, then an add, never
+/// fused. Rows with `x[r] == 0` are skipped, so a zero upstream gradient
+/// leaves its row untouched even where `y` holds an infinity (`0 · ∞`
+/// would be NaN). `stride == y.len()` walks a contiguous row-major block;
+/// a wider stride updates a column window of a wider matrix in place (the
+/// tape's split first layer writes each half of `∂W` this way).
+///
+/// # Panics
+/// Panics if `a` is shorter than `(x.len() - 1) * stride + y.len()`.
+pub fn add_outer(a: &mut [f32], stride: usize, x: &[f32], y: &[f32]) {
+    let n = y.len();
+    let Some(last) = x.len().checked_sub(1) else {
+        return;
+    };
+    let needed = last.saturating_mul(stride).saturating_add(n);
+    assert!(a.len() >= needed, "add_outer length mismatch");
     for (r, &xv) in x.iter().enumerate() {
         if xv == 0.0 {
             continue;
         }
-        let row = out.row_mut(r);
-        for (ov, &yv) in row.iter_mut().zip(y) {
-            *ov = xv * yv;
+        for (av, &yv) in a[r * stride..r * stride + n].iter_mut().zip(y) {
+            *av += xv * yv;
         }
     }
-    out
 }
 
 /// `A += alpha * B` in place (shape-checked).
@@ -516,10 +541,31 @@ mod tests {
     }
 
     #[test]
-    fn outer_product() {
-        let m = outer(&[1.0, 2.0], &[3.0, 4.0, 5.0]);
-        assert_eq!(m.shape(), (2, 3));
-        assert_eq!(m.row(1), &[6.0, 8.0, 10.0]);
+    fn add_outer_updates_rows_in_place() {
+        let mut a = vec![1.0f32; 6];
+        add_outer(&mut a, 3, &[1.0, 2.0], &[3.0, 4.0, 5.0]);
+        assert_eq!(a, vec![4.0, 5.0, 6.0, 7.0, 9.0, 11.0]);
+        // A column window: stride 3, two columns starting at column 1.
+        let mut w = vec![0.0f32; 6];
+        add_outer(&mut w[1..], 3, &[1.0, -1.0], &[2.0, 3.0]);
+        assert_eq!(w, vec![0.0, 2.0, 3.0, 0.0, -2.0, -3.0]);
+    }
+
+    #[test]
+    fn add_outer_skips_zero_rows_even_against_infinity() {
+        let mut a = vec![0.0f32; 4];
+        add_outer(&mut a, 2, &[0.0, 1.0], &[f32::INFINITY, 1.0]);
+        assert_eq!(a[..2], [0.0, 0.0]);
+        assert_eq!(a[2..], [f32::INFINITY, 1.0]);
+    }
+
+    #[test]
+    fn matvec_t_into_matches_matvec_t() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
+        let x = [0.5, 0.0, -1.0];
+        let mut y = vec![9.0f32; 2];
+        matvec_t_into(&a, &x, &mut y);
+        assert_eq!(y, matvec_t(&a, &x));
     }
 
     #[test]
