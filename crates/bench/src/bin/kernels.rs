@@ -1,7 +1,6 @@
-//! Kernel speedup report: seed-style naive matmul vs the blocked GEMM
-//! at both dispatch backends (forced scalar vs runtime-detected SIMD),
-//! the threaded path, and the serve scoring kernel (`score_bt`), across
-//! a size sweep.
+//! Kernel speedup report: the serve scoring kernel (`score_bt`) at both
+//! dispatch backends (forced scalar vs runtime-detected SIMD) across a
+//! size sweep.
 //!
 //! ```text
 //! cargo run -p scenerec-bench --bin kernels --release -- \
@@ -9,19 +8,19 @@
 //! ```
 //!
 //! Writes a `BENCH_kernels.json` run manifest under `results/` recording
-//! per-size wall times, GFLOP/s, and three speedups per size: blocked
-//! over naive, SIMD over forced-scalar (the micro-kernel win), and
-//! threaded over naive. The manifest records which backend the runtime
-//! dispatch resolved (`kernel_backend`), so diffs across machines with
-//! different SIMD features are detectable. This file is the evidence
-//! behind the "Performance" sections of README.md and DESIGN.md and is
-//! gated in CI by `bench_diff`.
+//! per-size wall times, GFLOP/s and the SIMD-over-forced-scalar speedup
+//! of `score_bt`, whose AVX2 side is the 8-row dot tile behind every
+//! score in the workspace. The manifest records which backend the
+//! runtime dispatch resolved (`kernel_backend`), so diffs across
+//! machines with different SIMD features are detectable. This file is
+//! the evidence behind the "Performance" sections of README.md and
+//! DESIGN.md and is gated in CI by `bench_diff`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scenerec_bench::cli::Args;
 use scenerec_obs::RunManifest;
-use scenerec_tensor::{backend_name, gemm, linalg, par, score, Backend, Initializer, Matrix};
+use scenerec_tensor::{backend_name, score, Backend, Initializer, Matrix};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -29,38 +28,26 @@ use std::time::Instant;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct KernelRow {
     size: usize,
-    naive_ns: u64,
-    gemm_scalar_ns: u64,
-    gemm_simd_ns: u64,
-    gemm_threaded_ns: u64,
     score_scalar_ns: u64,
     score_simd_ns: u64,
-    gemm_simd_gflops: f64,
-    /// Forced-scalar over dispatched GEMM: the micro-kernel win alone.
-    gemm_simd_speedup: f64,
-    /// Forced-scalar over dispatched `score_bt`: the serve-kernel win.
+    score_simd_gflops: f64,
+    /// Forced-scalar over dispatched `score_bt`: the dot-tile win.
     score_simd_speedup: f64,
-    /// Naive triple loop over the single-thread blocked scalar GEMM:
-    /// the packing/blocking win alone.
-    blocked_speedup: f64,
-    /// Naive over the threaded dispatched GEMM: the full stack.
-    threaded_speedup: f64,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct KernelsConfig {
     sizes: Vec<usize>,
     reps: usize,
-    threads: usize,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct KernelResults {
     rows: Vec<KernelRow>,
-    /// `gemm_simd_speedup` at the largest swept size — the headline
-    /// micro-kernel number (the tentpole target is >= 1.5 at 512^2 on
-    /// AVX2 hosts; scalar-only hosts report ~1.0 here by construction).
-    gemm_simd_speedup_at_max_size: f64,
+    /// `score_simd_speedup` at the largest swept size — the headline
+    /// dot-tile number (scalar-only hosts report ~1.0 here by
+    /// construction).
+    score_simd_speedup_at_max_size: f64,
 }
 
 /// Best-of-`reps` wall time of `f`, consuming the result so the work is
@@ -91,23 +78,14 @@ fn main() {
         })
         .collect();
     let reps: usize = args.get_or("reps", 5);
-    let threads = par::max_threads();
 
     println!(
-        "Kernel sweep (best of {reps} reps, {threads} hardware thread(s), backend {})\n",
+        "score_bt sweep (best of {reps} reps, one thread, backend {})\n",
         backend_name()
     );
     println!(
-        "{:>6} {:>11} {:>11} {:>11} {:>11} {:>8} {:>7} {:>7} {:>7}",
-        "size",
-        "naive_ms",
-        "scalar_ms",
-        "simd_ms",
-        "thread_ms",
-        "gflops",
-        "simd_x",
-        "score_x",
-        "thr_x"
+        "{:>6} {:>11} {:>11} {:>8} {:>7}",
+        "size", "scalar_ms", "simd_ms", "gflops", "simd_x"
     );
 
     let mut rng = StdRng::seed_from_u64(2021);
@@ -115,68 +93,45 @@ fn main() {
     for &d in &sizes {
         let a = Initializer::XavierUniform.init(d, d, &mut rng);
         let b = Initializer::XavierUniform.init(d, d, &mut rng);
-        // The naive loop is O(d^3) with no blocking; cap its reps at the
-        // big sizes so the sweep stays minutes, not hours.
-        let naive_reps = if d >= 512 { reps.min(2) } else { reps };
-        let naive_ns = best_ns(naive_reps, || linalg::matmul_naive(&a, &b));
-        let gemm_scalar_ns = best_ns(reps, || {
-            gemm::gemm_with_backend(&a, false, &b, false, 1, Backend::Scalar)
-        });
-        let gemm_simd_ns = best_ns(reps, || gemm::gemm(&a, false, &b, false, 1));
-        let gemm_threaded_ns = best_ns(reps, || gemm::gemm(&a, false, &b, false, threads));
         let score_scalar_ns = best_ns(reps, || {
             score::try_score_bt_with_backend(&a, &b, None, 1, Backend::Scalar)
                 .expect("score_bt shapes")
         });
         let score_simd_ns = best_ns(reps, || score::score_bt(&a, &b, None, 1));
-        // One d^3 multiply-add pair per output element: 2*d^3 FLOPs.
+        // One multiply and one add per element of each of the d^2 dots of
+        // length d: 2*d^3 FLOPs.
         let flops = 2.0 * (d as f64).powi(3);
         let row = KernelRow {
             size: d,
-            naive_ns,
-            gemm_scalar_ns,
-            gemm_simd_ns,
-            gemm_threaded_ns,
             score_scalar_ns,
             score_simd_ns,
-            gemm_simd_gflops: flops / gemm_simd_ns.max(1) as f64,
-            gemm_simd_speedup: gemm_scalar_ns as f64 / gemm_simd_ns.max(1) as f64,
+            score_simd_gflops: flops / score_simd_ns.max(1) as f64,
             score_simd_speedup: score_scalar_ns as f64 / score_simd_ns.max(1) as f64,
-            blocked_speedup: naive_ns as f64 / gemm_scalar_ns.max(1) as f64,
-            threaded_speedup: naive_ns as f64 / gemm_threaded_ns.max(1) as f64,
         };
         println!(
-            "{:>6} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>8.2} {:>6.2}x {:>6.2}x {:>6.2}x",
+            "{:>6} {:>11.3} {:>11.3} {:>8.2} {:>6.2}x",
             d,
-            naive_ns as f64 / 1e6,
-            gemm_scalar_ns as f64 / 1e6,
-            gemm_simd_ns as f64 / 1e6,
-            gemm_threaded_ns as f64 / 1e6,
-            row.gemm_simd_gflops,
-            row.gemm_simd_speedup,
+            score_scalar_ns as f64 / 1e6,
+            score_simd_ns as f64 / 1e6,
+            row.score_simd_gflops,
             row.score_simd_speedup,
-            row.threaded_speedup,
         );
         rows.push(row);
     }
 
-    let headline = rows.last().map(|r| r.gemm_simd_speedup).unwrap_or(1.0);
+    let headline = rows.last().map(|r| r.score_simd_speedup).unwrap_or(1.0);
     println!(
-        "\n{} GEMM over forced-scalar at the largest size: {headline:.2}x",
+        "\n{} score_bt over forced-scalar at the largest size: {headline:.2}x",
         backend_name()
     );
 
     let out = args.get("out").unwrap_or("results/BENCH_kernels.json");
     let manifest = RunManifest::new("kernels")
-        .with_config(&KernelsConfig {
-            sizes,
-            reps,
-            threads,
-        })
+        .with_config(&KernelsConfig { sizes, reps })
         .with_kernel_backend(backend_name())
         .with_results(&KernelResults {
             rows,
-            gemm_simd_speedup_at_max_size: headline,
+            score_simd_speedup_at_max_size: headline,
         })
         .capture_telemetry();
     manifest

@@ -43,10 +43,8 @@
 //!   `save_load_save_is_byte_identical` test).
 //! * **Optimizer state is preserved**: RMSProp's `cache`, Adam's
 //!   `m`/`v`/`t` and Momentum's `velocity` ride along as an optional
-//!   [`OptimState`] section.
-//! * **v1/v2 compatibility**: the JSON formats of earlier releases
-//!   (detected by their leading `{`) still load; v1 files predate
-//!   optimizer state and yield `None`.
+//!   [`OptimState`] section, checked on load against the parameters it
+//!   will update.
 
 use crate::config::SceneRecConfig;
 use crate::freeze::{FrozenModel, FrozenSnapshot};
@@ -57,24 +55,21 @@ use scenerec_autodiff::{OptimState, ParamStore};
 use scenerec_data::Dataset;
 use scenerec_faults::{crc32, Injector};
 use scenerec_obs::metrics;
-use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Current checkpoint format version.
 pub const CHECKPOINT_VERSION: u32 = 4;
 
-/// Oldest sectioned (v3-framing) format version this build can load.
-const SECTIONED_MIN_VERSION: u32 = 3;
-
-/// Oldest checkpoint format version this build can still load.
-pub const CHECKPOINT_MIN_VERSION: u32 = 1;
+/// Oldest checkpoint format version this build can still load: the
+/// first sectioned one.
+pub const CHECKPOINT_MIN_VERSION: u32 = 3;
 
 /// Magic prefix of a v3+ checkpoint file.
 const MAGIC: &[u8] = b"scenerec-checkpoint v";
 
-/// A serializable snapshot of a trained SceneRec model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A snapshot of a trained SceneRec model.
+#[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Format version for forward compatibility.
     pub version: u32,
@@ -82,8 +77,8 @@ pub struct Checkpoint {
     pub config: SceneRecConfig,
     /// All trained parameters.
     pub params: ParamStore,
-    /// Optimizer state for exact training resume (absent in v1 files and
-    /// in checkpoints saved without one).
+    /// Optimizer state for exact training resume (absent in checkpoints
+    /// saved without one).
     pub optimizer: Option<OptimState>,
     /// Resumable-trainer bookkeeping (absent outside `train_resumable`).
     pub trainer: Option<TrainerState>,
@@ -313,8 +308,7 @@ pub fn load(path: &Path, data: &Dataset) -> Result<SceneRec, CheckpointError> {
 
 /// Loads a checkpoint plus its optimizer state (when present).
 ///
-/// Accepts format versions [`CHECKPOINT_MIN_VERSION`]..=[`CHECKPOINT_VERSION`];
-/// v1 files predate optimizer state and yield `None`.
+/// Accepts format versions [`CHECKPOINT_MIN_VERSION`]..=[`CHECKPOINT_VERSION`].
 ///
 /// # Errors
 /// See [`CheckpointError`].
@@ -349,6 +343,9 @@ pub fn load_full(
         .map_err(|e| CheckpointError::Malformed(format!("frozen section: {e}")))?;
     let mut model = SceneRec::new(ckpt.config, data);
     validate_topology(model.store(), &ckpt.params)?;
+    if let Some(state) = &ckpt.optimizer {
+        validate_optimizer(&ckpt.params, state)?;
+    }
     *model.store_mut() = ckpt.params;
     Ok(Loaded {
         model,
@@ -356,27 +353,6 @@ pub fn load_full(
         trainer: ckpt.trainer,
         frozen,
     })
-}
-
-/// Decodes checkpoint bytes of any supported version.
-fn decode(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-    if bytes.starts_with(MAGIC) {
-        return decode_v3(bytes);
-    }
-    if bytes.first() == Some(&b'{') {
-        // Legacy v1/v2 single-line JSON.
-        let json = std::str::from_utf8(bytes)
-            .map_err(|e| CheckpointError::Malformed(format!("legacy checkpoint not UTF-8: {e}")))?;
-        let ckpt: Checkpoint =
-            serde_json::from_str(json).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        if !(CHECKPOINT_MIN_VERSION..SECTIONED_MIN_VERSION).contains(&ckpt.version) {
-            return Err(CheckpointError::BadVersion(ckpt.version));
-        }
-        return Ok(ckpt);
-    }
-    Err(CheckpointError::Malformed(
-        "unrecognized checkpoint header (neither v3 magic nor legacy JSON)".to_string(),
-    ))
 }
 
 /// One section of a v3 file, with its byte extents — exposed so the
@@ -403,7 +379,13 @@ pub fn section_spans(bytes: &[u8]) -> Result<Vec<SectionSpan>, CheckpointError> 
     walk_v3(bytes).map(|(spans, _)| spans)
 }
 
-fn decode_v3(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+/// Decodes the bytes of a sectioned (v3/v4) checkpoint.
+fn decode(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+    if !bytes.starts_with(MAGIC) {
+        return Err(CheckpointError::Malformed(
+            "unrecognized checkpoint header (no `scenerec-checkpoint v` magic)".to_string(),
+        ));
+    }
     let (spans, version) = walk_v3(bytes)?;
     let mut config: Option<SceneRecConfig> = None;
     let mut params: Option<ParamStore> = None;
@@ -450,7 +432,7 @@ fn walk_v3(bytes: &[u8]) -> Result<(Vec<SectionSpan>, u32), CheckpointError> {
         .strip_prefix("scenerec-checkpoint v")
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| CheckpointError::Malformed(format!("bad magic line `{magic_line}`")))?;
-    if !(SECTIONED_MIN_VERSION..=CHECKPOINT_VERSION).contains(&version) {
+    if !(CHECKPOINT_MIN_VERSION..=CHECKPOINT_VERSION).contains(&version) {
         return Err(CheckpointError::BadVersion(version));
     }
 
@@ -559,6 +541,37 @@ fn validate_topology(fresh: &ParamStore, stored: &ParamStore) -> Result<(), Chec
                 b.value().shape(),
                 a.value().shape()
             )));
+        }
+    }
+    Ok(())
+}
+
+/// Checks a stored optimizer state against the parameters it will
+/// update: every slot holds either no tensors (no step taken yet) or
+/// exactly one per parameter, each of its parameter's shape. An
+/// optimizer adopts a slot whole on `import_state`, so anything else
+/// would surface only at the first step after a resume: as a panic, as
+/// a partial update, or as state silently reset to zero.
+fn validate_optimizer(params: &ParamStore, state: &OptimState) -> Result<(), CheckpointError> {
+    for slot in state.slots.iter().filter(|s| !s.tensors.is_empty()) {
+        if slot.tensors.len() != params.len() {
+            return Err(CheckpointError::Malformed(format!(
+                "optimizer slot `{}` holds {} tensors for {} parameters",
+                slot.name,
+                slot.tensors.len(),
+                params.len()
+            )));
+        }
+        for ((_, p), t) in params.iter().zip(&slot.tensors) {
+            if t.shape() != p.value().shape() {
+                return Err(CheckpointError::Malformed(format!(
+                    "optimizer slot `{}` holds shape {:?} for `{}` of shape {:?}",
+                    slot.name,
+                    t.shape(),
+                    p.name(),
+                    p.value().shape()
+                )));
+            }
         }
     }
     Ok(())
@@ -715,6 +728,7 @@ mod tests {
     use crate::trainer::{test as eval_test, train, TrainConfig};
     use scenerec_data::{generate, GeneratorConfig};
     use scenerec_faults::{Fault, FaultPlan, Trigger};
+    use scenerec_tensor::Matrix;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("scenerec-checkpoint-tests");
@@ -773,10 +787,19 @@ mod tests {
             frozen: None,
         };
         let path = tmp("model3.sck");
-        std::fs::write(&path, serde_json::to_string(&ckpt).unwrap()).unwrap();
+        let bytes = encode_v3(&ckpt).unwrap();
+        assert!(bytes.starts_with(b"scenerec-checkpoint v99\n"));
+        std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             load(&path, &data).unwrap_err(),
             CheckpointError::BadVersion(99)
+        ));
+        // A file without the magic line, such as single-line JSON, is
+        // malformed.
+        std::fs::write(&path, b"{\"version\":2}").unwrap();
+        assert!(matches!(
+            load(&path, &data).unwrap_err(),
+            CheckpointError::Malformed(_)
         ));
         std::fs::remove_file(&path).ok();
     }
@@ -832,52 +855,69 @@ mod tests {
         std::fs::remove_file(&second).ok();
     }
 
-    /// Version-1 checkpoints predate the `optimizer` field; they must
-    /// still load (with no optimizer state).
-    #[test]
-    fn v1_checkpoint_without_optimizer_field_loads() {
-        let data = generate(&GeneratorConfig::tiny(77)).unwrap();
-        let model = SceneRec::new(SceneRecConfig::default().with_dim(8), &data);
-        let ckpt = Checkpoint {
-            version: 2,
-            config: model.config().clone(),
-            params: model.store().clone(),
-            optimizer: None,
-            trainer: None,
-            frozen: None,
+    /// Trains SceneRec (d = 8) for one RMSProp epoch, applies `edit` to
+    /// the optimizer state, saves and loads it back. The framing and CRCs
+    /// are valid, so only the optimizer-state check can reject the file;
+    /// returns its `Malformed` message.
+    fn load_edited_state(name: &str, edit: impl FnOnce(&SceneRec, &mut OptimState)) -> String {
+        use crate::trainer::{make_optimizer, train_with_optimizer};
+
+        let data = generate(&GeneratorConfig::tiny(76)).unwrap();
+        let mut model = SceneRec::new(SceneRecConfig::default().with_dim(8), &data);
+        let cfg = TrainConfig {
+            epochs: 1,
+            eval_every: 0,
+            patience: 0,
+            ..TrainConfig::default()
         };
-        let json = serde_json::to_string(&ckpt).unwrap();
-        let v1 = json
-            .replace("\"version\":2", "\"version\":1")
-            .replace(",\"optimizer\":null", "")
-            .replace(",\"trainer\":null", "");
-        assert_ne!(json, v1, "fixture edit did not apply");
-        let path = tmp("v1.json");
-        std::fs::write(&path, v1).unwrap();
-        let (restored, state) = load_with_optimizer(&path, &data).unwrap();
-        assert!(state.is_none());
-        assert_eq!(restored.config().dim, 8);
+        let mut opt = make_optimizer(&cfg);
+        train_with_optimizer(&mut model, &data, &cfg, opt.as_mut());
+        let mut state = opt.export_state();
+        assert_eq!(state.kind, "rmsprop");
+        assert_eq!(state.slots[0].tensors.len(), model.store().len());
+        edit(&model, &mut state);
+        let path = tmp(name);
+        save_with_optimizer(&model, Some(&state), &path).unwrap();
+        let result = load_with_optimizer(&path, &data);
         std::fs::remove_file(&path).ok();
+        match result {
+            Err(CheckpointError::Malformed(e)) => e,
+            Err(other) => panic!("expected Malformed, got {other}"),
+            Ok(_) => panic!("a mis-shaped optimizer state loaded"),
+        }
     }
 
-    /// Legacy v2 JSON (whole-checkpoint JSON object) still loads.
+    /// An embedding table's cache of the wrong shape: without the check,
+    /// the first step after the resume indexes past the 1 × 1 matrix.
     #[test]
-    fn v2_json_checkpoint_loads() {
-        let data = generate(&GeneratorConfig::tiny(78)).unwrap();
-        let model = SceneRec::new(SceneRecConfig::default().with_dim(8), &data);
-        let ckpt = Checkpoint {
-            version: 2,
-            config: model.config().clone(),
-            params: model.store().clone(),
-            optimizer: None,
-            trainer: None,
-            frozen: None,
-        };
-        let path = tmp("v2.json");
-        std::fs::write(&path, serde_json::to_string(&ckpt).unwrap()).unwrap();
-        let restored = load(&path, &data).unwrap();
-        assert_eq!(restored.config().dim, 8);
-        std::fs::remove_file(&path).ok();
+    fn optimizer_state_with_misshapen_table_cache_is_malformed() {
+        let e = load_edited_state("opt_table.sck", |model, state| {
+            let i = model.store().lookup("user_emb").unwrap().index();
+            state.slots[0].tensors[i] = Matrix::zeros(1, 1);
+        });
+        assert!(e.contains("cache") && e.contains("user_emb"), "{e}");
+    }
+
+    /// A dense weight's cache of the wrong shape: without the check, the
+    /// update zips it with the gradient and changes one weight of 64.
+    #[test]
+    fn optimizer_state_with_misshapen_dense_cache_is_malformed() {
+        let e = load_edited_state("opt_dense.sck", |model, state| {
+            let i = model.store().lookup("w_u").unwrap().index();
+            state.slots[0].tensors[i] = Matrix::zeros(1, 1);
+        });
+        assert!(e.contains("cache") && e.contains("w_u"), "{e}");
+    }
+
+    /// A slot with one tensor too few: without the check, the optimizer
+    /// replaces it with zeros and the resume restarts RMSProp's second
+    /// moments without a word.
+    #[test]
+    fn optimizer_state_with_missing_tensor_is_malformed() {
+        let e = load_edited_state("opt_count.sck", |_, state| {
+            state.slots[0].tensors.pop();
+        });
+        assert!(e.contains("cache") && e.contains("tensors"), "{e}");
     }
 
     #[test]

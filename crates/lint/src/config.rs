@@ -43,14 +43,12 @@ pub struct Config {
     /// Helper functions whose call *is* a lock acquisition of the lock
     /// named by their argument (`lock_unpoisoned(&self.cache)`).
     pub acquire_fns: BTreeSet<String>,
-    /// H1 hot-path roots: `fn` / `crate::fn` / `crate::Type::fn` spec
-    /// -> effect names the root's reachable set must not perform.
+    /// H1 hot-path roots, as listed in `lint.toml` (none are built in):
+    /// `fn` / `crate::fn` / `crate::Type::fn` spec -> effect names the
+    /// root's reachable set must not perform.
     pub h1_roots: BTreeMap<String, BTreeSet<String>>,
     /// Crates exempt from T1 (transitive determinism taint).
     pub t1_exempt_crates: BTreeSet<String>,
-    /// Whether a parsed `[rules.H1]` section has replaced the built-in
-    /// roots (the first key clears the defaults; later keys append).
-    h1_defaults_cleared: bool,
 }
 
 impl Default for Config {
@@ -88,43 +86,10 @@ impl Default for Config {
             // nesting today is the flight recorder walking its rings.
             l1_hierarchy: vec!["obs.rings".to_string(), "obs.events".to_string()],
             acquire_fns: set(&["lock_unpoisoned"]),
-            h1_roots: default_h1_roots(),
+            h1_roots: BTreeMap::new(),
             t1_exempt_crates: set(&["bench"]),
-            h1_defaults_cleared: false,
         }
     }
-}
-
-/// Hot-path roots mirrored by `lint.toml`: the GEMM/scoring kernels may
-/// not allocate/lock/do IO/block at all; the batch-scoring entry points
-/// allocate their output buffers but must stay lock/IO/block free; the
-/// serve batch loop locks its queues by design but must never touch IO
-/// or block.
-fn default_h1_roots() -> BTreeMap<String, BTreeSet<String>> {
-    let deny = |names: &[&str]| names.iter().map(|s| s.to_string()).collect();
-    let mut roots = BTreeMap::new();
-    roots.insert(
-        "tensor::dot_with_backend".to_string(),
-        deny(&["alloc", "io", "block", "lock"]),
-    );
-    roots.insert(
-        "tensor::dot_rows_into_with_backend".to_string(),
-        deny(&["alloc", "io", "block", "lock"]),
-    );
-    roots.insert(
-        "tensor::micro_kernel".to_string(),
-        deny(&["alloc", "io", "block", "lock"]),
-    );
-    roots.insert(
-        "tensor::try_score_bt_with_backend".to_string(),
-        deny(&["io", "block", "lock"]),
-    );
-    roots.insert(
-        "tensor::gemm_with_backend".to_string(),
-        deny(&["io", "block", "lock"]),
-    );
-    roots.insert("serve::drain".to_string(), deny(&["io", "block"]));
-    roots
 }
 
 /// A `lint.toml` syntax or semantic error.
@@ -253,17 +218,13 @@ fn apply(cfg: &mut Config, section: &str, key: &str, values: Vec<String>) -> Res
             cfg.t1_exempt_crates = values.into_iter().collect();
             Ok(())
         }
-        // `[rules.H1]` maps root specs to denied-effect lists; the file
-        // replaces the defaults wholesale on the first key.
+        // `[rules.H1]` maps root specs to denied-effect lists; there are
+        // no built-in roots, so `lint.toml` is the whole list.
         "rules.H1" => {
             if let Some(bad) = values.iter().find(|v| !EFFECT_NAMES.contains(&v.as_str())) {
                 return Err(format!(
                     "unknown effect `{bad}` for H1 root `{key}` (expected one of {EFFECT_NAMES:?})"
                 ));
-            }
-            if !cfg.h1_defaults_cleared {
-                cfg.h1_roots.clear();
-                cfg.h1_defaults_cleared = true;
             }
             cfg.h1_roots
                 .insert(key.to_string(), values.into_iter().collect());

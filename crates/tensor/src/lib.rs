@@ -7,7 +7,10 @@
 //! affine transforms, element-wise activations, vector concatenation, cosine
 //! similarity and masked softmax. This crate provides exactly those kernels,
 //! with shape checking, numerically stable implementations, and
-//! deterministic, seedable initialization schemes.
+//! deterministic, seedable initialization schemes. Nothing in training,
+//! evaluation or serving multiplies two matrices: [`linalg`] holds
+//! matrix–vector products, dots and rank-1 updates, and the one many-row
+//! product is [`score::score_bt`], computed dot-per-element.
 //!
 //! Design choices (see DESIGN.md at the workspace root):
 //!
@@ -36,7 +39,6 @@
 
 pub mod dispatch;
 pub mod error;
-pub mod gemm;
 pub mod init;
 pub mod linalg;
 pub mod matrix;

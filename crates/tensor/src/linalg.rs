@@ -1,146 +1,20 @@
-//! Linear-algebra kernels: GEMM, GEMV, AXPY, dot products and element-wise
-//! arithmetic over [`Matrix`] operands.
+//! Linear-algebra kernels over [`Matrix`] operands and `f32` slices:
+//! matrix–vector products, the rank-1 update, AXPY, dot products and
+//! element-wise arithmetic.
 //!
-//! All kernels come in a fallible `try_*` form (shape-checked) plus a
-//! panicking wrapper for call sites whose shapes were validated at model
+//! There is no matrix–matrix product. SceneRec's forward pass is built
+//! from one-vector affine maps, neighbour sums and cosines, and its
+//! backward pass from transposed matvecs and rank-1 updates; a batch of
+//! scores is [`crate::score::score_bt`], one [`dot_rows_into`] per row.
+//!
+//! Shape-checked kernels come in a fallible `try_*` form plus a panicking
+//! wrapper for call sites whose shapes were validated at model
 //! construction time. The inner loops operate on contiguous row slices so
 //! LLVM can auto-vectorize them.
 
 use crate::dispatch::{self, Backend};
 use crate::error::{ShapeError, TensorResult};
-use crate::gemm;
 use crate::matrix::Matrix;
-
-/// Multiply-add count (`m*n*k`) above which matmuls route to the blocked
-/// [`crate::gemm`] kernel instead of the plain ikj loop: packing overhead
-/// only pays off once operands spill the L1/L2 caches.
-const BLOCKED_MIN_MADDS: usize = 48 * 48 * 48;
-
-/// `C = A * B` (shape-checked).
-///
-/// Small products use the ikj loop order — the innermost loop walks
-/// contiguous rows of `B` and `C`, the cache-friendly order for row-major
-/// storage, and is branch-free so LLVM auto-vectorizes it. Larger products
-/// dispatch to the cache-blocked, multi-threaded [`crate::gemm`] kernel.
-pub fn try_matmul(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
-    if a.cols() != b.rows() {
-        return Err(ShapeError::MatMul {
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let (m, k) = a.shape();
-    let n = b.cols();
-    if m * n * k >= BLOCKED_MIN_MADDS {
-        return Ok(gemm::gemm(a, false, b, false, 0));
-    }
-    let mut c = Matrix::zeros(m, n);
-    for i in 0..m {
-        let a_row = a.row(i);
-        let c_row = c.row_mut(i);
-        for (p, &a_ip) in a_row.iter().enumerate().take(k) {
-            let b_row = b.row(p);
-            for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
-                *c_v += a_ip * b_v;
-            }
-        }
-    }
-    Ok(c)
-}
-
-/// `C = A * B`, panicking on shape mismatch.
-pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    try_matmul(a, b).expect("matmul shape mismatch") // lint:allow(R1): documented panicking wrapper over the try_ twin
-}
-
-/// The pre-optimization seed matmul (ikj loop with a per-element zero-skip
-/// branch), kept verbatim as the baseline for the kernel benchmarks and as
-/// an independent reference implementation in tests. Not used on any hot
-/// path: the branch defeats auto-vectorization on dense inputs.
-pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "matmul shape mismatch");
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut c = Matrix::zeros(m, n);
-    for i in 0..m {
-        let a_row = a.row(i);
-        let c_row = c.row_mut(i);
-        for (p, &a_ip) in a_row.iter().enumerate().take(k) {
-            if a_ip == 0.0 {
-                continue;
-            }
-            let b_row = b.row(p);
-            for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
-                *c_v += a_ip * b_v;
-            }
-        }
-    }
-    c
-}
-
-/// `C = A^T * B` without materializing `A^T` (shape-checked): `A` is
-/// `k x m`, `B` is `k x n`, the result is `m x n`.
-///
-/// Small products accumulate rank-1 updates row by row (both operands are
-/// walked along their contiguous rows); larger ones dispatch to the blocked
-/// kernel, which absorbs the transpose into its packing step.
-pub fn try_matmul_at(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
-    if a.rows() != b.rows() {
-        return Err(ShapeError::MatMul {
-            lhs: (a.cols(), a.rows()),
-            rhs: b.shape(),
-        });
-    }
-    let (k, m) = a.shape();
-    let n = b.cols();
-    if m * n * k >= BLOCKED_MIN_MADDS {
-        return Ok(gemm::gemm(a, true, b, false, 0));
-    }
-    let mut c = Matrix::zeros(m, n);
-    for p in 0..k {
-        let a_row = a.row(p);
-        let b_row = b.row(p);
-        for (i, &a_pi) in a_row.iter().enumerate() {
-            axpy(a_pi, b_row, c.row_mut(i));
-        }
-    }
-    Ok(c)
-}
-
-/// `C = A^T * B`, panicking on shape mismatch.
-pub fn matmul_at(a: &Matrix, b: &Matrix) -> Matrix {
-    try_matmul_at(a, b).expect("matmul_at shape mismatch") // lint:allow(R1): documented panicking wrapper over the try_ twin
-}
-
-/// `C = A * B^T` without materializing `B^T` (shape-checked): `A` is
-/// `m x k`, `B` is `n x k`, the result is `m x n`.
-///
-/// Small products dot each row of `A` against all of `B` with
-/// [`dot_rows_into`] (both reads contiguous); larger ones dispatch to the
-/// blocked kernel.
-pub fn try_matmul_bt(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
-    if a.cols() != b.cols() {
-        return Err(ShapeError::MatMul {
-            lhs: a.shape(),
-            rhs: (b.cols(), b.rows()),
-        });
-    }
-    let (m, k) = a.shape();
-    let n = b.rows();
-    if m * n * k >= BLOCKED_MIN_MADDS {
-        return Ok(gemm::gemm(a, false, b, true, 0));
-    }
-    let mut c = Matrix::zeros(m, n);
-    for i in 0..m {
-        dot_rows_into(a.row(i), b.as_slice(), k, c.row_mut(i));
-    }
-    Ok(c)
-}
-
-/// `C = A * B^T`, panicking on shape mismatch.
-pub fn matmul_bt(a: &Matrix, b: &Matrix) -> Matrix {
-    try_matmul_bt(a, b).expect("matmul_bt shape mismatch") // lint:allow(R1): documented panicking wrapper over the try_ twin
-}
 
 /// `y = A * x` for a column vector `x` given as a slice; returns `Vec` of
 /// length `A.rows()`. Each `y[r]` is [`dot`]`(x, A.row(r))` bit for bit,
@@ -162,27 +36,9 @@ pub fn matvec(a: &Matrix, x: &[f32]) -> Vec<f32> {
     try_matvec(a, x).expect("matvec shape mismatch") // lint:allow(R1): documented panicking wrapper over the try_ twin
 }
 
-/// `y = A^T * x` without materializing the transpose; `x.len()` must equal
-/// `A.rows()`, result has length `A.cols()`.
-pub fn try_matvec_t(a: &Matrix, x: &[f32]) -> TensorResult<Vec<f32>> {
-    if a.rows() != x.len() {
-        return Err(ShapeError::MatMul {
-            lhs: (a.cols(), a.rows()),
-            rhs: (x.len(), 1),
-        });
-    }
-    let mut y = vec![0.0f32; a.cols()];
-    matvec_t_into(a, x, &mut y);
-    Ok(y)
-}
-
-/// `y = A^T * x`, panicking on shape mismatch.
-pub fn matvec_t(a: &Matrix, x: &[f32]) -> Vec<f32> {
-    try_matvec_t(a, x).expect("matvec_t shape mismatch") // lint:allow(R1): documented panicking wrapper over the try_ twin
-}
-
-/// [`matvec_t`] into a caller-owned buffer: zeroes `y`, then adds
-/// `x[r] * A.row(r)` for every row with `x[r] != 0`, in row order.
+/// `y = Aᵀ·x` into a caller-owned buffer, without materializing the
+/// transpose: zeroes `y`, then adds `x[r] * A.row(r)` for every row with
+/// `x[r] != 0`, in row order.
 ///
 /// # Panics
 /// Panics if `x.len() != A.rows()` or `y.len() != A.cols()`.
@@ -231,9 +87,8 @@ pub fn dot_with_backend(a: &[f32], b: &[f32], backend: Backend) -> f32 {
 /// being `rows[r * stride..r * stride + x.len()]`, routed through the
 /// process-wide [`crate::dispatch::backend`].
 ///
-/// This is the one dot-per-element loop of the workspace: `matvec`, the
-/// small `matmul_bt` path, `score::score_bt` and the serving engine all
-/// call it. `stride == x.len()` walks a contiguous row-major block;
+/// This is the one dot-per-element loop of the workspace: `matvec`,
+/// `score::score_bt` and the serving engine all call it. `stride == x.len()` walks a contiguous row-major block;
 /// a wider stride reads a column window of a wider matrix in place
 /// (the serving engine's and the tape's split first layer dot each half
 /// of `W` this way). Every output is bit-identical to [`dot`] on the
@@ -425,48 +280,6 @@ pub fn add_scaled(a: &mut Matrix, alpha: f32, b: &Matrix) {
     try_add_scaled(a, alpha, b).expect("add_scaled shape mismatch") // lint:allow(R1): documented panicking wrapper over the try_ twin
 }
 
-/// Euclidean (L2) norm of a slice.
-///
-/// Shares the multi-accumulator layout of [`dot`] so the squares reduce in
-/// vector registers with a fixed, deterministic reduction order.
-#[inline]
-pub fn norm2(x: &[f32]) -> f32 {
-    dot(x, x).sqrt()
-}
-
-/// Sum of the given slices interpreted as vectors of equal length.
-///
-/// Returns a zero vector of length `dim` when `rows` is empty — this is the
-/// neutral element required by the neighbor aggregations of Eqs. (1)–(3),
-/// where an entity may have no neighbors.
-pub fn sum_rows<'a>(rows: impl IntoIterator<Item = &'a [f32]>, dim: usize) -> Vec<f32> {
-    let mut acc = vec![0.0f32; dim];
-    for row in rows {
-        axpy(1.0, row, &mut acc);
-    }
-    acc
-}
-
-/// Weighted sum of rows: `Σ w_i * row_i`.
-///
-/// # Panics
-/// Panics if the numbers of weights and rows differ, or if a row has length
-/// different from `dim`.
-pub fn weighted_sum_rows<'a>(
-    rows: impl IntoIterator<Item = &'a [f32]>,
-    weights: &[f32],
-    dim: usize,
-) -> Vec<f32> {
-    let mut acc = vec![0.0f32; dim];
-    let mut n = 0usize;
-    for (row, &w) in rows.into_iter().zip(weights) {
-        axpy(w, row, &mut acc);
-        n += 1;
-    }
-    assert_eq!(n, weights.len(), "weights/rows count mismatch");
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,42 +289,11 @@ mod tests {
     }
 
     #[test]
-    fn matmul_known_product() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = matmul(&a, &b);
-        assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    fn matmul_identity_is_noop() {
-        let a = Matrix::from_rows(&[&[1.0, -2.0, 0.5], &[0.0, 3.0, 4.0]]);
-        let c = matmul(&a, &Matrix::identity(3));
-        assert_eq!(c, a);
-    }
-
-    #[test]
-    fn matmul_rejects_bad_shapes() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(matches!(try_matmul(&a, &b), Err(ShapeError::MatMul { .. })));
-    }
-
-    #[test]
     fn matvec_matches_matmul() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         let x = [1.0, -1.0];
         let y = matvec(&a, &x);
         assert_eq!(y, vec![-1.0, -1.0, -1.0]);
-    }
-
-    #[test]
-    fn matvec_t_matches_transpose() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let x = [1.0, 0.0, -1.0];
-        let y = matvec_t(&a, &x);
-        let explicit = matvec(&a.transpose(), &x);
-        assert_eq!(y, explicit);
     }
 
     #[test]
@@ -565,7 +347,7 @@ mod tests {
         let x = [0.5, 0.0, -1.0];
         let mut y = vec![9.0f32; 2];
         matvec_t_into(&a, &x, &mut y);
-        assert_eq!(y, matvec_t(&a, &x));
+        assert_eq!(y, matvec(&a.transpose(), &x));
     }
 
     #[test]
@@ -574,29 +356,6 @@ mod tests {
         let b = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
         add_scaled(&mut a, 0.5, &b);
         assert_eq!(a.as_slice(), &[1.5, 2.0, 2.5]);
-    }
-
-    #[test]
-    fn sum_rows_empty_is_zero() {
-        let v = sum_rows(std::iter::empty(), 4);
-        assert_eq!(v, vec![0.0; 4]);
-    }
-
-    #[test]
-    fn sum_rows_accumulates() {
-        let rows: Vec<&[f32]> = vec![&[1.0, 2.0], &[3.0, 4.0]];
-        assert_eq!(sum_rows(rows, 2), vec![4.0, 6.0]);
-    }
-
-    #[test]
-    fn weighted_sum_rows_weights() {
-        let rows: Vec<&[f32]> = vec![&[1.0, 0.0], &[0.0, 1.0]];
-        assert_eq!(weighted_sum_rows(rows, &[0.25, 0.75], 2), vec![0.25, 0.75]);
-    }
-
-    #[test]
-    fn norm2_of_pythagorean() {
-        assert!(close(norm2(&[3.0, 4.0]), 5.0));
     }
 
     #[test]
@@ -610,53 +369,5 @@ mod tests {
             .map(|(x, y)| (*x as f64) * (*y as f64))
             .sum();
         assert!((dot(&a, &b) as f64 - reference).abs() < 1e-4);
-    }
-
-    #[test]
-    fn matmul_dispatch_agrees_with_naive() {
-        // 64^3 madds crosses BLOCKED_MIN_MADDS, so this exercises the
-        // blocked path against the seed loop.
-        let mut v = 0.37f32;
-        let mut next = || {
-            v = (v * 1.7 + 0.3).fract() - 0.5;
-            v
-        };
-        let a = Matrix::from_vec(64, 64, (0..64 * 64).map(|_| next()).collect()).unwrap();
-        let b = Matrix::from_vec(64, 64, (0..64 * 64).map(|_| next()).collect()).unwrap();
-        let fast = matmul(&a, &b);
-        let naive = matmul_naive(&a, &b);
-        for (x, y) in fast.as_slice().iter().zip(naive.as_slice()) {
-            assert!((x - y).abs() < 1e-4, "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn matmul_at_matches_explicit_transpose() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]); // 3 x 2
-        let b = Matrix::from_rows(&[&[1.0, 0.0, 2.0], &[0.0, 1.0, 1.0], &[1.0, 1.0, 0.0]]); // 3 x 3
-        let c = matmul_at(&a, &b);
-        assert_eq!(c, matmul(&a.transpose(), &b));
-    }
-
-    #[test]
-    fn matmul_bt_matches_explicit_transpose() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]); // 2 x 3
-        let b = Matrix::from_rows(&[&[1.0, 0.0, 1.0], &[2.0, 1.0, 0.0]]); // 2 x 3
-        let c = matmul_bt(&a, &b);
-        assert_eq!(c, matmul(&a, &b.transpose()));
-    }
-
-    #[test]
-    fn transpose_variants_reject_bad_shapes() {
-        let a = Matrix::zeros(3, 2);
-        let b = Matrix::zeros(4, 3);
-        assert!(matches!(
-            try_matmul_at(&a, &b),
-            Err(ShapeError::MatMul { .. })
-        ));
-        assert!(matches!(
-            try_matmul_bt(&a, &b),
-            Err(ShapeError::MatMul { .. })
-        ));
     }
 }

@@ -10,16 +10,9 @@
 //! Every helper is **deterministic by construction**: work is split into
 //! contiguous chunks by index, results come back in index order, and no
 //! output depends on scheduling order. Callers that additionally keep each
-//! chunk's computation independent of the chunk boundaries (as the GEMM
-//! row bands and the evaluator do) get bit-identical results at any
-//! thread count.
-
-/// Number of hardware threads available to this process (at least 1).
-pub fn max_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
+//! chunk's computation independent of the chunk boundaries (as
+//! `score::score_bt`'s row bands and the evaluator do) get bit-identical
+//! results at any thread count.
 
 /// Spins this many times on the phase counter of
 /// [`fan_out_then_reduce`] before yielding the CPU between checks. Kept
@@ -248,11 +241,6 @@ pub fn for_each_chunk_pair<A, B, F>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn max_threads_is_positive() {
-        assert!(max_threads() >= 1);
-    }
 
     #[test]
     fn fan_out_then_reduce_sees_every_chunk_after_phase_one() {

@@ -1,21 +1,18 @@
-//! Batched scoring kernels for the serving path.
+//! Batched scoring for the serving path: `C = A·Bᵀ (+ bias)`, computed
+//! dot-per-element.
 //!
-//! Serving must be **bit-faithful** to the tape the model was trained and
-//! validated on: the autodiff `affine`/`dot` operators reduce every output
-//! element with [`linalg::dot`]'s fixed 8-lane pairwise order, while the
-//! blocked [`crate::gemm`] kernel accumulates its register tile serially
-//! over `k` — a different (if equally deterministic) floating-point order.
-//! A frozen engine scoring through `gemm` would drift from
-//! `model.score_values` in the last bits and break exact-parity testing.
+//! **Invariant.** Every element of [`score_bt`]'s output is
+//! [`linalg::dot`] on its pair of rows, bit for bit, plus one scalar add
+//! for the bias: the float sequence of the tape's `affine`/`dot`
+//! operators. A frozen engine scoring through it therefore matches
+//! `model.score_values` to the last bit, on either backend and at any
+//! thread count.
 //!
-//! [`score_bt`] therefore computes `C = A·Bᵀ (+ bias)` strictly
-//! **dot-per-element**, never dispatching to the blocked kernel: each
-//! output row is one [`linalg::dot_rows_into`] call over all of `B`,
+//! Each output row is one [`linalg::dot_rows_into`] call over all of `B`,
 //! whose AVX2 tile dots 8 rows of `B` per step but reduces each of them
-//! in `dot`'s exact order, so every element equals `linalg::dot` on its
-//! pair. It threads over *row bands* of the output, and no element
-//! depends on the band it falls in. The result is bit-identical to
-//! scoring each row with `linalg::matvec` + bias, at any `threads`.
+//! in `dot`'s exact order. Threads split the output into *row bands*,
+//! and no element depends on the band it falls in, so the result is
+//! bit-identical to scoring each row with `linalg::matvec` + bias.
 
 use crate::dispatch::{self, Backend};
 use crate::error::{ShapeError, TensorResult};

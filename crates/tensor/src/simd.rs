@@ -16,7 +16,6 @@
 //! The integer int8 kernel is exact arithmetic in `i32`, which is
 //! order-independent, so it is trivially identical to its scalar twin.
 
-use crate::gemm::{MR, NR};
 use core::arch::x86_64::*;
 
 /// Dot product with [`crate::linalg::dot`]'s exact float order: one
@@ -206,63 +205,4 @@ pub(crate) unsafe fn dot_i8_avx2(uc: &[i16], v: &[i8], zv: i16) -> i32 {
         total += u as i32 * (q as i32 - zv);
     }
     total
-}
-
-/// The GEMM register tile: replays `gemm::micro_kernel`'s per-element
-/// mul-then-add sequence with 8 `ymm` accumulators (4 lanes x 2 halves
-/// of the 16-wide strip), then adds the live `mr x nr` block into `C`
-/// in the same order as the scalar writeback.
-///
-// SAFETY: callers must hold the guarding dispatch check
-// `dispatch::resolve(..) == Backend::Avx2`, and pass panel slices with
-// the packed layout produced by `gemm::pack_a`/`gemm::pack_b`
-// (`a_pack` holds `kc` MR-words, `b_strip` holds `kc` NR-words).
-#[target_feature(enable = "avx2,fma,f16c")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn micro_kernel_avx2(
-    c_band: &mut [f32],
-    ir: usize,
-    j0: usize,
-    n: usize,
-    mr: usize,
-    nr: usize,
-    kc: usize,
-    a_pack: &[f32],
-    b_strip: &[f32],
-) {
-    debug_assert!(a_pack.len() >= kc * MR);
-    debug_assert!(b_strip.len() >= kc * NR);
-    let mut acc = [_mm256_setzero_ps(); 2 * MR];
-    let (pa, pb) = (a_pack.as_ptr(), b_strip.as_ptr());
-    for p in 0..kc {
-        // SAFETY: p < kc and the asserted pack invariant
-        // `b_strip.len() >= kc * NR` keep both 8-lane loads (NR = 16:
-        // offsets 0 and 8 of the p-th NR-word) inside the packed panel.
-        let (b_lo, b_hi) = unsafe {
-            (
-                _mm256_loadu_ps(pb.add(p * NR)),
-                _mm256_loadu_ps(pb.add(p * NR + 8)),
-            )
-        };
-        for lane in 0..MR {
-            // SAFETY: lane < MR, so `p * MR + lane < kc * MR`, which the
-            // asserted pack invariant bounds by `a_pack.len()`.
-            let va = unsafe { _mm256_set1_ps(*pa.add(p * MR + lane)) };
-            acc[2 * lane] = _mm256_add_ps(acc[2 * lane], _mm256_mul_ps(va, b_lo));
-            acc[2 * lane + 1] = _mm256_add_ps(acc[2 * lane + 1], _mm256_mul_ps(va, b_hi));
-        }
-    }
-    for lane in 0..mr {
-        let mut row = [0.0f32; NR];
-        // SAFETY: `row` is exactly NR = 16 f32s — two 8-lane stores at
-        // offsets 0 and 8.
-        unsafe {
-            _mm256_storeu_ps(row.as_mut_ptr(), acc[2 * lane]);
-            _mm256_storeu_ps(row.as_mut_ptr().add(8), acc[2 * lane + 1]);
-        }
-        let base = (ir + lane) * n + j0;
-        for (c_v, &acc_v) in c_band[base..base + nr].iter_mut().zip(&row[..nr]) {
-            *c_v += acc_v;
-        }
-    }
 }

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scenerec_tensor::quant::{self, Int8Matrix};
-use scenerec_tensor::{gemm, linalg, score, Backend, Matrix};
+use scenerec_tensor::{linalg, score, Backend, Matrix};
 
 fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -44,26 +44,6 @@ proptest! {
         let auto = linalg::dot(a, b);
         prop_assert_eq!(s.to_bits(), v.to_bits());
         prop_assert_eq!(s.to_bits(), auto.to_bits());
-    }
-
-    /// GEMM: random shapes straddling the 4x16 tile (remainder rows,
-    /// remainder columns, small k), all four transpose variants.
-    #[test]
-    fn gemm_scalar_vs_avx2_bit_exact(
-        m in 1usize..40,
-        n in 1usize..40,
-        k in 1usize..40,
-        ta_bit in 0u32..2,
-        tb_bit in 0u32..2,
-        threads in 1usize..4,
-        seed in 0u64..1_000_000,
-    ) {
-        let (ta, tb) = (ta_bit == 1, tb_bit == 1);
-        let a = if ta { seeded(k, m, seed) } else { seeded(m, k, seed) };
-        let b = if tb { seeded(n, k, seed ^ 1) } else { seeded(k, n, seed ^ 1) };
-        let s = gemm::gemm_with_backend(&a, ta, &b, tb, threads, Backend::Scalar);
-        let v = gemm::gemm_with_backend(&a, ta, &b, tb, threads, Backend::Avx2);
-        prop_assert_eq!(bits(&s), bits(&v));
     }
 
     /// score_bt over drawn shapes: every `n % 8` row remainder of the
@@ -170,18 +150,6 @@ proptest! {
     }
 }
 
-#[test]
-fn gemm_empty_and_k_zero_match_across_backends() {
-    for (m, k, n) in [(0usize, 4usize, 3usize), (2, 0, 3), (2, 4, 0), (0, 0, 0)] {
-        let a = Matrix::zeros(m, k);
-        let b = Matrix::zeros(k, n);
-        let s = gemm::gemm_with_backend(&a, false, &b, false, 1, Backend::Scalar);
-        let v = gemm::gemm_with_backend(&a, false, &b, false, 1, Backend::Avx2);
-        assert_eq!(s.shape(), (m, n));
-        assert_eq!(bits(&s), bits(&v), "({m},{k},{n})");
-    }
-}
-
 /// Degenerate shapes, plus a `k = 0` full tile (2, 0, 16) and a
 /// tail-only tile (1, 5, 8).
 #[test]
@@ -199,38 +167,6 @@ fn score_bt_empty_and_k_zero_match_across_backends() {
         let v = score::try_score_bt_with_backend(&a, &b, None, 2, Backend::Avx2).unwrap();
         assert_eq!(s.shape(), (m, n));
         assert_eq!(bits(&s), bits(&v), "({m},{k},{n})");
-    }
-}
-
-/// The tile boundaries themselves: shapes exactly on and one off the
-/// MR=4 / NR=16 / KC=256 edges, threaded and not.
-#[test]
-fn gemm_tile_boundaries_bit_exact() {
-    for &(m, k, n) in &[
-        (4usize, 16usize, 16usize),
-        (5, 17, 17),
-        (3, 15, 15),
-        (8, 256, 32),
-        (9, 257, 33),
-        (64, 300, 48),
-    ] {
-        let a = Matrix::from_vec(
-            m,
-            k,
-            (0..m * k).map(|i| ((i % 23) as f32 - 11.0) / 7.0).collect(),
-        )
-        .unwrap();
-        let b = Matrix::from_vec(
-            k,
-            n,
-            (0..k * n).map(|i| ((i % 19) as f32 - 9.0) / 5.0).collect(),
-        )
-        .unwrap();
-        for threads in [1usize, 2, 4] {
-            let s = gemm::gemm_with_backend(&a, false, &b, false, threads, Backend::Scalar);
-            let v = gemm::gemm_with_backend(&a, false, &b, false, threads, Backend::Avx2);
-            assert_eq!(bits(&s), bits(&v), "({m},{k},{n}) threads={threads}");
-        }
     }
 }
 

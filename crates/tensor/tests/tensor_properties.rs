@@ -26,33 +26,13 @@ proptest! {
         }
     }
 
-    /// Matrix product with the identity is a no-op.
-    #[test]
-    fn matmul_identity(a in matrix(4, 4)) {
-        let out = linalg::matmul(&a, &Matrix::identity(4));
-        for (x, y) in out.as_slice().iter().zip(a.as_slice()) {
-            prop_assert!((x - y).abs() < 1e-4);
-        }
-    }
-
-    /// (A B)ᵀ == Bᵀ Aᵀ.
-    #[test]
-    fn matmul_transpose_law(a in matrix(3, 4), b in matrix(4, 2)) {
-        let left = linalg::matmul(&a, &b).transpose();
-        let right = linalg::matmul(&b.transpose(), &a.transpose());
-        for (x, y) in left.as_slice().iter().zip(right.as_slice()) {
-            prop_assert!((x - y).abs() < 1e-3);
-        }
-    }
-
-    /// matvec agrees with matmul against a column vector.
+    /// matvec agrees with a row-by-row sum of products.
     #[test]
     fn matvec_consistent_with_matmul(a in matrix(4, 3), x in finite_vec(3..4)) {
-        let as_col = Matrix::col_vector(&x);
-        let via_mm = linalg::matmul(&a, &as_col);
         let via_mv = linalg::matvec(&a, &x);
-        for (p, q) in via_mm.as_slice().iter().zip(&via_mv) {
-            prop_assert!((p - q).abs() < 1e-4);
+        for (r, got) in via_mv.iter().enumerate() {
+            let want: f32 = (0..3).map(|c| a.get(r, c) * x[c]).sum();
+            prop_assert!((got - want).abs() < 1e-4);
         }
     }
 
@@ -63,7 +43,8 @@ proptest! {
         let d1 = linalg::dot(&a, &b);
         let d2 = linalg::dot(&b, &a);
         prop_assert!((d1 - d2).abs() < 1e-4);
-        let bound = linalg::norm2(&a) * linalg::norm2(&b);
+        let norm = |v: &[f32]| v.iter().map(|x| x * x).sum::<f32>().sqrt();
+        let bound = norm(&a) * norm(&b);
         prop_assert!(d1.abs() <= bound + 1e-3);
     }
 
@@ -107,16 +88,6 @@ proptest! {
         prop_assert!(l <= 0.0);
         let identity = x + numeric::log_sigmoid(-x);
         prop_assert!((l - identity).abs() < 1e-4, "l={l} identity={identity}");
-    }
-
-    /// sum_rows equals the sum of individual rows.
-    #[test]
-    fn sum_rows_is_additive(m in matrix(5, 3)) {
-        let total = linalg::sum_rows(m.iter_rows(), 3);
-        for (c, &t) in total.iter().enumerate() {
-            let manual: f32 = (0..5).map(|r| m.get(r, c)).sum();
-            prop_assert!((t - manual).abs() < 1e-4);
-        }
     }
 
     /// Transpose is an involution.
