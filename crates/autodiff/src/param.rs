@@ -471,8 +471,8 @@ impl DenseSlot {
 /// Each dense parameter gets one buffer, allocated on first touch, with a
 /// presence flag; each embedding table gets a [`SparseRows`]. A store is
 /// reused rather than rebuilt: [`GradStore::reset`] makes it read as
-/// fresh (a per-example store), [`GradStore::clear`] zeroes it for the
-/// next batch (the batch accumulator).
+/// fresh (a trainer micro-batch's store), [`GradStore::clear`] zeroes it
+/// for the next batch (the batch accumulator).
 #[derive(Debug, Clone)]
 pub struct GradStore {
     dense: Vec<DenseSlot>,

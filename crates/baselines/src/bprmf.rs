@@ -94,7 +94,7 @@ impl PairwiseModel for BprMf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scenerec_core::trainer::{test, train, OptimizerKind, TrainConfig};
+    use scenerec_core::trainer::{test, train, EpochRecord, OptimizerKind, TrainConfig};
     use scenerec_data::{generate, GeneratorConfig};
 
     #[test]
@@ -141,6 +141,71 @@ mod tests {
             assert_eq!(base_params, params, "params diverged at threads={threads}");
             assert_eq!(base_epochs, epochs, "records diverged at threads={threads}");
         }
+    }
+
+    /// Trains BPR-MF on `tiny(62)` and returns its parameters (bit-exact
+    /// `f32`s) and epoch records.
+    fn outcome(batch_size: usize, threads: usize) -> (Vec<Vec<f32>>, Vec<EpochRecord>) {
+        let data = generate(&GeneratorConfig::tiny(62)).unwrap();
+        let mut m = BprMf::new(&data, 16, 7);
+        let cfg = TrainConfig {
+            epochs: 2,
+            learning_rate: 0.02,
+            lambda: 1e-6,
+            optimizer: OptimizerKind::RmsProp,
+            eval_every: 0,
+            patience: 0,
+            batch_size,
+            threads,
+            ..TrainConfig::default()
+        };
+        let report = train(&mut m, &data, &cfg);
+        let params = m
+            .store
+            .iter()
+            .map(|(_, p)| p.value().as_slice().to_vec())
+            .collect();
+        (params, report.epochs)
+    }
+
+    #[test]
+    fn micro_batch_training_bit_identical_across_threads() {
+        // Batch 35 is two 16-triple micro-batches and a short one, so
+        // every thread count splits the slots differently.
+        let (base_params, base_epochs) = outcome(35, 1);
+        for threads in [2usize, 3, 8] {
+            let (params, epochs) = outcome(35, threads);
+            assert_eq!(base_params, params, "params diverged at threads={threads}");
+            assert_eq!(base_epochs, epochs, "records diverged at threads={threads}");
+        }
+    }
+
+    #[test]
+    fn default_micro_batch_losses_equal_per_pair_losses_bit_for_bit() {
+        // The trait's default puts each triple's two scores on the shared
+        // tape; every loss keeps its per-pair value.
+        let data = generate(&GeneratorConfig::tiny(62)).unwrap();
+        let m = BprMf::new(&data, 16, 7);
+        let (u, v) = (UserId(0), UserId(1));
+        let triples = [
+            (u, ItemId(1), ItemId(2)),
+            (u, ItemId(3), ItemId(1)),
+            (v, ItemId(2), ItemId(3)),
+        ];
+        let mut g = Graph::new(m.store());
+        let losses = m.build_bpr_losses(&mut g, &triples);
+        let shared: Vec<u32> = losses.iter().map(|&l| g.scalar(l).to_bits()).collect();
+        let per_pair: Vec<u32> = triples
+            .iter()
+            .map(|&(u, pos, neg)| {
+                let mut g = Graph::new(m.store());
+                let p = m.build_score(&mut g, u, pos);
+                let n = m.build_score(&mut g, u, neg);
+                let loss = g.bpr_loss(p, n);
+                g.scalar(loss).to_bits()
+            })
+            .collect();
+        assert_eq!(shared, per_pair);
     }
 
     #[test]

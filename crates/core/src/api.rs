@@ -36,6 +36,30 @@ pub trait PairwiseModel {
             .collect()
     }
 
+    /// Puts the BPR loss `-ln σ(r'(u, pos) - r'(u, neg))` (Eq. 15) of
+    /// every `(user, pos, neg)` triple on one tape, in order: the
+    /// trainer's micro-batch.
+    ///
+    /// The default builds two [`PairwiseModel::build_score`]s per triple.
+    /// Models whose sub-results recur across triples (SceneRec's user,
+    /// scene-sum, category and item representations) override this to
+    /// build each of them once per tape. An override must not change any
+    /// loss's value.
+    fn build_bpr_losses<'s>(
+        &'s self,
+        g: &mut Graph<'s>,
+        triples: &[(UserId, ItemId, ItemId)],
+    ) -> Vec<Var> {
+        triples
+            .iter()
+            .map(|&(user, pos, neg)| {
+                let p = self.build_score(g, user, pos);
+                let n = self.build_score(g, user, neg);
+                g.bpr_loss(p, n)
+            })
+            .collect()
+    }
+
     /// Inference-time scores for one user against many candidates.
     fn score_values(&self, user: UserId, items: &[ItemId]) -> Vec<f32> {
         let mut g = Graph::new(self.store());

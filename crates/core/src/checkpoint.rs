@@ -341,6 +341,8 @@ pub fn load_full(
         .map(FrozenSnapshot::into_model)
         .transpose()
         .map_err(|e| CheckpointError::Malformed(format!("frozen section: {e}")))?;
+    SceneRec::check_widths(&ckpt.config, &ckpt.params)
+        .map_err(CheckpointError::TopologyMismatch)?;
     let mut model = SceneRec::new(ckpt.config, data);
     validate_topology(model.store(), &ckpt.params)?;
     if let Some(state) = &ckpt.optimizer {
@@ -962,6 +964,94 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Replaces the payload of section `name` with `edit(payload)`, and
+    /// recomputes that section's CRC and the commit CRC, so that the
+    /// framing stays valid and only the payload checks can object.
+    fn edit_section(bytes: &[u8], name: &str, edit: impl FnOnce(&str) -> String) -> Vec<u8> {
+        let spans = section_spans(bytes).unwrap();
+        let span = spans.iter().find(|s| s.name == name).unwrap();
+        let payload = std::str::from_utf8(&bytes[span.payload_start..span.payload_end]).unwrap();
+        let edited = edit(payload);
+        let mut framed = bytes[..span.header_start].to_vec();
+        framed.extend_from_slice(
+            format!(
+                "section {name} {} {:08x}\n",
+                edited.len(),
+                crc32(edited.as_bytes())
+            )
+            .as_bytes(),
+        );
+        framed.extend_from_slice(edited.as_bytes());
+        framed.push(b'\n');
+        let rest_start = span.payload_end + 1;
+        let commit_start = spans
+            .iter()
+            .map(|s| s.payload_end + 1)
+            .max()
+            .expect("at least one section");
+        framed.extend_from_slice(&bytes[rest_start..commit_start]);
+        framed.extend_from_slice(format!("commit {:08x}\n", crc32(&framed)).as_bytes());
+        assert!(
+            section_spans(&framed).is_ok(),
+            "the framing itself is valid"
+        );
+        framed
+    }
+
+    /// A d = 4 checkpoint whose `config` section has `edit` applied,
+    /// loaded: the result of the load.
+    fn load_with_edited_config(
+        file: &str,
+        edit: impl FnOnce(&str) -> String,
+    ) -> Result<Loaded, CheckpointError> {
+        let data = generate(&GeneratorConfig::tiny(83)).unwrap();
+        let model = SceneRec::new(SceneRecConfig::default().with_dim(4), &data);
+        let path = tmp(file);
+        save(&model, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, edit_section(&bytes, "config", edit)).unwrap();
+        let out = load_full(&path, &data, &Injector::disabled());
+        std::fs::remove_file(&path).ok();
+        out
+    }
+
+    /// A config whose `dim` disagrees with the stored tables. The width,
+    /// 2⁴⁰, sizes tables past the address space, so building the model
+    /// from it before any check aborts the process on allocation; the
+    /// loader must refuse it first.
+    #[test]
+    fn hostile_config_dim_is_a_topology_mismatch_not_an_abort() {
+        let huge = 1u64 << 40;
+        let out = load_with_edited_config("hostile_dim.sck", |json| {
+            assert!(json.contains("\"dim\":4"), "{json}");
+            json.replace("\"dim\":4", &format!("\"dim\":{huge}"))
+        });
+        match out {
+            Err(CheckpointError::TopologyMismatch(e)) => assert!(e.contains("dim"), "{e}"),
+            Err(other) => panic!("expected TopologyMismatch, got {other}"),
+            Ok(_) => panic!("a checkpoint with dim 2^40 loaded"),
+        }
+    }
+
+    /// The same for a hidden width of the Eq. 14 rating MLP, which
+    /// `Mlp::new` would allocate.
+    #[test]
+    fn hostile_config_hidden_width_is_a_topology_mismatch_not_an_abort() {
+        let huge = 1u64 << 40;
+        let out = load_with_edited_config("hostile_hidden.sck", |json| {
+            let key = "\"rating_hidden\":[";
+            let at = json.find(key).expect("config lists rating_hidden") + key.len();
+            let end = at + json[at..].find([',', ']']).unwrap();
+            assert!(end > at, "rating_hidden holds a width: {json}");
+            format!("{}{huge}{}", &json[..at], &json[end..])
+        });
+        match out {
+            Err(CheckpointError::TopologyMismatch(e)) => assert!(e.contains("rating"), "{e}"),
+            Err(other) => panic!("expected TopologyMismatch, got {other}"),
+            Ok(_) => panic!("a checkpoint with a 2^40 hidden width loaded"),
+        }
+    }
+
     /// A writer that frames correctly but stores a `params` matrix one
     /// element short of rows × cols: the CRCs all match, so only the
     /// payload check can catch it. Loading must return a typed error,
@@ -979,41 +1069,17 @@ mod tests {
             frozen: None,
         };
         let bytes = encode_v3(&ckpt).unwrap();
-        let spans = section_spans(&bytes).unwrap();
-        let params = spans.iter().find(|s| s.name == "params").unwrap();
-        assert_eq!(
-            spans.last().unwrap().name,
-            "params",
-            "commit follows params"
-        );
 
         // Drop the last value of the first matrix buffer.
-        let json = std::str::from_utf8(&bytes[params.payload_start..params.payload_end]).unwrap();
-        let open = json.find("\"data\":[").unwrap() + "\"data\":[".len();
-        let close = open + json[open..].find(']').unwrap();
-        let cut = open
-            + json[open..close]
-                .rfind(',')
-                .expect("buffer holds two values");
-        let short = format!("{}{}", &json[..cut], &json[close..]);
-
-        // Re-frame with the section and commit CRCs recomputed.
-        let mut framed = bytes[..params.header_start].to_vec();
-        framed.extend_from_slice(
-            format!(
-                "section params {} {:08x}\n",
-                short.len(),
-                crc32(short.as_bytes())
-            )
-            .as_bytes(),
-        );
-        framed.extend_from_slice(short.as_bytes());
-        framed.push(b'\n');
-        framed.extend_from_slice(format!("commit {:08x}\n", crc32(&framed)).as_bytes());
-        assert!(
-            section_spans(&framed).is_ok(),
-            "the framing itself is valid"
-        );
+        let framed = edit_section(&bytes, "params", |json| {
+            let open = json.find("\"data\":[").unwrap() + "\"data\":[".len();
+            let close = open + json[open..].find(']').unwrap();
+            let cut = open
+                + json[open..close]
+                    .rfind(',')
+                    .expect("buffer holds two values");
+            format!("{}{}", &json[..cut], &json[close..])
+        });
 
         let path = tmp("short_params.sck");
         std::fs::write(&path, &framed).unwrap();

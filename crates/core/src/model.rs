@@ -9,11 +9,41 @@ use scenerec_autodiff::{Act, Graph, ParamId, ParamStore, Var};
 use scenerec_data::Dataset;
 use scenerec_graph::{BipartiteGraph, CategoryId, ItemId, SceneGraph, UserId};
 use scenerec_tensor::{Initializer, Matrix};
-// Tape-local caches use BTreeMap: lookup-only today, but lint rule D1
-// bans ordered-iteration hazards from ever creeping into Eqs. 1-15.
 use std::collections::BTreeMap;
 
 use crate::config::NeighborCaps;
+
+/// The sub-results that recur across the scores of one tape, each built
+/// once and keyed by its entity: user representations (Eq. 1), scene sums
+/// (Eq. 3), category representations (Eqs. 4–7) and item representations
+/// (Eq. 13). A cached `Var` holds the value a fresh build would, so
+/// sharing changes no forward value, only how the backward pass groups
+/// its sums. The maps are lookup-only `BTreeMap`s: lint rule D1 keeps
+/// hash iteration out of Eqs. 1–15.
+#[derive(Default)]
+struct TapeCache {
+    users: BTreeMap<u32, Var>,
+    scene_sums: BTreeMap<u32, Var>,
+    cat_reprs: BTreeMap<u32, Var>,
+    items: BTreeMap<u32, Var>,
+}
+
+/// Layer sizes of the Eq. 13 fusion MLP (`2d → hidden… → d`) and of the
+/// Eq. 14 rating MLP (`2d → hidden… → 1`), each with its parameter-name
+/// prefix.
+fn mlp_sizes(cfg: &SceneRecConfig) -> [(&'static str, Vec<usize>); 2] {
+    let d = cfg.dim;
+    let sizes = |hidden: &[usize], out: usize| {
+        let mut sizes = vec![2 * d];
+        sizes.extend_from_slice(hidden);
+        sizes.push(out);
+        sizes
+    };
+    [
+        ("fusion", sizes(&cfg.fusion_hidden, d)),
+        ("rating", sizes(&cfg.rating_hidden, 1)),
+    ]
+}
 
 /// The SceneRec model.
 ///
@@ -117,17 +147,11 @@ impl SceneRec {
         let b_ii = store.add_dense("b_ii", d, 1, Initializer::Zeros, &mut rng);
 
         let act: Act = cfg.activation.into();
-        let mut fusion_sizes = vec![2 * d];
-        fusion_sizes.extend_from_slice(&cfg.fusion_hidden);
-        fusion_sizes.push(d);
-        let fusion = Mlp::new(&mut store, "fusion", &fusion_sizes, act, act, &mut rng);
-
-        let mut rating_sizes = vec![2 * d];
-        rating_sizes.extend_from_slice(&cfg.rating_hidden);
-        rating_sizes.push(1);
+        let [(fusion_name, fusion_sizes), (rating_name, rating_sizes)] = mlp_sizes(&cfg);
+        let fusion = Mlp::new(&mut store, fusion_name, &fusion_sizes, act, act, &mut rng);
         let rating = Mlp::new(
             &mut store,
-            "rating",
+            rating_name,
             &rating_sizes,
             act,
             Act::Identity, // BPR needs an unbounded score
@@ -185,6 +209,36 @@ impl SceneRec {
         }
     }
 
+    /// Checks every width `cfg` implies against the parameters in
+    /// `stored`, building nothing: `d` against `user_emb`'s columns (every
+    /// other table and transform is sized from `d`) and each MLP layer
+    /// against its stored weight. A checkpoint loader calls this before
+    /// [`SceneRec::new`], which sizes every table from the config and so
+    /// would try to allocate whatever width a hostile file names.
+    pub(crate) fn check_widths(cfg: &SceneRecConfig, stored: &ParamStore) -> Result<(), String> {
+        let shape = |name: &str| stored.lookup(name).map(|id| stored.value(id).shape());
+        let user_dim = shape("user_emb").map(|(_, cols)| cols);
+        if user_dim != Some(cfg.dim) {
+            return Err(format!(
+                "config dim {} vs `user_emb` columns {user_dim:?}",
+                cfg.dim
+            ));
+        }
+        for (mlp, sizes) in mlp_sizes(cfg) {
+            for (k, io) in sizes.windows(2).enumerate() {
+                let name = format!("{mlp}.{k}.w");
+                let stored_shape = shape(&name);
+                if stored_shape != Some((io[1], io[0])) {
+                    return Err(format!(
+                        "config sizes `{name}` {} -> {} vs stored {stored_shape:?}",
+                        io[0], io[1]
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The configured variant.
     pub fn variant(&self) -> Variant {
         self.cfg.variant
@@ -217,24 +271,22 @@ impl SceneRec {
         g.activation(aff, self.act())
     }
 
-    /// Eq. 3's scene sum for a category: `Σ_{s ∈ CS(c)} e_s`.
-    fn scene_sum_of_cat<'s>(&'s self, g: &mut Graph<'s>, c: u32) -> Var {
-        g.embed_sum(self.scene_emb, &self.cat_scenes[c as usize])
+    /// Eq. 3's scene sum for a category, `Σ_{s ∈ CS(c)} e_s`, once per
+    /// tape.
+    fn scene_sum<'s>(&'s self, g: &mut Graph<'s>, cache: &mut TapeCache, c: u32) -> Var {
+        *cache
+            .scene_sums
+            .entry(c)
+            .or_insert_with(|| g.embed_sum(self.scene_emb, &self.cat_scenes[c as usize]))
     }
 
-    /// Eqs. 3–7: the fused category representation `m_c`.
-    ///
-    /// `scene_sums` caches Eq. 5's per-category scene sums within one tape.
-    fn category_repr<'s>(
-        &'s self,
-        g: &mut Graph<'s>,
-        c: u32,
-        scene_sums: &mut BTreeMap<u32, Var>,
-    ) -> Var {
+    /// Eqs. 3–7: the fused category representation `m_c`, once per tape.
+    fn category_repr<'s>(&'s self, g: &mut Graph<'s>, c: u32, cache: &mut TapeCache) -> Var {
+        if let Some(&v) = cache.cat_reprs.get(&c) {
+            return v;
+        }
         // h^S (Eq. 3).
-        let h_s = *scene_sums
-            .entry(c)
-            .or_insert_with_key(|&c| self.scene_sum_of_cat_inner(g, c));
+        let h_s = self.scene_sum(g, cache, c);
         // h^C (Eqs. 4-6).
         let neighbors = &self.cat_cat[c as usize];
         let h_c = if neighbors.is_empty() {
@@ -245,9 +297,7 @@ impl SceneRec {
                     let scores: Vec<Var> = neighbors
                         .iter()
                         .map(|&q| {
-                            let sq = *scene_sums
-                                .entry(q)
-                                .or_insert_with_key(|&q| self.scene_sum_of_cat_inner(g, q));
+                            let sq = self.scene_sum(g, cache, q);
                             g.cosine(h_s, sq)
                         })
                         .collect();
@@ -262,36 +312,19 @@ impl SceneRec {
         // Eq. 7: m_c = σ(W_ic [h^S ‖ h^C] + b_ic).
         let cat = g.concat(&[h_s, h_c]);
         let aff = g.affine(self.w_ic, self.b_ic, cat);
-        g.activation(aff, self.act())
-    }
-
-    // Non-capturing helper so `or_insert_with_key` closures can call it
-    // while `scene_sums` is mutably borrowed.
-    fn scene_sum_of_cat_inner<'s>(&'s self, g: &mut Graph<'s>, c: u32) -> Var {
-        self.scene_sum_of_cat(g, c)
+        let m_c = g.activation(aff, self.act());
+        cache.cat_reprs.insert(c, m_c);
+        m_c
     }
 
     /// Eqs. 8–12: the scene-based item representation `m_i^S`.
-    fn item_scene_repr<'s>(
-        &'s self,
-        g: &mut Graph<'s>,
-        i: ItemId,
-        scene_sums: &mut BTreeMap<u32, Var>,
-        cat_reprs: &mut BTreeMap<u32, Var>,
-    ) -> Var {
+    fn item_scene_repr<'s>(&'s self, g: &mut Graph<'s>, i: ItemId, cache: &mut TapeCache) -> Var {
         let c = self.item_cat[i.index()];
         // h^C_i (Eq. 8) — zero under nosce (no category/scene layers).
         let h_cat = if self.cfg.variant == Variant::NoScene {
             self.zero_vec(g)
         } else {
-            match cat_reprs.get(&c) {
-                Some(&v) => v,
-                None => {
-                    let v = self.category_repr(g, c, scene_sums);
-                    cat_reprs.insert(c, v);
-                    v
-                }
-            }
+            self.category_repr(g, c, cache)
         };
         // h^I_i (Eqs. 9-11) — zero under noitem.
         let neighbors = &self.item_item[i.index()];
@@ -301,16 +334,11 @@ impl SceneRec {
             match self.cfg.variant {
                 Variant::Full => {
                     // IS(i) = CS(C(i)): scene sums keyed by category.
-                    let si = *scene_sums
-                        .entry(c)
-                        .or_insert_with_key(|&c| self.scene_sum_of_cat_inner(g, c));
+                    let si = self.scene_sum(g, cache, c);
                     let scores: Vec<Var> = neighbors
                         .iter()
                         .map(|&q| {
-                            let cq = self.item_cat[q as usize];
-                            let sq = *scene_sums
-                                .entry(cq)
-                                .or_insert_with_key(|&cq| self.scene_sum_of_cat_inner(g, cq));
+                            let sq = self.scene_sum(g, cache, self.item_cat[q as usize]);
                             g.cosine(si, sq)
                         })
                         .collect();
@@ -329,18 +357,26 @@ impl SceneRec {
         g.activation(aff, self.act())
     }
 
-    /// Eq. 13: the general item representation `m_i = F(W_i [m^U ‖ m^S])`.
-    pub fn item_repr<'s>(
-        &'s self,
-        g: &mut Graph<'s>,
-        i: ItemId,
-        scene_sums: &mut BTreeMap<u32, Var>,
-        cat_reprs: &mut BTreeMap<u32, Var>,
-    ) -> Var {
+    /// Eq. 13: the general item representation `m_i = F(W_i [m^U ‖ m^S])`,
+    /// once per tape.
+    fn item_repr<'s>(&'s self, g: &mut Graph<'s>, i: ItemId, cache: &mut TapeCache) -> Var {
+        if let Some(&v) = cache.items.get(&i.raw()) {
+            return v;
+        }
         let m_u = self.item_user_repr(g, i);
-        let m_s = self.item_scene_repr(g, i, scene_sums, cat_reprs);
+        let m_s = self.item_scene_repr(g, i, cache);
         let cat = g.concat(&[m_u, m_s]);
-        self.fusion.forward(g, cat)
+        let m_i = self.fusion.forward(g, cat);
+        cache.items.insert(i.raw(), m_i);
+        m_i
+    }
+
+    /// Eq. 1 for `u`, once per tape.
+    fn cached_user_repr<'s>(&'s self, g: &mut Graph<'s>, u: UserId, cache: &mut TapeCache) -> Var {
+        *cache
+            .users
+            .entry(u.raw())
+            .or_insert_with(|| self.user_repr(g, u))
     }
 
     /// Eq. 14 given a precomputed user representation. The rating MLP's
@@ -352,10 +388,9 @@ impl SceneRec {
         g: &mut Graph<'s>,
         m_user: Var,
         i: ItemId,
-        scene_sums: &mut BTreeMap<u32, Var>,
-        cat_reprs: &mut BTreeMap<u32, Var>,
+        cache: &mut TapeCache,
     ) -> Var {
-        let m_item = self.item_repr(g, i, scene_sums, cat_reprs);
+        let m_item = self.item_repr(g, i, cache);
         self.rating.forward_split(g, m_user, m_item)
     }
 
@@ -407,20 +442,36 @@ impl PairwiseModel for SceneRec {
 
     fn build_score<'s>(&'s self, g: &mut Graph<'s>, user: UserId, item: ItemId) -> Var {
         let m_user = self.user_repr(g, user);
-        let mut scene_sums = BTreeMap::new();
-        let mut cat_reprs = BTreeMap::new();
-        self.score_with_user(g, m_user, item, &mut scene_sums, &mut cat_reprs)
+        self.score_with_user(g, m_user, item, &mut TapeCache::default())
     }
 
     fn build_scores<'s>(&'s self, g: &mut Graph<'s>, user: UserId, items: &[ItemId]) -> Vec<Var> {
         // Share the user representation and all category-level
         // computations across the candidate list.
         let m_user = self.user_repr(g, user);
-        let mut scene_sums = BTreeMap::new();
-        let mut cat_reprs = BTreeMap::new();
+        let mut cache = TapeCache::default();
         items
             .iter()
-            .map(|&i| self.score_with_user(g, m_user, i, &mut scene_sums, &mut cat_reprs))
+            .map(|&i| self.score_with_user(g, m_user, i, &mut cache))
+            .collect()
+    }
+
+    fn build_bpr_losses<'s>(
+        &'s self,
+        g: &mut Graph<'s>,
+        triples: &[(UserId, ItemId, ItemId)],
+    ) -> Vec<Var> {
+        // One cache for the whole micro-batch: a user, an item or a
+        // category that recurs across triples is built once.
+        let mut cache = TapeCache::default();
+        triples
+            .iter()
+            .map(|&(user, pos, neg)| {
+                let m_user = self.cached_user_repr(g, user, &mut cache);
+                let p = self.score_with_user(g, m_user, pos, &mut cache);
+                let n = self.score_with_user(g, m_user, neg, &mut cache);
+                g.bpr_loss(p, n)
+            })
             .collect()
     }
 
@@ -450,10 +501,9 @@ impl PairwiseModel for SceneRec {
         let mut items = Matrix::zeros(num_items, d);
         for chunk_start in (0..num_items).step_by(CHUNK) {
             let mut g = Graph::new(&self.store);
-            let mut scene_sums = BTreeMap::new();
-            let mut cat_reprs = BTreeMap::new();
+            let mut cache = TapeCache::default();
             for i in chunk_start..(chunk_start + CHUNK).min(num_items) {
-                let v = self.item_repr(&mut g, ItemId(i as u32), &mut scene_sums, &mut cat_reprs);
+                let v = self.item_repr(&mut g, ItemId(i as u32), &mut cache);
                 items.set_row(i, g.value(v).as_slice());
             }
         }
@@ -607,6 +657,108 @@ mod tests {
                 let p = m.build_score(&mut g, u, pos);
                 let n = m.build_score(&mut g, u, neg);
                 let loss = g.bpr_loss(p, n);
+                g.scalar(loss)
+            });
+        assert!(
+            report.passes(0.08),
+            "max rel err {} at {:?} over {} checks",
+            report.max_rel_error,
+            report.worst,
+            report.checked
+        );
+    }
+
+    /// Triples that repeat a user, an item and a category: items 0..3 of
+    /// the first category holding three items, two users and one item of
+    /// another category.
+    fn shared_triples(data: &Dataset) -> Vec<(UserId, ItemId, ItemId)> {
+        let sg = &data.scene_graph;
+        let same = (0..sg.num_categories())
+            .map(|c| sg.items_of_category(CategoryId(c)))
+            .find(|items| items.len() >= 3)
+            .expect("a category with three items");
+        let other = (0..data.num_items())
+            .map(ItemId)
+            .find(|&i| sg.category_of(i) != sg.category_of(same[0]))
+            .expect("an item of another category");
+        let (u, v) = (UserId(0), UserId(1));
+        vec![
+            (u, same[0], other),
+            (u, same[1], same[0]),
+            (v, other, same[2]),
+            (u, same[2], same[1]),
+        ]
+    }
+
+    /// Every triple's loss on a tape of its own.
+    fn per_pair_losses(m: &SceneRec, triples: &[(UserId, ItemId, ItemId)]) -> Vec<u32> {
+        triples
+            .iter()
+            .map(|&(u, pos, neg)| {
+                let mut g = Graph::new(m.store());
+                let p = m.build_score(&mut g, u, pos);
+                let n = m.build_score(&mut g, u, neg);
+                let loss = g.bpr_loss(p, n);
+                g.scalar(loss).to_bits()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn micro_batch_losses_equal_per_pair_losses_bit_for_bit() {
+        let data = tiny_dataset();
+        let triples = shared_triples(&data);
+        for variant in [
+            Variant::Full,
+            Variant::NoItem,
+            Variant::NoScene,
+            Variant::NoAttention,
+        ] {
+            let (m, _) = model(variant);
+            let mut g = Graph::new(m.store());
+            let losses = m.build_bpr_losses(&mut g, &triples);
+            let shared: Vec<u32> = losses.iter().map(|&l| g.scalar(l).to_bits()).collect();
+            assert_eq!(shared, per_pair_losses(&m, &triples), "{variant:?}");
+            // Sharing is what the override is for: the micro-batch tape
+            // is shorter than the per-pair tapes together.
+            let per_pair: usize = triples
+                .iter()
+                .map(|&t| {
+                    let mut g = Graph::new(m.store());
+                    m.build_bpr_losses(&mut g, &[t]);
+                    g.len()
+                })
+                .sum();
+            assert!(g.len() < per_pair, "{variant:?}: {} nodes", g.len());
+        }
+    }
+
+    #[test]
+    fn gradcheck_micro_batch_tape() {
+        // Two triples share a user and a category, so the shared user,
+        // scene-sum and category Vars each collect adjoints from both.
+        let data = tiny_dataset();
+        let mut cfg = SceneRecConfig::default().with_dim(8).with_seed(5);
+        cfg.activation = crate::config::ActChoice::Tanh;
+        let m = SceneRec::new(cfg, &data);
+        let triples = shared_triples(&data)[..2].to_vec();
+        let total = |g: &mut Graph<'_>, losses: &[Var]| {
+            let stacked = g.stack_scalars(losses);
+            g.sum(stacked)
+        };
+        let mut grads = GradStore::new(m.store());
+        {
+            let mut g = Graph::new(m.store());
+            let losses = m.build_bpr_losses(&mut g, &triples);
+            let loss = total(&mut g, &losses);
+            g.backward(loss, &mut grads);
+        }
+        let mut probe_store = m.store().clone();
+        let report =
+            scenerec_autodiff::gradcheck::check_gradients(&mut probe_store, &grads, 5e-3, 8, |s| {
+                let mut g = Graph::new(s);
+                let losses = m.build_bpr_losses(&mut g, &triples);
+                let loss = total(&mut g, &losses);
                 g.scalar(loss)
             });
         assert!(

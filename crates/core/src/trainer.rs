@@ -1,8 +1,12 @@
 //! Pairwise BPR training (Eq. 15) for any [`PairwiseModel`].
 //!
 //! Per epoch: shuffle training interactions; for each observed pair
-//! `(u, pos)` sample an unobserved `neg`, build the tape for
-//! `-ln σ(r'(u,pos) - r'(u,neg))`, backward, and step the optimizer.
+//! `(u, pos)` sample an unobserved `neg`. Each batch of triples is split
+//! into micro-batches of 16; a micro-batch puts every triple's
+//! `-ln σ(r'(u,pos) - r'(u,neg))` on one tape
+//! ([`PairwiseModel::build_bpr_losses`], which lets SceneRec build a
+//! recurring user, scene sum, category or item once), runs one backward
+//! pass over all of them, and the batch then takes one optimizer step.
 //! λ‖Θ‖² is realized as sparse-aware weight decay in the optimizer (see
 //! `scenerec_autodiff::optim::WeightDecay`). Early stopping monitors
 //! validation NDCG@K.
@@ -66,7 +70,9 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Worker threads for the training fan-out and gradient reduce, and
     /// for validation/test evaluation. 0 runs serially, like 1; the
-    /// default is the machine's available parallelism.
+    /// default is the machine's available parallelism. The fan-out hands
+    /// out whole 16-triple micro-batches, so it uses at most
+    /// ⌈`batch_size` / 16⌉ workers.
     pub threads: usize,
     /// Print per-epoch progress to stderr.
     pub verbose: bool,
@@ -129,14 +135,14 @@ pub struct PhaseBreakdown {
     /// Validation evaluation.
     pub eval_ns: u64,
     /// Wall-clock time of the parallel forward/backward fan-out, until
-    /// every worker has finished its examples.
+    /// every worker has finished its micro-batches.
     /// `(forward_ns + backward_ns) / (fanout_ns * workers)` is the
     /// parallel efficiency of a run. Not counted in [`Self::total_ns`] —
     /// the same work already appears in `forward_ns`/`backward_ns`.
     pub fanout_ns: u64,
-    /// Wall-clock time of the fixed-order reduce of per-example gradients
-    /// into the batch accumulator (the reduction step of data-parallel
-    /// training), which follows the fan-out.
+    /// Wall-clock time of the fixed-order reduce of the per-micro-batch
+    /// gradient stores into the batch accumulator (the reduction step of
+    /// data-parallel training), which follows the fan-out.
     pub reduce_ns: u64,
 }
 
@@ -205,22 +211,28 @@ const GRAD_NORM_EDGES: [f64; 10] = [0.01, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 2
 /// 1. negatives for the whole batch are rejection-sampled *serially* on
 ///    the calling thread (RNG consumption is data-dependent, so this is
 ///    the only order that keeps the stream stable),
-/// 2. the batch is split into contiguous sub-ranges, one per worker (the
-///    calling thread works the first); each worker runs forward/backward
-///    on its own tape into a **per-example** [`GradStore`]. The call
-///    builds one store per batch slot up front and resets it for every
-///    example, so a step allocates no gradient storage,
-/// 3. once every worker is done, the same workers sum the per-example
-///    stores into the batch accumulator ([`GradStore::reduce_with`] in
+/// 2. the batch is split into contiguous **micro-batches** of 16 triples
+///    (the last may be shorter), each one slot with one tape and one
+///    [`GradStore`]. The slots are handed out in contiguous runs, one
+///    run per worker (the calling thread works the first), so at most
+///    ⌈batch / 16⌉ workers are busy. A slot puts its triples' losses on
+///    its tape through [`PairwiseModel::build_bpr_losses`], records each
+///    loss, and runs one backward pass seeded with 1 on every loss into
+///    its store. The call builds one store per slot up front and resets
+///    it for every micro-batch, so a step allocates no gradient storage,
+/// 3. once every worker is done, the same workers sum the slot stores
+///    into the batch accumulator ([`GradStore::reduce_with`] in
 ///    `scenerec_tensor::par::fan_out_then_reduce`): dense parameters are
 ///    shared out whole and embedding tables by contiguous row range, and
-///    each slot adds its contributions in example order. The calling
-///    thread then scales, clips and applies one optimizer step.
+///    each parameter slot adds its contributions in micro-batch order.
+///    The calling thread then scales, clips and applies one optimizer
+///    step.
 ///
-/// Per-example stores (rather than per-worker accumulators) are what make
-/// the reduction exact: every slot sums the same floating-point values
-/// in the same order regardless of where worker or share boundaries
-/// fall.
+/// The micro-batch size is a constant, never derived from the thread
+/// count, and a store per micro-batch (rather than per worker) is what
+/// makes the reduction exact: every parameter slot sums the same
+/// floating-point values in the same order regardless of where worker
+/// or share boundaries fall.
 pub fn train<M: PairwiseModel + Sync>(
     model: &mut M,
     data: &Dataset,
@@ -366,19 +378,26 @@ pub fn train_with_optimizer_traced<M: PairwiseModel + Sync>(
     report
 }
 
+/// Triples per micro-batch. A batch is split into contiguous micro-batches
+/// of this many triples (the last may be shorter), and each is one fan-out
+/// slot with one tape and one gradient store. A constant, never derived
+/// from the thread count: the micro-batches fix how gradient sums are
+/// grouped, so trained bytes are the same at every thread count.
+const MICRO_BATCH: usize = 16;
+
 /// The state a training call builds once and every epoch reuses: the
 /// known positives for negative rejection, the training pairs, the
-/// triple buffer, one gradient store per batch example, the batch
+/// triple buffer, one gradient store per micro-batch slot, the batch
 /// accumulator and the telemetry handles.
 struct EpochRunner {
     /// All known positives per user (for negative rejection).
     known: Vec<HashSet<u32>>,
     pairs: Vec<(u32, u32)>,
     num_items: u32,
-    triples: Vec<(u32, u32, u32)>,
-    /// One gradient store per batch slot, reset (not rebuilt) for each
-    /// example.
-    examples: Vec<Example>,
+    triples: Vec<(UserId, ItemId, ItemId)>,
+    /// One slot per micro-batch of a full batch, reset (not rebuilt) for
+    /// every micro-batch.
+    slots: Vec<MicroBatch>,
     /// The batch accumulator.
     grads: GradStore,
     /// Pre-clip global gradient-norm distribution (lock-free observes).
@@ -400,10 +419,10 @@ impl EpochRunner {
             pairs: train_pairs(data),
             num_items: data.num_items(),
             triples: Vec::with_capacity(batch),
-            examples: (0..batch)
-                .map(|_| Example {
+            slots: (0..batch.div_ceil(MICRO_BATCH))
+                .map(|_| MicroBatch {
                     grads: GradStore::new(model.store()),
-                    loss: 0.0,
+                    losses: Vec::with_capacity(MICRO_BATCH.min(batch)),
                 })
                 .collect(),
             grads: GradStore::new(model.store()),
@@ -451,45 +470,48 @@ impl EpochRunner {
                         break cand;
                     }
                 };
-                self.triples.push((u, pos, neg));
+                self.triples.push((UserId(u), ItemId(pos), ItemId(neg)));
             }
             phases.sample_ns += mark.lap_ns();
 
-            // Fan out over contiguous sub-ranges, one tape and one pooled
-            // store per example, the calling thread working the first;
-            // then each of the same workers reduces its share of the
-            // slots over the whole batch, in example order.
-            let n = self.triples.len();
+            // Fan out over contiguous runs of micro-batch slots, one tape
+            // and one pooled store per slot, the calling thread working
+            // the first run; then each of the same workers reduces its
+            // share of the parameters over every slot, in slot order.
+            let n = self.triples.len().div_ceil(MICRO_BATCH);
             let sub = n.div_ceil(self.workers.min(n).max(1));
             let parts = n.div_ceil(sub);
             let model_ref: &M = model;
-            let triples: &[(u32, u32, u32)] = &self.triples;
-            let examples = &mut self.examples[..n];
+            let triples: &[(UserId, ItemId, ItemId)] = &self.triples;
+            let slots = &mut self.slots[..n];
             let fan_start = Stopwatch::start();
             let out = self.grads.reduce_with(parts, |shares| {
                 scenerec_tensor::par::fan_out_then_reduce(
-                    examples,
+                    slots,
                     sub,
                     shares,
                     |w, part| {
                         let (mut fwd_ns, mut bwd_ns) = (0u64, 0u64);
-                        for (ex, &(u, pos, neg)) in part.iter_mut().zip(&triples[w * sub..]) {
+                        let micro = triples.chunks(MICRO_BATCH).skip(w * sub);
+                        for (slot, micro) in part.iter_mut().zip(micro) {
                             let mut wmark = Stopwatch::start();
                             let mut g = Graph::new(model_ref.store());
-                            let p = model_ref.build_score(&mut g, UserId(u), ItemId(pos));
-                            let n = model_ref.build_score(&mut g, UserId(u), ItemId(neg));
-                            let loss = g.bpr_loss(p, n);
-                            ex.loss = g.scalar(loss);
+                            let losses = model_ref.build_bpr_losses(&mut g, micro);
+                            slot.losses.clear();
+                            slot.losses.extend(losses.iter().map(|&l| g.scalar(l)));
+                            // One backward seeded with 1 on every loss.
+                            let stacked = g.stack_scalars(&losses);
+                            let total = g.sum(stacked);
                             fwd_ns += wmark.lap_ns();
-                            ex.grads.reset();
-                            g.backward(loss, &mut ex.grads);
+                            slot.grads.reset();
+                            g.backward(total, &mut slot.grads);
                             bwd_ns += wmark.lap_ns();
                         }
                         (fwd_ns, bwd_ns)
                     },
                     |_, share, done| {
                         let fanout_ns = fan_start.elapsed_ns();
-                        share.absorb(done.iter().flat_map(|c| c.iter().map(|e| &e.grads)));
+                        share.absorb(done.iter().flat_map(|c| c.iter().map(|s| &s.grads)));
                         fanout_ns
                     },
                 )
@@ -506,11 +528,13 @@ impl EpochRunner {
             }
 
             mark = Stopwatch::start();
-            for ex in &self.examples[..n] {
-                loss_stats.push(ex.loss);
+            for slot in &self.slots[..n] {
+                for &loss in &slot.losses {
+                    loss_stats.push(loss);
+                }
             }
             if chunk.len() > 1 {
-                // Mean gradient over the batch, matching the per-example
+                // Mean gradient over the batch, matching the per-triple
                 // loss scale of batch_size = 1.
                 self.grads.scale(1.0 / chunk.len() as f32);
             }
@@ -555,11 +579,11 @@ impl EpochRunner {
     }
 }
 
-/// One batch slot: the gradient store its example's backward pass fills,
-/// and the example's loss.
-struct Example {
+/// One micro-batch slot: the gradient store its tape's backward pass
+/// fills, and its triples' losses, in order.
+struct MicroBatch {
     grads: GradStore,
-    loss: f32,
+    losses: Vec<f32>,
 }
 
 /// The training split as `(user, item)` pairs, in split order.
@@ -1114,11 +1138,16 @@ mod tests {
     /// parameter values (bit-exact `f32`s) plus the epoch records
     /// (losses + validation metrics).
     fn train_outcome(threads: usize) -> (Vec<Vec<f32>>, Vec<EpochRecord>) {
+        train_outcome_at(8, threads)
+    }
+
+    /// [`train_outcome`] at batch size `batch`.
+    fn train_outcome_at(batch: usize, threads: usize) -> (Vec<Vec<f32>>, Vec<EpochRecord>) {
         let data = generate(&GeneratorConfig::tiny(38)).unwrap();
         let mut model = SceneRec::new(SceneRecConfig::default().with_dim(8).with_seed(11), &data);
         let mut cfg = quick_cfg();
         cfg.epochs = 2;
-        cfg.batch_size = 8;
+        cfg.batch_size = batch;
         cfg.threads = threads;
         let report = train(&mut model, &data, &cfg);
         let params = model
@@ -1137,6 +1166,19 @@ mod tests {
         let (base_params, base_epochs) = train_outcome(1);
         for threads in [2usize, 4, 8] {
             let (params, epochs) = train_outcome(threads);
+            assert_eq!(base_params, params, "params diverged at threads={threads}");
+            assert_eq!(base_epochs, epochs, "records diverged at threads={threads}");
+        }
+    }
+
+    #[test]
+    fn micro_batch_training_bit_identical_across_threads() {
+        // Batch 35 is two full micro-batches and a short one, so every
+        // thread count splits the slots differently.
+        assert_eq!(35usize.div_ceil(MICRO_BATCH), 3);
+        let (base_params, base_epochs) = train_outcome_at(35, 1);
+        for threads in [2usize, 3, 8] {
+            let (params, epochs) = train_outcome_at(35, threads);
             assert_eq!(base_params, params, "params diverged at threads={threads}");
             assert_eq!(base_epochs, epochs, "records diverged at threads={threads}");
         }

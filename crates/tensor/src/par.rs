@@ -28,9 +28,9 @@ const SPINS_BEFORE_YIELD: u32 = 1 << 6;
 /// (`chunk` elements, the last chunk possibly shorter) mutably. Once every
 /// worker has finished phase one, phase two hands worker `w` its
 /// `shares[w]` and every chunk, read-only, in order. This is the trainer's
-/// batch: phase one runs forward/backward into per-example gradient
-/// stores, phase two reduces all of them, one share of the slots per
-/// worker.
+/// batch: phase one runs forward/backward into one gradient store per
+/// micro-batch, phase two reduces all of them, one share of the
+/// parameters per worker.
 ///
 /// Workers wait for each other on an atomic counter, spinning briefly and
 /// then yielding the CPU between checks, never sleeping: the wait is

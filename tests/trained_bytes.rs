@@ -216,18 +216,18 @@ fn trained_bytes_match_pinned_digests() {
     ));
 
     let pinned: [(&str, u64); 12] = [
-        ("scenerec_full_rmsprop_b8_t2", 0xa3cb73e0c1d5cb33),
-        ("scenerec_noitem_adam_b1_t1", 0x1b06904e9a13b222),
-        ("scenerec_noscene_sgd_b5_t3_clip", 0x6237a4ad5b0119ab),
-        ("scenerec_noatt_rmsprop_b3_t4", 0xcbd5d39ae4232854),
-        ("scenerec_full_momentum_b6_t2", 0x560ccb1702c4459d),
-        ("bprmf_rmsprop_b8_t2", 0xa43685f7f92cbaf7),
+        ("scenerec_full_rmsprop_b8_t2", 0xfd05f0f41a9e2873),
+        ("scenerec_noitem_adam_b1_t1", 0xd2ab5b971e882b88),
+        ("scenerec_noscene_sgd_b5_t3_clip", 0x5df60b37a0b1aa2b),
+        ("scenerec_noatt_rmsprop_b3_t4", 0x6f30042d7aea623a),
+        ("scenerec_full_momentum_b6_t2", 0xc03d949d94854fb0),
+        ("bprmf_rmsprop_b8_t2", 0xbfa12cf40379dabe),
         ("ncf_adam_b1_t1", 0x0ca3f8e084df8f19),
-        ("cmn_sgd_b6_t2", 0x9408138a170a6d54),
-        ("pinsage_rmsprop_b4_t3", 0x966da3742d95172e),
-        ("ngcf_adam_b8_t2", 0x8e6ec2625cdcaa09),
-        ("kgat_rmsprop_b8_t2", 0x5edb7af0bb4b255f),
-        ("lightgcn_sgd_b8_t2", 0x3ea282c869fd6373),
+        ("cmn_sgd_b6_t2", 0xedb536b0c0d44013),
+        ("pinsage_rmsprop_b4_t3", 0x2a999f5879f80c4f),
+        ("ngcf_adam_b8_t2", 0x9ac1bb903005d9a9),
+        ("kgat_rmsprop_b8_t2", 0xcd8e7d040a723935),
+        ("lightgcn_sgd_b8_t2", 0xe86c53f7a862dc9c),
     ];
     let table: String = got
         .iter()
