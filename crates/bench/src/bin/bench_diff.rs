@@ -9,7 +9,8 @@
 //! ```
 //!
 //! Exit codes: `0` pass, `1` regression / missing metric / config
-//! mismatch, `2` usage or I/O error. See `scenerec_bench::diff` for the
+//! mismatch, `2` usage or I/O error, or a file that is not a manifest
+//! with numeric `results`. See `scenerec_bench::diff` for the
 //! comparison semantics (per-metric direction inference, tolerances).
 
 use scenerec_bench::cli::Args;
@@ -35,7 +36,7 @@ fn run() -> Result<bool, String> {
 
     let baseline = load(baseline_path)?;
     let candidate = load(candidate_path)?;
-    let report = diff_manifests(&baseline, &candidate, tolerance);
+    let report = diff_manifests(&baseline, &candidate, tolerance)?;
 
     println!("baseline:  {baseline_path}");
     println!("candidate: {candidate_path}");

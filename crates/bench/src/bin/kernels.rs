@@ -133,7 +133,7 @@ fn main() {
             rows,
             score_simd_speedup_at_max_size: headline,
         })
-        .capture_telemetry();
+        .capture_telemetry(&[]);
     manifest
         .write_json(out)
         .unwrap_or_else(|e| panic!("write {out}: {e}"));

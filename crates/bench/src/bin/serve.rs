@@ -13,9 +13,11 @@
 //! the same recommendations. Writes a `BENCH_serve.json` run manifest
 //! with baseline and per-worker-count throughput, freeze cost, and
 //! latency p50/p99/p999 from the serve-side `serve/latency_ns`
-//! histogram. The engine has one shard, and the scheduler pins each
-//! shard to one worker, so every `--workers` entry serves on one busy
-//! worker: the sweep pins worker-count invariance, not scaling.
+//! histogram; its `timings` aggregate the set-up's spans
+//! (`data.generate` and both trainings' `trainer.*` trees). The engine
+//! has one shard, and the scheduler pins each shard to one worker, so
+//! every `--workers` entry serves on one busy worker: the sweep pins
+//! worker-count invariance, not scaling.
 //!
 //! With `--trace-out <path>` the binary additionally runs one traced
 //! cold replay (workers=1), writes its Chrome trace-event JSON (load it
@@ -33,11 +35,13 @@ use rand::{Rng, SeedableRng};
 use scenerec_baselines::BprMf;
 use scenerec_bench::cli::Args;
 use scenerec_bench::HarnessConfig;
-use scenerec_core::trainer::train;
+use scenerec_core::trainer::{make_optimizer, train_with_optimizer_traced};
 use scenerec_core::{top_k_unseen, Precision, SceneRec, SceneRecConfig};
 use scenerec_data::{generate, DatasetProfile};
 use scenerec_graph::{ItemId, UserId};
-use scenerec_obs::{chrome_trace_json, metrics, reset_metrics, structure_digest, RunManifest};
+use scenerec_obs::{
+    chrome_trace_json, metrics, reset_metrics, structure_digest, RunManifest, Trace,
+};
 use scenerec_serve::{
     latency_edges, replay_sharded, replay_sharded_with, EngineConfig, ReplayOptions, Request,
     ShardReplayConfig, ShardedConfig, ShardedEngine,
@@ -132,8 +136,13 @@ fn main() {
         })
         .collect();
 
+    // The set-up (generation and both trainings) is traced; the manifest
+    // records its wall time per span name.
+    let mut setup = Trace::new(0);
+    let span = setup.start_span("data.generate");
     let data = generate(&DatasetProfile::Electronics.config(hc.scale, hc.data_seed))
         .unwrap_or_else(|e| panic!("dataset generation: {e}"));
+    setup.end_span(span);
     println!(
         "Electronics @ {:?}: {} users, {} items",
         hc.scale,
@@ -152,7 +161,8 @@ fn main() {
     tc.eval_every = 0;
     tc.patience = 0;
     let t = Instant::now();
-    train(&mut model, &data, &tc);
+    let mut opt = make_optimizer(&tc);
+    train_with_optimizer_traced(&mut model, &data, &tc, opt.as_mut(), Some(&mut setup));
     println!(
         "trained {epochs} epoch(s) in {:.1}s",
         t.elapsed().as_secs_f64()
@@ -319,7 +329,8 @@ fn main() {
     let overlap_k: usize = args.get_or("overlap-k", 20);
     let mut bpr = BprMf::new(&data, precision_dim, hc.model_seed);
     let t = Instant::now();
-    train(&mut bpr, &data, &tc);
+    let mut opt = make_optimizer(&tc);
+    train_with_optimizer_traced(&mut bpr, &data, &tc, opt.as_mut(), Some(&mut setup));
     println!(
         "\nprecision sweep: BPR-MF dim {precision_dim} trained in {:.1}s (backend {})",
         t.elapsed().as_secs_f64(),
@@ -428,7 +439,7 @@ fn main() {
         .with_seed(hc.data_seed)
         .with_scale(format!("{:?}", hc.scale).to_ascii_lowercase())
         .with_results(&results)
-        .capture_telemetry();
+        .capture_telemetry(&[setup.finish()]);
     manifest
         .write_json(out)
         .unwrap_or_else(|e| panic!("write {out}: {e}"));

@@ -303,7 +303,7 @@ fn main() {
         .with_seed(seed)
         .with_scale("paper_scale_plus")
         .with_results(&results)
-        .capture_telemetry();
+        .capture_telemetry(&[]);
     manifest
         .write_json(out)
         .unwrap_or_else(|e| panic!("write {out}: {e}"));

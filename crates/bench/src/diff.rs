@@ -16,7 +16,10 @@
 //! the diff (a silently dropped metric is how regressions hide); new
 //! candidate-only metrics are reported but pass. The two manifests must
 //! also agree on their `config` section — comparing runs with different
-//! workloads is meaningless, so a mismatch fails the diff outright.
+//! workloads is meaningless, so a mismatch fails the diff outright. A
+//! side that is not a manifest at all — not an object, or no `results`
+//! object holding a numeric metric — is an error rather than a diff, so
+//! two empty documents cannot pass vacuously.
 
 use serde::Value;
 
@@ -226,21 +229,38 @@ fn numeric_leaves(v: &Value, prefix: &str, out: &mut Vec<(String, f64)>) {
     }
 }
 
+/// The numeric metrics under `manifest`'s `results` object; `side`
+/// names the manifest in the error.
+fn metrics_of(manifest: &Value, side: &str) -> Result<Vec<(String, f64)>, String> {
+    let results = match get(manifest, "results") {
+        Some(r @ Value::Object(_)) => r,
+        Some(_) => return Err(format!("{side}: `results` is not an object")),
+        None => return Err(format!("{side}: not a manifest object with `results`")),
+    };
+    let mut metrics = Vec::new();
+    numeric_leaves(results, "", &mut metrics);
+    if metrics.is_empty() {
+        return Err(format!("{side}: `results` holds no numeric metric"));
+    }
+    Ok(metrics)
+}
+
 /// Compares two run manifests. Both values are full manifest documents
 /// (as written by [`scenerec_obs::RunManifest::write_json`]); metrics are
 /// taken from their `results` sections, and the `config` sections must
 /// be identical.
-pub fn diff_manifests(baseline: &Value, candidate: &Value, tolerance: f64) -> DiffReport {
+///
+/// # Errors
+/// When either side is not an object whose `results` object holds at
+/// least one numeric metric; the message names the side.
+pub fn diff_manifests(
+    baseline: &Value,
+    candidate: &Value,
+    tolerance: f64,
+) -> Result<DiffReport, String> {
+    let base_metrics = metrics_of(baseline, "baseline")?;
+    let cand_metrics = metrics_of(candidate, "candidate")?;
     let config_mismatch = get(baseline, "config") != get(candidate, "config");
-
-    let mut base_metrics = Vec::new();
-    if let Some(r) = get(baseline, "results") {
-        numeric_leaves(r, "", &mut base_metrics);
-    }
-    let mut cand_metrics = Vec::new();
-    if let Some(r) = get(candidate, "results") {
-        numeric_leaves(r, "", &mut cand_metrics);
-    }
     let cand_lookup: std::collections::BTreeMap<&str, f64> =
         cand_metrics.iter().map(|(p, v)| (p.as_str(), *v)).collect();
     let base_paths: std::collections::BTreeSet<&str> =
@@ -308,11 +328,11 @@ pub fn diff_manifests(baseline: &Value, candidate: &Value, tolerance: f64) -> Di
         }
     }
 
-    DiffReport {
+    Ok(DiffReport {
         tolerance,
         deltas,
         config_mismatch,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -355,7 +375,7 @@ mod tests {
     #[test]
     fn identical_manifests_pass() {
         let m = manifest(1000.0, 1.0e6);
-        let report = diff_manifests(&m, &m, DEFAULT_TOLERANCE);
+        let report = diff_manifests(&m, &m, DEFAULT_TOLERANCE).unwrap();
         assert!(report.passed(), "{}", report.render_text());
         assert!(report.deltas.iter().all(|d| d.status != DeltaStatus::New));
     }
@@ -365,7 +385,7 @@ mod tests {
         let base = manifest(1000.0, 1.0e6);
         // 25 % slower per request: lower-is-better regression.
         let slow = manifest(1250.0, 1.0e6);
-        let report = diff_manifests(&base, &slow, DEFAULT_TOLERANCE);
+        let report = diff_manifests(&base, &slow, DEFAULT_TOLERANCE).unwrap();
         assert!(!report.passed());
         assert!(report
             .deltas
@@ -373,14 +393,16 @@ mod tests {
             .any(|d| d.path == "per_request_ns" && d.status == DeltaStatus::Regressed));
         // 25 % lower throughput: higher-is-better regression.
         let starved = manifest(1000.0, 0.75e6);
-        assert!(!diff_manifests(&base, &starved, DEFAULT_TOLERANCE).passed());
+        assert!(!diff_manifests(&base, &starved, DEFAULT_TOLERANCE)
+            .unwrap()
+            .passed());
     }
 
     #[test]
     fn improvement_beyond_tolerance_still_passes() {
         let base = manifest(1000.0, 1.0e6);
         let fast = manifest(500.0, 2.0e6);
-        let report = diff_manifests(&base, &fast, DEFAULT_TOLERANCE);
+        let report = diff_manifests(&base, &fast, DEFAULT_TOLERANCE).unwrap();
         assert!(report.passed(), "{}", report.render_text());
         assert_eq!(
             report
@@ -396,7 +418,7 @@ mod tests {
     fn drift_within_tolerance_is_ok() {
         let base = manifest(1000.0, 1.0e6);
         let near = manifest(1100.0, 0.9e6); // ±10 % at ±20 % tolerance
-        let report = diff_manifests(&base, &near, DEFAULT_TOLERANCE);
+        let report = diff_manifests(&base, &near, DEFAULT_TOLERANCE).unwrap();
         assert!(report.passed());
         assert!(report
             .deltas
@@ -414,7 +436,7 @@ mod tests {
             }"#,
         )
         .unwrap();
-        let report = diff_manifests(&base, &renamed, DEFAULT_TOLERANCE);
+        let report = diff_manifests(&base, &renamed, DEFAULT_TOLERANCE).unwrap();
         assert!(!report.passed());
         assert!(report
             .deltas
@@ -437,7 +459,7 @@ mod tests {
                 }
             }
         }
-        let report = diff_manifests(&base, &other, DEFAULT_TOLERANCE);
+        let report = diff_manifests(&base, &other, DEFAULT_TOLERANCE).unwrap();
         assert!(report.config_mismatch);
         assert!(!report.passed());
     }
@@ -459,7 +481,7 @@ mod tests {
                 }
             }
         }
-        let report = diff_manifests(&base, &other, DEFAULT_TOLERANCE);
+        let report = diff_manifests(&base, &other, DEFAULT_TOLERANCE).unwrap();
         assert!(report.passed(), "request counts are informational");
     }
 
@@ -469,7 +491,8 @@ mod tests {
             &manifest(1000.0, 1.0e6),
             &manifest(5000.0, 1.0e6),
             DEFAULT_TOLERANCE,
-        );
+        )
+        .unwrap();
         let v = report.to_value();
         let json = serde_json::to_string(&v).unwrap();
         assert!(json.contains("\"passed\":false"));

@@ -1,13 +1,13 @@
 //! Shared manifest plumbing for the experiment binaries.
 //!
 //! Every binary finishes by writing a [`RunManifest`] — configuration,
-//! git revision, wall-time phase breakdown, metrics registry and the
-//! final results payload — under `results/` (or next to `--out` when
-//! one was given), so any printed table can be traced back to the run
-//! that produced it.
+//! git revision, metrics registry and the final results payload, whose
+//! per-model `phases` hold each training's wall-time breakdown — under
+//! `results/` (or next to `--out` when one was given), so any printed
+//! table can be traced back to the run that produced it.
 
 use crate::harness::HarnessConfig;
-use scenerec_obs::{obs_event, Level, RunManifest};
+use scenerec_obs::RunManifest;
 use serde::Serialize;
 use std::path::PathBuf;
 
@@ -20,7 +20,7 @@ pub fn manifest_for(binary: &str, hc: &HarnessConfig) -> RunManifest {
         .with_scale(format!("{:?}", hc.scale).to_ascii_lowercase())
 }
 
-/// Attaches `results`, captures the telemetry registries, and writes the
+/// Attaches `results`, snapshots the metrics registry, and writes the
 /// manifest: as `<out>`'s sibling `<stem>.manifest.json` when `--out` was
 /// given, else `results/<binary>.manifest.json`. Returns the path.
 ///
@@ -29,8 +29,8 @@ pub fn manifest_for(binary: &str, hc: &HarnessConfig) -> RunManifest {
 /// provenance record is treated as failed).
 pub fn write_manifest<T: Serialize>(m: RunManifest, results: &T, out: Option<&str>) -> PathBuf {
     let binary = m.binary.clone();
-    let m = m.with_results(results).capture_telemetry();
-    let path = match out {
+    let m = m.with_results(results).capture_telemetry(&[]);
+    match out {
         Some(out) => m
             .write_next_to(out)
             .unwrap_or_else(|e| panic!("write manifest next to {out}: {e}")),
@@ -40,13 +40,7 @@ pub fn write_manifest<T: Serialize>(m: RunManifest, results: &T, out: Option<&st
                 .unwrap_or_else(|e| panic!("write manifest {}: {e}", p.display()));
             p
         }
-    };
-    obs_event!(
-        Level::Info, "bench", "manifest";
-        "binary" => binary,
-        "path" => path.display().to_string(),
-    );
-    path
+    }
 }
 
 #[cfg(test)]

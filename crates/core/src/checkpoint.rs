@@ -1052,6 +1052,23 @@ mod tests {
         }
     }
 
+    /// A `config` section of 100 000 nested arrays, framed with valid
+    /// CRCs. A parser that recursed once per level without a bound would
+    /// overflow the stack and abort the process; the load must fail with
+    /// a typed error instead.
+    #[test]
+    fn deeply_nested_config_is_malformed_not_an_abort() {
+        let depth = 100_000;
+        let out = load_with_edited_config("deep_config.sck", |_| {
+            format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+        });
+        match out {
+            Err(CheckpointError::Malformed(e)) => assert!(e.contains("config"), "{e}"),
+            Err(other) => panic!("expected Malformed, got {other}"),
+            Ok(_) => panic!("a 100 000-deep config loaded"),
+        }
+    }
+
     /// A writer that frames correctly but stores a `params` matrix one
     /// element short of rows × cols: the CRCs all match, so only the
     /// payload check can catch it. Loading must return a typed error,

@@ -23,12 +23,11 @@ use scenerec_data::Dataset;
 use scenerec_eval::{evaluate, EvalSummary};
 use scenerec_faults::Injector;
 use scenerec_graph::{ItemId, UserId};
-use scenerec_obs::{obs_event, FieldValue, Level, Stopwatch, Trace, TraceData};
+use scenerec_obs::{FieldValue, Stopwatch, Trace, TraceData};
 use scenerec_tensor::stats::RunningStats;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Optimizer selection for training runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -119,8 +118,8 @@ pub struct EpochRecord {
 /// Where a training run's wall time went, summed over all epochs.
 ///
 /// Lives on [`TrainReport`] (not [`EpochRecord`]) so per-epoch records
-/// stay bit-identical across same-seed runs; per-epoch timings are
-/// emitted as structured `trainer` events instead.
+/// stay bit-identical across same-seed runs; per-epoch timings are the
+/// phase spans of a traced run ([`train_traced`]) instead.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseBreakdown {
     /// Negative rejection-sampling (plus epoch shuffling).
@@ -306,14 +305,6 @@ pub fn train_with_optimizer_traced<M: PairwiseModel + Sync>(
     };
     let mut bad_evals = 0usize;
 
-    // Epoch progress is Info when the caller asked for verbosity and
-    // Debug otherwise, so the default stderr logger reproduces the old
-    // `cfg.verbose` behaviour while JSONL/memory sinks see every epoch.
-    let epoch_level = if cfg.verbose {
-        Level::Info
-    } else {
-        Level::Debug
-    };
     for epoch in 0..cfg.epochs {
         let epoch_span = trace.as_deref_mut().map(|t| {
             let s = t.start_span("trainer.epoch");
@@ -363,7 +354,7 @@ pub fn train_with_optimizer_traced<M: PairwiseModel + Sync>(
             t.add_field(s, "mean_loss", FieldValue::Float(record.mean_loss as f64));
             t.end_span(s);
         }
-        runner.record_epoch(model.name(), epoch_level, &record, &phases);
+        runner.record_epoch(model.name(), cfg.verbose, &record);
         report.phases.add(&phases);
         report.epochs.push(record);
 
@@ -550,32 +541,23 @@ impl EpochRunner {
         (loss_stats.mean(), phases)
     }
 
-    /// Folds one finished epoch into the obs registries and emits its
-    /// `trainer`/`epoch` event.
-    fn record_epoch(
-        &self,
-        model: &str,
-        level: Level,
-        record: &EpochRecord,
-        phases: &PhaseBreakdown,
-    ) {
-        record_epoch_telemetry(model, record, phases, self.pairs.len());
-        obs_event!(
-            level, "trainer", "epoch";
-            "model" => model,
-            "epoch" => record.epoch,
-            "mean_loss" => record.mean_loss as f64,
-            "val_ndcg" => opt_metric(record.val_ndcg),
-            "val_hr" => opt_metric(record.val_hr),
-            "sample_ns" => phases.sample_ns,
-            "forward_ns" => phases.forward_ns,
-            "backward_ns" => phases.backward_ns,
-            "step_ns" => phases.step_ns,
-            "eval_ns" => phases.eval_ns,
-            "fanout_ns" => phases.fanout_ns,
-            "reduce_ns" => phases.reduce_ns,
-            "workers" => self.workers,
-        );
+    /// Folds one finished epoch into the metrics registry and, when
+    /// `verbose`, prints its progress line to stderr.
+    fn record_epoch(&self, model: &str, verbose: bool, record: &EpochRecord) {
+        scenerec_obs::metrics::counter("train/epochs").inc();
+        scenerec_obs::metrics::counter("train/triples").add(self.pairs.len() as u64);
+        scenerec_obs::metrics::gauge(&format!("train/{model}/last_loss"))
+            .set(record.mean_loss as f64);
+        if verbose {
+            let val = match (record.val_ndcg, record.val_hr) {
+                (Some(ndcg), Some(hr)) => format!(", val_ndcg {ndcg:.4}, val_hr {hr:.4}"),
+                _ => String::new(),
+            };
+            eprintln!(
+                "[trainer] {model} epoch {}: mean_loss {:.6}{val}",
+                record.epoch, record.mean_loss
+            );
+        }
     }
 }
 
@@ -746,10 +728,9 @@ pub fn train_resumable(
             state = ts;
         }
         scenerec_obs::metrics::counter("train/resumes").inc();
-        obs_event!(
-            Level::Info, "trainer", "resumed";
-            "checkpoint_epoch" => epoch,
-            "next_epoch" => state.next_epoch,
+        eprintln!(
+            "[trainer] resumed from the epoch-{epoch} checkpoint; next epoch {}",
+            state.next_epoch
         );
     }
 
@@ -767,11 +748,6 @@ pub fn train_resumable(
     }
 
     let mut runner = EpochRunner::new(model, data, cfg);
-    let epoch_level = if cfg.verbose {
-        Level::Info
-    } else {
-        Level::Debug
-    };
 
     for epoch in start_epoch..cfg.epochs {
         // A fresh, epoch-indexed rng over the pairs in split order: resume
@@ -803,7 +779,7 @@ pub fn train_resumable(
             }
         }
 
-        runner.record_epoch(model.name(), epoch_level, &record, &phases);
+        runner.record_epoch(model.name(), cfg.verbose, &record);
         report.phases.add(&phases);
         report.epochs.push(record);
 
@@ -824,11 +800,7 @@ pub fn train_resumable(
             let os = opt.export_state();
             if let Err(e) = store.save(model, Some(&os), Some(&tstate), epoch + 1, injector) {
                 scenerec_obs::metrics::counter("train/checkpoint_failures").inc();
-                obs_event!(
-                    Level::Warn, "trainer", "checkpoint save failed";
-                    "epoch" => epoch,
-                    "error" => e.to_string(),
-                );
+                eprintln!("[trainer] warning: checkpoint save after epoch {epoch} failed: {e}");
             }
         }
 
@@ -840,38 +812,6 @@ pub fn train_resumable(
         }
     }
     Ok(report)
-}
-
-fn opt_metric(v: Option<f32>) -> FieldValue {
-    match v {
-        Some(x) => FieldValue::Float(x as f64),
-        None => FieldValue::Null,
-    }
-}
-
-/// Folds one epoch's telemetry into the global obs registries.
-fn record_epoch_telemetry(
-    model: &str,
-    record: &EpochRecord,
-    phases: &PhaseBreakdown,
-    triples: usize,
-) {
-    for (phase, ns) in [
-        ("train/sample", phases.sample_ns),
-        ("train/forward", phases.forward_ns),
-        ("train/backward", phases.backward_ns),
-        ("train/step", phases.step_ns),
-        ("train/eval", phases.eval_ns),
-        ("train/fanout", phases.fanout_ns),
-        ("train/reduce", phases.reduce_ns),
-    ] {
-        if ns > 0 {
-            scenerec_obs::record_duration(phase, Duration::from_nanos(ns));
-        }
-    }
-    scenerec_obs::metrics::counter("train/epochs").inc();
-    scenerec_obs::metrics::counter("train/triples").add(triples as u64);
-    scenerec_obs::metrics::gauge(&format!("train/{model}/last_loss")).set(record.mean_loss as f64);
 }
 
 /// Evaluates `model` on the validation split.
@@ -1063,52 +1003,48 @@ mod tests {
     }
 
     #[test]
-    fn one_epoch_event_per_epoch() {
+    fn one_epoch_span_per_epoch() {
         let data = generate(&GeneratorConfig::tiny(37)).unwrap();
         let mut model = SceneRec::new(SceneRecConfig::default().with_dim(4).with_seed(7), &data);
         let mut cfg = quick_cfg();
         cfg.epochs = 3;
         cfg.eval_every = 0;
 
-        let sink = std::sync::Arc::new(scenerec_obs::MemorySink::new());
-        let handle = scenerec_obs::add_sink(sink.clone());
-        let report = train(&mut model, &data, &cfg);
-        scenerec_obs::remove_sink(handle);
+        let (report, trace) = train_traced(&mut model, &data, &cfg);
 
-        // Tests run in parallel in one process and the sink registry is
-        // global, so only count events from this thread.
-        let epochs: Vec<_> = sink
-            .events_for_current_thread()
-            .into_iter()
-            .filter(|e| e.target == "trainer" && e.message == "epoch")
+        let epochs: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "trainer.epoch")
             .collect();
-        assert_eq!(epochs.len(), 3, "one trainer epoch event per epoch");
+        assert_eq!(epochs.len(), 3, "one trainer.epoch span per epoch");
         for (i, e) in epochs.iter().enumerate() {
-            assert_eq!(
-                e.field("epoch"),
-                Some(&scenerec_obs::FieldValue::Int(i as i64))
-            );
+            assert_eq!(e.field("epoch"), Some(&FieldValue::Int(i as i64)));
             let loss = match e.field("mean_loss") {
-                Some(scenerec_obs::FieldValue::Float(f)) => *f as f32,
+                Some(FieldValue::Float(f)) => *f as f32,
                 other => panic!("mean_loss missing or mistyped: {other:?}"),
             };
-            assert!((loss - report.epochs[i].mean_loss).abs() < 1e-6);
-            // The wall-time breakdown rides on every epoch event.
-            for key in [
-                "sample_ns",
-                "forward_ns",
-                "backward_ns",
-                "step_ns",
-                "eval_ns",
-                "fanout_ns",
-                "reduce_ns",
-                "workers",
-            ] {
-                assert!(e.field(key).is_some(), "missing {key}");
-            }
-            // quick_cfg trains with 2 workers; the count rides on the event.
-            assert_eq!(e.field("workers"), Some(&scenerec_obs::FieldValue::Int(2)));
+            assert_eq!(loss, report.epochs[i].mean_loss);
+            // The wall-time breakdown rides on six phase spans per epoch,
+            // and no validation ran, so none of them is `trainer.eval`.
+            let phases: Vec<&str> = trace
+                .children(e.id)
+                .iter()
+                .map(|s| s.name.as_str())
+                .collect();
+            assert_eq!(
+                phases,
+                vec![
+                    "trainer.sample",
+                    "trainer.fanout",
+                    "trainer.forward",
+                    "trainer.backward",
+                    "trainer.reduce",
+                    "trainer.step",
+                ]
+            );
         }
+        assert!(trace.span_named("trainer.eval").is_none());
         // No validation ran, so eval time must be zero and the training
         // phases non-trivial.
         assert_eq!(report.phases.eval_ns, 0);

@@ -24,7 +24,6 @@ use rand::{Rng, SeedableRng};
 use scenerec_graph::{
     BipartiteGraphBuilder, CategoryId, GraphError, ItemId, SceneGraphBuilder, SceneId, UserId,
 };
-use scenerec_obs::{obs_event, Level, Stopwatch};
 use std::collections::{BTreeMap, HashSet};
 
 /// Generates a complete dataset from the configuration.
@@ -44,10 +43,8 @@ use std::collections::{BTreeMap, HashSet};
 /// propagates (should-not-happen) graph-validation failures.
 pub fn generate(cfg: &GeneratorConfig) -> Result<Dataset, String> {
     cfg.validate()?;
-    let total = Stopwatch::start();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
-    let phase = scenerec_obs::span("generate/taxonomy");
     let taxonomy = Taxonomy::generate(cfg, &mut rng);
 
     // Per-category popularity samplers (Zipf within category order).
@@ -67,7 +64,6 @@ pub fn generate(cfg: &GeneratorConfig) -> Result<Dataset, String> {
     );
 
     // ---- user profiles ---------------------------------------------------
-    let phase = phase.next("generate/profiles");
     let all_scenes: Vec<u32> = (0..cfg.num_scenes).collect();
     let all_categories: Vec<u32> = (0..cfg.num_categories).collect();
     let mut user_scenes = Vec::with_capacity(cfg.num_users as usize);
@@ -108,7 +104,6 @@ pub fn generate(cfg: &GeneratorConfig) -> Result<Dataset, String> {
     };
 
     // Ordered click sequences (order matters for session construction).
-    let phase = phase.next("generate/clicks");
     let mut user_clicks: Vec<Vec<u32>> = Vec::with_capacity(cfg.num_users as usize);
     for u in 0..cfg.num_users as usize {
         let n = rng.gen_range(cfg.interactions_min..=cfg.interactions_max) as usize;
@@ -128,7 +123,6 @@ pub fn generate(cfg: &GeneratorConfig) -> Result<Dataset, String> {
     }
 
     // ---- sessions & co-view counts ----------------------------------------
-    let phase = phase.next("generate/sessions");
     // BTreeMaps, not HashMaps: these are iterated below to build the
     // item-item and category-category layers, and that traversal order
     // must be identical across process runs (lint rule D1).
@@ -176,7 +170,6 @@ pub fn generate(cfg: &GeneratorConfig) -> Result<Dataset, String> {
     }
 
     // ---- scene-based graph -------------------------------------------------
-    let phase = phase.next("generate/graphs");
     let mut sb = SceneGraphBuilder::new(cfg.num_items, cfg.num_categories, cfg.num_scenes);
     for i in 0..cfg.num_items {
         sb.set_category(ItemId(i), CategoryId(taxonomy.item_category[i as usize]));
@@ -213,7 +206,6 @@ pub fn generate(cfg: &GeneratorConfig) -> Result<Dataset, String> {
     }
     let interactions = fb.build().map_err(|e| e.to_string())?;
 
-    let phase = phase.next("generate/split");
     let split = LeaveOneOutSplit::build(&user_clicks, cfg.num_items, cfg.eval_negatives, &mut rng);
 
     let mut tb = BipartiteGraphBuilder::new(cfg.num_users, cfg.num_items);
@@ -221,17 +213,6 @@ pub fn generate(cfg: &GeneratorConfig) -> Result<Dataset, String> {
         tb.interact(u, i);
     }
     let train_graph = tb.build().map_err(|e| e.to_string())?;
-    drop(phase);
-
-    obs_event!(
-        Level::Debug, "data", "generate";
-        "name" => cfg.name.as_str(),
-        "seed" => cfg.seed,
-        "users" => cfg.num_users,
-        "items" => cfg.num_items,
-        "interactions" => interactions.num_interactions() as u64,
-        "seconds" => total.elapsed_seconds(),
-    );
 
     Ok(Dataset {
         name: cfg.name.clone(),

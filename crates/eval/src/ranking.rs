@@ -3,7 +3,7 @@
 use crate::metrics::{rank_of_positive, MetricSet};
 use scenerec_data::EvalInstance;
 use scenerec_graph::{ItemId, UserId};
-use scenerec_obs::{obs_event, Level, Stopwatch};
+use scenerec_obs::Stopwatch;
 use serde::{Deserialize, Serialize};
 
 /// Bucket edges (microseconds) of the per-user ranking latency
@@ -140,10 +140,8 @@ fn timed_rank_one(
     rank
 }
 
-/// Folds one evaluation pass into the obs registries and emits a Debug
-/// event (evaluation runs once per training epoch — keep stderr quiet).
+/// Folds one evaluation pass into the metrics registry.
 fn report_evaluation(summary: &EvalSummary, elapsed: std::time::Duration) {
-    scenerec_obs::record_duration("eval/evaluate", elapsed);
     scenerec_obs::metrics::counter("eval/instances").add(summary.num_instances as u64);
     let secs = elapsed.as_secs_f64();
     let throughput = if secs > 0.0 {
@@ -152,15 +150,6 @@ fn report_evaluation(summary: &EvalSummary, elapsed: std::time::Duration) {
         0.0
     };
     scenerec_obs::metrics::gauge("eval/users_per_sec").set(throughput);
-    obs_event!(
-        Level::Debug, "eval", "evaluate";
-        "instances" => summary.num_instances as u64,
-        "seconds" => secs,
-        "users_per_sec" => throughput,
-        "ndcg" => summary.metrics.ndcg as f64,
-        "hr" => summary.metrics.hr as f64,
-        "mrr" => summary.metrics.mrr as f64,
-    );
 }
 
 #[cfg(test)]

@@ -74,8 +74,8 @@ impl Default for Config {
                 "core",
                 "baselines",
                 // obs is covered too since v2: its only sanctioned clock
-                // shims (`span.rs`, `event.rs`) carry lint.toml allows,
-                // so any *new* ad-hoc clock in obs is flagged.
+                // file (`clock.rs`) carries a lint.toml allow, so any
+                // *new* ad-hoc clock in obs is flagged.
                 "obs",
             ]),
             r1_exempt_crates: set(&["bench"]),

@@ -473,12 +473,12 @@ mod tests {
     fn allowed_clock_shim_does_not_taint() {
         let mut cfg = Config::default();
         cfg.allow
-            .entry("crates/obs/src/span.rs".to_string())
+            .entry("crates/obs/src/clock.rs".to_string())
             .or_default()
             .insert("D3".to_string());
         let files = vec![
             (
-                "crates/obs/src/span.rs".to_string(),
+                "crates/obs/src/clock.rs".to_string(),
                 "pub fn monotonic() -> u64 { let _ = std::time::Instant::now(); 0 }".to_string(),
             ),
             (

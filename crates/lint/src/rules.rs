@@ -513,8 +513,8 @@ fn rule_d3(toks: &[Tok], ctx: &FileCtx, out: &mut Vec<Violation>) {
                 toks[i].line,
                 "D3",
                 format!(
-                    "`{ty}::now()` in model/data code; use `scenerec_obs::span` or \
-                     `scenerec_obs::Stopwatch` so timing stays in the obs layer"
+                    "`{ty}::now()` in model/data code; use a `scenerec_obs::trace` span \
+                     or `scenerec_obs::Stopwatch` so timing stays in the obs layer"
                 ),
             );
         }
@@ -804,7 +804,7 @@ fn f(m: &HashMap<u32, u32>) { for (k, _) in m { let _ = k; } }
         let src = "fn f() { let t = std::time::Instant::now(); let _ = t; }";
         assert_eq!(check("crates/core/src/x.rs", src).len(), 1);
         // Since obs v2 the rule covers obs too: only its allowlisted
-        // clock shims (span.rs, event.rs via lint.toml) may call `now`.
+        // clock file (clock.rs via lint.toml) may call `now`.
         assert_eq!(check("crates/obs/src/x.rs", src).len(), 1);
         assert!(check("crates/bench/src/x.rs", src).is_empty());
     }

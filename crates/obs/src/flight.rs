@@ -6,14 +6,14 @@
 //! the oldest entry is overwritten. Rings are held alive by the global
 //! registry (`Arc`), so a panicked worker's last events survive the
 //! thread and show up in [`snapshot`] / [`dump_string`] — the serve
-//! supervisor dumps them into the event stream when it reaps a dead
-//! worker, and the fault injector records every fired fault here.
+//! supervisor prints the dump to stderr when it reaps a dead worker,
+//! and the fault injector records every fired fault here.
 //!
 //! Recording takes one global atomic for the cross-thread sequence
 //! number plus one short per-ring mutex (uncontended: each thread
 //! writes only its own ring).
 
-use crate::span::monotonic_ns;
+use crate::clock::monotonic_ns;
 use crate::sync::lock_unpoisoned;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -166,8 +166,8 @@ pub fn drain() -> Vec<ThreadFlight> {
 }
 
 /// Renders every recorded event, all threads merged and sorted by the
-/// global sequence number — the "black box" text a supervisor attaches
-/// to a worker-panic event.
+/// global sequence number — the "black box" text a supervisor prints
+/// when it reaps a panicked worker.
 pub fn dump_string() -> String {
     let mut all: Vec<(String, FlightEvent)> = snapshot()
         .into_iter()

@@ -1,108 +1,53 @@
 //! # scenerec-obs
 //!
-//! The observability substrate for the SceneRec workspace: lightweight
-//! scoped timers, a process-wide metrics registry, pluggable event sinks
-//! and machine-readable run manifests. Every training/eval/bench hot
-//! path reports through this crate, so perf PRs can claim measured wins
-//! and every `results/*` file is traceable to the run that produced it.
+//! The observability substrate for the SceneRec workspace: span trees
+//! that time everything, a process-wide metrics registry, a flight
+//! recorder for post-mortems and machine-readable run manifests. Every
+//! training/eval/bench hot path reports through this crate, so perf PRs
+//! can claim measured wins and every `results/*` file is traceable to
+//! the run that produced it.
 //!
 //! Design constraints:
 //!
 //! * **Zero heavy dependencies** — std plus the workspace serde stubs.
-//! * **Negligible hot-path overhead** — spans and events fire at epoch /
+//! * **Negligible hot-path overhead** — spans open at request, epoch and
 //!   phase granularity; per-sample costs are accumulated locally by the
-//!   caller and recorded once per epoch.
-//! * **Thread-safe** — counters/gauges/histograms are lock-free
-//!   atomics; the span registry and sink list take short mutexes.
+//!   caller with a [`Stopwatch`] and recorded once per epoch.
+//! * **Thread-safe** — counters/gauges/histograms are lock-free atomics;
+//!   a [`Trace`] is single-owner and takes no lock at all.
 //!
-//! The layers:
+//! The three records:
 //!
-//! 1. [`span`] / [`record_duration`] — wall-time per named phase,
-//!    aggregated in a global timing registry ([`timing_snapshot`]).
-//! 2. [`metrics`] — named counters, gauges and fixed-bucket histograms,
-//!    exported as Prometheus text by [`prometheus_text`].
-//! 3. [`events`](emit) — leveled structured events fanned out to sinks:
-//!    a human-readable stderr logger and a JSONL writer
-//!    ([`JsonlSink`]) for post-hoc analysis.
-//! 4. [`trace`] — request-scoped causal span trees with logical-tick
-//!    and wall timestamps, exported as Chrome trace-event JSON
-//!    ([`chrome_trace_json`]) loadable in Perfetto.
-//! 5. [`flight`] — a bounded per-thread ring-buffer flight recorder;
-//!    supervisors dump it post-mortem when a worker panics.
+//! 1. [`trace`] — causal span trees with logical-tick and wall
+//!    timestamps: one per serve request, one per training run, one per
+//!    bench set-up. They export as Chrome trace-event JSON
+//!    ([`chrome_trace_json`]) loadable in Perfetto, and aggregate per
+//!    span name into wall-time totals ([`trace::timings`]).
+//! 2. [`metrics`] — named counters, gauges and fixed-bucket histograms.
+//! 3. [`flight`] — a bounded per-thread ring-buffer flight recorder;
+//!    the serve supervisor prints its dump when a worker panics.
 //!
-//! [`RunManifest`] snapshots timings/metrics (plus git revision and
-//! [`HostInfo`]) next to a result file.
+//! [`RunManifest`] snapshots a run's span timings and the metrics
+//! registry (plus git revision and [`HostInfo`]) next to a result file.
+//! [`Stopwatch`] and [`monotonic_ns`] are the workspace's only clocks.
 
 // Library crates stay entirely safe; tensor alone carries the SIMD
 // intrinsics and documents each unsafe block (lint rule R2).
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-mod dispatch;
-mod event;
+mod clock;
 pub mod flight;
 mod manifest;
 pub mod metrics;
-pub mod prom;
-mod sink;
-mod span;
 mod sync;
 pub mod trace;
 
-pub use dispatch::{add_sink, emit, remove_sink, set_stderr_level, SinkHandle};
-pub use event::{Event, Field, FieldValue, Level};
+pub use clock::{monotonic_ns, Stopwatch};
 pub use manifest::{git_revision, HostInfo, RunManifest};
 pub use metrics::{log_edges, metrics_snapshot, reset_metrics, MetricsSnapshot};
-pub use prom::prometheus_text;
-pub use sink::{JsonlSink, MemorySink, Sink, StderrSink};
-pub use span::{
-    monotonic_ns, record_duration, reset_timings, span, timing_snapshot, PhaseTiming, SpanGuard,
-    Stopwatch,
-};
 pub use sync::lock_unpoisoned;
 pub use trace::{
-    chrome_trace_json, structure_digest, structure_text, SpanId, SpanRecord, Trace, TraceData,
-    TraceId,
+    chrome_trace_json, structure_digest, structure_text, FieldValue, SpanId, SpanRecord,
+    SpanTiming, Trace, TraceData, TraceId,
 };
-
-/// Emits a leveled event with structured fields.
-///
-/// ```
-/// use scenerec_obs::{obs_event, Level};
-/// obs_event!(Level::Debug, "demo", "starting up"; "answer" => 42, "pi" => 3.14);
-/// ```
-#[macro_export]
-macro_rules! obs_event {
-    ($level:expr, $target:expr, $msg:expr) => {
-        $crate::emit($level, $target, $msg, Vec::new())
-    };
-    ($level:expr, $target:expr, $msg:expr; $($key:expr => $val:expr),+ $(,)?) => {
-        $crate::emit(
-            $level,
-            $target,
-            $msg,
-            vec![$(($key.to_string(), $crate::FieldValue::from($val))),+],
-        )
-    };
-}
-
-/// Opens a scoped wall-time span; the elapsed time is recorded into the
-/// global timing registry when the guard drops.
-///
-/// ```
-/// use scenerec_obs::obs_span;
-/// {
-///     let _g = obs_span!("epoch");
-///     // ... timed work ...
-/// }
-/// assert!(scenerec_obs::timing_snapshot().iter().any(|t| t.name == "epoch"));
-/// ```
-#[macro_export]
-macro_rules! obs_span {
-    ($name:expr) => {
-        $crate::span($name)
-    };
-    ($fmt:expr, $($arg:tt)+) => {
-        $crate::span(format!($fmt, $($arg)+))
-    };
-}

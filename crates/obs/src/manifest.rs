@@ -1,9 +1,9 @@
 //! Run manifests: one JSON file per run, written next to the result
 //! file, capturing enough provenance to reproduce or audit the run.
 
-use crate::event::unix_ms;
+use crate::clock::unix_ms;
 use crate::metrics::metrics_snapshot;
-use crate::span::{timing_snapshot, PhaseTiming};
+use crate::trace::{timings, SpanTiming, TraceData};
 use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 /// Hardware/OS provenance for a run: bench JSONs are only comparable
 /// between machines with the same architecture, SIMD features and
 /// parallelism, so `bench-diff` consumers need this recorded.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HostInfo {
     /// Target architecture (e.g. `x86_64`).
     pub arch: String,
@@ -34,24 +34,6 @@ impl HostInfo {
                 .unwrap_or(1),
             cpu_features: detect_cpu_features(),
         }
-    }
-
-    /// Serializes to a serde value.
-    pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("arch".to_string(), Value::Str(self.arch.clone())),
-            ("os".to_string(), Value::Str(self.os.clone())),
-            ("threads".to_string(), Value::Int(self.threads as i64)),
-            (
-                "cpu_features".to_string(),
-                Value::Array(
-                    self.cpu_features
-                        .iter()
-                        .map(|f| Value::Str(f.clone()))
-                        .collect(),
-                ),
-            ),
-        ])
     }
 }
 
@@ -83,8 +65,9 @@ fn detect_cpu_features() -> Vec<String> {
 /// Build one with [`RunManifest::new`], fill in the run parameters,
 /// then call [`capture_telemetry`](RunManifest::capture_telemetry) and
 /// [`write_next_to`](RunManifest::write_next_to) (or
-/// [`write_json`](RunManifest::write_json)) at the end of the run.
-#[derive(Debug, Clone)]
+/// [`write_json`](RunManifest::write_json)) at the end of the run. It
+/// serializes field by field, in declaration order.
+#[derive(Debug, Clone, Serialize)]
 pub struct RunManifest {
     /// Name of the producing binary (e.g. `"table2"`).
     pub binary: String,
@@ -107,8 +90,9 @@ pub struct RunManifest {
     pub kernel_backend: Option<String>,
     /// Full run configuration, serialized.
     pub config: Value,
-    /// Aggregated wall-time per phase, from the timing registry.
-    pub timings: Vec<PhaseTiming>,
+    /// Wall time per span name over the run's traces
+    /// ([`timings`](crate::trace::timings)), sorted by name.
+    pub timings: Vec<SpanTiming>,
     /// Metrics registry snapshot, serialized.
     pub metrics: Value,
     /// Final results payload (tables, per-model metrics, ...).
@@ -172,46 +156,13 @@ impl RunManifest {
         self
     }
 
-    /// Copies the current timing and metrics registries into the
-    /// manifest. Call once, at the end of the run.
-    pub fn capture_telemetry(mut self) -> Self {
-        self.timings = timing_snapshot();
+    /// Records the wall time of the run's `traces`, aggregated per span
+    /// name, and snapshots the metrics registry. Call once, at the end
+    /// of the run; a run that traced nothing passes `&[]`.
+    pub fn capture_telemetry(mut self, traces: &[TraceData]) -> Self {
+        self.timings = timings(traces);
         self.metrics = metrics_snapshot().to_value();
         self
-    }
-
-    /// Serializes the manifest to a serde value.
-    pub fn to_value(&self) -> Value {
-        let opt_str = |s: &Option<String>| match s {
-            Some(s) => Value::Str(s.clone()),
-            None => Value::Null,
-        };
-        Value::Object(vec![
-            ("binary".to_string(), Value::Str(self.binary.clone())),
-            (
-                "created_unix_ms".to_string(),
-                Value::Int(self.created_unix_ms as i64),
-            ),
-            ("git_rev".to_string(), opt_str(&self.git_rev)),
-            ("host".to_string(), self.host.to_value()),
-            (
-                "seed".to_string(),
-                match self.seed {
-                    Some(s) => Value::Int(s as i64),
-                    None => Value::Null,
-                },
-            ),
-            ("scale".to_string(), opt_str(&self.scale)),
-            (
-                "models".to_string(),
-                Value::Array(self.models.iter().map(|m| Value::Str(m.clone())).collect()),
-            ),
-            ("kernel_backend".to_string(), opt_str(&self.kernel_backend)),
-            ("config".to_string(), self.config.clone()),
-            ("timings".to_string(), self.timings.to_value()),
-            ("metrics".to_string(), self.metrics.clone()),
-            ("results".to_string(), self.results.clone()),
-        ])
     }
 
     /// Pretty-printed JSON form.
@@ -275,12 +226,13 @@ pub fn git_revision() -> Option<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::record_duration;
-    use std::time::Duration;
+    use crate::trace::Trace;
 
     #[test]
     fn manifest_serializes_all_sections() {
-        record_duration("manifest-test/phase", Duration::from_millis(5));
+        let mut trace = Trace::new(0);
+        let phase = trace.start_span("manifest_test.phase");
+        trace.end_span(phase);
         crate::metrics::counter("manifest-test/count").add(3);
         let m = RunManifest::new("unit-test")
             .with_seed(42)
@@ -289,14 +241,15 @@ mod tests {
             .with_kernel_backend("avx2")
             .with_config(&vec![1u32, 2, 3])
             .with_results(&vec![0.5f64])
-            .capture_telemetry();
+            .capture_telemetry(&[trace.finish()]);
         let json = m.to_json();
         for needle in [
             "\"binary\": \"unit-test\"",
             "\"seed\": 42",
             "\"scale\": \"laptop\"",
             "\"scenerec\"",
-            "manifest-test/phase",
+            "\"name\": \"manifest_test.phase\"",
+            "\"self_ns\"",
             "manifest-test/count",
             "\"timings\"",
             "\"metrics\"",

@@ -3,11 +3,11 @@
 use std::sync::{Mutex, MutexGuard};
 
 /// Locks `m`, recovering the guard when a panicking thread poisoned the
-/// mutex. Shared mutable state in this workspace (sink tables, metric
-/// registries, serve queues, fault counters) is always updated with
-/// simple insert/replace writes that cannot be left half-modified, so
-/// poison recovery is safe — and observability/serving must never abort
-/// the program they support.
+/// mutex. Shared mutable state in this workspace (flight-recorder
+/// rings, metric registries, serve queues, fault counters) is always
+/// updated with simple insert/replace writes that cannot be left
+/// half-modified, so poison recovery is safe — and observability/serving
+/// must never abort the program they support.
 ///
 /// This is *the* canonical helper: the lint pass treats a call to
 /// `lock_unpoisoned` as a lock acquisition of the lock named by its

@@ -11,18 +11,24 @@
 //!   bit-identical across worker counts and machines. Determinism tests
 //!   compare [`structure_text`] / [`structure_digest`] over these.
 //! * `start_ns`/`end_ns` — wall nanoseconds from
-//!   [`crate::span::monotonic_ns`] (one process-wide
+//!   [`crate::monotonic_ns`] (one process-wide
 //!   monotonic epoch), for humans. These feed the Chrome trace-event
-//!   export ([`chrome_trace_json`]) and are *excluded* from the
-//!   structure digest.
+//!   export ([`chrome_trace_json`]) and the per-name wall-time
+//!   aggregates ([`timings`]) that run manifests record, and are
+//!   *excluded* from the structure digest.
 //!
 //! A `Trace` is single-owner and `&mut`-threaded through the code path
 //! it observes (the serve scheduler moves it worker→worker alongside
 //! the request slot); there is no global collector and no locking on
 //! the hot path.
 
-use crate::span::monotonic_ns;
+use crate::clock::monotonic_ns;
 use serde::Value;
+use std::collections::BTreeMap;
+
+/// A span field's value: the serde value tree, so fields land in the
+/// Chrome export's `args` without conversion.
+pub type FieldValue = Value;
 
 /// Identifier of one trace (one request). The serve scheduler uses the
 /// request's replay index, so responses and traces correlate by id.
@@ -325,6 +331,81 @@ pub fn structure_digest(traces: &[TraceData]) -> u64 {
     h
 }
 
+/// Wall time of every span sharing one name, across a set of traces:
+/// one row of a run manifest's `timings`.
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+pub struct SpanTiming {
+    /// The span name.
+    pub name: String,
+    /// Number of spans with this name.
+    pub count: u64,
+    /// Sum of their wall durations, nanoseconds.
+    pub total_ns: u64,
+    /// Sum of their self times, nanoseconds: each span's duration minus
+    /// the union of its children's intervals (clipped to the span), so
+    /// children that overlap — back-dated phase spans do — count once.
+    pub self_ns: u64,
+    /// Shortest duration, nanoseconds.
+    pub min_ns: u64,
+    /// Longest duration, nanoseconds.
+    pub max_ns: u64,
+}
+
+/// Aggregates `traces` per span name — count, total, self, min and max
+/// wall time — sorted by name.
+pub fn timings(traces: &[TraceData]) -> Vec<SpanTiming> {
+    let mut by_name: BTreeMap<&str, SpanTiming> = BTreeMap::new();
+    for t in traces {
+        // Each span's children's wall intervals, clipped to the span.
+        let mut children: Vec<Vec<(u64, u64)>> = vec![Vec::new(); t.spans.len()];
+        for s in &t.spans {
+            let Some(p) = s.parent.map(|p| p as usize) else {
+                continue;
+            };
+            let Some(parent) = t.spans.get(p) else {
+                continue;
+            };
+            let (lo, hi) = (s.start_ns.max(parent.start_ns), s.end_ns.min(parent.end_ns));
+            if lo < hi {
+                children[p].push((lo, hi));
+            }
+        }
+        for (s, kids) in t.spans.iter().zip(children.iter_mut()) {
+            let dur = s.duration_ns();
+            let row = by_name.entry(&s.name).or_insert_with(|| SpanTiming {
+                name: s.name.clone(),
+                count: 0,
+                total_ns: 0,
+                self_ns: 0,
+                min_ns: u64::MAX,
+                max_ns: 0,
+            });
+            row.count += 1;
+            row.total_ns = row.total_ns.saturating_add(dur);
+            row.self_ns = row
+                .self_ns
+                .saturating_add(dur.saturating_sub(union_ns(kids)));
+            row.min_ns = row.min_ns.min(dur);
+            row.max_ns = row.max_ns.max(dur);
+        }
+    }
+    by_name.into_values().collect()
+}
+
+/// Length of the union of `intervals` (sorted in place).
+fn union_ns(intervals: &mut [(u64, u64)]) -> u64 {
+    intervals.sort_unstable();
+    let (mut total, mut covered_to) = (0u64, 0u64);
+    for &(lo, hi) in intervals.iter() {
+        let lo = lo.max(covered_to);
+        if hi > lo {
+            total += hi - lo;
+            covered_to = hi;
+        }
+    }
+    total
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,6 +520,101 @@ mod tests {
         b.start_span("serve.queue");
         let b = b.finish();
         assert_ne!(structure_digest(&[a]), structure_digest(&[b]));
+    }
+
+    /// A closed span with explicit wall times (ticks are irrelevant to
+    /// [`timings`]).
+    fn closed(id: u32, parent: Option<u32>, name: &str, start_ns: u64, end_ns: u64) -> SpanRecord {
+        SpanRecord {
+            id,
+            parent,
+            name: name.to_string(),
+            start_tick: 2 * id as u64 + 1,
+            end_tick: 2 * id as u64 + 2,
+            start_ns,
+            end_ns,
+            fields: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn timings_aggregate_count_total_min_max() {
+        // Back-dating subtracts from the monotonic clock, so let it pass
+        // the longest duration first.
+        while monotonic_ns() < 1_000 {}
+        let mut t = Trace::new(0);
+        t.record_span("test.agg", 100);
+        t.record_span("test.agg", 300);
+        let rows = timings(&[t.finish()]);
+        assert_eq!(
+            rows,
+            vec![SpanTiming {
+                name: "test.agg".to_string(),
+                count: 2,
+                total_ns: 400,
+                self_ns: 400,
+                min_ns: 100,
+                max_ns: 300,
+            }]
+        );
+    }
+
+    #[test]
+    fn timings_self_time_counts_overlapping_children_once() {
+        // Two epochs of back-dated phase spans: each phase ends when its
+        // epoch does, so fan-out, forward and backward overlap. In the
+        // second epoch backward (summed over workers) outlasts the epoch
+        // and is clipped to it.
+        let trace = TraceData {
+            trace_id: 0,
+            spans: vec![
+                closed(0, None, "trainer.train", 1_000, 4_000),
+                closed(1, Some(0), "trainer.epoch", 1_000, 2_000),
+                closed(2, Some(1), "trainer.sample", 1_100, 1_150),
+                closed(3, Some(1), "trainer.fanout", 1_200, 2_000),
+                closed(4, Some(1), "trainer.forward", 1_400, 2_000),
+                closed(5, Some(1), "trainer.backward", 1_600, 2_000),
+                closed(6, Some(0), "trainer.epoch", 3_000, 4_000),
+                closed(7, Some(6), "trainer.backward", 2_500, 4_000),
+            ],
+        };
+        let rows = timings(&[trace]);
+        let row = |name: &str| rows.iter().find(|r| r.name == name).unwrap();
+        let epoch = row("trainer.epoch");
+        assert_eq!((epoch.count, epoch.total_ns), (2, 2_000));
+        // 1 000 − |[1 100, 1 150] ∪ [1 200, 2 000]| = 150, then 0.
+        assert_eq!(epoch.self_ns, 150);
+        assert_eq!((epoch.min_ns, epoch.max_ns), (1_000, 1_000));
+        let backward = row("trainer.backward");
+        assert_eq!(backward.total_ns, 400 + 1_500);
+        assert_eq!(backward.self_ns, backward.total_ns, "leaves are all self");
+        // The root's children cover [1 000, 2 000] and [3 000, 4 000].
+        assert_eq!(row("trainer.train").self_ns, 1_000);
+    }
+
+    #[test]
+    fn timings_aggregate_names_across_traces_sorted_by_name() {
+        let request = |id: u64, merge: bool| {
+            let mut spans = vec![
+                closed(0, None, "serve.request", 0, 100),
+                closed(1, Some(0), "serve.queue", 10, 40),
+            ];
+            if merge {
+                spans.push(closed(2, Some(0), "serve.merge", 60, 70));
+            }
+            TraceData {
+                trace_id: id,
+                spans,
+            }
+        };
+        let rows = timings(&[request(0, true), request(1, false)]);
+        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, vec!["serve.merge", "serve.queue", "serve.request"]);
+        let req = &rows[2];
+        assert_eq!((req.count, req.total_ns), (2, 200));
+        assert_eq!(req.self_ns, (100 - 30 - 10) + (100 - 30));
+        assert_eq!(rows[1].count, 2);
+        assert_eq!(rows[0].count, 1);
     }
 
     #[test]

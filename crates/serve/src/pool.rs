@@ -14,7 +14,7 @@
 //! * a per-worker in-flight registry — a worker records its claim before
 //!   touching it, so a panic leaves the orphaned task behind;
 //! * the `thread::scope` spawn / join / respawn loop;
-//! * the `Warn` event on every reaped worker, carrying a full
+//! * a stderr warning on every reaped worker, followed by a full
 //!   `scenerec_obs::flight` dump;
 //! * requeue-to-front of the orphan on its owner's queue, or — past the
 //!   retry budget — error cells, so a task is never lost;
@@ -33,7 +33,7 @@ use crate::shard::{ShardPartial, ShardedEngine};
 use scenerec_core::Recommendation;
 use scenerec_faults::{Backoff, Injector};
 use scenerec_obs::metrics::Histogram;
-use scenerec_obs::{flight, lock_unpoisoned, metrics, obs_event, Level, Stopwatch};
+use scenerec_obs::{flight, lock_unpoisoned, metrics, Stopwatch};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Mutex, PoisonError};
 
@@ -177,11 +177,10 @@ impl Pool<'_> {
     fn recover(&self, slot: usize) {
         metrics::counter("serve/shard_worker_respawns").inc();
         let orphan = lock_unpoisoned(&self.registry[slot]).take();
-        obs_event!(
-            Level::Warn, "serve", "shard worker panicked; respawning";
-            "slot" => slot as u64,
-            "orphan" => orphan.map(|c| format!("{:?}", c.task)).unwrap_or_default(),
-            "dump" => flight::dump_string(),
+        eprintln!(
+            "[serve] warning: shard worker {slot} panicked; respawning (orphan: {:?})\n{}",
+            orphan.map(|c| c.task),
+            flight::dump_string()
         );
         let Some(Claim { task, requeues }) = orphan else {
             return;

@@ -54,9 +54,9 @@
 //! bytes. A shard span carries `shard` and `hit`; on a miss also
 //! `candidates`, `backend` and `precision`; a stale answer carries
 //! `stale`, a failed shard `error`. Workers log every task claim into
-//! the `scenerec_obs::flight` ring recorder, and the pool attaches a
-//! full flight dump to the `Warn` event it emits when it reaps a
-//! panicked worker.
+//! the `scenerec_obs::flight` ring recorder, and the pool prints a
+//! full flight dump with the warning it writes to stderr when it reaps
+//! a panicked worker.
 
 use crate::pool::{self, Cell};
 use crate::shard::ShardedEngine;

@@ -1,29 +1,23 @@
-//! Telemetry tour: capture per-epoch training events into a JSONL file,
-//! inspect the timing/metrics registries, write a run manifest, and
-//! measure the trainer's instrumentation overhead.
+//! Telemetry tour: train a small SceneRec with tracing, read where the
+//! time went from its spans, write a run manifest whose `timings` are
+//! those spans, and measure the trainer's instrumentation overhead.
 //!
 //! ```text
 //! cargo run --release -p scenerec-integration --example telemetry
 //! ```
 
-use scenerec_core::trainer::{train, TrainConfig};
+use scenerec_core::trainer::{train_traced, TrainConfig};
 use scenerec_core::{SceneRec, SceneRecConfig};
 use scenerec_data::{generate, GeneratorConfig};
 use scenerec_obs as obs;
-use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("scenerec-telemetry-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
 
-    // 1. Capture everything (Debug and above) into a JSONL event log.
-    let events_path = dir.join("events.jsonl");
-    let sink = Arc::new(obs::JsonlSink::create(&events_path, obs::Level::Debug).expect("sink"));
-    let handle = obs::add_sink(sink);
-
-    // 2. Train a small SceneRec; the trainer emits one `epoch` event per
-    //    epoch and folds phase timings into the global registry.
+    // 1. Train a small SceneRec with tracing: one `trainer.train` root,
+    //    one `trainer.epoch` per epoch, and one span per training phase.
     let data = generate(&GeneratorConfig::tiny(7)).expect("generate");
     let tc = TrainConfig {
         epochs: 4,
@@ -33,49 +27,57 @@ fn main() {
         ..TrainConfig::default()
     };
     let mut model = SceneRec::new(SceneRecConfig::default().with_dim(16).with_seed(7), &data);
-    let report = train(&mut model, &data, &tc);
-    obs::remove_sink(handle); // flushes the JSONL file
-
+    let (report, trace) = train_traced(&mut model, &data, &tc);
     println!(
-        "trained {} epochs, final loss {:.4}",
+        "trained {} epochs, final loss {:.4}, {} spans",
         report.epochs.len(),
-        report.final_loss()
+        report.final_loss(),
+        trace.spans.len()
     );
-    let lines = std::fs::read_to_string(&events_path).expect("read events");
-    println!(
-        "captured {} structured events in {}",
-        lines.lines().count(),
-        events_path.display()
-    );
+    let traces = [trace];
 
-    // 3. The timing registry aggregates every span/record_duration call.
-    println!("\nphase timings:");
-    for t in obs::timing_snapshot() {
+    // 2. Where the time went: wall time per span name. Self time is what
+    //    a span's children do not cover.
+    println!("\nspan timings:");
+    for t in obs::trace::timings(&traces) {
         println!(
-            "  {:<18} count {:>4}  total {:>9.3} ms  mean {:>9.1} ns",
+            "  {:<17} count {:>2}  total {:>9.3} ms  self {:>9.3} ms",
             t.name,
             t.count,
-            t.total_seconds() * 1e3,
-            t.mean_ns()
+            t.total_ns as f64 / 1e6,
+            t.self_ns as f64 / 1e6
         );
     }
+    let trace_path = dir.join("trace.json");
+    std::fs::write(&trace_path, obs::chrome_trace_json(&traces)).expect("write trace");
+    println!(
+        "Chrome trace (open in ui.perfetto.dev): {}",
+        trace_path.display()
+    );
 
-    // 4. A run manifest bundles provenance + telemetry + results.
+    // 3. A run manifest bundles provenance, span timings, the metrics
+    //    registry and the results.
     let manifest_path = obs::RunManifest::new("telemetry-example")
         .with_seed(7)
         .with_scale("tiny")
         .with_models(["SceneRec".to_owned()])
         .with_config(&tc)
         .with_results(&report)
-        .capture_telemetry()
+        .capture_telemetry(&traces)
         .write_next_to(dir.join("run.json"))
         .expect("write manifest");
-    println!("\nmanifest: {}", manifest_path.display());
+    let manifest = std::fs::read_to_string(&manifest_path).expect("read manifest");
+    assert!(
+        manifest.contains("\"name\": \"trainer.epoch\""),
+        "the manifest's timings come from the trace"
+    );
+    println!("manifest: {}", manifest_path.display());
 
-    // 5. Overhead: the training loop spends ~4 `Instant::now()` reads and
-    //    one u64 add per BPR triple on phase accounting (registry locks
-    //    happen once per epoch). Price one checkpoint, then compare
-    //    against the measured per-triple training cost.
+    // 4. Overhead: at batch size 1 the training loop reads the clock 10
+    //    times per BPR triple for its phase accounting (the spans are
+    //    recorded once per epoch). Price one clock read, then compare
+    //    against the measured training cost.
+    const READS_PER_TRIPLE: f64 = 10.0;
     let reps = 1_000_000u64;
     let t0 = Instant::now();
     let mut mark = Instant::now();
@@ -85,16 +87,16 @@ fn main() {
         sink_ns += now.duration_since(mark).as_nanos() as u64;
         mark = now;
     }
-    let checkpoint_ns = t0.elapsed().as_nanos() as f64 / reps as f64;
+    let read_ns = t0.elapsed().as_nanos() as f64 / reps as f64;
     std::hint::black_box(sink_ns);
 
     let triples = data.split.train.len() as f64 * report.epochs.len() as f64;
     let train_ns = report.phases.total_ns() as f64;
-    let overhead_ns = 4.0 * checkpoint_ns * triples;
+    let overhead_ns = READS_PER_TRIPLE * read_ns * triples;
     let overhead_pct = 100.0 * overhead_ns / train_ns;
     println!(
-        "\ninstrumentation overhead: {checkpoint_ns:.0} ns/checkpoint x 4/triple x {triples:.0} \
-         triples = {:.2} ms of {:.0} ms training = {overhead_pct:.3}%",
+        "\ninstrumentation overhead: {read_ns:.0} ns/read x {READS_PER_TRIPLE}/triple x \
+         {triples:.0} triples = {:.2} ms of {:.0} ms training = {overhead_pct:.3}%",
         overhead_ns / 1e6,
         train_ns / 1e6
     );

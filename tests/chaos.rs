@@ -317,18 +317,15 @@ fn engine_outage_without_stale_results_is_a_typed_error() {
     assert!(out[0].recs.is_empty() && !out[0].degraded);
 }
 
-/// A worker panic dumps the flight recorder: the supervisor's warning
-/// event carries the last ring-buffer entries, which must include the
-/// batch claim that died and the injected fault that killed it.
+/// A worker panic leaves a post-mortem in the flight recorder: after the
+/// supervised replay, the dump must include the batch claim that died and
+/// the injected fault that killed it (the dead worker's ring outlives it).
 #[test]
 fn worker_panic_dumps_flight_recorder() {
-    use scenerec_obs::{add_sink, flight, remove_sink, FieldValue, Level, MemorySink};
-    use std::sync::Arc;
+    use scenerec_obs::flight;
 
     // Start from a clean recorder so the dump reflects this run only.
     let _ = flight::drain();
-    let sink = Arc::new(MemorySink::new());
-    let handle = add_sink(sink.clone());
 
     let engine = toy_engine();
     let reqs = request_log();
@@ -343,27 +340,10 @@ fn worker_panic_dumps_flight_recorder() {
         max_retries: 8,
     };
     let out = supervised(&engine, &reqs, &cfg, &inj);
-    remove_sink(handle);
     assert_eq!(out.len(), reqs.len());
     assert!(inj.injected() >= 1, "panic plan never fired");
 
-    // The supervisor runs on the calling thread, so its warning is in
-    // this thread's slice of the memory sink.
-    let warnings: Vec<_> = sink
-        .events_for_current_thread()
-        .into_iter()
-        .filter(|e| e.level == Level::Warn && e.message.contains("worker panicked"))
-        .collect();
-    assert!(!warnings.is_empty(), "no supervisor warning was emitted");
-    let dump = warnings
-        .iter()
-        .find_map(|e| {
-            e.fields.iter().find_map(|(k, v)| match (k.as_str(), v) {
-                ("dump", FieldValue::Str(s)) => Some(s.clone()),
-                _ => None,
-            })
-        })
-        .expect("supervisor warning must carry a flight-recorder dump");
+    let dump = flight::dump_string();
     assert!(
         dump.contains("serve.shard.claim"),
         "dump must show the claim that died:\n{dump}"
