@@ -18,7 +18,9 @@ pub trait PairwiseModel {
     /// The parameter store backing the model.
     fn store(&self) -> &ParamStore;
 
-    /// Mutable access for the optimizer.
+    /// Mutable access for the optimizer (and for a checkpoint load): the
+    /// only route by which the parameters change, so a model that keeps
+    /// anything derived from them drops it here.
     fn store_mut(&mut self) -> &mut ParamStore;
 
     /// Builds the preference score `r'(u, i)` as a scalar node.
@@ -60,11 +62,27 @@ pub trait PairwiseModel {
             .collect()
     }
 
-    /// Inference-time scores for one user against many candidates.
+    /// Inference-time scores for one user against many candidates, on a
+    /// tape: the reference every frozen scoring path is compared against.
     fn score_values(&self, user: UserId, items: &[ItemId]) -> Vec<f32> {
         let mut g = Graph::new(self.store());
         let vars = self.build_scores(&mut g, user, items);
         vars.into_iter().map(|v| g.scalar(v)).collect()
+    }
+
+    /// Ranking-time scores for one user against many candidates: the
+    /// f32s [`PairwiseModel::score_values`] returns, bit for bit. The
+    /// evaluator ranks through this ([`ModelScorer`]).
+    ///
+    /// The default calls `score_values`. SceneRec overrides it with a
+    /// frozen view of its parameters — its user rows and its catalog as
+    /// one [`crate::freeze::ItemSide`] — built on the first call after a
+    /// parameter change and dropped by [`PairwiseModel::store_mut`], so
+    /// ranking a split freezes once and then runs only Eq. 14's head per
+    /// candidate. An override must return what `score_values` returns,
+    /// and must panic where it panics (an id outside the model).
+    fn rank_scores(&self, user: UserId, items: &[ItemId]) -> Vec<f32> {
+        self.score_values(user, items)
     }
 
     /// Exports a dense, tape-free snapshot for the serving engine
@@ -92,11 +110,16 @@ pub trait PairwiseModel {
 }
 
 /// Adapter exposing any [`PairwiseModel`] as an evaluation [`Scorer`].
+///
+/// It scores through [`PairwiseModel::rank_scores`], which returns
+/// [`PairwiseModel::score_values`]'s bits, so every metric is the tape's;
+/// a model with a frozen ranking view (SceneRec) ranks a whole split from
+/// one freeze instead of one tape per user.
 pub struct ModelScorer<'m, M: PairwiseModel + Sync>(pub &'m M);
 
 impl<M: PairwiseModel + Sync> Scorer for ModelScorer<'_, M> {
     fn score_items(&self, user: UserId, items: &[ItemId]) -> Vec<f32> {
-        self.0.score_values(user, items)
+        self.0.rank_scores(user, items)
     }
 }
 

@@ -11,21 +11,34 @@
 //! matrices, leaving only the pairing head (Eq. 14's rating MLP, or a dot
 //! product for embedding baselines) to run per request.
 //!
-//! The head is replayed with `scenerec_tensor::linalg::dot_rows_into`,
-//! whose per-element reduction order matches the tape's `affine`
-//! operator, so a frozen `f32` engine reproduces
-//! `PairwiseModel::score_values` **bit for bit** (see
+//! The head is replayed by [`ItemSide`], the one frozen scoring
+//! routine: the serving engine scores every shard through it, and
+//! SceneRec ranks evaluation candidates through it
+//! (`PairwiseModel::rank_scores`). It runs every dot through
+//! `scenerec_tensor::linalg::dot_rows_into`, whose per-element reduction
+//! order matches the tape's `affine` operator, so a frozen `f32` model
+//! reproduces `PairwiseModel::score_values` **bit for bit** (see
 //! `tests/serving_parity.rs`). The rating MLP's first layer runs on the
 //! tape as `Graph::affine_split`, `(W[:, ..d]·m_u + b) + W[:, d..]·m_i`
 //! in that float order, so its item half is a function of `m_i` alone:
-//! the engine projects it once per item when it is built, and per
-//! request adds it to the user half. The head is stored whole, as the
+//! an [`ItemSide`] projects it once per item when it is built, and per
+//! call adds it to the user half. The head is stored whole, as the
 //! `rating.0.w` parameter has it (`h x 2d`); the split is a matter of
 //! which columns each half reads, so neither this snapshot nor
 //! checkpoints change shape. The output layer's dots commute: the
-//! engine's `dot(w_out, h_i)` equals the tape's `dot(h_i, w_out)` bit for
-//! bit (same lane order, and `a*b == b*a` in IEEE 754); the
-//! `serve::engine` parity contract spells the argument out.
+//! frozen `dot(w_out, h_i)` equals the tape's `dot(h_i, w_out)` bit for
+//! bit (same lane order, and `a*b == b*a` in IEEE 754); the parity
+//! contract of [`ItemSide`]'s module spells the argument out.
+//!
+//! # The ranking view
+//!
+//! Evaluation ranks every user of a split against its candidates for one
+//! parameter version. SceneRec memoizes a frozen view of itself for
+//! that — its user rows and its catalog as one [`ItemSide`], built from
+//! `freeze()` on the first `rank_scores` call — and drops it in
+//! `store_mut()`, the only route by which its parameters change. Ranking
+//! a user then scores only its candidates through the head, with the
+//! bits the tape would give them.
 //!
 //! # Quantized snapshots
 //!
@@ -48,6 +61,10 @@ use scenerec_autodiff::Act;
 use scenerec_tensor::quant::{HalfMatrix, Int8Matrix};
 use scenerec_tensor::Matrix;
 use serde::{Deserialize, Serialize};
+
+mod score;
+
+pub use score::ItemSide;
 
 /// Numeric precision of a frozen entity matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

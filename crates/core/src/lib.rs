@@ -63,7 +63,8 @@ pub mod tuning;
 pub use api::{ModelScorer, PairwiseModel};
 pub use config::{NeighborCaps, SceneRecConfig, Variant};
 pub use freeze::{
-    EntityMatrix, FrozenHead, FrozenLayer, FrozenModel, FrozenSnapshot, Precision, ShardMap,
+    EntityMatrix, FrozenHead, FrozenLayer, FrozenModel, FrozenSnapshot, ItemSide, Precision,
+    ShardMap,
 };
 pub use model::SceneRec;
 pub use recommend::{top_k_for_user, top_k_unseen, Recommendation};

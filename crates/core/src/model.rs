@@ -2,6 +2,7 @@
 
 use crate::api::PairwiseModel;
 use crate::config::{SceneRecConfig, Variant};
+use crate::freeze::{EntityMatrix, FrozenHead, FrozenLayer, FrozenModel, ItemSide};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scenerec_autodiff::nn::Mlp;
@@ -10,6 +11,7 @@ use scenerec_data::Dataset;
 use scenerec_graph::{BipartiteGraph, CategoryId, ItemId, SceneGraph, UserId};
 use scenerec_tensor::{Initializer, Matrix};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use crate::config::NeighborCaps;
 
@@ -26,6 +28,19 @@ struct TapeCache {
     scene_sums: BTreeMap<u32, Var>,
     cat_reprs: BTreeMap<u32, Var>,
     items: BTreeMap<u32, Var>,
+}
+
+/// Candidate rows per head band when the ranking view scores a list:
+/// bounds the scratch a full-catalog ranking takes. No score depends on
+/// it.
+const RANK_BAND: usize = 512;
+
+/// SceneRec's ranking view of one parameter version: the frozen user
+/// rows (Eq. 1) and the whole catalog (Eq. 13) as one [`ItemSide`], so
+/// ranking a user runs only Eq. 14's head over its candidates.
+struct RankView {
+    users: EntityMatrix,
+    items: ItemSide,
 }
 
 /// Layer sizes of the Eq. 13 fusion MLP (`2d → hidden… → d`) and of the
@@ -93,6 +108,10 @@ pub struct SceneRec {
     cat_scenes: Vec<Vec<u32>>,
     /// `C(i)` per item.
     item_cat: Vec<u32>,
+    /// The ranking view of the current parameters: built from
+    /// [`SceneRec::frozen`] by the first [`PairwiseModel::rank_scores`]
+    /// call, dropped by [`PairwiseModel::store_mut`].
+    view: OnceLock<RankView>,
 }
 
 impl SceneRec {
@@ -206,6 +225,7 @@ impl SceneRec {
             cat_cat,
             cat_scenes,
             item_cat,
+            view: OnceLock::new(),
         }
     }
 
@@ -411,6 +431,57 @@ impl SceneRec {
         scenerec_tensor::numeric::cosine_similarity(&sum_for(a), &sum_for(b))
     }
 
+    /// The tape-free snapshot of the current parameters that
+    /// [`PairwiseModel::freeze`] returns and the ranking view is built
+    /// from.
+    fn frozen(&self) -> FrozenModel {
+        // Eqs. 1 and 13 depend only on the entity, never on the pairing, so
+        // they are evaluated once per entity on the ordinary tape — the
+        // values are the exact f32s `score_values` would produce. Chunked
+        // tapes bound memory at paper-scale catalogs; tape-local caches only
+        // deduplicate Vars, they never change node values, so the chunking
+        // is value-invariant. Validation freezes once per pass (the ranking
+        // view), so the chunk is kept small: on a 2-vCPU AMD EPYC box,
+        // 256-entity tapes raised perfbench `train_electronics`'s peak RSS
+        // by about 1.7 MiB, 128-entity ones by about 0.3 MiB.
+        const CHUNK: usize = 128;
+        let d = self.cfg.dim;
+        let num_users = self.user_items.len();
+        let num_items = self.item_cat.len();
+
+        let mut users = Matrix::zeros(num_users, d);
+        for chunk_start in (0..num_users).step_by(CHUNK) {
+            let mut g = Graph::new(&self.store);
+            for u in chunk_start..(chunk_start + CHUNK).min(num_users) {
+                let v = self.user_repr(&mut g, UserId(u as u32));
+                users.set_row(u, g.value(v).as_slice());
+            }
+        }
+
+        let mut items = Matrix::zeros(num_items, d);
+        for chunk_start in (0..num_items).step_by(CHUNK) {
+            let mut g = Graph::new(&self.store);
+            let mut cache = TapeCache::default();
+            for i in chunk_start..(chunk_start + CHUNK).min(num_items) {
+                let v = self.item_repr(&mut g, ItemId(i as u32), &mut cache);
+                items.set_row(i, g.value(v).as_slice());
+            }
+        }
+
+        let layers = self
+            .rating
+            .layers()
+            .iter()
+            .map(|layer| FrozenLayer {
+                w: self.store.value(layer.weight()).clone(),
+                b: self.store.value(layer.bias()).as_slice().to_vec(),
+                act: layer.act(),
+            })
+            .collect();
+
+        FrozenModel::dense(self.name(), users, items, FrozenHead::Mlp { layers })
+    }
+
     /// Number of trainable scalar parameters.
     pub fn num_parameters(&self) -> usize {
         self.store.num_scalars()
@@ -437,6 +508,8 @@ impl PairwiseModel for SceneRec {
     }
 
     fn store_mut(&mut self) -> &mut ParamStore {
+        // The caller may change any parameter: the ranking view is stale.
+        self.view.take();
         &mut self.store
     }
 
@@ -475,56 +548,27 @@ impl PairwiseModel for SceneRec {
             .collect()
     }
 
-    fn freeze(&self) -> Option<crate::freeze::FrozenModel> {
-        use crate::freeze::{FrozenHead, FrozenLayer, FrozenModel};
+    fn freeze(&self) -> Option<FrozenModel> {
+        Some(self.frozen())
+    }
 
-        // Eqs. 1 and 13 depend only on the entity, never on the pairing, so
-        // they are evaluated once per entity on the ordinary tape — the
-        // values are the exact f32s `score_values` would produce. Chunked
-        // tapes bound memory at paper-scale catalogs; tape-local caches only
-        // deduplicate Vars, they never change node values, so the chunking
-        // is value-invariant.
-        const CHUNK: usize = 256;
-        let d = self.cfg.dim;
-        let num_users = self.user_items.len();
-        let num_items = self.item_cat.len();
-
-        let mut users = Matrix::zeros(num_users, d);
-        for chunk_start in (0..num_users).step_by(CHUNK) {
-            let mut g = Graph::new(&self.store);
-            for u in chunk_start..(chunk_start + CHUNK).min(num_users) {
-                let v = self.user_repr(&mut g, UserId(u as u32));
-                users.set_row(u, g.value(v).as_slice());
+    fn rank_scores(&self, user: UserId, items: &[ItemId]) -> Vec<f32> {
+        let view = self.view.get_or_init(|| {
+            let frozen = self.frozen();
+            let user_dim = frozen.users.cols();
+            let items = ItemSide::new(frozen.items, frozen.head, user_dim)
+                // lint:allow(R1): the rating head is built from this model's own widths
+                .expect("SceneRec's rating head fits its frozen rows");
+            RankView {
+                users: frozen.users,
+                items,
             }
-        }
-
-        let mut items = Matrix::zeros(num_items, d);
-        for chunk_start in (0..num_items).step_by(CHUNK) {
-            let mut g = Graph::new(&self.store);
-            let mut cache = TapeCache::default();
-            for i in chunk_start..(chunk_start + CHUNK).min(num_items) {
-                let v = self.item_repr(&mut g, ItemId(i as u32), &mut cache);
-                items.set_row(i, g.value(v).as_slice());
-            }
-        }
-
-        let layers = self
-            .rating
-            .layers()
-            .iter()
-            .map(|layer| FrozenLayer {
-                w: self.store.value(layer.weight()).clone(),
-                b: self.store.value(layer.bias()).as_slice().to_vec(),
-                act: layer.act(),
-            })
-            .collect();
-
-        Some(FrozenModel::dense(
-            self.name(),
-            users,
-            items,
-            FrozenHead::Mlp { layers },
-        ))
+        });
+        let rows: Vec<u32> = items.iter().map(|i| i.raw()).collect();
+        view.items
+            .score_rows(&view.users, user.index(), &rows, RANK_BAND, 1)
+            // lint:allow(R1): an id outside the model is a caller bug, on which `score_values` panics too
+            .expect("ranked user and items lie in the model")
     }
 }
 

@@ -23,7 +23,7 @@ use scenerec_data::Dataset;
 use scenerec_eval::{evaluate, EvalSummary};
 use scenerec_faults::Injector;
 use scenerec_graph::{ItemId, UserId};
-use scenerec_obs::{FieldValue, Stopwatch, Trace, TraceData};
+use scenerec_obs::{monotonic_ns, FieldValue, Stopwatch, Trace, TraceData};
 use scenerec_tensor::stats::RunningStats;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -125,13 +125,20 @@ pub struct PhaseBreakdown {
     /// Negative rejection-sampling (plus epoch shuffling).
     pub sample_ns: u64,
     /// Tape construction and loss evaluation (summed across workers, so
-    /// with `threads > 1` this is CPU time, not wall time).
+    /// with `threads > 1` this is CPU time, not wall time). Its traced
+    /// `trainer.forward` span starts with `trainer.fanout` and, as CPU
+    /// time, may run past the fan-out's end.
     pub forward_ns: u64,
-    /// Reverse-mode gradient accumulation (summed across workers).
+    /// Reverse-mode gradient accumulation (summed across workers, like
+    /// `forward_ns`; its `trainer.backward` span also starts with the
+    /// fan-out and may run past its end).
     pub backward_ns: u64,
     /// Gradient scaling/clipping and the optimizer update.
     pub step_ns: u64,
-    /// Validation evaluation.
+    /// Validation evaluation. For a model with a ranking view
+    /// ([`PairwiseModel::rank_scores`]; SceneRec) this includes building
+    /// the view, once per pass, since the steps before it dropped the
+    /// last one.
     pub eval_ns: u64,
     /// Wall-clock time of the parallel forward/backward fan-out, until
     /// every worker has finished its micro-batches.
@@ -245,9 +252,12 @@ pub fn train<M: PairwiseModel + Sync>(
 /// with one `trainer.epoch` child per epoch, each carrying
 /// `trainer.sample` / `trainer.fanout` / `trainer.forward` /
 /// `trainer.backward` / `trainer.reduce` / `trainer.step` (and, on
-/// evaluation epochs, `trainer.eval`) phase spans back-dated from the
-/// measured phase breakdown. The returned [`TraceData`] renders in
-/// Perfetto via `scenerec_obs::chrome_trace_json` alongside serve
+/// evaluation epochs, `trainer.eval`) phase spans recorded from the
+/// measured phase breakdown. The wall phases (sample, fan-out, reduce,
+/// step, eval) lie end to end in that order, ending as the epoch closes;
+/// forward and backward start with the fan-out (see
+/// [`PhaseBreakdown::forward_ns`]). The returned [`TraceData`] renders
+/// in Perfetto via `scenerec_obs::chrome_trace_json` alongside serve
 /// traces. Training itself is bit-identical to [`train`].
 pub fn train_traced<M: PairwiseModel + Sync>(
     model: &mut M,
@@ -338,18 +348,32 @@ pub fn train_with_optimizer_traced<M: PairwiseModel + Sync>(
 
         if let (Some(t), Some(s)) = (trace.as_deref_mut(), epoch_span) {
             // Phase spans are recorded post-hoc from the measured
-            // breakdown: two consecutive ticks each, wall windows
-            // back-dated by the phase duration. Always all six — a
-            // phase measuring zero still appears, so the span count
-            // per epoch is a constant of the configuration.
-            t.record_span("trainer.sample", phases.sample_ns);
-            t.record_span("trainer.fanout", phases.fanout_ns);
-            t.record_span("trainer.forward", phases.forward_ns);
-            t.record_span("trainer.backward", phases.backward_ns);
-            t.record_span("trainer.reduce", phases.reduce_ns);
-            t.record_span("trainer.step", phases.step_ns);
+            // breakdown, two consecutive ticks each. The wall phases lie
+            // end to end, ending now as the epoch closes, so none overlap
+            // and the epoch's self time is the time no phase measured.
+            // Forward and backward sum CPU time over workers: they start
+            // with the fan-out and may run past its end. Always all six
+            // training phases — a phase measuring zero still appears, so
+            // the span count per epoch is a constant of the
+            // configuration.
+            let wall_ns = phases.sample_ns
+                + phases.fanout_ns
+                + phases.reduce_ns
+                + phases.step_ns
+                + phases.eval_ns;
+            let sample_at = monotonic_ns().saturating_sub(wall_ns);
+            let fanout_at = sample_at + phases.sample_ns;
+            let reduce_at = fanout_at + phases.fanout_ns;
+            let step_at = reduce_at + phases.reduce_ns;
+            t.record_span_at("trainer.sample", sample_at, phases.sample_ns);
+            t.record_span_at("trainer.fanout", fanout_at, phases.fanout_ns);
+            t.record_span_at("trainer.forward", fanout_at, phases.forward_ns);
+            t.record_span_at("trainer.backward", fanout_at, phases.backward_ns);
+            t.record_span_at("trainer.reduce", reduce_at, phases.reduce_ns);
+            t.record_span_at("trainer.step", step_at, phases.step_ns);
             if record.val_ndcg.is_some() {
-                t.record_span("trainer.eval", phases.eval_ns);
+                let eval_at = step_at + phases.step_ns;
+                t.record_span_at("trainer.eval", eval_at, phases.eval_ns);
             }
             t.add_field(s, "mean_loss", FieldValue::Float(record.mean_loss as f64));
             t.end_span(s);
@@ -933,6 +957,43 @@ mod tests {
             .spans
             .iter()
             .all(|s| s.end_tick > s.start_tick && s.end_ns >= s.start_ns));
+        // The wall phases lie end to end inside their epoch, in order, so
+        // no two overlap and `timings` gives an epoch the time no phase
+        // measured as its self time. (At batch 1 one worker runs the
+        // fan-out, so forward and backward lie inside it.)
+        let wall = [
+            "trainer.sample",
+            "trainer.fanout",
+            "trainer.reduce",
+            "trainer.step",
+            "trainer.eval",
+        ];
+        let mut phase_ns = 0;
+        for e in &epochs {
+            let kids = trace.children(e.id);
+            let laid: Vec<_> = wall
+                .iter()
+                .map(|&name| *kids.iter().find(|s| s.name == name).unwrap())
+                .collect();
+            for pair in laid.windows(2) {
+                assert!(
+                    pair[0].end_ns <= pair[1].start_ns,
+                    "{} overlaps {}",
+                    pair[0].name,
+                    pair[1].name
+                );
+            }
+            assert!(
+                laid[0].start_ns >= e.start_ns,
+                "phases start before the epoch"
+            );
+            assert!(laid[4].end_ns <= e.end_ns, "phases end after the epoch");
+            phase_ns += laid.iter().map(|s| s.duration_ns()).sum::<u64>();
+        }
+        let epoch_ns: u64 = epochs.iter().map(|e| e.duration_ns()).sum();
+        let timings = scenerec_obs::trace::timings(std::slice::from_ref(&trace));
+        let epoch = timings.iter().find(|t| t.name == "trainer.epoch").unwrap();
+        assert_eq!(epoch.self_ns, epoch_ns - phase_ns);
         // The traced run trains identically to an untraced one.
         let mut model2 = SceneRec::new(SceneRecConfig::default().with_dim(8).with_seed(1), &data);
         let report2 = train(&mut model2, &data, &cfg);

@@ -523,7 +523,7 @@ fn rule_d3(toks: &[Tok], ctx: &FileCtx, out: &mut Vec<Violation>) {
 
 /// The trace-API entry points whose first literal argument is a span
 /// name subject to N1.
-const SPAN_FNS: [&str; 2] = ["start_span", "record_span"];
+const SPAN_FNS: [&str; 3] = ["start_span", "record_span", "record_span_at"];
 
 /// Whether `name` is a dotted `snake_case` path: one or more segments
 /// joined by single dots, each matching `[a-z][a-z0-9_]*`.
@@ -536,10 +536,10 @@ fn is_dotted_snake_case(name: &str) -> bool {
         })
 }
 
-/// N1: literal span names passed to `start_span`/`record_span` must be
-/// dotted `snake_case` paths, so traces group cleanly in Perfetto and
-/// structure digests stay greppable (`serve.batch.score`, not
-/// `Serve/BatchScore`).
+/// N1: literal span names passed to `start_span`, `record_span` or
+/// `record_span_at` must be dotted `snake_case` paths, so traces group
+/// cleanly in Perfetto and structure digests stay greppable
+/// (`serve.batch.score`, not `Serve/BatchScore`).
 fn rule_n1(toks: &[Tok], ctx: &FileCtx, out: &mut Vec<Violation>) {
     for i in 0..toks.len() {
         let Some(f) = ident_at(toks, i) else {
@@ -821,10 +821,12 @@ fn f(trace: &mut Trace) {
     trace.record_span("serve/batch", 10);            // N1
     let c = trace.start_span("serve..score");        // N1
     trace.end_span(c);
+    trace.record_span_at("trainer.step", 5, 10);     // fine
+    trace.record_span_at("Trainer Step", 5, 10);     // N1
 }
 "#;
         let v = check("crates/serve/src/x.rs", src);
-        assert_eq!(v.iter().filter(|v| v.rule == "N1").count(), 3, "{v:?}");
+        assert_eq!(v.iter().filter(|v| v.rule == "N1").count(), 4, "{v:?}");
     }
 
     #[test]

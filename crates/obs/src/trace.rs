@@ -176,22 +176,29 @@ impl Trace {
 
     /// Records an already-measured interval as a closed child of the
     /// innermost open span: open tick and close tick are consecutive,
-    /// and the wall window is back-dated by `dur_ns`. Used for phase
-    /// accounting measured externally (trainer phase breakdowns).
+    /// and the wall window is back-dated by `dur_ns` from now.
     pub fn record_span(&mut self, name: &str, dur_ns: u64) -> SpanId {
+        let start_ns = monotonic_ns().saturating_sub(dur_ns);
+        self.record_span_at(name, start_ns, dur_ns)
+    }
+
+    /// [`Trace::record_span`] with the wall window placed at `start_ns`
+    /// (on the [`crate::monotonic_ns`] clock) rather than ending now. Used
+    /// for phase accounting measured externally: the trainer lays an
+    /// epoch's measured phases end to end this way.
+    pub fn record_span_at(&mut self, name: &str, start_ns: u64, dur_ns: u64) -> SpanId {
         let id = self.spans.len() as u32;
         let parent = self.stack.last().copied();
         let start_tick = self.next_tick();
         let end_tick = self.next_tick();
-        let end_ns = monotonic_ns();
         self.spans.push(SpanRecord {
             id,
             parent,
             name: name.to_string(),
             start_tick,
             end_tick,
-            start_ns: end_ns.saturating_sub(dur_ns),
-            end_ns,
+            start_ns,
+            end_ns: start_ns.saturating_add(dur_ns),
             fields: Vec::new(),
         });
         SpanId(id)
@@ -473,12 +480,18 @@ mod tests {
         let mut t = Trace::new(0);
         t.start_span("trainer.epoch");
         let s = t.record_span("trainer.forward", 1_000);
+        // The placed variant puts the window where it is told to.
+        let at = t.record_span_at("trainer.step", 5_000, 700);
         let data = t.finish();
         let rec = &data.spans[s.0 as usize];
         assert_eq!(rec.parent, Some(0));
         assert_eq!(rec.start_tick, 2);
         assert_eq!(rec.end_tick, 3);
         assert_eq!(rec.duration_ns(), 1_000);
+        let rec = &data.spans[at.0 as usize];
+        assert_eq!(rec.parent, Some(0));
+        assert_eq!((rec.start_tick, rec.end_tick), (4, 5));
+        assert_eq!((rec.start_ns, rec.end_ns), (5_000, 5_700));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!
 //! Sharding never changes a byte of any response. Per-element scores
 //! depend only on the user row, the item row, and that item's head
-//! state (its bias, or its MLP projection; `ItemSide::score`), so
+//! state (its bias, or its MLP projection; `scenerec_core::ItemSide`), so
 //! slicing cannot perturb them; and the
 //! serving order `(score desc, item asc)` is a strict total order, so
 //! merging per-shard top-K lists with the same comparator
@@ -42,11 +42,12 @@
 //! atomics, never the cache lock.
 
 use crate::cache::{CacheStats, ResultCache};
-use crate::engine::{seen_lists, EngineConfig, ItemSide, ServeError};
+use crate::engine::{seen_lists, EngineConfig, ServeError};
 use crate::mask::SeenMask;
 use crate::topk::{merge_top_k, select_top_k};
 use scenerec_core::{
-    EntityMatrix, FrozenHead, FrozenModel, PairwiseModel, Precision, Recommendation, ShardMap,
+    EntityMatrix, FrozenHead, FrozenModel, ItemSide, PairwiseModel, Precision, Recommendation,
+    ShardMap,
 };
 use scenerec_data::Dataset;
 use scenerec_faults::Injector;
@@ -244,7 +245,7 @@ impl ShardedEngine {
                 let cache = ResultCache::new(config.engine.cache_capacity);
                 Ok(Shard {
                     start,
-                    side: ItemSide::new(items, head, user_dim)?,
+                    side: ItemSide::new(items, head, user_dim).map_err(ServeError::Invalid)?,
                     stats: cache.stats(),
                     cache: Mutex::new(cache),
                     requests_counter: format!("serve/shard/{s}/requests"),
@@ -314,6 +315,16 @@ impl ShardedEngine {
         }
     }
 
+    /// Every row of `shard` scored for `user` (checked by the caller), in
+    /// row order.
+    fn score_shard(&self, shard: &Shard, user: u32) -> Result<Vec<f32>, ServeError> {
+        let engine = &self.config.engine;
+        shard
+            .side
+            .score(&self.users, user as usize, engine.band, engine.threads)
+            .map_err(ServeError::Invalid)
+    }
+
     /// Scores shard `s` for `user` and returns the shard's top-`k`
     /// (global item ids), served through the shard's own cache. The
     /// full answer is `merge_top_k` over every shard's partial — see
@@ -340,12 +351,7 @@ impl ShardedEngine {
             });
         }
         metrics::counter(&shard.misses_counter).inc();
-        let scores = shard.side.score(
-            &self.users,
-            user as usize,
-            self.config.engine.band,
-            self.config.engine.threads,
-        )?;
+        let scores = self.score_shard(shard, user)?;
         // Every row is scored; the seen filter drops rows while ranking,
         // translating shard-local rows to global ids through `start`.
         let mask = self.seen.get(&user);
@@ -387,12 +393,7 @@ impl ShardedEngine {
         self.check_user(user)?;
         let mut scores = Vec::with_capacity(self.num_items);
         for shard in &self.shards {
-            scores.extend(shard.side.score(
-                &self.users,
-                user as usize,
-                self.config.engine.band,
-                self.config.engine.threads,
-            )?);
+            scores.extend(self.score_shard(shard, user)?);
         }
         Ok(scores)
     }
@@ -471,7 +472,7 @@ impl ShardedEngine {
                 items.cols()
             )));
         }
-        let side = ItemSide::new(items, head, self.users.cols())?;
+        let side = ItemSide::new(items, head, self.users.cols()).map_err(ServeError::Invalid)?;
         let shard = &mut self.shards[s];
         shard.side = side;
         lock_unpoisoned(&shard.cache).bump_epoch();

@@ -1,19 +1,24 @@
-//! Serving parity: the frozen engine must reproduce the training-side
-//! scoring path **bit for bit**.
+//! Serving parity: the frozen engine and SceneRec's ranking view must
+//! reproduce the training-side scoring path **bit for bit**.
 //!
 //! `ShardedEngine` replays the model head through dense kernels instead of
 //! the autodiff tape; any reassociated reduction, lossy export, or
 //! tie-break drift would show up here as a `to_bits` mismatch. Covers
 //! both head shapes: SceneRec (Eq. 14 rating MLP) and BPR-MF (dot +
-//! item bias).
+//! item bias). The evaluator ranks through `ModelScorer`, which SceneRec
+//! answers from a frozen view of its parameters; that view must equal
+//! the tape and follow every parameter change.
 
+use scenerec_autodiff::{GradStore, Graph};
 use scenerec_baselines::BprMf;
 use scenerec_core::checkpoint::CheckpointStore;
-use scenerec_core::trainer::{train, TrainConfig};
+use scenerec_core::trainer::{make_optimizer, train, TrainConfig};
 use scenerec_core::{
-    top_k_unseen, FrozenModel, PairwiseModel, Precision, SceneRec, SceneRecConfig,
+    top_k_unseen, FrozenModel, ModelScorer, PairwiseModel, Precision, SceneRec, SceneRecConfig,
+    Variant,
 };
 use scenerec_data::{generate, Dataset, GeneratorConfig};
+use scenerec_eval::{evaluate, Scorer};
 use scenerec_faults::Injector;
 use scenerec_graph::{ItemId, UserId};
 use scenerec_serve::{
@@ -202,6 +207,104 @@ fn swapped_mlp_shard_scores_like_a_fresh_engine() {
         engine.score_all(0).unwrap(),
         "the swap changed nothing"
     );
+}
+
+fn bits(scores: &[f32]) -> Vec<u32> {
+    scores.iter().map(|s| s.to_bits()).collect()
+}
+
+/// Every validation and test instance's candidates scored two ways, as
+/// bits: through `ModelScorer` (how the evaluator ranks), and on a fresh
+/// tape (`score_values`).
+fn ranked_and_tape_bits<M: PairwiseModel + Sync>(
+    model: &M,
+    data: &Dataset,
+) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+    let scorer = ModelScorer(model);
+    data.split
+        .validation
+        .iter()
+        .chain(&data.split.test)
+        .map(|inst| {
+            let items = inst.candidates();
+            (
+                bits(&scorer.score_items(inst.user, &items)),
+                bits(&model.score_values(inst.user, &items)),
+            )
+        })
+        .unzip()
+}
+
+/// One BPR triple's gradient, for an optimizer step outside training.
+fn one_triple_grads(model: &SceneRec, data: &Dataset) -> GradStore {
+    let (user, pos) = data.split.train[0];
+    let neg = (0..data.num_items())
+        .find(|i| !data.train_graph.items_of(user).contains(i))
+        .map(ItemId)
+        .expect("an item the user has not seen");
+    let mut grads = GradStore::new(model.store());
+    let mut g = Graph::new(model.store());
+    let losses = model.build_bpr_losses(&mut g, &[(user, pos, neg)]);
+    g.backward(losses[0], &mut grads);
+    grads
+}
+
+/// SceneRec's ranking view equals the tape on every validation and test
+/// instance, for every variant and rating-head shape, and follows every
+/// parameter change: after an optimizer step and after the whole store
+/// is replaced, the next ranking equals fresh tape scores (a view that
+/// outlived either change would still hold the old bits). The evaluator
+/// returns the tape's `EvalSummary` at every thread count.
+#[test]
+fn ranking_view_equals_the_tape_and_follows_parameter_changes() {
+    let data = dataset();
+    let tcfg = train_cfg();
+    for variant in [
+        Variant::Full,
+        Variant::NoItem,
+        Variant::NoScene,
+        Variant::NoAttention,
+    ] {
+        for hidden in [vec![], vec![32], vec![32, 16]] {
+            let label = format!("{} with rating head {hidden:?}", variant.name());
+            let mut cfg = SceneRecConfig::default().with_dim(8).with_variant(variant);
+            cfg.rating_hidden = hidden;
+            let mut model = trained_scenerec(&data, cfg.clone());
+            let (ranked, trained) = ranked_and_tape_bits(&model, &data);
+            assert_eq!(ranked, trained, "{label}: trained");
+
+            let tape = |user: UserId, items: &[ItemId]| model.score_values(user, items);
+            for split in [&data.split.validation, &data.split.test] {
+                let want = evaluate(&tape, split, TOP_K, 1);
+                for threads in [1, 2, 4] {
+                    let got = evaluate(&ModelScorer(&model), split, TOP_K, threads);
+                    assert_eq!(got, want, "{label}: evaluate at {threads} threads");
+                }
+            }
+
+            let grads = one_triple_grads(&model, &data);
+            make_optimizer(&tcfg).step(model.store_mut(), &grads);
+            let (ranked, stepped) = ranked_and_tape_bits(&model, &data);
+            assert_ne!(stepped, trained, "{label}: the step changed no score");
+            assert_eq!(ranked, stepped, "{label}: after an optimizer step");
+
+            let other = SceneRec::new(cfg.with_seed(8), &data);
+            *model.store_mut() = other.store().clone();
+            let (ranked, replaced) = ranked_and_tape_bits(&model, &data);
+            assert_ne!(replaced, stepped, "{label}: the new store changed no score");
+            assert_eq!(ranked, replaced, "{label}: after the store was replaced");
+        }
+    }
+}
+
+/// A model without a ranking view (BPR-MF) ranks on the tape: the
+/// default `rank_scores` is `score_values`.
+#[test]
+fn bprmf_ranks_through_the_default_path() {
+    let data = dataset();
+    let model = trained_bprmf(&data);
+    let (ranked, tape) = ranked_and_tape_bits(&model, &data);
+    assert_eq!(ranked, tape);
 }
 
 #[test]
