@@ -37,9 +37,10 @@
 //! An element depends only on its user row, its item row and that
 //! item's head state (its bias, or its projection), never on which other
 //! rows ride in the same call. So [`ItemSide::score_rows`], which scores
-//! a candidate list, gives each listed row the bits the full scan
-//! [`ItemSide::score`] gives it, and slicing a catalog into shards (like
-//! banding and threading) cannot change a bit.
+//! a candidate list, and [`ItemSide::score_range`] over any row range
+//! give each row the bits the full scan (the range `0..rows`) gives it,
+//! and slicing a catalog into shards or tiles (like banding and
+//! threading) cannot change a bit.
 //!
 //! # Quantized item sides
 //!
@@ -85,20 +86,20 @@ pub struct ItemSide {
     proj: Matrix,
 }
 
-/// The item rows one scoring call covers, in output order.
+/// The item rows one scoring call covers, in output order; checked
+/// against the row count before any is read.
 #[derive(Debug, Clone, Copy)]
 enum Rows<'a> {
-    /// Every row, ascending: a full scan.
-    All(usize),
-    /// The listed rows, in list order, each checked against the row
-    /// count before any is read.
+    /// Rows `start..end`, ascending: a tile, or the full scan `0..rows`.
+    Range(usize, usize),
+    /// The listed rows, in list order.
     Listed(&'a [u32]),
 }
 
 impl<'a> Rows<'a> {
     fn len(self) -> usize {
         match self {
-            Rows::All(n) => n,
+            Rows::Range(start, end) => end - start,
             Rows::Listed(rows) => rows.len(),
         }
     }
@@ -107,7 +108,7 @@ impl<'a> Rows<'a> {
     #[inline]
     fn at(self, j: usize) -> usize {
         match self {
-            Rows::All(_) => j,
+            Rows::Range(start, _) => start + j,
             Rows::Listed(rows) => rows[j] as usize,
         }
     }
@@ -151,34 +152,48 @@ impl ItemSide {
         &self.items
     }
 
-    /// Scores every item row against `users` row `user`, in row order:
-    /// the full scan a serving shard runs on a cache miss (its caller
-    /// drops seen items while ranking). `band` bounds the rows per MLP
-    /// head band; `threads` go to `score_bt` for hidden layers after the
-    /// first. Neither changes a bit.
+    /// Scores item rows `rows` against `users` row `user` into `out`, in
+    /// row order: `out[j]` is row `rows.start + j`'s score. The range
+    /// `0..rows` is the full scan; a serving shard walks its rows in
+    /// tiles of this form, reusing one `out` (resized to the range's
+    /// length, so a reused buffer of that length is only overwritten).
+    /// `band` bounds the rows per MLP head band; `threads` go to
+    /// `score_bt` for hidden layers after the first. Neither changes a
+    /// bit.
     ///
     /// # Errors
-    /// `user` outside `users`, or user and item rows at different
-    /// precisions.
-    pub fn score(
+    /// An inverted range or one past the item rows (checked before any
+    /// row is read), `user` outside `users`, or user and item rows at
+    /// different precisions.
+    pub fn score_range(
         &self,
         users: &EntityMatrix,
         user: usize,
+        rows: std::ops::Range<usize>,
         band: usize,
         threads: usize,
-    ) -> Result<Vec<f32>, String> {
-        self.score_in(users, user, Rows::All(self.items.rows()), band, threads)
+        out: &mut Vec<f32>,
+    ) -> Result<(), String> {
+        let n = self.items.rows();
+        if rows.start > rows.end || rows.end > n {
+            return Err(format!(
+                "item rows {}..{} out of range ({n} item rows)",
+                rows.start, rows.end
+            ));
+        }
+        let rows = Rows::Range(rows.start, rows.end);
+        self.score_in(users, user, rows, band, threads, out)
     }
 
     /// Scores the listed item rows against `users` row `user`, in list
-    /// order: element `j` is row `rows[j]`'s score, the bits
-    /// [`ItemSide::score`] gives that row. Rows may repeat and come in
-    /// any order; only they are scored, so a candidate list costs its
-    /// length, not the catalog's.
+    /// order: element `j` is row `rows[j]`'s score, the bits the full
+    /// scan gives that row. Rows may repeat and come in any order; only
+    /// they are scored, so a candidate list costs its length, not the
+    /// catalog's.
     ///
     /// # Errors
     /// A listed row outside the item rows (checked before any row is
-    /// read), and every error of [`ItemSide::score`].
+    /// read), and every error of [`ItemSide::score_range`].
     pub fn score_rows(
         &self,
         users: &EntityMatrix,
@@ -191,9 +206,13 @@ impl ItemSide {
         if let Some(&row) = rows.iter().find(|&&r| r as usize >= n) {
             return Err(format!("item row {row} out of range ({n} item rows)"));
         }
-        self.score_in(users, user, Rows::Listed(rows), band, threads)
+        let mut out = Vec::new();
+        self.score_in(users, user, Rows::Listed(rows), band, threads, &mut out)?;
+        Ok(out)
     }
 
+    /// Scores `rows` (checked by the caller) into `out`, resized to
+    /// their count: every path overwrites each element.
     fn score_in(
         &self,
         users: &EntityMatrix,
@@ -201,7 +220,8 @@ impl ItemSide {
         rows: Rows<'_>,
         band: usize,
         threads: usize,
-    ) -> Result<Vec<f32>, String> {
+        out: &mut Vec<f32>,
+    ) -> Result<(), String> {
         if user >= users.rows() {
             return Err(format!(
                 "user row {user} out of range ({} user rows)",
@@ -210,11 +230,11 @@ impl ItemSide {
         }
         let band = band.max(1);
         let n = rows.len();
-        let mut out = Vec::with_capacity(n);
+        out.resize(n, 0.0);
         match &self.head {
             // Dot heads score straight off the stored representation:
-            // f32 runs the 8-row `linalg::dot_rows_into` tile over a full
-            // scan and `linalg::dot` per listed row, each score
+            // f32 runs the 8-row `linalg::dot_rows_into` tile over a row
+            // range and `linalg::dot` per listed row, each score
             // bit-identical to the tape's `linalg::dot`; f16 widens item
             // lanes in-kernel against the (exactly widened) user row; int8
             // accumulates in exact integer arithmetic and rescales with one
@@ -224,35 +244,35 @@ impl ItemSide {
                 (EntityMatrix::F32(users), EntityMatrix::F32(catalog)) => {
                     let u = users.row(user);
                     match rows {
-                        Rows::All(_) => {
-                            out.resize(n, 0.0);
-                            linalg::dot_rows_into(u, catalog.as_slice(), catalog.cols(), &mut out);
-                            for (v, &b) in out.iter_mut().zip(bias) {
+                        Rows::Range(start, end) => {
+                            let cols = catalog.cols();
+                            let tile = &catalog.as_slice()[start * cols..end * cols];
+                            linalg::dot_rows_into(u, tile, cols, out);
+                            for (v, &b) in out.iter_mut().zip(&bias[start..end]) {
                                 *v += b;
                             }
                         }
                         Rows::Listed(_) => {
-                            out.extend(
-                                rows.iter()
-                                    .map(|i| linalg::dot(u, catalog.row(i)) + bias[i]),
-                            );
+                            for (v, i) in out.iter_mut().zip(rows.iter()) {
+                                *v = linalg::dot(u, catalog.row(i)) + bias[i];
+                            }
                         }
                     }
                 }
                 (EntityMatrix::F16(users), EntityMatrix::F16(catalog)) => {
                     let mut u = vec![0.0f32; users.cols()];
                     users.widen_row_into(user, &mut u);
-                    for i in rows.iter() {
-                        out.push(quant::dot_f16(&u, catalog.row(i)) + bias[i]);
+                    for (v, i) in out.iter_mut().zip(rows.iter()) {
+                        *v = quant::dot_f16(&u, catalog.row(i)) + bias[i];
                     }
                 }
                 (EntityMatrix::Int8(users), EntityMatrix::Int8(catalog)) => {
                     let uc = users.centered_row(user);
                     let su = users.scale(user);
-                    for i in rows.iter() {
+                    for (v, i) in out.iter_mut().zip(rows.iter()) {
                         let zv = catalog.zero_point(i) as i16;
                         let idot = quant::dot_i8_centered(&uc, catalog.row(i), zv);
-                        out.push(su * catalog.scale(i) * idot as f32 + bias[i]);
+                        *v = su * catalog.scale(i) * idot as f32 + bias[i];
                     }
                 }
                 // Engine constructors validate matching precisions;
@@ -281,7 +301,6 @@ impl ItemSide {
                 for (v, &b) in q.iter_mut().zip(&first.b) {
                     *v += b;
                 }
-                out.resize(n, 0.0);
                 for start in (0..n).step_by(band) {
                     let end = n.min(start + band);
                     let mut x = Vec::with_capacity((end - start) * h);
@@ -310,7 +329,7 @@ impl ItemSide {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -322,6 +341,20 @@ mod tests {
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The full scan: `side`'s range `0..rows`.
+    fn scan(
+        side: &ItemSide,
+        users: &EntityMatrix,
+        user: usize,
+        band: usize,
+        threads: usize,
+    ) -> Result<Vec<f32>, String> {
+        let mut out = Vec::new();
+        let rows = 0..side.items().rows();
+        side.score_range(users, user, rows, band, threads, &mut out)?;
+        Ok(out)
     }
 
     /// The whole catalog of `frozen` as one side, with its user rows.
@@ -395,8 +428,14 @@ mod tests {
         items.set_row(3, &[2.0, 0.0]);
         let head = FrozenHead::DotBias { bias: vec![0.0; 4] };
         let (users, side) = side_of(FrozenModel::dense("toy", users, items, head));
-        assert_eq!(side.score(&users, 0, 512, 1).unwrap(), [1.0, 0.0, 0.5, 2.0]);
-        assert_eq!(side.score(&users, 2, 512, 1).unwrap(), [1.0, 1.0, 1.0, 2.0]);
+        assert_eq!(
+            scan(&side, &users, 0, 512, 1).unwrap(),
+            [1.0, 0.0, 0.5, 2.0]
+        );
+        assert_eq!(
+            scan(&side, &users, 2, 512, 1).unwrap(),
+            [1.0, 1.0, 1.0, 2.0]
+        );
     }
 
     /// Every quantized precision's scores equal a from-scratch recompute
@@ -415,7 +454,7 @@ mod tests {
             };
             let (users, side) = side_of(frozen);
             for user in 0..users.rows() {
-                let got = side.score(&users, user, 512, 1).unwrap();
+                let got = scan(&side, &users, user, 512, 1).unwrap();
                 for (i, &b) in bias.iter().enumerate() {
                     let want = match (&users, side.items()) {
                         (EntityMatrix::F16(u), EntityMatrix::F16(c)) => {
@@ -461,8 +500,8 @@ mod tests {
             let (du, ds) = side_of(dense);
             for user in 0..4 {
                 assert_eq!(
-                    bits(&qs.score(&qu, user, 512, 1).unwrap()),
-                    bits(&ds.score(&du, user, 512, 1).unwrap()),
+                    bits(&scan(&qs, &qu, user, 512, 1).unwrap()),
+                    bits(&scan(&ds, &du, user, 512, 1).unwrap()),
                     "{} user {user}",
                     precision.name()
                 );
@@ -471,9 +510,11 @@ mod tests {
     }
 
     /// A candidate list — unsorted, with repeats, empty, or the whole
-    /// range — scores each listed row with the bits the full scan gives
-    /// it, for every head shape at every precision, at band sizes that
-    /// split the list and one that does not.
+    /// range — and a row range — empty, one row, crossing the 8-row
+    /// tile, or the whole side — score each row with the bits the full
+    /// scan gives it, for every head shape at every precision, at band
+    /// sizes that split the list and one that does not. The ranges
+    /// share one output buffer, as a shard's tile walk does.
     #[test]
     fn listed_rows_score_the_bits_of_the_full_scan() {
         for (label, users, side) in every_side() {
@@ -484,10 +525,22 @@ mod tests {
                 ("empty", vec![]),
                 ("whole range", (0..n).collect()),
             ];
+            let n = n as usize;
+            let ranges = [0..0, 9..9, n..n, 0..1, 8..9, n - 1..n, 5..14, 6..19, 0..n];
+            let mut tile = Vec::new();
             for user in 0..users.rows() {
                 for (band, threads) in [(1, 1), (4, 2), (512, 1)] {
-                    let full = side.score(&users, user, band, threads).unwrap();
-                    assert_eq!(full.len(), n as usize);
+                    let full = scan(&side, &users, user, band, threads).unwrap();
+                    assert_eq!(full.len(), n);
+                    for rows in ranges.clone() {
+                        side.score_range(&users, user, rows.clone(), band, threads, &mut tile)
+                            .unwrap();
+                        assert_eq!(
+                            bits(&tile),
+                            bits(&full[rows.clone()]),
+                            "{label}, rows {rows:?}, user {user}, band {band}"
+                        );
+                    }
                     for (kind, list) in &lists {
                         let got = side.score_rows(&users, user, list, band, threads).unwrap();
                         let want: Vec<u32> =
@@ -503,8 +556,10 @@ mod tests {
         }
     }
 
-    /// A row or user outside the side is an error, never a read past
-    /// the rows, at every head shape and precision.
+    /// A row, row range or user outside the side is an error, never a
+    /// read past the rows, at every head shape and precision. An
+    /// inverted or overlong range fails before anything is scored: the
+    /// output buffer keeps what it held.
     #[test]
     fn out_of_range_rows_and_users_are_errors() {
         for (label, users, side) in every_side() {
@@ -513,8 +568,19 @@ mod tests {
                 let err = side.score_rows(&users, 0, &list, 512, 1).unwrap_err();
                 assert!(err.contains("out of range"), "{label}, {list:?}: {err}");
             }
+            let n = n as usize;
+            #[allow(clippy::reversed_empty_ranges)]
+            let bad = [5..3, 0..n + 1, n + 1..n + 1, n - 1..usize::MAX, 1..0];
+            for rows in bad {
+                let mut out = vec![7.0f32; 3];
+                let err = side
+                    .score_range(&users, 0, rows.clone(), 512, 1, &mut out)
+                    .unwrap_err();
+                assert!(err.contains("out of range"), "{label}, {rows:?}: {err}");
+                assert_eq!(out, [7.0; 3], "{label}, {rows:?} wrote its output");
+            }
             let past = users.rows();
-            assert!(side.score(&users, past, 512, 1).is_err(), "{label}");
+            assert!(scan(&side, &users, past, 512, 1).is_err(), "{label}");
             assert!(
                 side.score_rows(&users, past, &[0], 512, 1).is_err(),
                 "{label}"

@@ -133,7 +133,7 @@ impl FrozenSynthesisSpec {
     /// The `paper_scale_plus` preset: 20× the paper's largest Table-1
     /// user count and 20× its item count — 1M users x 1M items at dim 32
     /// is a 128 MiB matrix per entity side at f32, large enough that the
-    /// item catalog cannot stay cache-resident unsharded.
+    /// item catalog cannot stay cache-resident.
     pub fn paper_scale_plus(seed: u64) -> FrozenSynthesisSpec {
         FrozenSynthesisSpec {
             num_users: 1_000_000,

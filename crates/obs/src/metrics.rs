@@ -199,6 +199,29 @@ struct Registry {
     histograms: BTreeMap<String, Arc<Histogram>>,
 }
 
+impl Registry {
+    /// Drops every entry; handles already fetched keep working,
+    /// detached from later snapshots.
+    fn clear(&mut self) {
+        self.counters.clear();
+        self.gauges.clear();
+        self.histograms.clear();
+    }
+}
+
+/// The handle registered under `name`, registering `make()` on first
+/// use. The lookup borrows `name`: only a first registration allocates
+/// the key, so fetching a registered metric allocates nothing under the
+/// registry lock.
+fn fetch<T>(map: &mut BTreeMap<String, Arc<T>>, name: &str, make: impl FnOnce() -> T) -> Arc<T> {
+    if let Some(handle) = map.get(name) {
+        return Arc::clone(handle);
+    }
+    let handle = Arc::new(make());
+    map.insert(name.to_owned(), Arc::clone(&handle));
+    handle
+}
+
 fn registry() -> &'static Mutex<Registry> {
     static REG: OnceLock<Mutex<Registry>> = OnceLock::new();
     REG.get_or_init(|| Mutex::new(Registry::default()))
@@ -206,31 +229,29 @@ fn registry() -> &'static Mutex<Registry> {
 
 /// Fetches (registering on first use) the counter named `name`.
 pub fn counter(name: &str) -> Arc<Counter> {
-    let mut reg = lock_unpoisoned(registry());
-    reg.counters
-        .entry(name.to_string())
-        .or_insert_with(|| Arc::new(Counter::default()))
-        .clone()
+    fetch(
+        &mut lock_unpoisoned(registry()).counters,
+        name,
+        Counter::default,
+    )
 }
 
 /// Fetches (registering on first use) the gauge named `name`.
 pub fn gauge(name: &str) -> Arc<Gauge> {
-    let mut reg = lock_unpoisoned(registry());
-    reg.gauges
-        .entry(name.to_string())
-        .or_insert_with(|| Arc::new(Gauge::default()))
-        .clone()
+    fetch(
+        &mut lock_unpoisoned(registry()).gauges,
+        name,
+        Gauge::default,
+    )
 }
 
 /// Fetches (registering on first use) the histogram named `name` with
 /// the given bucket edges. Edges are fixed by the first registration;
 /// later calls reuse the existing histogram.
 pub fn histogram(name: &str, edges: &[f64]) -> Arc<Histogram> {
-    let mut reg = lock_unpoisoned(registry());
-    reg.histograms
-        .entry(name.to_string())
-        .or_insert_with(|| Arc::new(Histogram::new(edges)))
-        .clone()
+    fetch(&mut lock_unpoisoned(registry()).histograms, name, || {
+        Histogram::new(edges)
+    })
 }
 
 /// Point-in-time copy of one histogram's state.
@@ -358,10 +379,7 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
 /// Clears the metrics registry. Existing handles keep working but are
 /// detached from future snapshots.
 pub fn reset_metrics() {
-    let mut reg = lock_unpoisoned(registry());
-    reg.counters.clear();
-    reg.gauges.clear();
-    reg.histograms.clear();
+    lock_unpoisoned(registry()).clear();
 }
 
 #[cfg(test)]
@@ -487,6 +505,45 @@ mod tests {
             expected
         );
         assert_eq!(h.bucket_counts().iter().sum::<u64>(), h.count());
+    }
+
+    /// A registered name hands back the one handle it holds, whichever
+    /// way it is fetched, and a reset detaches old handles: the name
+    /// then registers afresh while the old handle keeps counting
+    /// unseen. Runs on a registry of its own, since a reset of the
+    /// process-wide one would race the other tests' registrations.
+    #[test]
+    fn fetching_reuses_the_registered_handle_and_reset_detaches_it() {
+        let mut reg = Registry::default();
+        let a = fetch(&mut reg.counters, "test-metrics/fetch", Counter::default);
+        let b = fetch(&mut reg.counters, "test-metrics/fetch", Counter::default);
+        assert!(Arc::ptr_eq(&a, &b));
+        let edges = [1.0, 2.0];
+        let h = fetch(&mut reg.histograms, "test-metrics/fetch", || {
+            Histogram::new(&edges)
+        });
+        let h2 = fetch(&mut reg.histograms, "test-metrics/fetch", || {
+            Histogram::new(&[9.0])
+        });
+        assert!(Arc::ptr_eq(&h, &h2));
+        assert_eq!(h2.edges(), &edges, "the first registration fixes the edges");
+        let g = fetch(&mut reg.gauges, "test-metrics/fetch", Gauge::default);
+        assert!(Arc::ptr_eq(
+            &g,
+            &fetch(&mut reg.gauges, "test-metrics/fetch", Gauge::default)
+        ));
+
+        a.add(3);
+        reg.clear();
+        let fresh = fetch(&mut reg.counters, "test-metrics/fetch", Counter::default);
+        assert!(!Arc::ptr_eq(&a, &fresh), "reset detached the old handle");
+        assert_eq!(fresh.get(), 0);
+        a.inc();
+        assert_eq!((a.get(), fresh.get()), (4, 0));
+
+        // The process-wide entry points share one handle per name too.
+        let c = counter("test-metrics/fetch-global");
+        assert!(Arc::ptr_eq(&c, &counter("test-metrics/fetch-global")));
     }
 
     #[test]

@@ -121,6 +121,17 @@ impl ResultCache {
         Some(recs)
     }
 
+    /// Whether a [`ResultCache::get`] of `(user, k, tag)` would hit right
+    /// now: the entry is present and was inserted under the current
+    /// epoch. A pure probe: it touches neither recency nor the hit/miss
+    /// counters, and collects no stale entry, so probing a batch ahead
+    /// of serving it leaves the cache exactly as it was.
+    pub(crate) fn contains(&self, user: u32, k: u32, tag: u8) -> bool {
+        self.entries
+            .get(&(user, k, tag))
+            .is_some_and(|slot| slot.epoch == self.epoch)
+    }
+
     /// Inserts a result, evicting the least-recently-used entry when full.
     pub fn insert(&mut self, user: u32, k: u32, tag: u8, recs: Vec<Recommendation>) {
         if self.capacity == 0 {
@@ -396,6 +407,31 @@ mod tests {
         assert!(c.get(1, 1, 0).is_none());
         assert!(c.is_empty());
         assert_eq!(c.next_stamp(), 0, "empty cache rewinds its stamps");
+    }
+
+    /// `contains` answers what `get` would, epoch included, and changes
+    /// nothing: stamps, counters, length and the LRU victim stay put.
+    #[test]
+    fn contains_probes_without_touching_state() {
+        let mut c = ResultCache::new(2);
+        c.insert(1, 1, 0, rec(1, 0.1));
+        c.insert(2, 1, 0, rec(2, 0.2));
+        let before = (c.len(), c.next_stamp(), c.hits(), c.misses());
+        assert!(c.contains(1, 1, 0));
+        assert!(!c.contains(1, 2, 0));
+        assert!(!c.contains(1, 1, 1));
+        assert!(!c.contains(3, 1, 0));
+        assert_eq!((c.len(), c.next_stamp(), c.hits(), c.misses()), before);
+        // Probing user 1 did not refresh it: it is still the LRU victim.
+        c.insert(3, 1, 0, rec(3, 0.3));
+        assert!(!c.contains(1, 1, 0));
+        assert!(c.contains(2, 1, 0));
+
+        c.bump_epoch();
+        assert!(!c.contains(2, 1, 0), "a stale epoch is not held");
+        assert_eq!(c.len(), 2, "the probe collects nothing");
+        c.insert(2, 1, 0, rec(2, 0.2));
+        assert!(c.contains(2, 1, 0));
     }
 
     /// The precision tag partitions the key space: same (user, k) at a

@@ -22,6 +22,18 @@
 //!   slots all at once, after its last fallible step, so a crashed task
 //!   contributes nothing and no slot is ever filled twice.
 //!
+//! A task first *prefetches*: it asks its shard which of the batch's
+//! (user, k) requests the shard's cache does not hold right now, and
+//! ranks all of them in one walk over the shard's rows, tile by tile
+//! (`ShardedEngine::prefetch`), so each tile is read once per batch,
+//! not once per request. Then its cells run in batch order, each as it
+//! would alone: the cache lookup, counters, insert and any eviction are
+//! the cell's own, and a miss answers from the prefetched partial — or,
+//! when the probe did not foresee it (an entry evicted earlier in the
+//! batch), ranks its request alone through the same routine. The bytes,
+//! counters, fault probes and spans are therefore those of serving the
+//! cells one by one.
+//!
 //! Each cell runs the retry ladder on its shard's injected I/O point
 //! `serve/shard/{s}`: failed attempts retry with deterministic backoff,
 //! and past the budget the cell answers from the replay's last good
@@ -29,7 +41,7 @@
 //! the engine is pure. Only without one does the shard fail.
 
 use crate::scheduler::{latency_edges, Request, ShardReplayConfig};
-use crate::shard::{ShardPartial, ShardedEngine};
+use crate::shard::{Prefetched, ShardPartial, ShardedEngine};
 use scenerec_core::Recommendation;
 use scenerec_faults::{Backoff, Injector};
 use scenerec_obs::metrics::Histogram;
@@ -214,14 +226,22 @@ impl Pool<'_> {
         }
     }
 
-    /// Serves a task's cells, one `serve/latency_ns` observation each.
+    /// Serves a task: prefetches its batch's misses, then serves its
+    /// cells in batch order, one `serve/latency_ns` observation each.
+    /// A cell's observation covers its own retry ladder, cache lookup
+    /// and answer; the prefetch's tile walk, shared by the batch, falls
+    /// in no cell's, so a miss answered from it records about what a
+    /// hit does.
     fn serve_task(&self, task: ShardTask, latency: &Histogram) -> Vec<(usize, Cell)> {
         let num_shards = self.engine.num_shards();
         let point = format!("serve/shard/{}", task.shard);
-        (task.start..task.end)
-            .map(|pos| {
+        let batch = &self.requests[task.start..task.end];
+        let prefetched = self.engine.prefetch(task.shard, batch);
+        (task.start..)
+            .zip(batch)
+            .map(|(pos, req)| {
                 let watch = Stopwatch::start();
-                let cell = self.serve_cell(task.shard, &point, &self.requests[pos]);
+                let cell = self.serve_cell(task.shard, &point, req, &prefetched);
                 latency.observe(watch.elapsed_ns() as f64);
                 (pos * num_shards + task.shard, cell)
             })
@@ -229,11 +249,18 @@ impl Pool<'_> {
     }
 
     /// Serves one (request, shard) cell through the retry ladder on the
-    /// shard's injected I/O point `point` (`serve/shard/{s}`). Exhausted
+    /// shard's injected I/O point `point` (`serve/shard/{s}`), a miss
+    /// answered from `prefetched` when it holds the request. Exhausted
     /// retries answer from the shard's stale partial, else fail *this
     /// cell only* — assembly decides whether the request degrades or
     /// errors.
-    fn serve_cell(&self, shard: usize, point: &str, req: &Request) -> Cell {
+    fn serve_cell(
+        &self,
+        shard: usize,
+        point: &str,
+        req: &Request,
+        prefetched: &Prefetched,
+    ) -> Cell {
         let key = (req.user, u32::try_from(req.k).unwrap_or(u32::MAX));
         let mut attempt = 0u32;
         while let Err(e) = self.injector.io(point) {
@@ -254,7 +281,10 @@ impl Pool<'_> {
             metrics::counter("serve/shard_backoff_ticks").add(Backoff::default().ticks(attempt));
             attempt += 1;
         }
-        match self.engine.partial_top_k(shard, req.user, req.k) {
+        match self
+            .engine
+            .serve_partial(shard, req.user, req.k, prefetched)
+        {
             Ok(partial) => {
                 // Only an armed injector can fail a probe, so only then
                 // can anything read the stale map.

@@ -43,7 +43,11 @@
 //! `serve/shard_retries`, `serve/shard_backoff_ticks`,
 //! `serve/shard_stale_hits`, `serve/shard_degraded` (degraded responses)
 //! and `serve/shard_worker_respawns`, and the `serve/latency_ns`
-//! histogram with one observation per (request, shard) cell.
+//! histogram with one observation per (request, shard) cell: the cell's
+//! own retry ladder, cache lookup and answer. A miss answered from its
+//! task's prefetch (`crate::pool`) records about what a hit does; the
+//! tile walk that ranked it is shared by the batch and falls in no
+//! cell's observation.
 //!
 //! ## Causal tracing
 //!
@@ -204,8 +208,9 @@ pub struct ShardReplayConfig {
     /// at least W shards; the bytes are the same at any shard count.
     pub workers: usize,
     /// Requests per micro-batch (>= 1). Each batch becomes one task
-    /// per shard; larger batches amortize one shard's matrix residency
-    /// over more requests.
+    /// per shard, which ranks the batch's misses in one walk over the
+    /// shard's rows: larger batches read each tile of rows once for
+    /// more requests.
     pub max_batch: usize,
     /// Bounded retries: per (request, shard) cell when the shard is
     /// unavailable, and per task when its worker panics.
@@ -243,7 +248,8 @@ pub struct Replay {
 }
 
 /// Bucket edges for the `serve/latency_ns` histogram (one observation
-/// per (request, shard) cell), in nanoseconds: log-spaced at 6 buckets
+/// per (request, shard) cell, excluding its task's prefetch), in
+/// nanoseconds: log-spaced at 6 buckets
 /// per decade over 1 µs .. 10 s. Serving latency is
 /// heavy-tailed; log spacing keeps the relative quantile error roughly
 /// constant all the way into the p999 tail, where the old 1–3–10

@@ -1,27 +1,31 @@
 //! Sharded serving: range-partitioned scoring with an exact
 //! scatter-gather merge.
 //!
-//! Frozen scoring is bandwidth-bound — every request streams the whole
-//! item matrix through the cache hierarchy once. A [`ShardedEngine`]
-//! splits the catalog into contiguous item ranges
-//! ([`scenerec_core::ShardMap`]) and scores each shard independently:
-//! when the scheduler walks a micro-batch *shard-major* (every request
-//! in the batch against shard 0, then shard 1, …), one shard's slice of
-//! the matrix stays resident in the last-level cache across the whole
-//! batch instead of being evicted by the rest of the catalog. On a
-//! catalog that overflows the LLC this turns most of the matrix traffic
-//! into cache hits — the throughput win `bench/src/bin/shard.rs`
-//! measures, no extra cores required. Shards are also the unit of
-//! parallelism: the scheduler pins each shard to one worker
-//! (`crate::scheduler`). A one-shard engine is the whole catalog behind
-//! one cache — the single-engine deployment.
+//! Frozen scoring is bandwidth-bound: a cache miss reads its shard's
+//! whole item matrix. One routine ranks every miss: it walks the
+//! shard's rows in tiles of [`EngineConfig::band`] rows, scores each
+//! pending request against a tile while the tile sits in L1/L2, and
+//! streams the tile's unseen scores, in ascending item order, into that
+//! request's own top-K. A replay task hands it all of its micro-batch's
+//! misses at once (`ShardedEngine::prefetch`, run by `crate::pool`), so
+//! each tile is read from memory once per batch rather than once per
+//! request — cache blocking per tile, inside a task, at any shard
+//! count; a lone miss runs the same routine with a batch of one.
+//!
+//! A [`ShardedEngine`] splits the catalog into contiguous item ranges
+//! ([`scenerec_core::ShardMap`]) so that shards can be served in
+//! parallel: they are the unit of parallelism, and the scheduler pins
+//! each shard to one worker (`crate::scheduler`). A one-shard engine is
+//! the whole catalog behind one cache — the single-engine deployment.
 //!
 //! ## Exactness
 //!
 //! Sharding never changes a byte of any response. Per-element scores
 //! depend only on the user row, the item row, and that item's head
 //! state (its bias, or its MLP projection; `scenerec_core::ItemSide`), so
-//! slicing cannot perturb them; and the
+//! slicing into shards or tiles cannot perturb them; the tile walk
+//! offers them to the top-K in ascending item order, as a whole-shard
+//! scan would, whatever the batch; and the
 //! serving order `(score desc, item asc)` is a strict total order, so
 //! merging per-shard top-K lists with the same comparator
 //! ([`merge_top_k`]) reproduces the whole-catalog ranking exactly, ties
@@ -44,7 +48,8 @@
 use crate::cache::{CacheStats, ResultCache};
 use crate::engine::{seen_lists, EngineConfig, ServeError};
 use crate::mask::SeenMask;
-use crate::topk::{merge_top_k, select_top_k};
+use crate::scheduler::Request;
+use crate::topk::{merge_top_k, TopK};
 use scenerec_core::{
     EntityMatrix, FrozenHead, FrozenModel, ItemSide, PairwiseModel, Precision, Recommendation,
     ShardMap,
@@ -52,7 +57,7 @@ use scenerec_core::{
 use scenerec_data::Dataset;
 use scenerec_faults::Injector;
 use scenerec_obs::{lock_unpoisoned, metrics};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -104,8 +109,40 @@ pub struct ShardPartial {
     pub recs: Vec<Recommendation>,
     /// Whether the shard's cache answered the request.
     pub hit: bool,
-    /// Unseen candidates ranked on a miss (0 on a hit).
+    /// Unseen candidates ranked on a miss (0 on a hit, and at `k = 0`,
+    /// which ranks nothing).
     pub candidates: usize,
+}
+
+/// Misses a task ranked ahead of its cells, by (user, k): the partial
+/// each such cell answers its miss with (`ShardedEngine::prefetch`).
+pub(crate) type Prefetched = BTreeMap<(u32, usize), ShardPartial>;
+
+/// One request's ranking of one shard, in progress.
+struct Ranking<'a> {
+    user: u32,
+    k: usize,
+    /// The user's seen items, dropped while ranking.
+    mask: Option<&'a SeenMask>,
+    top: TopK,
+    /// Unseen rows offered so far.
+    candidates: usize,
+}
+
+impl Ranking<'_> {
+    fn finish(self) -> ShardPartial {
+        ShardPartial {
+            recs: self.top.finish(),
+            hit: false,
+            candidates: self.candidates,
+        }
+    }
+}
+
+/// The result-cache key's `k`: requests past `u32::MAX` share one key,
+/// as they rank the whole shard alike.
+fn cache_k(k: usize) -> u32 {
+    u32::try_from(k).unwrap_or(u32::MAX)
 }
 
 /// A range-partitioned serving engine over a [`FrozenModel`].
@@ -315,14 +352,95 @@ impl ShardedEngine {
         }
     }
 
-    /// Every row of `shard` scored for `user` (checked by the caller), in
-    /// row order.
-    fn score_shard(&self, shard: &Shard, user: u32) -> Result<Vec<f32>, ServeError> {
-        let engine = &self.config.engine;
-        shard
-            .side
-            .score(&self.users, user as usize, engine.band, engine.threads)
-            .map_err(ServeError::Invalid)
+    /// An empty ranking of `shard` for `user` (checked by the caller).
+    fn ranking(&self, shard: &Shard, user: u32, k: usize) -> Ranking<'_> {
+        Ranking {
+            user,
+            k,
+            mask: self.seen.get(&user),
+            top: TopK::new(k, shard.side.items().rows()),
+            candidates: 0,
+        }
+    }
+
+    /// Ranks `shard` for every request of `batch`: the one routine
+    /// behind a miss, whether a task prefetches its batch or a cell
+    /// ranks alone. It walks the shard's rows in tiles of
+    /// [`EngineConfig::band`] rows; each tile is scored for every
+    /// request while it sits in L1/L2, and its unseen scores stream, in
+    /// ascending item order, into the request's own top-K — the order
+    /// a whole-shard scan offers them in, so the partial's bits do not
+    /// depend on the batch. `k = 0` ranks nothing: its partial is empty
+    /// and counts no candidates, as `select_top_k` pulls no candidate at
+    /// `k = 0`.
+    fn rank(&self, shard: &Shard, batch: &mut [Ranking<'_>]) -> Result<(), ServeError> {
+        let EngineConfig { band, threads, .. } = self.config.engine;
+        let band = band.max(1);
+        let rows = shard.side.items().rows();
+        let mut scores = Vec::with_capacity(band.min(rows));
+        for start in (0..rows).step_by(band) {
+            let end = rows.min(start + band);
+            let first = shard.start + start as u32;
+            for r in batch.iter_mut().filter(|r| r.k > 0) {
+                let user = r.user as usize;
+                shard
+                    .side
+                    .score_range(&self.users, user, start..end, band, threads, &mut scores)
+                    .map_err(ServeError::Invalid)?;
+                match r.mask {
+                    None => {
+                        r.candidates += scores.len();
+                        r.top.offer_run(first, &scores);
+                    }
+                    Some(mask) => {
+                        for (item, &score) in (first..).zip(&scores) {
+                            if !mask.contains(item) {
+                                r.candidates += 1;
+                                r.top.offer(item, score);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Ranks, in one tile walk, every distinct (user, k) of `requests`
+    /// that shard `s`'s cache does not hold right now — a probe
+    /// ([`ResultCache::contains`]) that leaves the cache untouched. A
+    /// replay task runs this before its cells, so each of the shard's
+    /// tiles is read once per micro-batch. The cells still look the
+    /// cache up one by one and answer a miss from the result; a miss
+    /// the probe did not foresee (an entry evicted earlier in the same
+    /// batch) is ranked by its cell alone. Out-of-range users are left
+    /// to their cells, and so is the whole batch when the walk fails:
+    /// a cell's own ranking then reports the error.
+    pub(crate) fn prefetch(&self, s: usize, requests: &[Request]) -> Prefetched {
+        let Ok(shard) = self.shard(s) else {
+            return Prefetched::new();
+        };
+        let tag = self.precision.tag();
+        let misses: BTreeSet<(u32, usize)> = {
+            let cache = lock_unpoisoned(&shard.cache);
+            requests
+                .iter()
+                .filter(|r| (r.user as usize) < self.num_users)
+                .filter(|r| !cache.contains(r.user, cache_k(r.k), tag))
+                .map(|r| (r.user, r.k))
+                .collect()
+        };
+        let mut batch: Vec<Ranking<'_>> = misses
+            .iter()
+            .map(|&(user, k)| self.ranking(shard, user, k))
+            .collect();
+        if self.rank(shard, &mut batch).is_err() {
+            return Prefetched::new();
+        }
+        misses
+            .into_iter()
+            .zip(batch.into_iter().map(Ranking::finish))
+            .collect()
     }
 
     /// Scores shard `s` for `user` and returns the shard's top-`k`
@@ -334,10 +452,25 @@ impl ShardedEngine {
     /// [`ServeError::UserOutOfRange`]; [`ServeError::Invalid`] for a
     /// shard index out of range.
     pub fn partial_top_k(&self, s: usize, user: u32, k: usize) -> Result<ShardPartial, ServeError> {
+        self.serve_partial(s, user, k, &Prefetched::new())
+    }
+
+    /// [`ShardedEngine::partial_top_k`], answering a miss from
+    /// `prefetched` when it holds `(user, k)`, else by ranking the
+    /// shard for this request alone. Every counter, cache lookup and
+    /// insert is the one `partial_top_k` makes, and the partial's bits
+    /// are the same whichever way it was ranked.
+    pub(crate) fn serve_partial(
+        &self,
+        s: usize,
+        user: u32,
+        k: usize,
+        prefetched: &Prefetched,
+    ) -> Result<ShardPartial, ServeError> {
         let shard = self.shard(s)?;
         self.check_user(user)?;
         metrics::counter(&shard.requests_counter).inc();
-        let key_k = u32::try_from(k).unwrap_or(u32::MAX);
+        let key_k = cache_k(k);
         let tag = self.precision.tag();
         // Bind the lookup so the cache guard (a temporary) is dropped
         // before the metrics counter takes the obs registry lock (L2).
@@ -351,22 +484,17 @@ impl ShardedEngine {
             });
         }
         metrics::counter(&shard.misses_counter).inc();
-        let scores = self.score_shard(shard, user)?;
-        // Every row is scored; the seen filter drops rows while ranking,
-        // translating shard-local rows to global ids through `start`.
-        let mask = self.seen.get(&user);
-        let mut candidates = 0;
-        let unseen = (shard.start..)
-            .zip(scores)
-            .filter(|&(item, _)| !mask.is_some_and(|m| m.contains(item)))
-            .inspect(|_| candidates += 1);
-        let recs = select_top_k(unseen, k);
-        lock_unpoisoned(&shard.cache).insert(user, key_k, tag, recs.clone());
-        Ok(ShardPartial {
-            recs,
-            hit: false,
-            candidates,
-        })
+        let partial = match prefetched.get(&(user, k)) {
+            Some(partial) => partial.clone(),
+            None => {
+                let mut alone = [self.ranking(shard, user, k)];
+                self.rank(shard, &mut alone)?;
+                let [ranking] = alone;
+                ranking.finish()
+            }
+        };
+        lock_unpoisoned(&shard.cache).insert(user, key_k, tag, partial.recs.clone());
+        Ok(partial)
     }
 
     /// Top-K unseen recommendations for `user` — identical to the
@@ -391,9 +519,16 @@ impl ShardedEngine {
     /// [`ServeError::UserOutOfRange`].
     pub fn score_all(&self, user: u32) -> Result<Vec<f32>, ServeError> {
         self.check_user(user)?;
+        let EngineConfig { band, threads, .. } = self.config.engine;
         let mut scores = Vec::with_capacity(self.num_items);
+        let mut part = Vec::new();
         for shard in &self.shards {
-            scores.extend(self.score_shard(shard, user)?);
+            let rows = 0..shard.side.items().rows();
+            shard
+                .side
+                .score_range(&self.users, user as usize, rows, band, threads, &mut part)
+                .map_err(ServeError::Invalid)?;
+            scores.extend_from_slice(&part);
         }
         Ok(scores)
     }

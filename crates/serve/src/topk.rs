@@ -1,14 +1,22 @@
-//! Heap-based top-K selection over pre-computed scores.
+//! Streaming top-K selection over scored candidates.
 //!
 //! The training-side [`top_k_for_user`](scenerec_core::top_k_for_user)
 //! stable-sorts the full candidate list (scored in ascending item order)
 //! descending by score and truncates; ties therefore come out in
-//! ascending item order. This module reproduces that exact ranking with a
+//! ascending item order. `TopK` reproduces that exact ranking with a
 //! size-K binary heap instead of an O(n log n) sort: a candidate replaces
 //! the current worst entry only when it scores strictly higher, or ties
 //! the score with a smaller item id. The final output is sorted by
 //! (score descending, item ascending), which for candidates fed in
 //! ascending item order is bit-for-bit the sort-and-truncate result.
+//!
+//! Candidates stream in: a shard offers each scored tile as it comes
+//! (`TopK::offer_run`), so no caller holds a whole catalog's scores.
+//! Once `k` entries are kept, a candidate strictly below the worst kept
+//! score is one the heap would reject, so `TopK` skips it without
+//! touching the heap; a run whose every score lies below that floor
+//! costs one vectorizable compare per score. [`select_top_k`] and
+//! [`merge_top_k`] are thin wrappers over the same selection.
 
 use scenerec_core::Recommendation;
 use scenerec_graph::ItemId;
@@ -50,66 +58,142 @@ impl Ord for Worst {
     }
 }
 
+/// Scores per floor test in [`TopK::offer_run`]: a run is skipped
+/// `RUN` scores at a time when all of them lie below the floor.
+const RUN: usize = 16;
+
+/// The best `k` candidates seen so far, by (score descending, item id
+/// ascending): one streaming selection behind serving's shard scans,
+/// [`select_top_k`] and [`merge_top_k`].
+///
+/// Keeps a pop-then-push heap of at most `k` entries plus a *floor*:
+/// the heap's worst kept score once it holds `k` entries, else −∞. A
+/// candidate strictly below the floor (`score < floor`, false for NaN on
+/// either side) compares `Less` against the heap's worst, which is
+/// exactly the case the heap rejects, so skipping it leaves the heap as
+/// it would have been. The floor is re-read after every replacement:
+/// with a NaN kept, the heap's order is not total and its worst can
+/// *fall* after a replacement, so a floor taken before one cannot
+/// judge a candidate offered after it.
+#[derive(Debug)]
+pub(crate) struct TopK {
+    k: usize,
+    heap: BinaryHeap<Worst>,
+    floor: f32,
+}
+
+impl TopK {
+    /// An empty selection of the best `k`, for at most `len` candidates.
+    ///
+    /// The heap is sized by `len`, the caller's candidate count, never
+    /// by `k` alone: `k` comes from the request, and `k = 1 << 40` must
+    /// not ask the allocator for terabytes.
+    pub(crate) fn new(k: usize, len: usize) -> Self {
+        TopK {
+            k,
+            heap: BinaryHeap::with_capacity(k.min(len)),
+            floor: f32::NEG_INFINITY,
+        }
+    }
+
+    /// Offers one candidate.
+    #[inline]
+    pub(crate) fn offer(&mut self, item: u32, score: f32) {
+        if score < self.floor {
+            return;
+        }
+        self.admit(item, score);
+    }
+
+    /// Offers `scores[j]` as item `first + j`, in order: exactly
+    /// [`TopK::offer`] on each, with every `RUN` scores that all lie
+    /// below the floor skipped by one test. A run that holds a candidate
+    /// is offered score by score, each judged by the floor as it stands
+    /// after the offers before it.
+    pub(crate) fn offer_run(&mut self, first: u32, scores: &[f32]) {
+        for (c, run) in scores.chunks(RUN).enumerate() {
+            let floor = self.floor;
+            // A fold rather than `all`: no early exit, so it vectorizes.
+            let below = run.iter().fold(true, |below, &s| below & (s < floor));
+            if !below {
+                let base = first + (c * RUN) as u32;
+                for (j, &s) in run.iter().enumerate() {
+                    self.offer(base + j as u32, s);
+                }
+            }
+        }
+    }
+
+    /// The heap step: push while fewer than `k` are kept, else replace
+    /// the worst when the candidate beats it, then refresh the floor.
+    fn admit(&mut self, item: u32, score: f32) {
+        if self.heap.len() < self.k {
+            self.heap.push(Worst { score, item });
+        } else {
+            // An empty heap here means `k = 0`: nothing is kept.
+            let Some(worst) = self.heap.peek() else {
+                return;
+            };
+            let replaces = match score_ord(score, worst.score) {
+                Ordering::Greater => true,
+                Ordering::Equal => item < worst.item,
+                Ordering::Less => false,
+            };
+            if !replaces {
+                return;
+            }
+            self.heap.pop();
+            self.heap.push(Worst { score, item });
+        }
+        if self.heap.len() == self.k {
+            if let Some(worst) = self.heap.peek() {
+                self.floor = worst.score;
+            }
+        }
+    }
+
+    /// The kept candidates, ranked by (score descending, item ascending).
+    pub(crate) fn finish(self) -> Vec<Recommendation> {
+        let mut out: Vec<Recommendation> = self
+            .heap
+            .into_iter()
+            .map(|w| Recommendation {
+                item: ItemId(w.item),
+                score: w.score,
+            })
+            .collect();
+        out.sort_by(|a, b| {
+            score_ord(b.score, a.score).then_with(|| a.item.raw().cmp(&b.item.raw()))
+        });
+        out
+    }
+}
+
 /// Selects the top `k` of `candidates` by (score descending, item id
 /// ascending) using a bounded heap.
 ///
 /// Equivalent to stable-sorting candidates listed in ascending item order
 /// descending by score and truncating to `k` — the exact contract of the
 /// training-side `top_k_for_user`. `k = 0` and `k > len` both behave like
-/// the sort-based oracle (empty result / all candidates ranked).
+/// the sort-based oracle (empty result / all candidates ranked); `k = 0`
+/// returns without pulling a single candidate.
 ///
 /// The heap is sized by the candidate count (the iterator's size hint),
-/// never by `k` alone: `k` comes from the request, and `k = 1 << 40`
-/// must not ask the allocator for terabytes.
+/// never by `k` alone (see `TopK::new`).
 pub fn select_top_k<I>(candidates: I, k: usize) -> Vec<Recommendation>
 where
     I: IntoIterator<Item = (u32, f32)>,
 {
-    let candidates = candidates.into_iter();
-    let (lower, upper) = candidates.size_hint();
-    select_bounded(candidates, k, upper.unwrap_or(lower))
-}
-
-/// [`select_top_k`] with the heap capacity bounded by `len`, the
-/// caller's count of candidates.
-fn select_bounded(
-    candidates: impl Iterator<Item = (u32, f32)>,
-    k: usize,
-    len: usize,
-) -> Vec<Recommendation> {
     if k == 0 {
         return Vec::new();
     }
-    // The heap never holds more than `k` entries: a replacement pops
-    // before it pushes.
-    let mut heap: BinaryHeap<Worst> = BinaryHeap::with_capacity(k.min(len));
+    let candidates = candidates.into_iter();
+    let (lower, upper) = candidates.size_hint();
+    let mut top = TopK::new(k, upper.unwrap_or(lower));
     for (item, score) in candidates {
-        if heap.len() < k {
-            heap.push(Worst { score, item });
-            continue;
-        }
-        let replaces = match heap.peek() {
-            Some(worst) => match score_ord(score, worst.score) {
-                Ordering::Greater => true,
-                Ordering::Equal => item < worst.item,
-                Ordering::Less => false,
-            },
-            None => true,
-        };
-        if replaces {
-            heap.pop();
-            heap.push(Worst { score, item });
-        }
+        top.offer(item, score);
     }
-    let mut out: Vec<Recommendation> = heap
-        .into_iter()
-        .map(|w| Recommendation {
-            item: ItemId(w.item),
-            score: w.score,
-        })
-        .collect();
-    out.sort_by(|a, b| score_ord(b.score, a.score).then_with(|| a.item.raw().cmp(&b.item.raw())));
-    out
+    top.finish()
 }
 
 /// Exact scatter-gather merge: re-selects the global top `k` from
@@ -130,11 +214,11 @@ fn select_bounded(
 /// equal to everything, which is not a total order) — exactly the same
 /// exclusion the single-engine parity contract already makes.
 pub fn merge_top_k(partials: &[Vec<Recommendation>], k: usize) -> Vec<Recommendation> {
-    select_bounded(
-        partials.iter().flatten().map(|r| (r.item.raw(), r.score)),
-        k,
-        partials.iter().map(Vec::len).sum(),
-    )
+    let mut top = TopK::new(k, partials.iter().map(Vec::len).sum());
+    for r in partials.iter().flatten() {
+        top.offer(r.item.raw(), r.score);
+    }
+    top.finish()
 }
 
 #[cfg(test)]
@@ -207,6 +291,190 @@ mod tests {
                 assert_eq!(merged, global, "shards={shards} k={k}");
             }
         }
+    }
+
+    /// The plain bounded heap, without a floor and fed one candidate
+    /// at a time: the oracle every [`TopK`] path must match bit for bit,
+    /// NaN included.
+    fn select_bounded(
+        candidates: impl Iterator<Item = (u32, f32)>,
+        k: usize,
+        len: usize,
+    ) -> Vec<Recommendation> {
+        if k == 0 {
+            return Vec::new();
+        }
+        // The heap never holds more than `k` entries: a replacement pops
+        // before it pushes.
+        let mut heap: BinaryHeap<Worst> = BinaryHeap::with_capacity(k.min(len));
+        for (item, score) in candidates {
+            if heap.len() < k {
+                heap.push(Worst { score, item });
+                continue;
+            }
+            let replaces = match heap.peek() {
+                Some(worst) => match score_ord(score, worst.score) {
+                    Ordering::Greater => true,
+                    Ordering::Equal => item < worst.item,
+                    Ordering::Less => false,
+                },
+                None => true,
+            };
+            if replaces {
+                heap.pop();
+                heap.push(Worst { score, item });
+            }
+        }
+        let mut out: Vec<Recommendation> = heap
+            .into_iter()
+            .map(|w| Recommendation {
+                item: ItemId(w.item),
+                score: w.score,
+            })
+            .collect();
+        out.sort_by(|a, b| {
+            score_ord(b.score, a.score).then_with(|| a.item.raw().cmp(&b.item.raw()))
+        });
+        out
+    }
+
+    fn rec_bits(recs: &[Recommendation]) -> Vec<(u32, u32)> {
+        recs.iter()
+            .map(|r| (r.item.raw(), r.score.to_bits()))
+            .collect()
+    }
+
+    /// A selection's bits, or `None` when it panicked: the final sort's
+    /// comparator is not a total order once NaN is kept, and the
+    /// standard sort may detect that and panic. Both selections sort the
+    /// same heap with the same comparator, so they must agree on that
+    /// too.
+    fn outcome(select: impl FnOnce() -> Vec<Recommendation>) -> Option<Vec<(u32, u32)>> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(select))
+            .ok()
+            .map(|recs| rec_bits(&recs))
+    }
+
+    /// splitmix64, the repo's stock deterministic mixer.
+    fn splitmix64(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A stream drawn from a tiny alphabet of NaN, ±0.0, ±∞ and a few
+    /// finite values, so ties are long and NaN lands in the heap.
+    fn hostile_stream(seed: u64, len: usize) -> Vec<f32> {
+        const ALPHABET: [f32; 9] = [
+            f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.0,
+            -1.0,
+            2.5,
+            1.0,
+        ];
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = splitmix64(state);
+                // One seed in four has no NaN, so the floor engages.
+                let draw = state % ALPHABET.len() as u64;
+                if seed % 4 == 0 && draw == 0 {
+                    2.5
+                } else {
+                    ALPHABET[draw as usize]
+                }
+            })
+            .collect()
+    }
+
+    /// Every path into [`TopK`] equals the plain heap bit for bit, on
+    /// streams of NaN, ±0.0, ±∞ and heavy ties: one `offer` per
+    /// candidate, one `offer_run` over the whole stream, and the stream
+    /// split into runs at every length around the floor test's 16-score
+    /// step. A run that holds a candidate is judged score by score
+    /// against the live floor; a mask taken at the run's start would
+    /// skip a candidate the heap takes once a NaN-disordered heap's
+    /// worst falls after a replacement.
+    #[test]
+    fn streaming_selection_matches_the_plain_heap() {
+        let runs = [1usize, 2, 7, 15, 16, 17, 31, 32, 33, 48, 65];
+        for seed in 0..400u64 {
+            let len = (splitmix64(seed ^ 0x5eed) % 180) as usize;
+            let scores = hostile_stream(seed, len);
+            let stream = || scores.iter().enumerate().map(|(i, &s)| (i as u32, s));
+            for k in [1usize, 2, 3, 5, 16, 17, 50, len, len + 3] {
+                let want = outcome(|| select_bounded(stream(), k, len));
+                assert_eq!(
+                    outcome(|| select_top_k(stream(), k)),
+                    want,
+                    "seed {seed} k {k}"
+                );
+                let whole = outcome(|| {
+                    let mut top = TopK::new(k, len);
+                    top.offer_run(0, &scores);
+                    top.finish()
+                });
+                assert_eq!(whole, want, "seed {seed} k {k} whole");
+                for run in runs {
+                    let got = outcome(|| {
+                        let mut top = TopK::new(k, len);
+                        for (c, chunk) in scores.chunks(run).enumerate() {
+                            top.offer_run((c * run) as u32, chunk);
+                        }
+                        top.finish()
+                    });
+                    assert_eq!(got, want, "seed {seed} k {k} runs of {run}");
+                }
+            }
+        }
+    }
+
+    /// The merge offers candidates in no particular item order: single
+    /// offers over a shuffled hostile stream still match the plain heap.
+    #[test]
+    fn unordered_offers_match_the_plain_heap() {
+        for seed in 0..300u64 {
+            let len = (splitmix64(seed ^ 0xface) % 120) as usize;
+            let scores = hostile_stream(seed, len);
+            let mut order: Vec<u32> = (0..len as u32).collect();
+            let mut state = seed;
+            for i in (1..order.len()).rev() {
+                state = splitmix64(state);
+                order.swap(i, (state % (i as u64 + 1)) as usize);
+            }
+            let stream = || order.iter().map(|&i| (i, scores[i as usize]));
+            for k in [0usize, 1, 3, 8, 33, len] {
+                let want = outcome(|| select_bounded(stream(), k, len));
+                let got = outcome(|| {
+                    let mut top = TopK::new(k, len);
+                    for (item, score) in stream() {
+                        top.offer(item, score);
+                    }
+                    top.finish()
+                });
+                assert_eq!(got, want, "seed {seed} k {k}");
+            }
+        }
+    }
+
+    /// `k = 0` keeps nothing on every path, and `select_top_k` does not
+    /// even pull its candidates.
+    #[test]
+    fn zero_k_keeps_nothing_and_pulls_nothing() {
+        let mut pulled = 0;
+        let cands = (0..10u32).map(|i| (i, i as f32)).inspect(|_| pulled += 1);
+        assert!(select_top_k(cands, 0).is_empty());
+        assert_eq!(pulled, 0);
+        let mut top = TopK::new(0, 10);
+        top.offer_run(0, &[1.0, f32::NAN, f32::INFINITY]);
+        top.offer(7, 3.0);
+        assert!(top.finish().is_empty());
+        assert!(merge_top_k(&[vec![], select_top_k([(1, 2.0f32)], 1)], 0).is_empty());
     }
 
     /// NaN is outside the parity contract (models emit finite scores);

@@ -395,6 +395,195 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Replay equals the sequential path. A replay task ranks its batch's
+// cache misses in one tile walk before its cells run; the cells then
+// serve as they would one by one. Against an oracle that calls
+// `partial_top_k` per (request, shard) in request order and merges with
+// `merge_top_k` on a twin engine, everything observable must agree:
+// response bytes, each cell's hit and candidate count (from its trace
+// span), the recs every cache now holds, each shard's cache stats and
+// length, and the trace structure.
+// ---------------------------------------------------------------------
+
+use scenerec_autodiff::Act;
+use scenerec_core::FrozenLayer;
+use scenerec_obs::trace::structure_digest;
+use scenerec_obs::{FieldValue, TraceData};
+use scenerec_serve::{
+    merge_top_k, replay_sharded_with, EngineConfig, ReplayOptions, Response, ShardPartial,
+};
+
+/// `base` with an MLP head `2·dim → 3 → 1` (tanh, then identity).
+fn with_mlp_head(base: FrozenModel, dim: usize) -> FrozenModel {
+    let layer = |fan_out: usize, fan_in: usize, act: Act| FrozenLayer {
+        w: Matrix::from_vec(
+            fan_out,
+            fan_in,
+            (0..fan_out * fan_in)
+                .map(|x| ((x * 7 + fan_in) % 13) as f32 / 13.0 - 0.5)
+                .collect(),
+        )
+        .unwrap(),
+        b: (0..fan_out).map(|x| x as f32 * 0.01 - 0.02).collect(),
+        act,
+    };
+    FrozenModel {
+        head: FrozenHead::Mlp {
+            layers: vec![layer(3, 2 * dim, Act::Tanh), layer(1, 3, Act::Identity)],
+        },
+        ..base
+    }
+}
+
+/// What each `serve.shard` span of `trace` says about its cell:
+/// `Ok((hit, candidates))`, candidates 0 on a hit, or `Err(error)`.
+fn shard_cells(trace: &TraceData) -> Vec<Result<(bool, i64), String>> {
+    trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "serve.shard")
+        .map(|s| {
+            let field = |key: &str| s.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+            match (field("hit"), field("candidates"), field("error")) {
+                (Some(FieldValue::Bool(hit)), candidates, None) => {
+                    let n = match candidates {
+                        Some(FieldValue::Int(n)) => *n,
+                        _ => 0,
+                    };
+                    Ok((*hit, n))
+                }
+                (None, None, Some(FieldValue::Str(e))) => Err(e.clone()),
+                other => Err(format!("unexpected fields {other:?}")),
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Replay = sequential `partial_top_k` + `merge_top_k` on a twin,
+    /// over logs with users repeated inside a batch and one user out of
+    /// range; batches of 1, 3 and 64; caches of 0, 1, 5 and 1024
+    /// entries, so entries are evicted inside a batch and the cells'
+    /// fallback ranks alone; tile heights that split the shard; seen
+    /// masks, all-seen included; 1–3 shards on 1–2 workers; k of 0, 1,
+    /// 7, past the catalog and `usize::MAX`; dot and MLP heads at every
+    /// precision.
+    #[test]
+    fn replay_equals_sequential_partials(
+        seed in 0u64..1_000_000,
+        num_items in 1usize..40,
+        dim in 1usize..5,
+        parts in prop::collection::vec((0u32..5, 0usize..5), 1..48),
+        batch_idx in 0usize..3,
+        cap_idx in 0usize..4,
+        band_idx in 0usize..4,
+        shards in 1usize..4,
+        workers in 1usize..3,
+        head_idx in 0usize..2,
+        precision_idx in 0usize..3,
+        seen_mod in 1usize..6,
+    ) {
+        let num_users = 4usize;
+        let precision = [Precision::F32, Precision::F16, Precision::Int8][precision_idx];
+        let base = random_frozen(seed, num_users, num_items, dim, seed % 2 == 0);
+        let base = if head_idx == 1 { with_mlp_head(base, dim) } else { base };
+        let frozen = base.quantize(precision).unwrap();
+        let seen: Vec<Vec<u32>> = (0..num_users)
+            .map(|u| {
+                (0..num_items as u32)
+                    .filter(|i| (*i as usize + u) % seen_mod == 0)
+                    .collect()
+            })
+            .collect();
+        let config = ShardedConfig {
+            shards,
+            engine: EngineConfig {
+                band: [1, 4, 7, 512][band_idx],
+                cache_capacity: [0, 1, 5, 1024][cap_idx],
+                ..EngineConfig::default()
+            },
+        };
+        let build = || ShardedEngine::new(frozen.clone(), &seen, config.clone()).unwrap();
+        let ks = [0, 1, 7, num_items + 3, usize::MAX];
+        // User 4 is out of range.
+        let requests: Vec<Request> =
+            parts.iter().map(|&(user, k)| Request { user, k: ks[k] }).collect();
+
+        let engine = build();
+        let replay_config = ShardReplayConfig {
+            workers,
+            max_batch: [1, 3, 64][batch_idx],
+            ..ShardReplayConfig::default()
+        };
+        let traced = ReplayOptions { trace: true, ..ReplayOptions::default() };
+        let replay = replay_sharded_with(&engine, &requests, &replay_config, &traced);
+
+        let twin = build();
+        let num_shards = twin.num_shards();
+        let mut want = Vec::new();
+        let mut want_cells = Vec::new();
+        for req in &requests {
+            let partials: Vec<Result<ShardPartial, String>> = (0..num_shards)
+                .map(|s| twin.partial_top_k(s, req.user, req.k).map_err(|e| e.to_string()))
+                .collect();
+            // A miss counts the shard's unseen items as candidates, and
+            // none at k = 0: that selection never pulls a candidate.
+            for (s, p) in partials.iter().enumerate() {
+                let Ok(p) = p else { continue };
+                let range = twin.shard_map().range(s).unwrap();
+                let unseen = range.filter(|i| !seen[req.user as usize].contains(i)).count();
+                let want = if p.hit || req.k == 0 { 0 } else { unseen };
+                prop_assert_eq!(p.candidates, want, "shard {} k {}", s, req.k);
+            }
+            want_cells.push(
+                partials
+                    .iter()
+                    .map(|p| match p {
+                        Ok(p) => Ok((p.hit, p.candidates as i64)),
+                        Err(e) => Err(e.clone()),
+                    })
+                    .collect::<Vec<_>>(),
+            );
+            let error = partials.iter().find_map(|p| p.as_ref().err()).cloned();
+            let recs: Vec<Vec<Recommendation>> =
+                partials.into_iter().filter_map(Result::ok).map(|p| p.recs).collect();
+            want.push(Response {
+                user: req.user,
+                k: req.k,
+                recs: if error.is_some() { Vec::new() } else { merge_top_k(&recs, req.k) },
+                error,
+                degraded: false,
+                partial_shards: Vec::new(),
+                overload: None,
+            });
+        }
+        prop_assert_eq!(responses_to_json(&replay.responses), responses_to_json(&want));
+        let got_cells: Vec<_> = replay.traces.iter().map(shard_cells).collect();
+        prop_assert_eq!(got_cells, want_cells);
+        for s in 0..num_shards {
+            prop_assert_eq!(engine.shard_cache_stats(s).unwrap(), twin.shard_cache_stats(s).unwrap());
+            prop_assert_eq!(engine.shard_cache_len(s).unwrap(), twin.shard_cache_len(s).unwrap());
+        }
+        // Every cached partial holds the oracle's recs: probing both
+        // engines alike hits (or misses) alike and returns equal partials.
+        for req in &requests {
+            for s in 0..num_shards {
+                let got = engine.partial_top_k(s, req.user, req.k).map_err(|e| e.to_string());
+                let want = twin.partial_top_k(s, req.user, req.k).map_err(|e| e.to_string());
+                prop_assert_eq!(got, want);
+            }
+        }
+        // A batch of one is the sequential path; the trace structure
+        // is the same.
+        let sequential = ShardReplayConfig { workers: 1, max_batch: 1, ..replay_config };
+        let reference = replay_sharded_with(&build(), &requests, &sequential, &traced);
+        prop_assert_eq!(structure_digest(&replay.traces), structure_digest(&reference.traces));
+    }
+}
+
+// ---------------------------------------------------------------------
 // Retry backoff (scenerec_faults::Backoff): the schedule the serving
 // scheduler and chaos suite rely on must be a pure, bounded, monotone
 // function of the attempt index.
