@@ -9,10 +9,12 @@
 //!
 //! Writes a `BENCH_kernels.json` run manifest under `results/` recording
 //! per-size wall times, GFLOP/s and the SIMD-over-forced-scalar speedup
-//! of `score_bt`, whose AVX2 side is the 8-row dot tile behind every
-//! score in the workspace. The manifest records which backend the
-//! runtime dispatch resolved (`kernel_backend`), so diffs across
-//! machines with different SIMD features are detectable. This file is
+//! of `score_bt`, whose SIMD side is the 8-row AVX2 dot tile behind
+//! every score in the workspace, and on AVX-512 CPUs the block kernel
+//! that scores four of its rows at once. The manifest records which
+//! backend the runtime dispatch resolved (`kernel_backend`), so diffs
+//! across machines with different SIMD features are detectable. This
+//! file is
 //! the evidence behind the "Performance" sections of README.md and
 //! DESIGN.md and is gated in CI by `bench_diff`.
 

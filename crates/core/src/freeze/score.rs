@@ -14,13 +14,16 @@
 //!   [`crate::freeze`]),
 //! * every f32 dot — the dot head, each half of the MLP head's first
 //!   layer, its hidden layers through `score_bt` and its output layer —
-//!   comes out of `linalg::dot_rows_into`, the workspace's one
+//!   comes out of `linalg::dot_rows_into`, the workspace's one-x-row
 //!   dot-per-element loop, which the tape's `affine`, `affine_split`
-//!   and `matvec` run too. Its AVX2 tile dots 8 rows per step, but each
-//!   row keeps its own accumulator, reduced in `linalg::dot`'s pairwise
-//!   order with the tail added last, so each element equals `dot` on
-//!   its pair (the tape's `dot` operator), whatever rows share its
-//!   tile, band or thread,
+//!   and `matvec` run too, or out of its many-row sibling
+//!   `linalg::dot_rows_many_into`, which a dot head's grouped users and
+//!   `score_bt` run. The AVX2 tile dots one x-row against 8 rows per
+//!   step and the AVX-512 block kernel four x-rows against 8, but each
+//!   (x-row, row) pair keeps its own accumulator, reduced in
+//!   `linalg::dot`'s pairwise order with the tail added last, so each
+//!   element equals `dot` on its pair (the tape's `dot` operator),
+//!   whatever rows or users share its tile, group, band or thread,
 //! * the bias is one add after the dot, as in the tape's `affine`,
 //! * the MLP head's first layer follows the tape's `affine_split` float
 //!   order, `(W[:, ..du]·m_u + b) + W[:, du..]·m_i`: an item side keeps
@@ -36,11 +39,12 @@
 //!
 //! An element depends only on its user row, its item row and that
 //! item's head state (its bias, or its projection), never on which other
-//! rows ride in the same call. So [`ItemSide::score_rows`], which scores
-//! a candidate list, and [`ItemSide::score_range`] over any row range
-//! give each row the bits the full scan (the range `0..rows`) gives it,
-//! and slicing a catalog into shards or tiles (like banding and
-//! threading) cannot change a bit.
+//! rows or users ride in the same call. So [`ItemSide::score_rows`],
+//! which scores a candidate list, and [`ItemSide::score_range`] over any
+//! row range and any group of users give each (user, row) the bits the
+//! user's full scan (the range `0..rows`) gives it, and slicing a
+//! catalog into shards or tiles, or a batch into groups of four (like
+//! banding and threading), cannot change a bit.
 //!
 //! # Quantized item sides
 //!
@@ -119,6 +123,11 @@ impl<'a> Rows<'a> {
     }
 }
 
+/// The error for a user row past `users`.
+fn user_out_of_range(user: usize, users: &EntityMatrix) -> String {
+    format!("user row {user} out of range ({} user rows)", users.rows())
+}
+
 impl ItemSide {
     /// Checks `head` against `user_dim` and the item rows, and for an MLP
     /// head projects every item row through the item half of its first
@@ -152,23 +161,31 @@ impl ItemSide {
         &self.items
     }
 
-    /// Scores item rows `rows` against `users` row `user` into `out`, in
-    /// row order: `out[j]` is row `rows.start + j`'s score. The range
+    /// Scores item rows `rows` against each user row of `user_rows` into
+    /// `out`, one `rows`-long slice per user in `user_rows` order:
+    /// `out[u * len + j]` is user `user_rows[u]`'s score of row
+    /// `rows.start + j`, `len` being the range's length. The range
     /// `0..rows` is the full scan; a serving shard walks its rows in
-    /// tiles of this form, reusing one `out` (resized to the range's
-    /// length, so a reused buffer of that length is only overwritten).
-    /// `band` bounds the rows per MLP head band; `threads` go to
-    /// `score_bt` for hidden layers after the first. Neither changes a
-    /// bit.
+    /// tiles of this form for up to [`linalg::BLOCK_X_ROWS`] pending
+    /// requests at a time, reusing one `out` (resized to
+    /// `user_rows.len() * len`, so a reused buffer of that length is
+    /// only overwritten).
+    /// A dot head over f32 rows scores each group of
+    /// [`linalg::BLOCK_X_ROWS`] users in one
+    /// [`linalg::dot_rows_many_into`] call, which reads each block of
+    /// the tile once for the whole group; every other head and precision
+    /// scores user by user. `band` bounds the rows per MLP head band;
+    /// `threads` go to `score_bt` for hidden layers after the first.
+    /// Neither, nor the users sharing a call, changes a bit.
     ///
     /// # Errors
-    /// An inverted range or one past the item rows (checked before any
-    /// row is read), `user` outside `users`, or user and item rows at
-    /// different precisions.
+    /// An inverted range or one past the item rows, or a user outside
+    /// `users` (all checked before any row is read), or user and item
+    /// rows at different precisions.
     pub fn score_range(
         &self,
         users: &EntityMatrix,
-        user: usize,
+        user_rows: &[usize],
         rows: std::ops::Range<usize>,
         band: usize,
         threads: usize,
@@ -181,8 +198,45 @@ impl ItemSide {
                 rows.start, rows.end
             ));
         }
-        let rows = Rows::Range(rows.start, rows.end);
-        self.score_in(users, user, rows, band, threads, out)
+        if let Some(&user) = user_rows.iter().find(|&&u| u >= users.rows()) {
+            return Err(user_out_of_range(user, users));
+        }
+        let len = rows.len();
+        out.resize(user_rows.len() * len, 0.0);
+        match (&self.head, users, &self.items) {
+            // The block path: each group's x-rows against the tile, then
+            // the bias as one add after the dot, as in the tape.
+            (
+                FrozenHead::DotBias { bias },
+                EntityMatrix::F32(users),
+                EntityMatrix::F32(catalog),
+            ) if len > 0 => {
+                let cols = catalog.cols();
+                let tile = &catalog.as_slice()[rows.start * cols..rows.end * cols];
+                let bias = &bias[rows];
+                let groups = user_rows.chunks(linalg::BLOCK_X_ROWS);
+                for (group, out) in groups.zip(out.chunks_mut(linalg::BLOCK_X_ROWS * len)) {
+                    let mut xs: [&[f32]; linalg::BLOCK_X_ROWS] = [&[]; linalg::BLOCK_X_ROWS];
+                    for (x, &user) in xs.iter_mut().zip(group) {
+                        *x = users.row(user);
+                    }
+                    linalg::dot_rows_many_into(&xs[..group.len()], tile, cols, len, out);
+                    for scores in out.chunks_mut(len) {
+                        for (v, &b) in scores.iter_mut().zip(bias) {
+                            *v += b;
+                        }
+                    }
+                }
+            }
+            _ => {
+                let rows = Rows::Range(rows.start, rows.end);
+                for (u, &user) in user_rows.iter().enumerate() {
+                    let out = &mut out[u * len..(u + 1) * len];
+                    self.score_in(users, user, rows, band, threads, out)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Scores the listed item rows against `users` row `user`, in list
@@ -206,13 +260,17 @@ impl ItemSide {
         if let Some(&row) = rows.iter().find(|&&r| r as usize >= n) {
             return Err(format!("item row {row} out of range ({n} item rows)"));
         }
-        let mut out = Vec::new();
+        if user >= users.rows() {
+            return Err(user_out_of_range(user, users));
+        }
+        let mut out = vec![0.0; rows.len()];
         self.score_in(users, user, Rows::Listed(rows), band, threads, &mut out)?;
         Ok(out)
     }
 
-    /// Scores `rows` (checked by the caller) into `out`, resized to
-    /// their count: every path overwrites each element.
+    /// Scores `rows` (checked by the caller) against `user` (checked by
+    /// the caller) into `out`, one element per row: every path
+    /// overwrites each element.
     fn score_in(
         &self,
         users: &EntityMatrix,
@@ -220,43 +278,25 @@ impl ItemSide {
         rows: Rows<'_>,
         band: usize,
         threads: usize,
-        out: &mut Vec<f32>,
+        out: &mut [f32],
     ) -> Result<(), String> {
-        if user >= users.rows() {
-            return Err(format!(
-                "user row {user} out of range ({} user rows)",
-                users.rows()
-            ));
-        }
         let band = band.max(1);
         let n = rows.len();
-        out.resize(n, 0.0);
         match &self.head {
             // Dot heads score straight off the stored representation:
-            // f32 runs the 8-row `linalg::dot_rows_into` tile over a row
-            // range and `linalg::dot` per listed row, each score
-            // bit-identical to the tape's `linalg::dot`; f16 widens item
-            // lanes in-kernel against the (exactly widened) user row; int8
-            // accumulates in exact integer arithmetic and rescales with one
-            // fixed-order f32 multiply chain per element. The bias is one
-            // add after the dot, as in the tape.
+            // f32 runs `linalg::dot` per row (a row range's f32 dot goes
+            // through `score_range`'s block path instead, with the same
+            // bits), each score bit-identical to the tape's
+            // `linalg::dot`; f16 widens item lanes in-kernel against the
+            // (exactly widened) user row; int8 accumulates in exact
+            // integer arithmetic and rescales with one fixed-order f32
+            // multiply chain per element. The bias is one add after the
+            // dot, as in the tape.
             FrozenHead::DotBias { bias } => match (users, &self.items) {
                 (EntityMatrix::F32(users), EntityMatrix::F32(catalog)) => {
                     let u = users.row(user);
-                    match rows {
-                        Rows::Range(start, end) => {
-                            let cols = catalog.cols();
-                            let tile = &catalog.as_slice()[start * cols..end * cols];
-                            linalg::dot_rows_into(u, tile, cols, out);
-                            for (v, &b) in out.iter_mut().zip(&bias[start..end]) {
-                                *v += b;
-                            }
-                        }
-                        Rows::Listed(_) => {
-                            for (v, i) in out.iter_mut().zip(rows.iter()) {
-                                *v = linalg::dot(u, catalog.row(i)) + bias[i];
-                            }
-                        }
+                    for (v, i) in out.iter_mut().zip(rows.iter()) {
+                        *v = linalg::dot(u, catalog.row(i)) + bias[i];
                     }
                 }
                 (EntityMatrix::F16(users), EntityMatrix::F16(catalog)) => {
@@ -353,7 +393,7 @@ mod tests {
     ) -> Result<Vec<f32>, String> {
         let mut out = Vec::new();
         let rows = 0..side.items().rows();
-        side.score_range(users, user, rows, band, threads, &mut out)?;
+        side.score_range(users, &[user], rows, band, threads, &mut out)?;
         Ok(out)
     }
 
@@ -533,7 +573,7 @@ mod tests {
                     let full = scan(&side, &users, user, band, threads).unwrap();
                     assert_eq!(full.len(), n);
                     for rows in ranges.clone() {
-                        side.score_range(&users, user, rows.clone(), band, threads, &mut tile)
+                        side.score_range(&users, &[user], rows.clone(), band, threads, &mut tile)
                             .unwrap();
                         assert_eq!(
                             bits(&tile),
@@ -549,6 +589,48 @@ mod tests {
                             bits(&got),
                             want,
                             "{label}, {kind} list, user {user}, band {band}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A range scored for several users at once — groups of four for
+    /// the block path, a remainder, repeats, any order — gives each
+    /// user the bits of their own full scan, for every head shape at
+    /// every precision and over ranges on and off the 8-row block, plus
+    /// an f32 dot side wide enough for the 8-lane body.
+    #[test]
+    fn grouped_users_score_the_bits_of_their_own_scans() {
+        let mut sides = every_side();
+        let (users, side) = side_of(FrozenModel::synthetic("wide", 5, 37, 21, 7).unwrap());
+        sides.push(("wide dot at f32".to_owned(), users, side));
+        for (label, users, side) in sides {
+            let n = side.items().rows();
+            let m = users.rows();
+            let full: Vec<Vec<f32>> = (0..m)
+                .map(|u| scan(&side, &users, u, 512, 1).unwrap())
+                .collect();
+            let groups: [Vec<usize>; 5] = [
+                vec![],
+                vec![3],
+                vec![0, 1, 2, 3],
+                vec![4, 0, 2, 1, 3],
+                vec![1, 1, 4, 0, 2, 3, 0, 4, 2],
+            ];
+            let mut out = Vec::new();
+            for group in &groups {
+                for rows in [0..n, 0..8, 3..n, 5..5, 2..19] {
+                    side.score_range(&users, group, rows.clone(), 4, 2, &mut out)
+                        .unwrap();
+                    let len = rows.len();
+                    assert_eq!(out.len(), group.len() * len, "{label}");
+                    for (i, &user) in group.iter().enumerate() {
+                        assert_eq!(
+                            bits(&out[i * len..(i + 1) * len]),
+                            bits(&full[user][rows.clone()]),
+                            "{label}, users {group:?}, rows {rows:?}, user {user}"
                         );
                     }
                 }
@@ -574,13 +656,20 @@ mod tests {
             for rows in bad {
                 let mut out = vec![7.0f32; 3];
                 let err = side
-                    .score_range(&users, 0, rows.clone(), 512, 1, &mut out)
+                    .score_range(&users, &[0, 1], rows.clone(), 512, 1, &mut out)
                     .unwrap_err();
                 assert!(err.contains("out of range"), "{label}, {rows:?}: {err}");
                 assert_eq!(out, [7.0; 3], "{label}, {rows:?} wrote its output");
             }
             let past = users.rows();
             assert!(scan(&side, &users, past, 512, 1).is_err(), "{label}");
+            // One bad user in a group fails the call before any scoring.
+            let mut out = vec![7.0f32; 3];
+            let err = side
+                .score_range(&users, &[0, 1, past, 2, 3], 0..n, 512, 1, &mut out)
+                .unwrap_err();
+            assert!(err.contains("out of range"), "{label}: {err}");
+            assert_eq!(out, [7.0; 3], "{label}: a bad user wrote its output");
             assert!(
                 side.score_rows(&users, past, &[0], 512, 1).is_err(),
                 "{label}"

@@ -168,7 +168,7 @@ pub fn mine_scenes(co: &CoOccurrence, cfg: &MiningConfig) -> Vec<Vec<u32>> {
                 }
                 let avg: f64 =
                     members.iter().map(|&m| co.affinity(c, m)).sum::<f64>() / members.len() as f64;
-                if avg >= cfg.min_affinity && best.map_or(true, |(_, b)| avg > b) {
+                if avg >= cfg.min_affinity && best.is_none_or(|(_, b)| avg > b) {
                     best = Some((c, avg));
                 }
             }

@@ -35,7 +35,7 @@ impl Trigger {
     pub fn fires(self, seq: u64) -> bool {
         match self {
             Trigger::Nth(n) => seq == n,
-            Trigger::Every(n) => n > 0 && seq % n == 0,
+            Trigger::Every(n) => n > 0 && seq.is_multiple_of(n),
             Trigger::After(n) => seq > n,
             Trigger::Always => true,
         }

@@ -23,11 +23,12 @@ use scenerec_graph::UserId;
 pub struct EngineConfig {
     /// The tile height: a miss walks its shard's item rows `band` at a
     /// time, and a replay task scores every pending request of its
-    /// micro-batch against one tile before moving to the next, so a
-    /// tile of this many rows (64 KiB at f32, d = 32, for the default
-    /// 512) should sit in L2 while the batch passes over it. It also
-    /// bounds the rows per MLP head band and the scratch a tile's scores
-    /// take. No score depends on it.
+    /// micro-batch against one tile, four requests at a time into one
+    /// reused 4 × `band` score buffer (8 KiB at the default 512, so it
+    /// stays in L1), before moving to the next tile; a tile of this many
+    /// rows (64 KiB at f32, d = 32, for the default 512) should sit in
+    /// L2 while the batch passes over it. It also bounds the rows per
+    /// MLP head band. No score depends on it.
     pub band: usize,
     /// Threads handed to `score_bt` within one request, which scores an
     /// MLP head's hidden layers after the first; the first layer, the

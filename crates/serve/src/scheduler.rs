@@ -209,8 +209,10 @@ pub struct ShardReplayConfig {
     pub workers: usize,
     /// Requests per micro-batch (>= 1). Each batch becomes one task
     /// per shard, which ranks the batch's misses in one walk over the
-    /// shard's rows: larger batches read each tile of rows once for
-    /// more requests.
+    /// shard's rows, scoring each tile for four misses at a time: larger
+    /// batches read each tile of rows once for more requests, and a
+    /// batch of at least four misses lets a dot head over f32 rows load
+    /// each 8-row block once per group of four (on AVX-512 CPUs).
     pub max_batch: usize,
     /// Bounded retries: per (request, shard) cell when the shard is
     /// unavailable, and per task when its worker panics.

@@ -3,14 +3,17 @@
 //!
 //! Frozen scoring is bandwidth-bound: a cache miss reads its shard's
 //! whole item matrix. One routine ranks every miss: it walks the
-//! shard's rows in tiles of [`EngineConfig::band`] rows, scores each
-//! pending request against a tile while the tile sits in L1/L2, and
-//! streams the tile's unseen scores, in ascending item order, into that
-//! request's own top-K. A replay task hands it all of its micro-batch's
-//! misses at once (`ShardedEngine::prefetch`, run by `crate::pool`), so
-//! each tile is read from memory once per batch rather than once per
-//! request — cache blocking per tile, inside a task, at any shard
-//! count; a lone miss runs the same routine with a batch of one.
+//! shard's rows in tiles of [`EngineConfig::band`] rows, scores the
+//! pending requests against a tile four at a time while the tile sits
+//! in L1/L2, and streams the tile's unseen scores, in ascending item
+//! order, into each request's own top-K. A replay task hands it all of
+//! its micro-batch's misses at once (`ShardedEngine::prefetch`, run by
+//! `crate::pool`), so each tile is read from memory once per batch
+//! rather than once per request — cache blocking per tile, inside a
+//! task, at any shard count — and, for a dot head over f32 rows on an
+//! AVX-512 CPU, each 8-row block of a tile is loaded once per group of
+//! four requests (`linalg::dot_rows_many_into`). A lone miss runs the
+//! same routine with a batch of one, through the one-request tile.
 //!
 //! A [`ShardedEngine`] splits the catalog into contiguous item ranges
 //! ([`scenerec_core::ShardMap`]) so that shards can be served in
@@ -57,6 +60,7 @@ use scenerec_core::{
 use scenerec_data::Dataset;
 use scenerec_faults::Injector;
 use scenerec_obs::{lock_unpoisoned, metrics};
+use scenerec_tensor::linalg;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -130,6 +134,25 @@ struct Ranking<'a> {
 }
 
 impl Ranking<'_> {
+    /// Offers one tile's scores, item `first + j` scoring `scores[j]`,
+    /// dropping the user's seen items.
+    fn offer(&mut self, first: u32, scores: &[f32]) {
+        match self.mask {
+            None => {
+                self.candidates += scores.len();
+                self.top.offer_run(first, scores);
+            }
+            Some(mask) => {
+                for (item, &score) in (first..).zip(scores) {
+                    if !mask.contains(item) {
+                        self.candidates += 1;
+                        self.top.offer(item, score);
+                    }
+                }
+            }
+        }
+    }
+
     fn finish(self) -> ShardPartial {
         ShardPartial {
             recs: self.top.finish(),
@@ -366,40 +389,40 @@ impl ShardedEngine {
     /// Ranks `shard` for every request of `batch`: the one routine
     /// behind a miss, whether a task prefetches its batch or a cell
     /// ranks alone. It walks the shard's rows in tiles of
-    /// [`EngineConfig::band`] rows; each tile is scored for every
-    /// request while it sits in L1/L2, and its unseen scores stream, in
-    /// ascending item order, into the request's own top-K — the order
-    /// a whole-shard scan offers them in, so the partial's bits do not
-    /// depend on the batch. `k = 0` ranks nothing: its partial is empty
-    /// and counts no candidates, as `select_top_k` pulls no candidate at
-    /// `k = 0`.
+    /// [`EngineConfig::band`] rows; each tile is scored for the pending
+    /// requests [`linalg::BLOCK_X_ROWS`] at a time into one reused
+    /// `BLOCK_X_ROWS × band` buffer (a dot head over f32 rows runs each
+    /// group through the block kernel, reading the tile once for the
+    /// group), and each request's unseen scores stream, in ascending
+    /// item order, into its own top-K — the order a whole-shard scan
+    /// offers them in, so the partial's bits do not depend on the batch
+    /// or its groups. `k = 0` ranks nothing: its partial is empty and
+    /// counts no candidates, as `select_top_k` pulls no candidate at
+    /// `k = 0`. The rankings may come back reordered.
     fn rank(&self, shard: &Shard, batch: &mut [Ranking<'_>]) -> Result<(), ServeError> {
         let EngineConfig { band, threads, .. } = self.config.engine;
         let band = band.max(1);
         let rows = shard.side.items().rows();
-        let mut scores = Vec::with_capacity(band.min(rows));
+        batch.sort_unstable_by_key(|r| r.k == 0);
+        let live = batch.iter().take_while(|r| r.k > 0).count();
+        let batch = &mut batch[..live];
+        let group = live.min(linalg::BLOCK_X_ROWS);
+        let mut scores = Vec::with_capacity(group * band.min(rows));
         for start in (0..rows).step_by(band) {
             let end = rows.min(start + band);
             let first = shard.start + start as u32;
-            for r in batch.iter_mut().filter(|r| r.k > 0) {
-                let user = r.user as usize;
+            for rankings in batch.chunks_mut(linalg::BLOCK_X_ROWS) {
+                let mut users = [0usize; linalg::BLOCK_X_ROWS];
+                for (user, r) in users.iter_mut().zip(rankings.iter()) {
+                    *user = r.user as usize;
+                }
+                let users = &users[..rankings.len()];
                 shard
                     .side
-                    .score_range(&self.users, user, start..end, band, threads, &mut scores)
+                    .score_range(&self.users, users, start..end, band, threads, &mut scores)
                     .map_err(ServeError::Invalid)?;
-                match r.mask {
-                    None => {
-                        r.candidates += scores.len();
-                        r.top.offer_run(first, &scores);
-                    }
-                    Some(mask) => {
-                        for (item, &score) in (first..).zip(&scores) {
-                            if !mask.contains(item) {
-                                r.candidates += 1;
-                                r.top.offer(item, score);
-                            }
-                        }
-                    }
+                for (r, scores) in rankings.iter_mut().zip(scores.chunks_exact(end - start)) {
+                    r.offer(first, scores);
                 }
             }
         }
@@ -431,15 +454,15 @@ impl ShardedEngine {
                 .collect()
         };
         let mut batch: Vec<Ranking<'_>> = misses
-            .iter()
-            .map(|&(user, k)| self.ranking(shard, user, k))
+            .into_iter()
+            .map(|(user, k)| self.ranking(shard, user, k))
             .collect();
         if self.rank(shard, &mut batch).is_err() {
             return Prefetched::new();
         }
-        misses
+        batch
             .into_iter()
-            .zip(batch.into_iter().map(Ranking::finish))
+            .map(|r| ((r.user, r.k), r.finish()))
             .collect()
     }
 
@@ -526,7 +549,14 @@ impl ShardedEngine {
             let rows = 0..shard.side.items().rows();
             shard
                 .side
-                .score_range(&self.users, user as usize, rows, band, threads, &mut part)
+                .score_range(
+                    &self.users,
+                    &[user as usize],
+                    rows,
+                    band,
+                    threads,
+                    &mut part,
+                )
                 .map_err(ServeError::Invalid)?;
             scores.extend_from_slice(&part);
         }
@@ -918,6 +948,58 @@ mod tests {
                     },
                 ));
                 assert_eq!(want, got, "shards={shards} workers={workers}");
+            }
+        }
+    }
+
+    /// A task's misses ranked in groups of four — exact groups, a group
+    /// plus a remainder, several groups — over shards of full 8-row
+    /// blocks and a remainder, at widths with and without the 8-lane
+    /// body: the replay's bytes equal one `top_k` per request on a
+    /// one-shard twin, seen masks and repeated users included.
+    #[test]
+    fn grouped_misses_rank_like_lone_ones() {
+        let num_users = 9;
+        for dim in [3usize, 8, 13, 32] {
+            let frozen = tie_heavy_frozen(num_users, 45, dim);
+            let seen = seen_for(num_users);
+            let twin = single(frozen.clone(), &seen);
+            let requests: Vec<Request> = (0..23u32)
+                .map(|i| Request {
+                    user: (i * 5) % num_users as u32,
+                    k: [3, 10, 45][i as usize % 3],
+                })
+                .collect();
+            let want: Vec<Response> = requests
+                .iter()
+                .map(|r| Response {
+                    user: r.user,
+                    k: r.k,
+                    recs: twin.top_k(r.user, r.k).unwrap(),
+                    error: None,
+                    degraded: false,
+                    partial_shards: Vec::new(),
+                    overload: None,
+                })
+                .collect();
+            for shards in [1usize, 2] {
+                let engine =
+                    ShardedEngine::new(frozen.clone(), &seen, ShardedConfig::with_shards(shards))
+                        .unwrap();
+                for max_batch in [4usize, 5, 9, 64] {
+                    let config = ShardReplayConfig {
+                        max_batch,
+                        ..ShardReplayConfig::default()
+                    };
+                    let got = replay_sharded(&engine, &requests, &config);
+                    assert_eq!(
+                        responses_to_json(&got),
+                        responses_to_json(&want),
+                        "dim {dim} shards {shards} max_batch {max_batch}"
+                    );
+                    engine.invalidate_shard(0).unwrap();
+                    engine.invalidate_shard(shards - 1).unwrap();
+                }
             }
         }
     }

@@ -14,20 +14,33 @@
 //! (`TopK::offer_run`), so no caller holds a whole catalog's scores.
 //! Once `k` entries are kept, a candidate strictly below the worst kept
 //! score is one the heap would reject, so `TopK` skips it without
-//! touching the heap; a run whose every score lies below that floor
-//! costs one vectorizable compare per score. [`select_top_k`] and
-//! [`merge_top_k`] are thin wrappers over the same selection.
+//! touching the heap; a run offers only the scores one bitmask marks as
+//! at or above that floor, and a run wholly below it costs one
+//! vectorizable compare per score. [`select_top_k`] and [`merge_top_k`]
+//! are thin wrappers over the same selection.
+//!
+//! The serving order is total, NaN included: NaN ranks below every
+//! number, and NaNs tie with each other and fall to the item id, like
+//! any tie. So the sort in `TopK::finish` cannot meet an inconsistent
+//! comparison, and the floor can only rise.
 
 use scenerec_core::Recommendation;
 use scenerec_graph::ItemId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Total order used by serving: NaN compares equal, mirroring the
-/// `partial_cmp(..).unwrap_or(Equal)` fallback in the training-side sort.
+/// The serving order on scores, a total order: `partial_cmp` on
+/// numbers (so `-0.0 == +0.0`, and no finite score moves), with NaN its
+/// own lowest class — below every number, equal to every NaN, whatever
+/// its sign or payload. Callers break ties by item id.
 #[inline]
 fn score_ord(a: f32, b: f32) -> Ordering {
-    a.partial_cmp(&b).unwrap_or(Ordering::Equal)
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
+        (true, true) => Ordering::Equal,
+        (true, false) => Ordering::Less,
+        (false, true) => Ordering::Greater,
+    }
 }
 
 /// Heap entry ordered so the heap's max element is the *worst* kept
@@ -58,23 +71,22 @@ impl Ord for Worst {
     }
 }
 
-/// Scores per floor test in [`TopK::offer_run`]: a run is skipped
-/// `RUN` scores at a time when all of them lie below the floor.
+/// Scores per floor mask in [`TopK::offer_run`]: one bitmask marks the
+/// run's scores at or above the floor.
 const RUN: usize = 16;
 
 /// The best `k` candidates seen so far, by (score descending, item id
 /// ascending): one streaming selection behind serving's shard scans,
 /// [`select_top_k`] and [`merge_top_k`].
 ///
-/// Keeps a pop-then-push heap of at most `k` entries plus a *floor*:
-/// the heap's worst kept score once it holds `k` entries, else −∞. A
-/// candidate strictly below the floor (`score < floor`, false for NaN on
-/// either side) compares `Less` against the heap's worst, which is
-/// exactly the case the heap rejects, so skipping it leaves the heap as
-/// it would have been. The floor is re-read after every replacement:
-/// with a NaN kept, the heap's order is not total and its worst can
-/// *fall* after a replacement, so a floor taken before one cannot
-/// judge a candidate offered after it.
+/// Keeps a heap of at most `k` entries plus a *floor*: the heap's worst
+/// kept score once it holds `k` entries, else −∞. A candidate strictly
+/// below the floor (`score < floor`, false for NaN on either side)
+/// ranks below the heap's worst, which is exactly the case the heap
+/// rejects, so skipping it leaves the heap as it would have been. The
+/// serving order is total, so a replacement only ever removes the worst
+/// for something better: the floor can only rise, and a candidate below
+/// it once stays below it.
 #[derive(Debug)]
 pub(crate) struct TopK {
     k: usize,
@@ -106,32 +118,39 @@ impl TopK {
     }
 
     /// Offers `scores[j]` as item `first + j`, in order: exactly
-    /// [`TopK::offer`] on each, with every `RUN` scores that all lie
-    /// below the floor skipped by one test. A run that holds a candidate
-    /// is offered score by score, each judged by the floor as it stands
-    /// after the offers before it.
+    /// [`TopK::offer`] on each. Each run of `RUN` scores is masked once
+    /// against the floor as it stands at the run's start, and only the
+    /// marked scores are offered. The floor only rises, so a score below
+    /// it at the run's start is below it at its own turn too: skipping
+    /// it is exact.
     pub(crate) fn offer_run(&mut self, first: u32, scores: &[f32]) {
         for (c, run) in scores.chunks(RUN).enumerate() {
             let floor = self.floor;
-            // A fold rather than `all`: no early exit, so it vectorizes.
-            let below = run.iter().fold(true, |below, &s| below & (s < floor));
-            if !below {
-                let base = first + (c * RUN) as u32;
-                for (j, &s) in run.iter().enumerate() {
-                    self.offer(base + j as u32, s);
-                }
+            // A fold over the whole run rather than an early exit, so it
+            // vectorizes; bit `j` marks `run[j]` as below the floor.
+            let below = run
+                .iter()
+                .enumerate()
+                .fold(0u32, |m, (j, &s)| m | (u32::from(s < floor) << j));
+            let mut marked = !below & ((1u32 << run.len()) - 1);
+            let base = first + (c * RUN) as u32;
+            while marked != 0 {
+                let j = marked.trailing_zeros() as usize;
+                marked &= marked - 1;
+                self.offer(base + j as u32, run[j]);
             }
         }
     }
 
     /// The heap step: push while fewer than `k` are kept, else replace
-    /// the worst when the candidate beats it, then refresh the floor.
+    /// the worst in place when the candidate beats it, then refresh the
+    /// floor.
     fn admit(&mut self, item: u32, score: f32) {
         if self.heap.len() < self.k {
             self.heap.push(Worst { score, item });
         } else {
             // An empty heap here means `k = 0`: nothing is kept.
-            let Some(worst) = self.heap.peek() else {
+            let Some(mut worst) = self.heap.peek_mut() else {
                 return;
             };
             let replaces = match score_ord(score, worst.score) {
@@ -142,8 +161,8 @@ impl TopK {
             if !replaces {
                 return;
             }
-            self.heap.pop();
-            self.heap.push(Worst { score, item });
+            // Dropping the `PeekMut` sifts the new entry down.
+            *worst = Worst { score, item };
         }
         if self.heap.len() == self.k {
             if let Some(worst) = self.heap.peek() {
@@ -201,7 +220,8 @@ where
 ///
 /// **Why this is exact** (the proof sketch in DESIGN.md §15): the
 /// serving order `(score desc, item id asc)` is a *strict total order*
-/// on candidates (item ids are unique, finite scores compare totally).
+/// on candidates (item ids are unique, and scores compare totally, NaN
+/// as the lowest class).
 /// Restricting a strict total order to a subset preserves ranking, so
 /// every member of the global top-k that lives in shard `s` is also in
 /// shard `s`'s local top-k — no global winner can be truncated away by
@@ -210,9 +230,11 @@ where
 /// ([`select_top_k`], which is input-order independent under a strict
 /// order) yields exactly the single-engine result, ties included.
 ///
-/// NaN scores sit outside this contract (the comparator treats NaN as
-/// equal to everything, which is not a total order) — exactly the same
-/// exclusion the single-engine parity contract already makes.
+/// NaN scores keep this contract: the serving order puts NaN below
+/// every number, with NaNs tied and broken by item id, so it stays a
+/// strict total order on candidates. They sit outside the tape parity
+/// contract only: the training-side sort treats NaN as equal to
+/// everything, so its NaN rankings need not match serving's.
 pub fn merge_top_k(partials: &[Vec<Recommendation>], k: usize) -> Vec<Recommendation> {
     let mut top = TopK::new(k, partials.iter().map(Vec::len).sum());
     for r in partials.iter().flatten() {
@@ -344,15 +366,10 @@ mod tests {
             .collect()
     }
 
-    /// A selection's bits, or `None` when it panicked: the final sort's
-    /// comparator is not a total order once NaN is kept, and the
-    /// standard sort may detect that and panic. Both selections sort the
-    /// same heap with the same comparator, so they must agree on that
-    /// too.
-    fn outcome(select: impl FnOnce() -> Vec<Recommendation>) -> Option<Vec<(u32, u32)>> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(select))
-            .ok()
-            .map(|recs| rec_bits(&recs))
+    /// A selection's bits. The serving order is total, so no selection
+    /// can panic in its final sort.
+    fn outcome(select: impl FnOnce() -> Vec<Recommendation>) -> Vec<(u32, u32)> {
+        rec_bits(&select())
     }
 
     /// splitmix64, the repo's stock deterministic mixer.
@@ -383,7 +400,7 @@ mod tests {
                 state = splitmix64(state);
                 // One seed in four has no NaN, so the floor engages.
                 let draw = state % ALPHABET.len() as u64;
-                if seed % 4 == 0 && draw == 0 {
+                if seed.is_multiple_of(4) && draw == 0 {
                     2.5
                 } else {
                     ALPHABET[draw as usize]
@@ -395,11 +412,10 @@ mod tests {
     /// Every path into [`TopK`] equals the plain heap bit for bit, on
     /// streams of NaN, ±0.0, ±∞ and heavy ties: one `offer` per
     /// candidate, one `offer_run` over the whole stream, and the stream
-    /// split into runs at every length around the floor test's 16-score
-    /// step. A run that holds a candidate is judged score by score
-    /// against the live floor; a mask taken at the run's start would
-    /// skip a candidate the heap takes once a NaN-disordered heap's
-    /// worst falls after a replacement.
+    /// split into runs at every length around the floor mask's 16-score
+    /// step. A run's mask is taken against the floor at the run's start;
+    /// that is exact because the order is total and the floor can only
+    /// rise.
     #[test]
     fn streaming_selection_matches_the_plain_heap() {
         let runs = [1usize, 2, 7, 15, 16, 17, 31, 32, 33, 48, 65];
@@ -477,10 +493,9 @@ mod tests {
         assert!(merge_top_k(&[vec![], select_top_k([(1, 2.0f32)], 1)], 0).is_empty());
     }
 
-    /// NaN is outside the parity contract (models emit finite scores);
-    /// the NaN-compares-Equal fallback makes the sort-based oracle's
-    /// order unspecified. The heap must still be deterministic and
-    /// well-formed: correct length, and identical output on every call.
+    /// NaN is outside the tape parity contract (models emit finite
+    /// scores), but serving still ranks it deterministically: the heap
+    /// gives the same bits on every call.
     #[test]
     fn nan_scores_are_deterministic_and_well_formed() {
         let cands = [(0u32, f32::NAN), (1, 1.0f32), (2, f32::NAN), (3, 2.0)];
@@ -493,6 +508,55 @@ mod tests {
                 .iter()
                 .zip(&again)
                 .all(|(a, b)| a.item == b.item && a.score.to_bits() == b.score.to_bits()));
+        }
+    }
+
+    /// Regression: the serving order is total, so hostile streams —
+    /// NaN of both signs mixed with ±0.0, ±∞ and long ties — select
+    /// without a panic on every path, and rank every NaN last: each
+    /// selection is its numbers first, by (score desc, item asc), then
+    /// its NaNs by item ascending, and it keeps a NaN only when fewer
+    /// than `k` numbers were offered. The comparator that treated NaN as
+    /// equal to everything let the final sort panic on such streams.
+    #[test]
+    fn hostile_nan_streams_select_without_panicking_and_rank_nan_last() {
+        for seed in 0..400u64 {
+            let len = (splitmix64(seed ^ 0xbad) % 150) as usize;
+            let mut scores = hostile_stream(seed, len);
+            for (i, s) in scores.iter_mut().enumerate() {
+                if s.is_nan() && i % 2 == 1 {
+                    *s = -f32::NAN;
+                }
+            }
+            let numbers = scores.iter().filter(|s| !s.is_nan()).count();
+            for k in [1usize, 2, 5, 16, 17, 40, len, len + 1] {
+                let stream = scores.iter().enumerate().map(|(i, &s)| (i as u32, s));
+                let mut whole = TopK::new(k, len);
+                whole.offer_run(0, &scores);
+                let parts = [
+                    select_top_k(stream.clone(), k),
+                    whole.finish(),
+                    merge_top_k(
+                        &[
+                            select_top_k(stream.clone().filter(|(i, _)| i % 3 == 0), k),
+                            select_top_k(stream.clone().filter(|(i, _)| i % 3 != 0), k),
+                        ],
+                        k,
+                    ),
+                ];
+                for got in parts {
+                    assert_eq!(got.len(), k.min(len), "seed {seed} k {k}");
+                    let kept_nan = got.iter().filter(|r| r.score.is_nan()).count();
+                    assert_eq!(kept_nan, k.min(len).saturating_sub(numbers));
+                    let (head, tail) = got.split_at(got.len() - kept_nan);
+                    assert!(head.iter().all(|r| !r.score.is_nan()));
+                    assert!(tail.windows(2).all(|w| w[0].item.raw() < w[1].item.raw()));
+                    assert!(head.windows(2).all(|w| {
+                        w[0].score > w[1].score
+                            || (w[0].score == w[1].score && w[0].item.raw() < w[1].item.raw())
+                    }));
+                }
+            }
         }
     }
 }

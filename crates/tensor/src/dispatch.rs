@@ -4,18 +4,22 @@
 //! `target-cpu=native`, see `.cargo/config.toml`): every explicitly
 //! vectorized inner loop lives in the private `simd` module behind
 //! `#[target_feature]` and is only reachable through the [`Backend`]
-//! chosen here. Detection runs once per process (cached in a
-//! [`OnceLock`]) so the hot paths pay a single relaxed load, and the
+//! chosen here: `Backend::{Scalar, Avx2, Avx512}`, the highest the CPU
+//! runs. `Avx512` keeps every AVX2 kernel and adds one AVX-512 kernel,
+//! the block behind `linalg::dot_rows_many_into`; an AVX2 call site
+//! therefore asks whether a resolved backend [`Backend::has_avx2`], never
+//! whether it equals `Avx2`. Detection runs once per process (cached in
+//! a [`OnceLock`]) so the hot paths pay a single relaxed load, and the
 //! choice is surfaced through [`backend_name`] so run manifests and
 //! trace spans can record which kernels produced a result.
 //!
 //! **Determinism.** Backend selection never changes *values*: each SIMD
 //! kernel replicates the scalar kernel's floating-point operation order
-//! bit for bit (see `crate::simd`), so `Scalar` vs `Avx2` is purely a
-//! speed decision. The env override `SCENEREC_FORCE_SCALAR=1` (read once,
-//! at first use) forces the scalar path for A/B testing; tests that need
-//! both paths in one process use the `*_with_backend` kernel variants
-//! instead of the env var.
+//! bit for bit (see `crate::simd`), so `Scalar`, `Avx2` and `Avx512` are
+//! purely a speed decision. The env override `SCENEREC_FORCE_SCALAR=1`
+//! (read once, at first use) forces the scalar path for A/B testing;
+//! tests that need several paths in one process use the
+//! `*_with_backend` kernel variants instead of the env var.
 
 use std::sync::OnceLock;
 
@@ -30,6 +34,11 @@ pub enum Backend {
     /// unfused multiply-then-add on purpose: fusing would change
     /// rounding and break scalar parity.
     Avx2,
+    /// The AVX2 kernels plus the AVX-512 block kernel that dots four
+    /// x-rows against 8 rows per step
+    /// (`linalg::dot_rows_many_into`). Requires the AVX2 set plus
+    /// `avx512f` + `avx512dq`.
+    Avx512,
 }
 
 impl Backend {
@@ -38,7 +47,17 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
+            Backend::Avx512 => "avx512",
         }
+    }
+
+    /// Whether a *resolved* backend runs the AVX2 kernels: `Avx2`, and
+    /// `Avx512`, whose CPU has the whole AVX2 set too. Every AVX2 call
+    /// site tests this, not `== Avx2`, so an AVX-512 host keeps its AVX2
+    /// kernels wherever there is no AVX-512 one.
+    #[inline]
+    pub fn has_avx2(self) -> bool {
+        matches!(self, Backend::Avx2 | Backend::Avx512)
     }
 }
 
@@ -51,8 +70,8 @@ pub fn backend() -> Backend {
     *BACKEND.get_or_init(detect)
 }
 
-/// [`backend`]'s stable name (`"scalar"` / `"avx2"`), for provenance
-/// records.
+/// [`backend`]'s stable name (`"scalar"` / `"avx2"` / `"avx512"`), for
+/// provenance records.
 pub fn backend_name() -> &'static str {
     backend().name()
 }
@@ -65,14 +84,17 @@ pub fn cpu_backend() -> Backend {
 
 /// Clamps a *requested* backend to what the CPU can actually run:
 /// `Scalar` is always honored, `Avx2` silently degrades to `Scalar` on
-/// CPUs without avx2+fma+f16c. Every kernel call site resolves through
-/// here, which is what makes the public `*_with_backend` functions safe
-/// to call with any [`Backend`] value on any machine.
+/// CPUs without avx2+fma+f16c, and `Avx512` to `Avx2` (then `Scalar`)
+/// on CPUs without avx512f+avx512dq. Every kernel call site resolves
+/// through here, which is what makes the public `*_with_backend`
+/// functions safe to call with any [`Backend`] value on any machine.
 #[inline]
 pub fn resolve(requested: Backend) -> Backend {
     match requested {
         Backend::Scalar => Backend::Scalar,
-        Backend::Avx2 => cpu_backend(),
+        Backend::Avx2 if cpu_backend().has_avx2() => Backend::Avx2,
+        Backend::Avx2 => Backend::Scalar,
+        Backend::Avx512 => cpu_backend(),
     }
 }
 
@@ -86,16 +108,18 @@ fn detect() -> Backend {
 
 /// This is the guarding dispatch check for every `unsafe` kernel in
 /// [`crate::simd`]: `Backend::Avx2` is returned only when the CPU
-/// reports `avx2`, `fma` and `f16c` at runtime.
+/// reports `avx2`, `fma` and `f16c` at runtime, and `Backend::Avx512`
+/// only when it reports `avx512f` and `avx512dq` as well.
 #[cfg(target_arch = "x86_64")]
 fn detect_cpu() -> Backend {
-    if is_x86_feature_detected!("avx2")
+    let avx2 = is_x86_feature_detected!("avx2")
         && is_x86_feature_detected!("fma")
-        && is_x86_feature_detected!("f16c")
-    {
-        Backend::Avx2
-    } else {
-        Backend::Scalar
+        && is_x86_feature_detected!("f16c");
+    let avx512 = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq");
+    match (avx2, avx512) {
+        (true, true) => Backend::Avx512,
+        (true, false) => Backend::Avx2,
+        (false, _) => Backend::Scalar,
     }
 }
 
@@ -117,22 +141,49 @@ mod tests {
     #[test]
     fn resolve_honors_scalar_and_clamps_avx2() {
         assert_eq!(resolve(Backend::Scalar), Backend::Scalar);
-        assert_eq!(resolve(Backend::Avx2), cpu_backend());
+        let avx2 = resolve(Backend::Avx2);
+        assert_eq!(avx2 == Backend::Avx2, cpu_backend().has_avx2());
+        assert!(matches!(avx2, Backend::Avx2 | Backend::Scalar));
     }
 
     #[test]
     fn names_are_lowercase_identifiers() {
-        for b in [Backend::Scalar, Backend::Avx2] {
-            assert!(b.name().chars().all(|c| c.is_ascii_lowercase() || c == '2'));
+        for b in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
+            let name = b.name();
+            assert!(name.starts_with(|c: char| c.is_ascii_lowercase()));
+            assert!(name
+                .chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit()));
+        }
+    }
+
+    #[test]
+    fn resolved_backends_run_the_avx2_kernels_where_expected() {
+        assert!(!Backend::Scalar.has_avx2());
+        assert!(Backend::Avx2.has_avx2());
+        assert!(Backend::Avx512.has_avx2());
+        for b in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
+            // A request never resolves above what the CPU runs.
+            assert!(!resolve(b).has_avx2() || cpu_backend().has_avx2());
         }
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn cpu_detection_matches_feature_macros() {
-        let want = is_x86_feature_detected!("avx2")
+        let avx2 = is_x86_feature_detected!("avx2")
             && is_x86_feature_detected!("fma")
             && is_x86_feature_detected!("f16c");
-        assert_eq!(detect_cpu() == Backend::Avx2, want);
+        let avx512 =
+            avx2 && is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq");
+        assert_eq!(detect_cpu().has_avx2(), avx2);
+        assert_eq!(detect_cpu() == Backend::Avx512, avx512);
+        // `Avx512` resolves to itself exactly on an AVX-512 host, and to
+        // what an `Avx2` request resolves to everywhere else.
+        if avx512 {
+            assert_eq!(resolve(Backend::Avx512), Backend::Avx512);
+        } else {
+            assert_eq!(resolve(Backend::Avx512), resolve(Backend::Avx2));
+        }
     }
 }

@@ -10,7 +10,8 @@
 //! deterministic, seedable initialization schemes. Nothing in training,
 //! evaluation or serving multiplies two matrices: [`linalg`] holds
 //! matrix–vector products, dots and rank-1 updates, and the one many-row
-//! product is [`score::score_bt`], computed dot-per-element.
+//! product is [`score::score_bt`], computed dot-per-element by
+//! [`linalg::dot_rows_many_into`].
 //!
 //! Design choices (see DESIGN.md at the workspace root):
 //!
@@ -23,9 +24,10 @@
 //!   validated at model-construction time.
 //! * **Runtime-dispatched kernels**: the workspace compiles for a
 //!   portable baseline, and [`dispatch`] picks between the scalar
-//!   reference kernels and the hand-written AVX2 kernels in `simd.rs`
-//!   once per process. `unsafe` is confined to `simd.rs`, every SIMD
-//!   kernel is bit-identical to its scalar twin (lint rules R2/S1
+//!   reference kernels, the hand-written AVX2 kernels in `simd.rs`, and
+//!   those plus the AVX-512 block kernel that scores four x-rows at
+//!   once, once per process. `unsafe` is confined to `simd.rs`, every
+//!   SIMD kernel is bit-identical to its scalar twin (lint rules R2/S1
 //!   enforce the SAFETY-comment discipline), and
 //!   `SCENEREC_FORCE_SCALAR=1` forces the fallback for A/B testing.
 //! * **Quantized serving storage** ([`quant`]): bit-level f16 and

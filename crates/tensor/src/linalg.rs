@@ -5,7 +5,8 @@
 //! There is no matrix–matrix product. SceneRec's forward pass is built
 //! from one-vector affine maps, neighbour sums and cosines, and its
 //! backward pass from transposed matvecs and rank-1 updates; a batch of
-//! scores is [`crate::score::score_bt`], one [`dot_rows_into`] per row.
+//! scores is [`crate::score::score_bt`], one [`dot_rows_many_into`] over
+//! its rows.
 //!
 //! Shape-checked kernels come in a fallible `try_*` form plus a panicking
 //! wrapper for call sites whose shapes were validated at model
@@ -74,9 +75,9 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 pub fn dot_with_backend(a: &[f32], b: &[f32], backend: Backend) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if dispatch::resolve(backend) == Backend::Avx2 {
-        // SAFETY: `resolve` returns Avx2 only when the guarding dispatch
-        // check (`detect_cpu`) saw avx2+fma+f16c on this CPU.
+    if dispatch::resolve(backend).has_avx2() {
+        // SAFETY: a resolved backend has AVX2 kernels only when the
+        // guarding dispatch check (`detect_cpu`) saw avx2+fma+f16c.
         return unsafe { crate::simd::dot_avx2(a, b) };
     }
     let _ = backend;
@@ -87,14 +88,17 @@ pub fn dot_with_backend(a: &[f32], b: &[f32], backend: Backend) -> f32 {
 /// being `rows[r * stride..r * stride + x.len()]`, routed through the
 /// process-wide [`crate::dispatch::backend`].
 ///
-/// This is the one dot-per-element loop of the workspace: `matvec`,
-/// `score::score_bt` and the serving engine all call it. `stride == x.len()` walks a contiguous row-major block;
-/// a wider stride reads a column window of a wider matrix in place
-/// (the serving engine's and the tape's split first layer dot each half
-/// of `W` this way). Every output is bit-identical to [`dot`] on the
-/// same pair, on either backend. The AVX2 kernel dots `x` against 8 rows
-/// per step, each row in `dot`'s float order (see `crate::simd`); the
-/// rows past the last multiple of 8 go through [`dot_with_backend`].
+/// This is the one-x-row dot-per-element loop of the workspace:
+/// `matvec`, the serving engine and the tape call it, and its many-row
+/// sibling [`dot_rows_many_into`] (behind `score::score_bt`) falls back
+/// to it for every x-row outside a block of four. `stride == x.len()`
+/// walks a contiguous row-major block; a wider stride reads a column
+/// window of a wider matrix in place (the serving engine's and the
+/// tape's split first layer dot each half of `W` this way). Every output
+/// is bit-identical to [`dot`] on the same pair, on every backend. The
+/// AVX2 kernel (which `Avx512` runs too) dots `x` against 8 rows per
+/// step, each row in `dot`'s float order (see `crate::simd`); the rows
+/// past the last multiple of 8 go through [`dot_with_backend`].
 ///
 /// # Panics
 /// Panics if `rows` is shorter than `(out.len() - 1) * stride + x.len()`
@@ -122,11 +126,10 @@ pub fn dot_rows_into_with_backend(
     let needed = (n - 1).saturating_mul(stride).saturating_add(k);
     assert!(rows.len() >= needed, "dot_rows length mismatch");
     #[cfg(target_arch = "x86_64")]
-    let done = if dispatch::resolve(backend) == Backend::Avx2 {
+    let done = if dispatch::resolve(backend).has_avx2() {
         let done = n - n % 8;
-        // SAFETY: `resolve` returns Avx2 only when the guarding dispatch
-        // check (`detect_cpu`) saw avx2+fma+f16c on this CPU; `done` is a
-        // multiple of 8, at most `n`, so `rows` covers its `done` rows.
+        // SAFETY: `detect_cpu` saw avx2+fma+f16c (the resolved backend has
+        // AVX2 kernels); `done` is a multiple of 8 and at most `n`.
         unsafe { crate::simd::dot_rows_avx2(x, rows, stride, &mut out[..done]) };
         done
     } else {
@@ -136,6 +139,93 @@ pub fn dot_rows_into_with_backend(
     let done = 0;
     for (r, o) in out.iter_mut().enumerate().skip(done) {
         *o = dot_with_backend(x, &rows[r * stride..r * stride + k], backend);
+    }
+}
+
+/// The x-rows [`dot_rows_many_into`]'s AVX-512 block kernel scores per
+/// step: callers that group requests for it group this many.
+pub const BLOCK_X_ROWS: usize = 4;
+
+/// `out[i * n + r] = dot(xs[i], row r)` for every x-row `i` and each of
+/// the `n` rows of `rows` (row `r` being `rows[r * stride..r * stride +
+/// k]`, `k` the x-rows' common length), routed through the process-wide
+/// [`crate::dispatch::backend`]: the many-row sibling of
+/// [`dot_rows_into`], which [`crate::score::score_bt`] and the serving
+/// engine's grouped misses call.
+///
+/// Every output is bit-identical to [`dot`] on its pair, on every
+/// backend. Under `Avx512` each group of [`BLOCK_X_ROWS`] x-rows goes
+/// through the AVX-512 block kernel, which reads each 8-row block of
+/// `rows` once for the whole group and reduces every (x-row, row) pair
+/// in `dot`'s order (see `crate::simd`); the rows past the last multiple
+/// of 8, the x-rows past the last whole group, and every x-row on the
+/// other backends go through [`dot_rows_into`].
+///
+/// # Panics
+/// Panics if the x-rows differ in length, if `out.len() != xs.len() *
+/// n`, or if `rows` is shorter than `(n - 1) * stride + k` (nothing is
+/// read when `n` or `xs` is empty).
+#[inline]
+pub fn dot_rows_many_into(xs: &[&[f32]], rows: &[f32], stride: usize, n: usize, out: &mut [f32]) {
+    dot_rows_many_into_with_backend(xs, rows, stride, n, out, dispatch::backend())
+}
+
+/// [`dot_rows_many_into`] with an explicit backend request (degrades to
+/// AVX2, then scalar, when the CPU lacks AVX-512). Bit-identical across
+/// backends.
+pub fn dot_rows_many_into_with_backend(
+    xs: &[&[f32]],
+    rows: &[f32],
+    stride: usize,
+    n: usize,
+    out: &mut [f32],
+    backend: Backend,
+) {
+    let k = xs.first().map_or(0, |x| x.len());
+    assert!(
+        xs.iter().all(|x| x.len() == k),
+        "dot_rows_many x-rows differ in length"
+    );
+    assert_eq!(
+        out.len(),
+        xs.len().saturating_mul(n),
+        "dot_rows_many output mismatch"
+    );
+    if n == 0 || xs.is_empty() {
+        return;
+    }
+    let needed = (n - 1).saturating_mul(stride).saturating_add(k);
+    assert!(rows.len() >= needed, "dot_rows_many length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    let grouped = if dispatch::resolve(backend) == Backend::Avx512 {
+        let done = n - n % 8;
+        let groups = xs
+            .chunks_exact(BLOCK_X_ROWS)
+            .zip(out.chunks_exact_mut(BLOCK_X_ROWS * n));
+        for (x4, out4) in groups {
+            let x4 = [x4[0], x4[1], x4[2], x4[3]];
+            // SAFETY: `resolve` returns Avx512 only when the guarding
+            // dispatch check (`detect_cpu`) saw avx512f+avx512dq and the
+            // AVX2 set; the kernel bounds-checks every slice it loads.
+            unsafe { crate::simd::dot_rows4_avx512(x4, rows, stride, n, out4) };
+            if done < n {
+                for (x, o) in x4.iter().zip(out4.chunks_exact_mut(n)) {
+                    let rest = &rows[done * stride..];
+                    dot_rows_into_with_backend(x, rest, stride, &mut o[done..], backend);
+                }
+            }
+        }
+        xs.len() - xs.len() % BLOCK_X_ROWS
+    } else {
+        0
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let grouped = 0;
+    let rest = xs[grouped..]
+        .iter()
+        .zip(out[grouped * n..].chunks_exact_mut(n));
+    for (x, o) in rest {
+        dot_rows_into_with_backend(x, rows, stride, o, backend);
     }
 }
 

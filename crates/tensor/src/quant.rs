@@ -325,9 +325,9 @@ pub fn dot_f16(a: &[f32], hb: &[u16]) -> f32 {
 pub fn dot_f16_with_backend(a: &[f32], hb: &[u16], backend: Backend) -> f32 {
     assert_eq!(a.len(), hb.len(), "dot_f16 length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if dispatch::resolve(backend) == Backend::Avx2 {
-        // SAFETY: `resolve` returns Avx2 only when the guarding dispatch
-        // check (`detect_cpu`) saw avx2+fma+f16c on this CPU.
+    if dispatch::resolve(backend).has_avx2() {
+        // SAFETY: a resolved backend has AVX2 kernels only when the
+        // guarding dispatch check (`detect_cpu`) saw avx2+fma+f16c.
         return unsafe { crate::simd::dot_f16_avx2(a, hb) };
     }
     let _ = backend;
@@ -368,9 +368,9 @@ pub fn dot_i8_centered(uc: &[i16], v: &[i8], zv: i16) -> i32 {
 pub fn dot_i8_centered_with_backend(uc: &[i16], v: &[i8], zv: i16, backend: Backend) -> i32 {
     assert_eq!(uc.len(), v.len(), "dot_i8 length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if dispatch::resolve(backend) == Backend::Avx2 {
-        // SAFETY: `resolve` returns Avx2 only when the guarding dispatch
-        // check (`detect_cpu`) saw avx2+fma+f16c on this CPU.
+    if dispatch::resolve(backend).has_avx2() {
+        // SAFETY: a resolved backend has AVX2 kernels only when the
+        // guarding dispatch check (`detect_cpu`) saw avx2+fma+f16c.
         return unsafe { crate::simd::dot_i8_avx2(uc, v, zv) };
     }
     let _ = backend;

@@ -8,11 +8,14 @@
 //! `model.score_values` to the last bit, on either backend and at any
 //! thread count.
 //!
-//! Each output row is one [`linalg::dot_rows_into`] call over all of `B`,
-//! whose AVX2 tile dots 8 rows of `B` per step but reduces each of them
-//! in `dot`'s exact order. Threads split the output into *row bands*,
-//! and no element depends on the band it falls in, so the result is
-//! bit-identical to scoring each row with `linalg::matvec` + bias.
+//! Each band of output rows is one [`linalg::dot_rows_many_into`] call
+//! over all of `B`: under AVX-512 its block kernel scores four rows of
+//! `A` against 8 rows of `B` per step, and the AVX2 tile scores one row
+//! of `A` against 8, but both reduce every element in `dot`'s exact
+//! order. Threads split the output into *row bands*, and no element
+//! depends on the band it falls in or the rows that share its group of
+//! four, so the result is bit-identical to scoring each row with
+//! `linalg::matvec` + bias.
 
 use crate::dispatch::{self, Backend};
 use crate::error::{ShapeError, TensorResult};
@@ -27,10 +30,12 @@ use crate::par;
 /// Every element is [`linalg::dot`]'s value plus one scalar add — the
 /// exact float sequence of the tape's `affine` operator (`matvec` then
 /// `axpy(1.0, b, y)`) — so frozen-engine scores match tape scores bit for
-/// bit. Each output row is one [`linalg::dot_rows_into`] call, whose
-/// 8-row tile replays `dot`'s order per row. `threads > 1` splits the
-/// *output rows* into contiguous bands via [`par::for_each_chunk_pair`];
-/// per-element results do not depend on the band boundaries, so the
+/// bit. Each band of output rows is one [`linalg::dot_rows_many_into`]
+/// call, which scores four rows of `A` at a time under AVX-512 and one
+/// at a time otherwise, each element in `dot`'s order. `threads > 1`
+/// splits the *output rows* into contiguous bands via
+/// [`par::for_each_chunk_pair`]; per-element results do not depend on
+/// the band boundaries or on which rows share a group of four, so the
 /// output is bit-identical at any thread count.
 pub fn try_score_bt(
     a: &Matrix,
@@ -41,11 +46,12 @@ pub fn try_score_bt(
     try_score_bt_with_backend(a, b, bias, threads, dispatch::backend())
 }
 
-/// [`try_score_bt`] with an explicit backend request (degrades to scalar
-/// when the CPU lacks AVX2). Rows go through
-/// [`linalg::dot_rows_into_with_backend`], whose scalar side is one
-/// [`linalg::dot_with_backend`] per element and whose AVX2 tile replays
-/// that float order — bit-identical across backends, threads and bands.
+/// [`try_score_bt`] with an explicit backend request (degrades to AVX2,
+/// then scalar, when the CPU lacks AVX-512 or AVX2). Bands go through
+/// [`linalg::dot_rows_many_into_with_backend`], whose scalar side is one
+/// [`linalg::dot_with_backend`] per element and whose AVX2 tile and
+/// AVX-512 block kernel replay that float order — bit-identical across
+/// backends, threads and bands.
 pub fn try_score_bt_with_backend(
     a: &Matrix,
     b: &Matrix,
@@ -84,9 +90,9 @@ pub fn try_score_bt_with_backend(
     // still needs its bias.
     let a_rows: Vec<&[f32]> = (0..m).map(|i| a.row(i)).collect();
     par::for_each_chunk_pair(c.as_mut_slice(), band * n, &a_rows, band, |_, out, rows| {
-        for (c_row, a_row) in out.chunks_mut(n).zip(rows) {
-            linalg::dot_rows_into_with_backend(a_row, b.as_slice(), b.cols(), c_row, backend);
-            if let Some(bias) = bias {
+        linalg::dot_rows_many_into_with_backend(rows, b.as_slice(), b.cols(), n, out, backend);
+        if let Some(bias) = bias {
+            for c_row in out.chunks_mut(n) {
                 for (c_v, &b_v) in c_row.iter_mut().zip(bias) {
                     *c_v += b_v;
                 }

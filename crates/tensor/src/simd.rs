@@ -1,18 +1,25 @@
-//! Hand-written AVX2 kernels, bit-identical to their scalar twins.
+//! Hand-written AVX2 and AVX-512 kernels, bit-identical to their scalar
+//! twins.
 //!
 //! Every function here is `unsafe` and `#[target_feature]`-gated: the
 //! only sound way in is through [`crate::dispatch`], whose
 //! `detect_cpu` check proves `avx2`, `fma` and `f16c` are present
-//! before [`crate::dispatch::Backend::Avx2`] can be observed by a
-//! kernel call site (lint rule S1 enforces the comment discipline).
+//! before a resolved backend with
+//! [`has_avx2`](crate::dispatch::Backend::has_avx2) can be observed by a
+//! kernel call site, and `avx512f` and `avx512dq` as well before
+//! [`crate::dispatch::Backend::Avx512`] can (lint rule S1 enforces the
+//! comment discipline). The AVX2 kernels serve both resolved SIMD
+//! backends; the one AVX-512 kernel, [`dot_rows4_avx512`], scores four
+//! x-rows per 8-row block and has no AVX2 twin.
 //!
 //! **Bit-exactness.** The kernels deliberately use *unfused*
-//! `_mm256_mul_ps` + `_mm256_add_ps` rather than FMA: rustc does not
-//! contract float expressions, so the scalar kernels round after every
-//! multiply — a fused kernel would produce different last bits.
-//! Each vector lane replays the exact per-element operation sequence of
-//! the corresponding scalar kernel, and horizontal reductions use the
-//! same fixed pairwise order, so `scalar == avx2` holds bit for bit.
+//! `mul` + `add` rather than FMA: rustc does not contract float
+//! expressions, so the scalar kernels round after every multiply — a
+//! fused kernel would produce different last bits. Each vector lane
+//! replays the exact per-element operation sequence of the
+//! corresponding scalar kernel, and horizontal reductions use the same
+//! fixed pairwise order, so `scalar == avx2 == avx512` holds bit for
+//! bit.
 //! The integer int8 kernel is exact arithmetic in `i32`, which is
 //! order-independent, so it is trivially identical to its scalar twin.
 
@@ -23,7 +30,7 @@ use core::arch::x86_64::*;
 /// pairwise, scalar tail added last.
 ///
 // SAFETY: callers must hold the guarding dispatch check
-// `dispatch::resolve(..) == Backend::Avx2`, which is only true when
+// `dispatch::resolve(..).has_avx2()`, which is only true when
 // `detect_cpu` observed avx2+fma+f16c at runtime.
 #[target_feature(enable = "avx2,fma,f16c")]
 pub(crate) unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
@@ -67,7 +74,7 @@ pub(crate) unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
 /// remainder is empty: `dot` adds `0.0` too, turning `-0.0` into `+0.0`.
 ///
 // SAFETY: callers must hold the guarding dispatch check
-// `dispatch::resolve(..) == Backend::Avx2` (avx2+fma+f16c verified),
+// `dispatch::resolve(..).has_avx2()` (avx2+fma+f16c verified),
 // and pass `out.len() % 8 == 0`; each 8-row block is sliced (and so
 // bounds-checked) before any load reads it.
 #[target_feature(enable = "avx2,fma,f16c")]
@@ -125,12 +132,136 @@ pub(crate) unsafe fn dot_rows_avx2(x: &[f32], rows: &[f32], stride: usize, out: 
     }
 }
 
+/// Dots four x-rows against 8 rows of `rows` per step: for `q < 4` and
+/// each row `r` below `n - n % 8` (row `r` starts at `r * stride`, as in
+/// [`dot_rows_avx2`]), writes `out[q * n + r] = dot_avx2(xs[q], row r)`
+/// bit for bit. Rows past the last multiple of 8 are left to the caller.
+///
+/// Requests 0 and 1 ride the two 256-bit halves of one zmm accumulator
+/// per row, requests 2 and 3 those of another, so each 8-lane chunk of a
+/// row is one broadcast load shared by all four. Every (request, row)
+/// half keeps its own accumulator in [`dot_rows_avx2`]'s exact order:
+/// from zero, `acc + x*row` per chunk, unfused; the same even/odd
+/// shuffle reduction (`_mm512_shuffle_ps` works per 128-bit lane, as the
+/// 256-bit one does), run on both halves at once, leaves
+/// `(l0+l1)+(l2+l3)` and `(l4+l5)+(l6+l7)` per (request, row); a
+/// two-source permute gathers each half's 8 rows, and one add joins the
+/// two sums before the scalar tail is added last.
+///
+/// # Safety
+/// The CPU must support every enabled feature (the check below). Every
+/// load reads a slice cut (and so bounds-checked) before the loop: each
+/// x-row is cut to the first one's length, each 8-row block of `rows`
+/// to its extent, and each output block of `out` to its 8 floats.
+// SAFETY: callers must hold the guarding dispatch check
+// `dispatch::resolve(..) == Backend::Avx512` (avx512f+avx512dq and the
+// avx2+fma+f16c set verified at runtime).
+#[target_feature(enable = "avx512f,avx512dq,avx2,fma,f16c")]
+pub(crate) unsafe fn dot_rows4_avx512(
+    xs: [&[f32]; 4],
+    rows: &[f32],
+    stride: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    const LANES: usize = 8;
+    const ROWS: usize = 8;
+    let k = xs[0].len();
+    debug_assert!(xs.iter().all(|x| x.len() == k));
+    debug_assert_eq!(out.len(), 4 * n);
+    let main = k - k % LANES;
+    let [xa, xb, xc, xd] = xs;
+    let (xa, xb, xc, xd) = (&xa[..k], &xb[..k], &xc[..k], &xd[..k]);
+    let (pa, pb, pc, pd) = (xa.as_ptr(), xb.as_ptr(), xc.as_ptr(), xd.as_ptr());
+    // Indices for `_mm512_permutex2var_ps`: `low` gathers the
+    // `(l0+l1)+(l2+l3)` sums and `high` the `(l4+l5)+(l6+l7)` sums of
+    // rows 0..4 (first source) and rows 4..8 (second source), request by
+    // request.
+    let low = _mm512_setr_epi32(0, 1, 2, 3, 16, 17, 18, 19, 8, 9, 10, 11, 24, 25, 26, 27);
+    let high = _mm512_setr_epi32(4, 5, 6, 7, 20, 21, 22, 23, 12, 13, 14, 15, 28, 29, 30, 31);
+    let pairs = |a: __m512, b: __m512| {
+        _mm512_add_ps(
+            _mm512_shuffle_ps::<0x88>(a, b),
+            _mm512_shuffle_ps::<0xDD>(a, b),
+        )
+    };
+    // Rows 0..8 of one accumulator array, reduced: the first request of
+    // its pair gets its 8 dots in the low 256 bits, the second in the
+    // high 256, each with its tails added last.
+    let reduce = |acc: &[__m512; ROWS], tails: &[f32; 2 * ROWS]| {
+        let (p01, p23) = (pairs(acc[0], acc[1]), pairs(acc[2], acc[3]));
+        let (p45, p67) = (pairs(acc[4], acc[5]), pairs(acc[6], acc[7]));
+        let (q03, q47) = (pairs(p01, p23), pairs(p45, p67));
+        let sum = _mm512_add_ps(
+            _mm512_permutex2var_ps(q03, low, q47),
+            _mm512_permutex2var_ps(q03, high, q47),
+        );
+        // SAFETY: `tails` is exactly 16 f32s, one zmm.
+        _mm512_add_ps(sum, unsafe { _mm512_loadu_ps(tails.as_ptr()) })
+    };
+    for g in 0..n / ROWS {
+        let start = g * ROWS * stride;
+        let block = &rows[start..start + (ROWS - 1) * stride + k];
+        let pr = block.as_ptr();
+        let mut ab = [_mm512_setzero_ps(); ROWS];
+        let mut cd = [_mm512_setzero_ps(); ROWS];
+        let mut i = 0;
+        while i < main {
+            // i + LANES <= main <= k, the length of every x-row, and for
+            // r < ROWS, r * stride + i + LANES <= (ROWS - 1) * stride + k.
+            // SAFETY: so every 8-lane load reads in bounds (of an x-row,
+            // or of `block`, whose length is that bound).
+            unsafe {
+                let xab = _mm512_insertf32x8::<1>(
+                    _mm512_castps256_ps512(_mm256_loadu_ps(pa.add(i))),
+                    _mm256_loadu_ps(pb.add(i)),
+                );
+                let xcd = _mm512_insertf32x8::<1>(
+                    _mm512_castps256_ps512(_mm256_loadu_ps(pc.add(i))),
+                    _mm256_loadu_ps(pd.add(i)),
+                );
+                for r in 0..ROWS {
+                    let rv = _mm512_broadcast_f32x8(_mm256_loadu_ps(pr.add(r * stride + i)));
+                    ab[r] = _mm512_add_ps(ab[r], _mm512_mul_ps(xab, rv));
+                    cd[r] = _mm512_add_ps(cd[r], _mm512_mul_ps(xcd, rv));
+                }
+            }
+            i += LANES;
+        }
+        // Tails in the reduced layout of accumulator array `h` (`ab`,
+        // then `cd`): request `2h`'s 8 rows, then request `2h + 1`'s.
+        let mut tails = [[0.0f32; 2 * ROWS]; 2];
+        for (q, x) in xs.iter().enumerate() {
+            for r in 0..ROWS {
+                let row = &block[r * stride..r * stride + k];
+                let t = &mut tails[q / 2][(q % 2) * ROWS + r];
+                for (a, b) in x[main..].iter().zip(&row[main..]) {
+                    *t += a * b;
+                }
+            }
+        }
+        for (h, acc) in [&ab, &cd].into_iter().enumerate() {
+            let sum = reduce(acc, &tails[h]);
+            let halves = [
+                _mm512_castps512_ps256(sum),
+                _mm512_extractf32x8_ps::<1>(sum),
+            ];
+            for (q, half) in (2 * h..).zip(halves) {
+                let at = q * n + g * ROWS;
+                let dst = &mut out[at..at + ROWS];
+                // SAFETY: `dst` is exactly 8 f32s, one ymm.
+                unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), half) };
+            }
+        }
+    }
+}
+
 /// Dot product of an `f32` row against an `f16` (bit-level `u16`) row,
 /// widening via `_mm256_cvtph_ps` — exact, like the scalar software
 /// widening — then following [`dot_avx2`]'s float order.
 ///
 // SAFETY: callers must hold the guarding dispatch check
-// `dispatch::resolve(..) == Backend::Avx2` (avx2+fma+f16c verified);
+// `dispatch::resolve(..).has_avx2()` (avx2+fma+f16c verified);
 // f16c covers `_mm256_cvtph_ps`.
 #[target_feature(enable = "avx2,fma,f16c")]
 pub(crate) unsafe fn dot_f16_avx2(a: &[f32], hb: &[u16]) -> f32 {
@@ -172,7 +303,7 @@ pub(crate) unsafe fn dot_f16_avx2(a: &[f32], hb: &[u16]) -> f32 {
 /// the wide and scalar orders agree exactly.
 ///
 // SAFETY: callers must hold the guarding dispatch check
-// `dispatch::resolve(..) == Backend::Avx2` (avx2 verified at runtime).
+// `dispatch::resolve(..).has_avx2()` (avx2 verified at runtime).
 #[target_feature(enable = "avx2,fma,f16c")]
 pub(crate) unsafe fn dot_i8_avx2(uc: &[i16], v: &[i8], zv: i16) -> i32 {
     debug_assert_eq!(uc.len(), v.len());

@@ -165,7 +165,7 @@ proptest! {
         let unseen: Vec<(u32, f32)> = all
             .iter()
             .copied()
-            .filter(|(i, _)| (*i as usize) % mask_mod != 0)
+            .filter(|(i, _)| !(*i as usize).is_multiple_of(mask_mod))
             .collect();
         let got: Vec<(u32, u32)> = select_top_k(unseen.iter().copied(), k)
             .into_iter()
@@ -279,7 +279,7 @@ proptest! {
         let seen: Vec<Vec<u32>> = (0..num_users)
             .map(|u| {
                 (0..num_items as u32)
-                    .filter(|i| (*i as usize + u) % seen_mod == 0)
+                    .filter(|i| (*i as usize + u).is_multiple_of(seen_mod))
                     .collect()
             })
             .collect();
@@ -464,19 +464,22 @@ proptest! {
 
     /// Replay = sequential `partial_top_k` + `merge_top_k` on a twin,
     /// over logs with users repeated inside a batch and one user out of
-    /// range; batches of 1, 3 and 64; caches of 0, 1, 5 and 1024
-    /// entries, so entries are evicted inside a batch and the cells'
-    /// fallback ranks alone; tile heights that split the shard; seen
-    /// masks, all-seen included; 1–3 shards on 1–2 workers; k of 0, 1,
-    /// 7, past the catalog and `usize::MAX`; dot and MLP heads at every
-    /// precision.
+    /// range; batches of 1, 3, 4, 5 and 64, so a task's misses form
+    /// exact groups of four, a group plus a remainder, or several
+    /// groups; caches of 0, 1, 5 and 1024 entries, so entries are
+    /// evicted inside a batch and the cells' fallback ranks alone; tile
+    /// heights that split the shard, and one that holds full 8-row
+    /// blocks; widths 1–4 (the dot tiles' lane tail only) and 8, 13 and
+    /// 32 (their 8-lane body); seen masks, all-seen included; 1–3 shards
+    /// on 1–2 workers; k of 0, 1, 7, past the catalog and `usize::MAX`;
+    /// dot and MLP heads at every precision. 40 cases.
     #[test]
     fn replay_equals_sequential_partials(
         seed in 0u64..1_000_000,
         num_items in 1usize..40,
-        dim in 1usize..5,
+        dim_idx in 0usize..7,
         parts in prop::collection::vec((0u32..5, 0usize..5), 1..48),
-        batch_idx in 0usize..3,
+        batch_idx in 0usize..5,
         cap_idx in 0usize..4,
         band_idx in 0usize..4,
         shards in 1usize..4,
@@ -486,6 +489,7 @@ proptest! {
         seen_mod in 1usize..6,
     ) {
         let num_users = 4usize;
+        let dim = [1, 2, 3, 4, 8, 13, 32][dim_idx];
         let precision = [Precision::F32, Precision::F16, Precision::Int8][precision_idx];
         let base = random_frozen(seed, num_users, num_items, dim, seed % 2 == 0);
         let base = if head_idx == 1 { with_mlp_head(base, dim) } else { base };
@@ -493,7 +497,7 @@ proptest! {
         let seen: Vec<Vec<u32>> = (0..num_users)
             .map(|u| {
                 (0..num_items as u32)
-                    .filter(|i| (*i as usize + u) % seen_mod == 0)
+                    .filter(|i| (*i as usize + u).is_multiple_of(seen_mod))
                     .collect()
             })
             .collect();
@@ -514,7 +518,7 @@ proptest! {
         let engine = build();
         let replay_config = ShardReplayConfig {
             workers,
-            max_batch: [1, 3, 64][batch_idx],
+            max_batch: [1, 3, 4, 5, 64][batch_idx],
             ..ShardReplayConfig::default()
         };
         let traced = ReplayOptions { trace: true, ..ReplayOptions::default() };
