@@ -69,7 +69,12 @@
 //! dot heads keep no projection.
 //!
 //! Every precision keeps the *determinism* contract: identical bytes
-//! across kernel backends, thread counts and worker counts.
+//! across thread counts and worker counts, and across kernel backends
+//! for every non-NaN score. A NaN score stays NaN on every backend, but
+//! its sign and payload may differ (see `scenerec_tensor::linalg::dot`);
+//! neither serving's top-K nor a response byte depends on that, as the
+//! selection's key puts every NaN in one class and responses print
+//! `NaN`.
 //!
 //! [`Precision`]: super::Precision
 

@@ -136,7 +136,7 @@ struct Ranking<'a> {
 impl Ranking<'_> {
     /// Offers one tile's scores, item `first + j` scoring `scores[j]`,
     /// dropping the user's seen items.
-    fn offer(&mut self, first: u32, scores: &[f32]) {
+    fn offer_tile(&mut self, first: u32, scores: &[f32]) {
         match self.mask {
             None => {
                 self.candidates += scores.len();
@@ -422,7 +422,7 @@ impl ShardedEngine {
                     .score_range(&self.users, users, start..end, band, threads, &mut scores)
                     .map_err(ServeError::Invalid)?;
                 for (r, scores) in rankings.iter_mut().zip(scores.chunks_exact(end - start)) {
-                    r.offer(first, scores);
+                    r.offer_tile(first, scores);
                 }
             }
         }

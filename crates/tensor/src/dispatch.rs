@@ -13,10 +13,14 @@
 //! choice is surfaced through [`backend_name`] so run manifests and
 //! trace spans can record which kernels produced a result.
 //!
-//! **Determinism.** Backend selection never changes *values*: each SIMD
+//! **Determinism.** Backend selection never changes a number: each SIMD
 //! kernel replicates the scalar kernel's floating-point operation order
-//! bit for bit (see `crate::simd`), so `Scalar`, `Avx2` and `Avx512` are
-//! purely a speed decision. The env override `SCENEREC_FORCE_SCALAR=1`
+//! (see `crate::simd`), so every non-NaN result is bit-identical and
+//! `Scalar`, `Avx2` and `Avx512` are purely a speed decision. A NaN
+//! result stays NaN, though its sign and payload may differ by backend;
+//! neither serving's top-K nor a response byte depends on that, as the
+//! selection's key puts every NaN in one class and responses print
+//! `NaN`. The env override `SCENEREC_FORCE_SCALAR=1`
 //! (read once, at first use) forces the scalar path for A/B testing;
 //! tests that need several paths in one process use the
 //! `*_with_backend` kernel variants instead of the env var.
@@ -27,7 +31,8 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Portable scalar kernels — the reference implementations; always
-    /// available and bit-identical to every other backend.
+    /// available and bit-identical to every other backend on every
+    /// non-NaN result.
     Scalar,
     /// Hand-written AVX2 kernels. Requires `avx2` + `fma` + `f16c`
     /// (every AVX2-era x86-64 CPU has all three). The kernels use

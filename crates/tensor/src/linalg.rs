@@ -59,8 +59,13 @@ pub fn matvec_t_into(a: &Matrix, x: &[f32], y: &mut [f32]) {
 ///
 /// Accumulates into 8 independent partial sums reduced in a fixed
 /// pairwise order; the AVX2 kernel replays the identical per-lane
-/// operation sequence, so the result is deterministic for given inputs
-/// *and* bit-identical across backends.
+/// operation sequence, so the result is deterministic for given inputs,
+/// and every non-NaN result is bit-identical across backends. A NaN
+/// result stays NaN, but its sign and payload may differ by backend
+/// (two NaN operands of one add return whichever the instruction
+/// picks). Neither serving's top-K nor a response byte depends on that:
+/// the selection's key puts every NaN in one class, and responses print
+/// `NaN`.
 ///
 /// # Panics
 /// Panics if lengths differ (programming error at this level).
@@ -70,8 +75,9 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// [`dot`] with an explicit backend request (degrades to scalar when the
-/// CPU lacks AVX2). Bit-identical across backends; used by parity tests
-/// that need both kernels in one process.
+/// CPU lacks AVX2). Bit-identical across backends for every non-NaN
+/// result, as [`dot`] is; used by parity tests that need both kernels
+/// in one process.
 pub fn dot_with_backend(a: &[f32], b: &[f32], backend: Backend) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
     #[cfg(target_arch = "x86_64")]

@@ -1,5 +1,5 @@
 //! Hand-written AVX2 and AVX-512 kernels, bit-identical to their scalar
-//! twins.
+//! twins on every non-NaN result.
 //!
 //! Every function here is `unsafe` and `#[target_feature]`-gated: the
 //! only sound way in is through [`crate::dispatch`], whose
@@ -19,7 +19,12 @@
 //! replays the exact per-element operation sequence of the
 //! corresponding scalar kernel, and horizontal reductions use the same
 //! fixed pairwise order, so `scalar == avx2 == avx512` holds bit for
-//! bit.
+//! bit on every non-NaN result. A NaN result stays NaN, but not always
+//! the same NaN: when two NaN operands meet in one add (an input NaN
+//! and an ∞·0 default NaN), the intrinsics and the compiled scalar loop
+//! may return different ones, with another sign or payload. Neither
+//! serving's top-K nor a response byte depends on it: the selection's
+//! key puts every NaN in one class, and responses print `NaN`.
 //! The integer int8 kernel is exact arithmetic in `i32`, which is
 //! order-independent, so it is trivially identical to its scalar twin.
 
