@@ -1,7 +1,7 @@
 //! Shared manifest plumbing for the experiment binaries.
 //!
 //! Every binary finishes by writing a [`RunManifest`] — configuration,
-//! git revision, metrics registry and the final results payload, whose
+//! git revision, span timings and the final results payload, whose
 //! per-model `phases` hold each training's wall-time breakdown — under
 //! `results/` (or next to `--out` when one was given), so any printed
 //! table can be traced back to the run that produced it.
@@ -20,9 +20,10 @@ pub fn manifest_for(binary: &str, hc: &HarnessConfig) -> RunManifest {
         .with_scale(format!("{:?}", hc.scale).to_ascii_lowercase())
 }
 
-/// Attaches `results`, snapshots the metrics registry, and writes the
-/// manifest: as `<out>`'s sibling `<stem>.manifest.json` when `--out` was
-/// given, else `results/<binary>.manifest.json`. Returns the path.
+/// Attaches `results` and an empty span-timing table (these binaries
+/// trace nothing), and writes the manifest: as `<out>`'s sibling
+/// `<stem>.manifest.json` when `--out` was given, else
+/// `results/<binary>.manifest.json`. Returns the path.
 ///
 /// # Panics
 /// Panics when the manifest cannot be written (a bench run without its

@@ -54,7 +54,6 @@ use crate::PairwiseModel;
 use scenerec_autodiff::{OptimState, ParamStore};
 use scenerec_data::Dataset;
 use scenerec_faults::{crc32, Injector};
-use scenerec_obs::metrics;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -234,9 +233,7 @@ pub fn save_full_with_frozen(
         fs::remove_file(&tmp).ok();
         return Err(CheckpointError::Io(e.to_string()));
     }
-    fs::rename(&tmp, path).map_err(|e| CheckpointError::Io(e.to_string()))?;
-    metrics::counter("checkpoint/saves").inc();
-    Ok(())
+    fs::rename(&tmp, path).map_err(|e| CheckpointError::Io(e.to_string()))
 }
 
 fn tmp_path(path: &Path) -> PathBuf {
@@ -691,7 +688,7 @@ impl CheckpointStore {
 
     /// Loads the newest checkpoint that passes every integrity check,
     /// falling back across the retained window. Corrupt candidates are
-    /// counted on the `checkpoint/fallbacks` obs counter and skipped.
+    /// skipped.
     ///
     /// Returns `Ok(None)` for an empty store.
     ///
@@ -712,7 +709,6 @@ impl CheckpointStore {
             match load_full(path, data, injector) {
                 Ok(loaded) => return Ok(Some((loaded, *epoch))),
                 Err(e) => {
-                    metrics::counter("checkpoint/fallbacks").inc();
                     last_err.get_or_insert(e);
                 }
             }

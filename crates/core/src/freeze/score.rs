@@ -44,7 +44,7 @@
 //! row range and any group of users give each (user, row) the bits the
 //! user's full scan (the range `0..rows`) gives it, and slicing a
 //! catalog into shards or tiles, or a batch into groups of four (like
-//! banding and threading), cannot change a bit.
+//! banding), cannot change a bit.
 //!
 //! # Quantized item sides
 //!
@@ -69,7 +69,7 @@
 //! dot heads keep no projection.
 //!
 //! Every precision keeps the *determinism* contract: identical bytes
-//! across thread counts and worker counts, and across kernel backends
+//! across worker counts, and across kernel backends
 //! for every non-NaN score. A NaN score stays NaN on every backend, but
 //! its sign and payload may differ (see `scenerec_tensor::linalg::dot`);
 //! neither serving's top-K nor a response byte depends on that, as the
@@ -180,8 +180,7 @@ impl ItemSide {
     /// [`linalg::dot_rows_many_into`] call, which reads each block of
     /// the tile once for the whole group; every other head and precision
     /// scores user by user. `band` bounds the rows per MLP head band;
-    /// `threads` go to `score_bt` for hidden layers after the first.
-    /// Neither, nor the users sharing a call, changes a bit.
+    /// neither it nor the users sharing a call changes a bit.
     ///
     /// # Errors
     /// An inverted range or one past the item rows, or a user outside
@@ -193,7 +192,6 @@ impl ItemSide {
         user_rows: &[usize],
         rows: std::ops::Range<usize>,
         band: usize,
-        threads: usize,
         out: &mut Vec<f32>,
     ) -> Result<(), String> {
         let n = self.items.rows();
@@ -237,7 +235,7 @@ impl ItemSide {
                 let rows = Rows::Range(rows.start, rows.end);
                 for (u, &user) in user_rows.iter().enumerate() {
                     let out = &mut out[u * len..(u + 1) * len];
-                    self.score_in(users, user, rows, band, threads, out)?;
+                    self.score_in(users, user, rows, band, out)?;
                 }
             }
         }
@@ -259,7 +257,6 @@ impl ItemSide {
         user: usize,
         rows: &[u32],
         band: usize,
-        threads: usize,
     ) -> Result<Vec<f32>, String> {
         let n = self.items.rows();
         if let Some(&row) = rows.iter().find(|&&r| r as usize >= n) {
@@ -269,7 +266,7 @@ impl ItemSide {
             return Err(user_out_of_range(user, users));
         }
         let mut out = vec![0.0; rows.len()];
-        self.score_in(users, user, Rows::Listed(rows), band, threads, &mut out)?;
+        self.score_in(users, user, Rows::Listed(rows), band, &mut out)?;
         Ok(out)
     }
 
@@ -282,7 +279,6 @@ impl ItemSide {
         user: usize,
         rows: Rows<'_>,
         band: usize,
-        threads: usize,
         out: &mut [f32],
     ) -> Result<(), String> {
         let band = band.max(1);
@@ -362,7 +358,7 @@ impl ItemSide {
                     };
                     let mut x = Matrix::from_vec(end - start, h, x).map_err(|e| e.to_string())?;
                     for layer in hidden {
-                        x = try_score_bt(&x, &layer.w, Some(&layer.b), threads)
+                        x = try_score_bt(&x, &layer.w, Some(&layer.b), 1)
                             .map_err(|e| e.to_string())?;
                         layer.act.apply_all(x.as_mut_slice());
                     }
@@ -394,11 +390,10 @@ mod tests {
         users: &EntityMatrix,
         user: usize,
         band: usize,
-        threads: usize,
     ) -> Result<Vec<f32>, String> {
         let mut out = Vec::new();
         let rows = 0..side.items().rows();
-        side.score_range(users, &[user], rows, band, threads, &mut out)?;
+        side.score_range(users, &[user], rows, band, &mut out)?;
         Ok(out)
     }
 
@@ -473,14 +468,8 @@ mod tests {
         items.set_row(3, &[2.0, 0.0]);
         let head = FrozenHead::DotBias { bias: vec![0.0; 4] };
         let (users, side) = side_of(FrozenModel::dense("toy", users, items, head));
-        assert_eq!(
-            scan(&side, &users, 0, 512, 1).unwrap(),
-            [1.0, 0.0, 0.5, 2.0]
-        );
-        assert_eq!(
-            scan(&side, &users, 2, 512, 1).unwrap(),
-            [1.0, 1.0, 1.0, 2.0]
-        );
+        assert_eq!(scan(&side, &users, 0, 512).unwrap(), [1.0, 0.0, 0.5, 2.0]);
+        assert_eq!(scan(&side, &users, 2, 512).unwrap(), [1.0, 1.0, 1.0, 2.0]);
     }
 
     /// Every quantized precision's scores equal a from-scratch recompute
@@ -499,7 +488,7 @@ mod tests {
             };
             let (users, side) = side_of(frozen);
             for user in 0..users.rows() {
-                let got = scan(&side, &users, user, 512, 1).unwrap();
+                let got = scan(&side, &users, user, 512).unwrap();
                 for (i, &b) in bias.iter().enumerate() {
                     let want = match (&users, side.items()) {
                         (EntityMatrix::F16(u), EntityMatrix::F16(c)) => {
@@ -545,8 +534,8 @@ mod tests {
             let (du, ds) = side_of(dense);
             for user in 0..4 {
                 assert_eq!(
-                    bits(&scan(&qs, &qu, user, 512, 1).unwrap()),
-                    bits(&scan(&ds, &du, user, 512, 1).unwrap()),
+                    bits(&scan(&qs, &qu, user, 512).unwrap()),
+                    bits(&scan(&ds, &du, user, 512).unwrap()),
                     "{} user {user}",
                     precision.name()
                 );
@@ -574,11 +563,11 @@ mod tests {
             let ranges = [0..0, 9..9, n..n, 0..1, 8..9, n - 1..n, 5..14, 6..19, 0..n];
             let mut tile = Vec::new();
             for user in 0..users.rows() {
-                for (band, threads) in [(1, 1), (4, 2), (512, 1)] {
-                    let full = scan(&side, &users, user, band, threads).unwrap();
+                for band in [1, 4, 512] {
+                    let full = scan(&side, &users, user, band).unwrap();
                     assert_eq!(full.len(), n);
                     for rows in ranges.clone() {
-                        side.score_range(&users, &[user], rows.clone(), band, threads, &mut tile)
+                        side.score_range(&users, &[user], rows.clone(), band, &mut tile)
                             .unwrap();
                         assert_eq!(
                             bits(&tile),
@@ -587,7 +576,7 @@ mod tests {
                         );
                     }
                     for (kind, list) in &lists {
-                        let got = side.score_rows(&users, user, list, band, threads).unwrap();
+                        let got = side.score_rows(&users, user, list, band).unwrap();
                         let want: Vec<u32> =
                             list.iter().map(|&r| full[r as usize].to_bits()).collect();
                         assert_eq!(
@@ -615,7 +604,7 @@ mod tests {
             let n = side.items().rows();
             let m = users.rows();
             let full: Vec<Vec<f32>> = (0..m)
-                .map(|u| scan(&side, &users, u, 512, 1).unwrap())
+                .map(|u| scan(&side, &users, u, 512).unwrap())
                 .collect();
             let groups: [Vec<usize>; 5] = [
                 vec![],
@@ -627,7 +616,7 @@ mod tests {
             let mut out = Vec::new();
             for group in &groups {
                 for rows in [0..n, 0..8, 3..n, 5..5, 2..19] {
-                    side.score_range(&users, group, rows.clone(), 4, 2, &mut out)
+                    side.score_range(&users, group, rows.clone(), 4, &mut out)
                         .unwrap();
                     let len = rows.len();
                     assert_eq!(out.len(), group.len() * len, "{label}");
@@ -652,7 +641,7 @@ mod tests {
         for (label, users, side) in every_side() {
             let n = side.items().rows() as u32;
             for list in [vec![n], vec![0, 5, n + 7], vec![u32::MAX]] {
-                let err = side.score_rows(&users, 0, &list, 512, 1).unwrap_err();
+                let err = side.score_rows(&users, 0, &list, 512).unwrap_err();
                 assert!(err.contains("out of range"), "{label}, {list:?}: {err}");
             }
             let n = n as usize;
@@ -661,24 +650,21 @@ mod tests {
             for rows in bad {
                 let mut out = vec![7.0f32; 3];
                 let err = side
-                    .score_range(&users, &[0, 1], rows.clone(), 512, 1, &mut out)
+                    .score_range(&users, &[0, 1], rows.clone(), 512, &mut out)
                     .unwrap_err();
                 assert!(err.contains("out of range"), "{label}, {rows:?}: {err}");
                 assert_eq!(out, [7.0; 3], "{label}, {rows:?} wrote its output");
             }
             let past = users.rows();
-            assert!(scan(&side, &users, past, 512, 1).is_err(), "{label}");
+            assert!(scan(&side, &users, past, 512).is_err(), "{label}");
             // One bad user in a group fails the call before any scoring.
             let mut out = vec![7.0f32; 3];
             let err = side
-                .score_range(&users, &[0, 1, past, 2, 3], 0..n, 512, 1, &mut out)
+                .score_range(&users, &[0, 1, past, 2, 3], 0..n, 512, &mut out)
                 .unwrap_err();
             assert!(err.contains("out of range"), "{label}: {err}");
             assert_eq!(out, [7.0; 3], "{label}: a bad user wrote its output");
-            assert!(
-                side.score_rows(&users, past, &[0], 512, 1).is_err(),
-                "{label}"
-            );
+            assert!(side.score_rows(&users, past, &[0], 512).is_err(), "{label}");
         }
     }
 }

@@ -566,7 +566,7 @@ impl PairwiseModel for SceneRec {
         });
         let rows: Vec<u32> = items.iter().map(|i| i.raw()).collect();
         view.items
-            .score_rows(&view.users, user.index(), &rows, RANK_BAND, 1)
+            .score_rows(&view.users, user.index(), &rows, RANK_BAND)
             // lint:allow(R1): an id outside the model is a caller bug, on which `score_values` panics too
             .expect("ranked user and items lie in the model")
     }

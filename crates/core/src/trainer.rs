@@ -198,10 +198,6 @@ impl TrainReport {
     }
 }
 
-/// Log-spaced bucket edges for the pre-clip gradient-norm histogram,
-/// centred around the default `clip_norm` of 5.0.
-const GRAD_NORM_EDGES: [f64; 10] = [0.01, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 100.0];
-
 /// Trains `model` on `data` (training split) with BPR.
 ///
 /// Negative sampling rejects any item the user has interacted with in the
@@ -378,7 +374,9 @@ pub fn train_with_optimizer_traced<M: PairwiseModel + Sync>(
             t.add_field(s, "mean_loss", FieldValue::Float(record.mean_loss as f64));
             t.end_span(s);
         }
-        runner.record_epoch(model.name(), cfg.verbose, &record);
+        if cfg.verbose {
+            print_epoch(model.name(), &record);
+        }
         report.phases.add(&phases);
         report.epochs.push(record);
 
@@ -402,8 +400,8 @@ const MICRO_BATCH: usize = 16;
 
 /// The state a training call builds once and every epoch reuses: the
 /// known positives for negative rejection, the training pairs, the
-/// triple buffer, one gradient store per micro-batch slot, the batch
-/// accumulator and the telemetry handles.
+/// triple buffer, one gradient store per micro-batch slot and the batch
+/// accumulator.
 struct EpochRunner {
     /// All known positives per user (for negative rejection).
     known: Vec<HashSet<u32>>,
@@ -415,8 +413,6 @@ struct EpochRunner {
     slots: Vec<MicroBatch>,
     /// The batch accumulator.
     grads: GradStore,
-    /// Pre-clip global gradient-norm distribution (lock-free observes).
-    grad_norm_hist: std::sync::Arc<scenerec_obs::metrics::Histogram>,
     workers: usize,
 }
 
@@ -427,8 +423,6 @@ impl EpochRunner {
         for (u, i, _) in data.interactions.iter_interactions() {
             known[u.index()].insert(i.raw());
         }
-        let workers = cfg.threads.max(1);
-        scenerec_obs::metrics::gauge("train/workers").set(workers as f64);
         EpochRunner {
             known,
             pairs: train_pairs(data),
@@ -441,8 +435,7 @@ impl EpochRunner {
                 })
                 .collect(),
             grads: GradStore::new(model.store()),
-            grad_norm_hist: scenerec_obs::metrics::histogram("train/grad_norm", &GRAD_NORM_EDGES),
-            workers,
+            workers: cfg.threads.max(1),
         }
     }
 
@@ -554,9 +547,7 @@ impl EpochRunner {
                 self.grads.scale(1.0 / chunk.len() as f32);
             }
             if cfg.clip_norm > 0.0 {
-                let norm =
-                    scenerec_autodiff::optim::clip_global_norm(&mut self.grads, cfg.clip_norm);
-                self.grad_norm_hist.observe(norm as f64);
+                scenerec_autodiff::optim::clip_global_norm(&mut self.grads, cfg.clip_norm);
             }
             opt.step(model.store_mut(), &self.grads);
             phases.step_ns += mark.lap_ns();
@@ -564,25 +555,18 @@ impl EpochRunner {
 
         (loss_stats.mean(), phases)
     }
+}
 
-    /// Folds one finished epoch into the metrics registry and, when
-    /// `verbose`, prints its progress line to stderr.
-    fn record_epoch(&self, model: &str, verbose: bool, record: &EpochRecord) {
-        scenerec_obs::metrics::counter("train/epochs").inc();
-        scenerec_obs::metrics::counter("train/triples").add(self.pairs.len() as u64);
-        scenerec_obs::metrics::gauge(&format!("train/{model}/last_loss"))
-            .set(record.mean_loss as f64);
-        if verbose {
-            let val = match (record.val_ndcg, record.val_hr) {
-                (Some(ndcg), Some(hr)) => format!(", val_ndcg {ndcg:.4}, val_hr {hr:.4}"),
-                _ => String::new(),
-            };
-            eprintln!(
-                "[trainer] {model} epoch {}: mean_loss {:.6}{val}",
-                record.epoch, record.mean_loss
-            );
-        }
-    }
+/// Prints one finished epoch's progress line to stderr.
+fn print_epoch(model: &str, record: &EpochRecord) {
+    let val = match (record.val_ndcg, record.val_hr) {
+        (Some(ndcg), Some(hr)) => format!(", val_ndcg {ndcg:.4}, val_hr {hr:.4}"),
+        _ => String::new(),
+    };
+    eprintln!(
+        "[trainer] {model} epoch {}: mean_loss {:.6}{val}",
+        record.epoch, record.mean_loss
+    );
 }
 
 /// One micro-batch slot: the gradient store its tape's backward pass
@@ -720,8 +704,8 @@ fn epoch_seed(seed: u64, epoch: usize) -> u64 {
 /// `tests/chaos.rs` pins under injected crashes.
 ///
 /// Checkpoint *save* failures are survivable by design (the run keeps
-/// training and the next good save supersedes the failed one); they are
-/// counted on `train/checkpoint_failures`. Resume failures are not: if
+/// training and the next good save supersedes the failed one); each
+/// prints a warning to stderr. Resume failures are not: if
 /// checkpoints exist but none loads, the caller gets
 /// [`TrainRunError::Checkpoint`] rather than silently restarting from
 /// scratch.
@@ -751,7 +735,6 @@ pub fn train_resumable(
         if let Some(ts) = loaded.trainer {
             state = ts;
         }
-        scenerec_obs::metrics::counter("train/resumes").inc();
         eprintln!(
             "[trainer] resumed from the epoch-{epoch} checkpoint; next epoch {}",
             state.next_epoch
@@ -803,7 +786,9 @@ pub fn train_resumable(
             }
         }
 
-        runner.record_epoch(model.name(), cfg.verbose, &record);
+        if cfg.verbose {
+            print_epoch(model.name(), &record);
+        }
         report.phases.add(&phases);
         report.epochs.push(record);
 
@@ -823,7 +808,6 @@ pub fn train_resumable(
             };
             let os = opt.export_state();
             if let Err(e) = store.save(model, Some(&os), Some(&tstate), epoch + 1, injector) {
-                scenerec_obs::metrics::counter("train/checkpoint_failures").inc();
                 eprintln!("[trainer] warning: checkpoint save after epoch {epoch} failed: {e}");
             }
         }

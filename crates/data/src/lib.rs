@@ -34,7 +34,6 @@
 pub mod config;
 pub mod dataset;
 pub mod generator;
-pub mod log;
 pub mod mining;
 pub mod popularity;
 pub mod presets;

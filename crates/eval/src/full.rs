@@ -7,8 +7,7 @@
 //! 2020); production evaluations prefer the full ranking. Both protocols
 //! are provided so users can quantify the gap on their data.
 
-use crate::metrics::MetricSet;
-use crate::ranking::{EvalSummary, Scorer};
+use crate::ranking::{rank_all, EvalSummary, Scorer};
 use scenerec_graph::{ItemId, UserId};
 use std::collections::HashSet;
 
@@ -34,26 +33,10 @@ pub fn evaluate_full_ranking(
     k: usize,
     threads: usize,
 ) -> EvalSummary {
-    let threads = threads.max(1).min(instances.len().max(1));
-    let mut ranks = vec![0usize; instances.len()];
-    let chunk = instances.len().div_ceil(threads);
-    scenerec_tensor::par::for_each_chunk_pair(
-        &mut ranks,
-        chunk,
-        instances,
-        chunk,
-        |_, slot, part| {
-            for (r, inst) in slot.iter_mut().zip(part) {
-                *r = rank_one_full(scorer, inst, num_items);
-            }
-        },
-    );
-    let metrics = MetricSet::from_ranks(&ranks, k);
-    EvalSummary {
-        metrics,
-        num_instances: ranks.len(),
-        ranks,
-    }
+    let ranks = rank_all(instances, threads, |inst| {
+        rank_one_full(scorer, inst, num_items)
+    });
+    EvalSummary::from_ranks(ranks, k)
 }
 
 fn rank_one_full(scorer: &dyn Scorer, inst: &FullRankingInstance, num_items: u32) -> usize {

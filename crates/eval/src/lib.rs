@@ -25,4 +25,4 @@ pub mod significance;
 
 pub use full::{evaluate_full_ranking, instances_from_split, FullRankingInstance};
 pub use metrics::{hit_at_k, ndcg_at_k, rank_of_positive, reciprocal_rank, MetricSet};
-pub use ranking::{evaluate, evaluate_serial, EvalSummary, Scorer};
+pub use ranking::{evaluate, EvalSummary, Scorer};

@@ -3,24 +3,7 @@
 use crate::metrics::{rank_of_positive, MetricSet};
 use scenerec_data::EvalInstance;
 use scenerec_graph::{ItemId, UserId};
-use scenerec_obs::Stopwatch;
 use serde::{Deserialize, Serialize};
-
-/// Bucket edges (microseconds) of the per-user ranking latency
-/// histogram `eval/user_latency_us`: 10µs .. 1s.
-const LATENCY_EDGES_US: [f64; 11] = [
-    10.0,
-    25.0,
-    50.0,
-    100.0,
-    250.0,
-    500.0,
-    1_000.0,
-    5_000.0,
-    25_000.0,
-    100_000.0,
-    1_000_000.0,
-];
 
 /// Anything that can score `(user, item)` pairs.
 ///
@@ -54,7 +37,7 @@ pub struct EvalSummary {
 }
 
 impl EvalSummary {
-    fn from_ranks(ranks: Vec<usize>, k: usize) -> Self {
+    pub(crate) fn from_ranks(ranks: Vec<usize>, k: usize) -> Self {
         let metrics = MetricSet::from_ranks(&ranks, k);
         EvalSummary {
             metrics,
@@ -64,36 +47,31 @@ impl EvalSummary {
     }
 }
 
-/// Evaluates `scorer` on `instances` at cutoff `k`, serially.
-pub fn evaluate_serial(scorer: &dyn Scorer, instances: &[EvalInstance], k: usize) -> EvalSummary {
-    let start = Stopwatch::start();
-    let latency = latency_histogram();
-    let ranks: Vec<usize> = instances
-        .iter()
-        .map(|inst| timed_rank_one(scorer, inst, &latency))
-        .collect();
-    let summary = EvalSummary::from_ranks(ranks, k);
-    report_evaluation(&summary, start.elapsed());
-    summary
-}
-
 /// Evaluates `scorer` on `instances` at cutoff `k`, fanning users out over
 /// `threads` scoped threads via [`scenerec_tensor::par`] (clamped to at
-/// least 1). Results are identical to [`evaluate_serial`] regardless of
-/// thread count: each instance's rank is computed independently and
-/// written into its own slot.
+/// least 1). Results are identical at every thread count: each
+/// instance's rank is computed independently and written into its own
+/// slot.
 pub fn evaluate(
     scorer: &(dyn Scorer + Sync),
     instances: &[EvalInstance],
     k: usize,
     threads: usize,
 ) -> EvalSummary {
+    let ranks = rank_all(instances, threads, |inst| rank_one(scorer, inst));
+    EvalSummary::from_ranks(ranks, k)
+}
+
+/// Ranks every instance with `rank`, in contiguous chunks, one per
+/// thread, on up to `threads` scoped threads (at least 1); a single
+/// chunk runs on the calling thread. Each rank lands in its instance's
+/// slot, so the result does not depend on `threads`.
+pub(crate) fn rank_all<T: Sync>(
+    instances: &[T],
+    threads: usize,
+    rank: impl Fn(&T) -> usize + Sync,
+) -> Vec<usize> {
     let threads = threads.max(1).min(instances.len().max(1));
-    if threads == 1 || instances.len() < 2 {
-        return evaluate_serial(scorer, instances, k);
-    }
-    let start = Stopwatch::start();
-    let latency = latency_histogram();
     let chunk = instances.len().div_ceil(threads);
     let mut ranks = vec![0usize; instances.len()];
     scenerec_tensor::par::for_each_chunk_pair(
@@ -103,13 +81,11 @@ pub fn evaluate(
         chunk,
         |_, slot, part| {
             for (r, inst) in slot.iter_mut().zip(part) {
-                *r = timed_rank_one(scorer, inst, &latency);
+                *r = rank(inst);
             }
         },
     );
-    let summary = EvalSummary::from_ranks(ranks, k);
-    report_evaluation(&summary, start.elapsed());
-    summary
+    ranks
 }
 
 fn rank_one(scorer: &dyn Scorer, inst: &EvalInstance) -> usize {
@@ -121,35 +97,6 @@ fn rank_one(scorer: &dyn Scorer, inst: &EvalInstance) -> usize {
         "scorer returned wrong number of scores"
     );
     rank_of_positive(scores[0], &scores[1..])
-}
-
-fn latency_histogram() -> std::sync::Arc<scenerec_obs::metrics::Histogram> {
-    scenerec_obs::metrics::histogram("eval/user_latency_us", &LATENCY_EDGES_US)
-}
-
-/// Ranks one instance, recording its latency (histogram observation is a
-/// couple of lock-free atomic ops — negligible next to scoring).
-fn timed_rank_one(
-    scorer: &dyn Scorer,
-    inst: &EvalInstance,
-    latency: &scenerec_obs::metrics::Histogram,
-) -> usize {
-    let t = Stopwatch::start();
-    let rank = rank_one(scorer, inst);
-    latency.observe(t.elapsed().as_secs_f64() * 1e6);
-    rank
-}
-
-/// Folds one evaluation pass into the metrics registry.
-fn report_evaluation(summary: &EvalSummary, elapsed: std::time::Duration) {
-    scenerec_obs::metrics::counter("eval/instances").add(summary.num_instances as u64);
-    let secs = elapsed.as_secs_f64();
-    let throughput = if secs > 0.0 {
-        summary.num_instances as f64 / secs
-    } else {
-        0.0
-    };
-    scenerec_obs::metrics::gauge("eval/users_per_sec").set(throughput);
 }
 
 #[cfg(test)]
@@ -189,7 +136,7 @@ mod tests {
     #[test]
     fn serial_ranks_are_correct() {
         let s = inverse_index_scorer();
-        let summary = evaluate_serial(&s, &instances(), 2);
+        let summary = evaluate(&s, &instances(), 2, 1);
         assert_eq!(summary.ranks, vec![0, 2, 1]);
         assert_eq!(summary.num_instances, 3);
         // HR@2: ranks 0 and 1 hit -> 2/3.
@@ -200,8 +147,8 @@ mod tests {
     fn parallel_matches_serial() {
         let s = inverse_index_scorer();
         let insts = instances();
-        let serial = evaluate_serial(&s, &insts, 2);
-        for threads in [1, 2, 3, 8] {
+        let serial = evaluate(&s, &insts, 2, 1);
+        for threads in [2, 3, 8] {
             let par = evaluate(&s, &insts, 2, threads);
             assert_eq!(par, serial, "threads={threads}");
         }
@@ -237,7 +184,7 @@ mod tests {
     fn constant_scorer_scores_zero() {
         // Pessimistic tie-breaking sends the positive to the bottom.
         let s = |_u: UserId, items: &[ItemId]| vec![0.5; items.len()];
-        let summary = evaluate_serial(&s, &instances(), 2);
+        let summary = evaluate(&s, &instances(), 2, 1);
         assert_eq!(summary.metrics.hr, 0.0);
         assert_eq!(summary.metrics.ndcg, 0.0);
     }
@@ -246,6 +193,6 @@ mod tests {
     #[should_panic(expected = "wrong number of scores")]
     fn wrong_score_count_panics() {
         let s = |_u: UserId, _items: &[ItemId]| vec![1.0];
-        let _ = evaluate_serial(&s, &instances(), 2);
+        let _ = evaluate(&s, &instances(), 2, 1);
     }
 }

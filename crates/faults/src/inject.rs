@@ -102,7 +102,6 @@ impl Injector {
         };
         let fault = state.plan.fault_for(point, seq)?;
         state.injected.fetch_add(1, Ordering::Relaxed);
-        scenerec_obs::metrics::counter("faults/injected").inc();
         // Every fired fault leaves a flight-recorder entry, so a
         // post-mortem dump shows which injections preceded a crash.
         scenerec_obs::flight::record("faults.injected", format!("{fault:?} at {point}#{seq}"));

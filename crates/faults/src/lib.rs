@@ -31,9 +31,11 @@
 //! the optimizer folds away, so production call sites pay nothing when no
 //! faults are armed.
 //!
-//! Every fault that actually fires increments the global
-//! `faults/injected` counter in `scenerec-obs`, so a chaos run's manifest
-//! records how much adversity it survived.
+//! Every fault that actually fires is counted by its injector
+//! ([`Injector::injected`]) and leaves a `faults.injected` entry in the
+//! `scenerec-obs` flight recorder, so a chaos run can report how much
+//! adversity it survived and a post-mortem dump shows which faults
+//! preceded a crash.
 
 // Library crates stay entirely safe; tensor alone carries the SIMD
 // intrinsics and documents each unsafe block (lint rule R2).

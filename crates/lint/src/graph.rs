@@ -9,9 +9,10 @@
 //!   named `m` — a free function can never be called with dot syntax.
 //! * Free calls (`m(…)`) resolve only to free functions.
 //! * Qualified calls (`seg::m(…)`) use the segment to refine: an
-//!   uppercase segment selects methods of that type (`Matrix::zeros`),
-//!   a lowercase one selects functions from that module or crate
-//!   (`metrics::counter`, `linalg::dot`).
+//!   uppercase or primitive-type segment selects methods of that type
+//!   (`Matrix::zeros`, `u64::from`), any other lowercase one selects
+//!   functions from that module or crate (`metrics::histogram`,
+//!   `linalg::dot`).
 //! * A callee is visible only from its own crate or from files that
 //!   mention its `scenerec_*` crate.
 //! * When candidates remain in several crates, same-crate ones win.
@@ -27,6 +28,13 @@ use crate::rules::{classify, suppressions, test_regions, FileKind};
 use crate::summary::{summarize, Effect, FnSummary};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeInclusive;
+
+/// Primitive type names: as a call qualifier (`u64::from(…)`) each
+/// names a type, like an uppercase segment, never a module.
+const PRIMITIVE_TYPES: [&str; 17] = [
+    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
+    "f64", "bool", "char", "str",
+];
 
 /// Index into [`Workspace::fns`].
 pub type FnId = usize;
@@ -187,12 +195,14 @@ impl Workspace {
                     .collect();
                 // Qualifier refinement, when it keeps at least one.
                 if let Some(q) = &call.qualifier {
+                    let is_type = q.chars().next().is_some_and(|ch| ch.is_ascii_uppercase())
+                        || PRIMITIVE_TYPES.contains(&q.as_str());
                     let refined: Vec<FnId> = set
                         .iter()
                         .copied()
                         .filter(|&id| {
                             let c = &self.fns[id];
-                            if q.chars().next().is_some_and(|ch| ch.is_ascii_uppercase()) {
+                            if is_type {
                                 c.item.impl_type.as_deref() == Some(q.as_str())
                             } else {
                                 let q_crate = q.strip_prefix("scenerec_").unwrap_or(q);
@@ -204,9 +214,10 @@ impl Workspace {
                             }
                         })
                         .collect();
-                    if q.chars().next().is_some_and(|ch| ch.is_ascii_uppercase()) {
-                        // `Type::fn(` — trust the type segment fully: no
-                        // workspace type of that name means a std type.
+                    if is_type {
+                        // `Type::fn(` or `u64::fn(` — trust the type
+                        // segment fully: no workspace type of that name
+                        // means a std or primitive type.
                         set = refined;
                     } else if !refined.is_empty() {
                         set = refined;
@@ -465,6 +476,20 @@ mod tests {
             "crates/core/src/a.rs",
             "pub fn from() { println!(\"io\"); }\n\
              pub fn f() -> String { String::from(\"x\") }",
+        )]);
+        assert!(node(&w, "f").callees.is_empty());
+    }
+
+    #[test]
+    fn primitive_qualifier_is_trusted() {
+        // `u64::from` must resolve neither to a workspace type's `from`
+        // nor to a free fn `from`.
+        let w = ws(&[(
+            "crates/core/src/a.rs",
+            "pub struct FrozenSnapshot;\n\
+             impl FrozenSnapshot { pub fn from(x: u32) -> Self { println!(\"io {x}\"); FrozenSnapshot } }\n\
+             pub fn from() { println!(\"io\"); }\n\
+             pub fn f(x: u32) -> u64 { u64::from(x) }",
         )]);
         assert!(node(&w, "f").callees.is_empty());
     }

@@ -160,9 +160,11 @@ impl FileCtx<'_> {
 
 /// Finds `#[cfg(test)]`/`#[test]` items and returns their line ranges.
 ///
-/// An attribute whose tokens include the ident `test` marks the item it
-/// decorates; the item extends to the matching `}` of its first brace
-/// (or to the `;` of a brace-less item such as `#[cfg(test)] use …;`).
+/// An attribute whose tokens include the ident `test` marks what it
+/// decorates. An item extends to the matching `}` of its first brace
+/// (or to the `;` of a brace-less item such as `#[cfg(test)] use …;`);
+/// a field, variant or statement also stops at its `,` or at the
+/// closing bracket of the list it sits in.
 pub(crate) fn test_regions(toks: &[Tok]) -> Vec<RangeInclusive<u32>> {
     let mut regions = Vec::new();
     let mut i = 0usize;
@@ -205,20 +207,34 @@ pub(crate) fn test_regions(toks: &[Tok]) -> Vec<RangeInclusive<u32>> {
                 j += 1;
             }
         }
-        // Find the item's extent: first `{` balanced to its `}`, or a
-        // `;` that arrives before any `{`.
+        // Find the extent. An item (`fn`, `impl`, `mod`, …) runs to the
+        // `}` matching its first `{`, or to a `;` that arrives before any
+        // `{` (`#[cfg(test)] use …;`). A field, variant or statement also
+        // ends at a `,` or at an unmatched closing bracket that arrives
+        // before any `{`, so a `#[cfg(test)]` field exempts that field
+        // and never the code after its struct.
+        let item = starts_item(toks, j);
         let mut end_line = start_line;
         let mut k = j;
         let mut found = false;
+        // Open `(`/`[` (and braces inside them), and open `<` of a
+        // field's type, so a `,` or `;` inside them ends nothing.
+        let (mut depth, mut angles) = (0usize, 0usize);
         while k < toks.len() {
             match &toks[k].kind {
-                TokKind::Punct(';') => {
+                TokKind::Punct(';') if depth == 0 => {
                     end_line = toks[k].line;
                     found = true;
                     k += 1;
                     break;
                 }
-                TokKind::Punct('{') => {
+                TokKind::Punct(',') if !item && depth == 0 && angles == 0 => {
+                    end_line = toks[k].line;
+                    found = true;
+                    k += 1;
+                    break;
+                }
+                TokKind::Punct('{') if depth == 0 => {
                     let mut depth = 1usize;
                     k += 1;
                     while k < toks.len() && depth > 0 {
@@ -237,8 +253,25 @@ pub(crate) fn test_regions(toks: &[Tok]) -> Vec<RangeInclusive<u32>> {
                     }
                     break;
                 }
-                _ => k += 1,
+                TokKind::Punct('(' | '[' | '{') => depth += 1,
+                TokKind::Punct(')' | ']' | '}') if depth == 0 => {
+                    // The enclosing list closed: the field or variant
+                    // ended on the token before.
+                    end_line = toks[k - 1].line.max(start_line);
+                    found = true;
+                    break;
+                }
+                TokKind::Punct(')' | ']' | '}') => depth -= 1,
+                TokKind::Punct('<') if !item => angles += 1,
+                // `->` and `=>` close no `<`.
+                TokKind::Punct('>')
+                    if !item && !is_punct(toks, k - 1, '-') && !is_punct(toks, k - 1, '=') =>
+                {
+                    angles = angles.saturating_sub(1);
+                }
+                _ => {}
             }
+            k += 1;
         }
         if found {
             regions.push(start_line..=end_line);
@@ -248,6 +281,39 @@ pub(crate) fn test_regions(toks: &[Tok]) -> Vec<RangeInclusive<u32>> {
         }
     }
     regions
+}
+
+/// Whether the tokens from `j` open an item (`fn`, `impl`, `mod`, …),
+/// after any visibility, rather than a field, variant or statement.
+fn starts_item(toks: &[Tok], mut j: usize) -> bool {
+    if ident_at(toks, j) == Some("pub") {
+        j += 1;
+        if is_punct(toks, j, '(') {
+            while j < toks.len() && !is_punct(toks, j, ')') {
+                j += 1;
+            }
+            j += 1;
+        }
+    }
+    matches!(
+        ident_at(toks, j),
+        Some(
+            "fn" | "impl"
+                | "mod"
+                | "struct"
+                | "enum"
+                | "trait"
+                | "union"
+                | "type"
+                | "use"
+                | "static"
+                | "const"
+                | "extern"
+                | "unsafe"
+                | "async"
+                | "macro_rules"
+        )
+    )
 }
 
 /// Parses `lint:allow(R1)` / `lint:allow(D1, R1): reason` comments into
@@ -975,6 +1041,65 @@ fn lib(x: Option<u32>) -> u32 { x.unwrap() }
         let v = check("crates/core/src/x.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "R1");
+    }
+
+    /// A `#[cfg(test)]` field, struct-literal field or statement exempts
+    /// only itself: it ends at its `,`, its `;`, or the bracket that
+    /// closes its list, never at the next `{ … }` group.
+    #[test]
+    fn cfg_test_field_exempts_only_that_field() {
+        let src = r#"
+struct TopK {
+    k: usize,
+    #[cfg(test)]
+    cuts: usize,
+}
+impl TopK {
+    fn f(x: Option<u32>) -> u32 { x.unwrap() }
+}
+struct Last {
+    #[cfg(test)]
+    seen: HashMap<u32, Vec<u64>>
+}
+fn g(x: Option<u32>) -> u32 { x.unwrap() }
+fn h(x: Option<u32>) -> TopK {
+    #[cfg(test)]
+    log(|a, b| a + b, [0; 2]);
+    TopK {
+        #[cfg(test)]
+        cuts: 0,
+        k: x.unwrap() as usize,
+    }
+}
+"#;
+        let v = check("crates/serve/src/x.rs", src);
+        let lines: Vec<(u32, &str)> = v.iter().map(|v| (v.line, v.rule)).collect();
+        assert_eq!(lines, vec![(8, "R1"), (14, "R1"), (21, "R1")], "{v:?}");
+    }
+
+    /// Items keep their whole extent: commas and semicolons inside a
+    /// signature's brackets or generics, or in a `where` clause, do not
+    /// end a `#[test]` fn or a `#[cfg(test)]` impl.
+    #[test]
+    fn cfg_test_items_span_their_signatures() {
+        let src = r#"
+#[test]
+fn t(a: Option<u32>, b: [u8; 2]) -> Vec<u32> {
+    vec![a.unwrap(), b[0] as u32]
+}
+#[cfg(test)]
+impl<A, B> Pair<A, B>
+where
+    A: Clone,
+    B: Copy,
+{
+    fn f() -> u32 { None::<u32>.unwrap() }
+}
+fn lib(x: Option<u32>) -> u32 { x.unwrap() }
+"#;
+        let v = check("crates/core/src/x.rs", src);
+        let lines: Vec<(u32, &str)> = v.iter().map(|v| (v.line, v.rule)).collect();
+        assert_eq!(lines, vec![(14, "R1")], "{v:?}");
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub struct CallSite {
     /// Callee name as written.
     pub name: String,
     /// Path segment immediately before `::name(` when present
-    /// (`metrics::counter(` -> `metrics`; `Matrix::zeros(` -> `Matrix`).
+    /// (`metrics::histogram(` -> `metrics`; `Matrix::zeros(` -> `Matrix`).
     pub qualifier: Option<String>,
     /// Whether the call is a method call (`recv.name(…)`).
     pub is_method: bool,

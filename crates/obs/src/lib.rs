@@ -1,11 +1,11 @@
 //! # scenerec-obs
 //!
 //! The observability substrate for the SceneRec workspace: span trees
-//! that time everything, a process-wide metrics registry, a flight
-//! recorder for post-mortems and machine-readable run manifests. Every
-//! training/eval/bench hot path reports through this crate, so perf PRs
-//! can claim measured wins and every `results/*` file is traceable to
-//! the run that produced it.
+//! that time everything, a flight recorder for post-mortems and
+//! machine-readable run manifests. Training, evaluation, serving and
+//! the bench binaries report through this crate, so perf PRs can claim
+//! measured wins and every `results/*` file is traceable to the run
+//! that produced it.
 //!
 //! Design constraints:
 //!
@@ -13,8 +13,8 @@
 //! * **Negligible hot-path overhead** — spans open at request, epoch and
 //!   phase granularity; per-sample costs are accumulated locally by the
 //!   caller with a [`Stopwatch`] and recorded once per epoch.
-//! * **Thread-safe** — counters/gauges/histograms are lock-free atomics;
-//!   a [`Trace`] is single-owner and takes no lock at all.
+//! * **Thread-safe** — a [`Trace`] is single-owner and takes no lock at
+//!   all; the flight recorder's rings are per thread.
 //!
 //! The three records:
 //!
@@ -22,13 +22,17 @@
 //!    timestamps: one per serve request, one per training run, one per
 //!    bench set-up. They export as Chrome trace-event JSON
 //!    ([`chrome_trace_json`]) loadable in Perfetto, and aggregate per
-//!    span name into wall-time totals ([`trace::timings`]).
-//! 2. [`metrics`] — named counters, gauges and fixed-bucket histograms.
-//! 3. [`flight`] — a bounded per-thread ring-buffer flight recorder;
+//!    span name into wall-time totals ([`trace::timings`]). Span fields
+//!    carry what a counter would: a served shard's `hit`, `stale` and
+//!    `error`, for one.
+//! 2. [`flight`] — a bounded per-thread ring-buffer flight recorder;
 //!    the serve supervisor prints its dump when a worker panics.
+//! 3. [`RunManifest`] — a run's span timings, git revision and
+//!    [`HostInfo`], written next to its result file.
 //!
-//! [`RunManifest`] snapshots a run's span timings and the metrics
-//! registry (plus git revision and [`HostInfo`]) next to a result file.
+//! Besides them, [`metrics`] keeps named fixed-bucket histograms. One
+//! has a reader: the serving pool's `serve/latency_ns`, whose
+//! quantiles the `serve` bench binary reports.
 //! [`Stopwatch`] and [`monotonic_ns`] are the workspace's only clocks.
 
 // Library crates stay entirely safe; tensor alone carries the SIMD
@@ -45,7 +49,7 @@ pub mod trace;
 
 pub use clock::{monotonic_ns, Stopwatch};
 pub use manifest::{git_revision, HostInfo, RunManifest};
-pub use metrics::{log_edges, metrics_snapshot, reset_metrics, MetricsSnapshot};
+pub use metrics::{log_edges, reset_metrics};
 pub use sync::lock_unpoisoned;
 pub use trace::{
     chrome_trace_json, structure_digest, structure_text, FieldValue, SpanId, SpanRecord,

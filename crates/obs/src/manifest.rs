@@ -2,7 +2,6 @@
 //! file, capturing enough provenance to reproduce or audit the run.
 
 use crate::clock::unix_ms;
-use crate::metrics::metrics_snapshot;
 use crate::trace::{timings, SpanTiming, TraceData};
 use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
@@ -93,8 +92,6 @@ pub struct RunManifest {
     /// Wall time per span name over the run's traces
     /// ([`timings`](crate::trace::timings)), sorted by name.
     pub timings: Vec<SpanTiming>,
-    /// Metrics registry snapshot, serialized.
-    pub metrics: Value,
     /// Final results payload (tables, per-model metrics, ...).
     pub results: Value,
 }
@@ -113,7 +110,6 @@ impl RunManifest {
             kernel_backend: None,
             config: Value::Null,
             timings: Vec::new(),
-            metrics: Value::Null,
             results: Value::Null,
         }
     }
@@ -157,11 +153,10 @@ impl RunManifest {
     }
 
     /// Records the wall time of the run's `traces`, aggregated per span
-    /// name, and snapshots the metrics registry. Call once, at the end
-    /// of the run; a run that traced nothing passes `&[]`.
+    /// name. Call once, at the end of the run; a run that traced
+    /// nothing passes `&[]`.
     pub fn capture_telemetry(mut self, traces: &[TraceData]) -> Self {
         self.timings = timings(traces);
-        self.metrics = metrics_snapshot().to_value();
         self
     }
 
@@ -233,7 +228,6 @@ mod tests {
         let mut trace = Trace::new(0);
         let phase = trace.start_span("manifest_test.phase");
         trace.end_span(phase);
-        crate::metrics::counter("manifest-test/count").add(3);
         let m = RunManifest::new("unit-test")
             .with_seed(42)
             .with_scale("laptop")
@@ -250,9 +244,7 @@ mod tests {
             "\"scenerec\"",
             "\"name\": \"manifest_test.phase\"",
             "\"self_ns\"",
-            "manifest-test/count",
             "\"timings\"",
-            "\"metrics\"",
             "\"results\"",
             "\"host\"",
             "\"threads\"",

@@ -1,55 +1,15 @@
-//! Process-wide metrics registry: counters, gauges and fixed-bucket
-//! histograms.
+//! Process-wide registry of named fixed-bucket histograms.
 //!
-//! Handles are `Arc`s onto atomics, so recording is lock-free; the
-//! registry mutex is only taken on first registration and snapshots.
+//! One histogram has a reader: `serve/latency_ns`, one observation per
+//! served (request, shard) cell (`scenerec_serve`), whose p50/p99/p999
+//! the `serve` bench binary reports. Observing is a few relaxed atomic
+//! operations on a handle fetched once; the registry mutex is taken
+//! only to fetch a handle and to reset.
 
 use crate::sync::lock_unpoisoned;
-use serde::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Monotonically increasing counter.
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// Adds 1.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-write-wins floating point gauge.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Gauge {
-    /// Overwrites the gauge value.
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
 
 /// Fixed-bucket histogram over `f64` observations.
 ///
@@ -192,192 +152,38 @@ pub fn log_edges(lo: f64, hi: f64, per_decade: usize) -> Vec<f64> {
         .collect()
 }
 
-#[derive(Default)]
-struct Registry {
-    counters: BTreeMap<String, Arc<Counter>>,
-    gauges: BTreeMap<String, Arc<Gauge>>,
-    histograms: BTreeMap<String, Arc<Histogram>>,
-}
-
-impl Registry {
-    /// Drops every entry; handles already fetched keep working,
-    /// detached from later snapshots.
-    fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.histograms.clear();
-    }
-}
+/// The registered histograms, by name.
+type Registry = BTreeMap<String, Arc<Histogram>>;
 
 /// The handle registered under `name`, registering `make()` on first
 /// use. The lookup borrows `name`: only a first registration allocates
-/// the key, so fetching a registered metric allocates nothing under the
-/// registry lock.
-fn fetch<T>(map: &mut BTreeMap<String, Arc<T>>, name: &str, make: impl FnOnce() -> T) -> Arc<T> {
-    if let Some(handle) = map.get(name) {
+/// the key, so fetching a registered histogram allocates nothing under
+/// the registry lock.
+fn fetch(reg: &mut Registry, name: &str, make: impl FnOnce() -> Histogram) -> Arc<Histogram> {
+    if let Some(handle) = reg.get(name) {
         return Arc::clone(handle);
     }
     let handle = Arc::new(make());
-    map.insert(name.to_owned(), Arc::clone(&handle));
+    reg.insert(name.to_owned(), Arc::clone(&handle));
     handle
 }
 
 fn registry() -> &'static Mutex<Registry> {
     static REG: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(Registry::default()))
-}
-
-/// Fetches (registering on first use) the counter named `name`.
-pub fn counter(name: &str) -> Arc<Counter> {
-    fetch(
-        &mut lock_unpoisoned(registry()).counters,
-        name,
-        Counter::default,
-    )
-}
-
-/// Fetches (registering on first use) the gauge named `name`.
-pub fn gauge(name: &str) -> Arc<Gauge> {
-    fetch(
-        &mut lock_unpoisoned(registry()).gauges,
-        name,
-        Gauge::default,
-    )
+    REG.get_or_init(|| Mutex::new(Registry::new()))
 }
 
 /// Fetches (registering on first use) the histogram named `name` with
 /// the given bucket edges. Edges are fixed by the first registration;
 /// later calls reuse the existing histogram.
 pub fn histogram(name: &str, edges: &[f64]) -> Arc<Histogram> {
-    fetch(&mut lock_unpoisoned(registry()).histograms, name, || {
+    fetch(&mut lock_unpoisoned(registry()), name, || {
         Histogram::new(edges)
     })
 }
 
-/// Point-in-time copy of one histogram's state.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct HistogramSnapshot {
-    /// Registered name.
-    pub name: String,
-    /// Inclusive upper bucket edges.
-    pub edges: Vec<f64>,
-    /// Per-bucket counts; one more entry than `edges` (overflow last).
-    pub buckets: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Approximate p50.
-    pub p50: f64,
-    /// Approximate p99.
-    pub p99: f64,
-    /// Approximate p99.9.
-    pub p999: f64,
-}
-
-/// Point-in-time copy of the whole metrics registry.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct MetricsSnapshot {
-    /// Counter name/value pairs, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// Gauge name/value pairs, sorted by name.
-    pub gauges: Vec<(String, f64)>,
-    /// Histogram snapshots, sorted by name.
-    pub histograms: Vec<HistogramSnapshot>,
-}
-
-impl MetricsSnapshot {
-    /// Serializes the snapshot as a JSON-friendly object keyed by
-    /// metric name (more readable in manifests than the raw pairs).
-    pub fn to_value(&self) -> Value {
-        let counters = Value::Object(
-            self.counters
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::Int(*v as i64)))
-                .collect(),
-        );
-        let gauges = Value::Object(
-            self.gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::Float(*v)))
-                .collect(),
-        );
-        let histograms = Value::Object(
-            self.histograms
-                .iter()
-                .map(|h| {
-                    (
-                        h.name.clone(),
-                        Value::Object(vec![
-                            ("count".to_string(), Value::Int(h.count as i64)),
-                            ("sum".to_string(), Value::Float(h.sum)),
-                            ("p50".to_string(), Value::Float(h.p50)),
-                            ("p99".to_string(), Value::Float(h.p99)),
-                            ("p999".to_string(), Value::Float(h.p999)),
-                            (
-                                "edges".to_string(),
-                                Value::Array(h.edges.iter().map(|e| Value::Float(*e)).collect()),
-                            ),
-                            (
-                                "buckets".to_string(),
-                                Value::Array(
-                                    h.buckets.iter().map(|b| Value::Int(*b as i64)).collect(),
-                                ),
-                            ),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("counters".to_string(), counters),
-            ("gauges".to_string(), gauges),
-            ("histograms".to_string(), histograms),
-        ])
-    }
-}
-
-/// Snapshots every registered metric.
-pub fn metrics_snapshot() -> MetricsSnapshot {
-    // The registry maps are BTreeMaps, so each section comes out
-    // already sorted by name — deterministic without a post-sort.
-    let reg = lock_unpoisoned(registry());
-    let counters: Vec<(String, u64)> = reg
-        .counters
-        .iter()
-        .map(|(k, c)| (k.clone(), c.get()))
-        .collect();
-    let gauges: Vec<(String, f64)> = reg
-        .gauges
-        .iter()
-        .map(|(k, g)| (k.clone(), g.get()))
-        .collect();
-    let histograms: Vec<HistogramSnapshot> = reg
-        .histograms
-        .iter()
-        .map(|(k, h)| {
-            let qs = h.quantiles(&[0.5, 0.99, 0.999]);
-            HistogramSnapshot {
-                name: k.clone(),
-                edges: h.edges().to_vec(),
-                buckets: h.bucket_counts(),
-                count: h.count(),
-                sum: h.sum(),
-                p50: qs[0],
-                p99: qs[1],
-                p999: qs[2],
-            }
-        })
-        .collect();
-    MetricsSnapshot {
-        counters,
-        gauges,
-        histograms,
-    }
-}
-
-/// Clears the metrics registry. Existing handles keep working but are
-/// detached from future snapshots.
+/// Clears the registry. Handles already fetched keep working,
+/// detached: the next fetch of a name registers a fresh histogram.
 pub fn reset_metrics() {
     lock_unpoisoned(registry()).clear();
 }
@@ -455,30 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_and_gauge_concurrent_updates() {
-        let c = counter("test-metrics/shared-counter");
-        let g = gauge("test-metrics/shared-gauge");
-        let threads = 8;
-        let per_thread = 10_000u64;
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let c = c.clone();
-                let g = g.clone();
-                s.spawn(move || {
-                    for i in 0..per_thread {
-                        c.inc();
-                        if i % 1000 == 0 {
-                            g.set(t as f64);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(c.get(), threads as u64 * per_thread);
-        assert!((0.0..threads as f64).contains(&g.get()));
-    }
-
-    #[test]
     fn histogram_concurrent_observe_keeps_count_and_sum() {
         let h = histogram("test-metrics/conc-hist", &[0.25, 0.5, 0.75, 1.0]);
         let threads = 4;
@@ -507,65 +289,34 @@ mod tests {
         assert_eq!(h.bucket_counts().iter().sum::<u64>(), h.count());
     }
 
-    /// A registered name hands back the one handle it holds, whichever
-    /// way it is fetched, and a reset detaches old handles: the name
-    /// then registers afresh while the old handle keeps counting
-    /// unseen. Runs on a registry of its own, since a reset of the
-    /// process-wide one would race the other tests' registrations.
+    /// A registered name hands back the one histogram it holds, whose
+    /// edges its first registration fixed, and a reset detaches old
+    /// handles: the name then registers afresh while the old handle
+    /// keeps recording unseen. Runs on a registry of its own, since a
+    /// reset of the process-wide one would race the other tests'
+    /// registrations.
     #[test]
     fn fetching_reuses_the_registered_handle_and_reset_detaches_it() {
-        let mut reg = Registry::default();
-        let a = fetch(&mut reg.counters, "test-metrics/fetch", Counter::default);
-        let b = fetch(&mut reg.counters, "test-metrics/fetch", Counter::default);
-        assert!(Arc::ptr_eq(&a, &b));
+        let mut reg = Registry::new();
         let edges = [1.0, 2.0];
-        let h = fetch(&mut reg.histograms, "test-metrics/fetch", || {
-            Histogram::new(&edges)
-        });
-        let h2 = fetch(&mut reg.histograms, "test-metrics/fetch", || {
-            Histogram::new(&[9.0])
-        });
+        let h = fetch(&mut reg, "test-metrics/fetch", || Histogram::new(&edges));
+        let h2 = fetch(&mut reg, "test-metrics/fetch", || Histogram::new(&[9.0]));
         assert!(Arc::ptr_eq(&h, &h2));
         assert_eq!(h2.edges(), &edges, "the first registration fixes the edges");
-        let g = fetch(&mut reg.gauges, "test-metrics/fetch", Gauge::default);
+
+        h.observe(1.5);
+        reg.clear();
+        let fresh = fetch(&mut reg, "test-metrics/fetch", || Histogram::new(&[9.0]));
+        assert!(!Arc::ptr_eq(&h, &fresh), "reset detached the old handle");
+        assert_eq!((fresh.count(), fresh.edges()), (0, &[9.0][..]));
+        h.observe(0.5);
+        assert_eq!((h.count(), fresh.count()), (2, 0));
+
+        // The process-wide entry point shares one handle per name too.
+        let g = histogram("test-metrics/fetch-global", &edges);
         assert!(Arc::ptr_eq(
             &g,
-            &fetch(&mut reg.gauges, "test-metrics/fetch", Gauge::default)
+            &histogram("test-metrics/fetch-global", &[9.0])
         ));
-
-        a.add(3);
-        reg.clear();
-        let fresh = fetch(&mut reg.counters, "test-metrics/fetch", Counter::default);
-        assert!(!Arc::ptr_eq(&a, &fresh), "reset detached the old handle");
-        assert_eq!(fresh.get(), 0);
-        a.inc();
-        assert_eq!((a.get(), fresh.get()), (4, 0));
-
-        // The process-wide entry points share one handle per name too.
-        let c = counter("test-metrics/fetch-global");
-        assert!(Arc::ptr_eq(&c, &counter("test-metrics/fetch-global")));
-    }
-
-    #[test]
-    fn snapshot_contains_registered_metrics() {
-        counter("test-metrics/snap-counter").add(7);
-        gauge("test-metrics/snap-gauge").set(2.5);
-        histogram("test-metrics/snap-hist", &[1.0]).observe(0.3);
-        let snap = metrics_snapshot();
-        assert!(snap
-            .counters
-            .iter()
-            .any(|(k, v)| k == "test-metrics/snap-counter" && *v >= 7));
-        assert!(snap
-            .gauges
-            .iter()
-            .any(|(k, v)| k == "test-metrics/snap-gauge" && (*v - 2.5).abs() < 1e-12));
-        assert!(snap
-            .histograms
-            .iter()
-            .any(|h| h.name == "test-metrics/snap-hist"));
-        // Snapshot serializes without panicking.
-        let v = snap.to_value();
-        assert!(serde_json::to_string(&v).unwrap().contains("snap-hist"));
     }
 }

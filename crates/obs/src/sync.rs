@@ -4,7 +4,7 @@ use std::sync::{Mutex, MutexGuard};
 
 /// Locks `m`, recovering the guard when a panicking thread poisoned the
 /// mutex. Shared mutable state in this workspace (flight-recorder
-/// rings, metric registries, serve queues, fault counters) is always
+/// rings, the histogram registry, serve queues, fault counters) is always
 /// updated with simple insert/replace writes that cannot be left
 /// half-modified, so poison recovery is safe — and observability/serving
 /// must never abort the program they support.

@@ -46,10 +46,9 @@ pub struct ResultCache {
     stats: Arc<CacheStats>,
 }
 
-/// Lifetime hit/miss counters for one [`ResultCache`], kept per-cache
-/// (not in the global obs registry) so per-cache stats stay
-/// deterministic even when tests or engines run in parallel in one
-/// process.
+/// Lifetime hit/miss counters for one [`ResultCache`], kept per cache
+/// (not per process) so its stats stay deterministic even when tests
+/// or engines run in parallel in one process.
 ///
 /// The counters are atomics in a shared handle ([`ResultCache::stats`])
 /// rather than plain fields, so reading them never requires the mutex

@@ -30,10 +30,6 @@ pub struct EngineConfig {
     /// L2 while the batch passes over it. It also bounds the rows per
     /// MLP head band. No score depends on it.
     pub band: usize,
-    /// Threads handed to `score_bt` within one request, which scores an
-    /// MLP head's hidden layers after the first; the first layer, the
-    /// scalar output layer and dot heads run on the calling thread.
-    pub threads: usize,
     /// Max entries in the (user, k) result cache; 0 disables caching.
     pub cache_capacity: usize,
 }
@@ -42,7 +38,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             band: 512,
-            threads: 1,
             cache_capacity: 1024,
         }
     }

@@ -45,7 +45,7 @@
 //!   [`ServeError`]; malformed requests become error responses.
 //! * **Fault tolerance**: with [`ReplayOptions::injector`] armed, the
 //!   pool recovers worker panics (supervised respawn, exactly-once
-//!   responses), and shard outages retry with deterministic backoff and
+//!   responses), and shard outages retry a bounded number of times and
 //!   degrade to the replay's bit-identical stale partials
 //!   (`tests/chaos.rs`).
 //! * **Sharding is invisible in the bytes**: a [`ShardedEngine`]

@@ -5,8 +5,8 @@
 //! each into one task per shard. Shard `s` belongs to worker
 //! `s % workers`, and a worker drains only its own FIFO queue, so each
 //! shard's tasks run in batch order on one thread: its cache hit/miss
-//! sequence, counters, fault-point invocations and stale fallbacks are
-//! the same at any worker count. A replay therefore keeps
+//! sequence, fault-point invocations and stale fallbacks are the same
+//! at any worker count. A replay therefore keeps
 //! `min(shards, workers)` workers busy.
 //!
 //! The pool owns everything about *surviving* a task:
@@ -27,23 +27,30 @@
 //! ranks all of them in one walk over the shard's rows, tile by tile
 //! (`ShardedEngine::prefetch`), so each tile is read once per batch,
 //! not once per request. Then its cells run in batch order, each as it
-//! would alone: the cache lookup, counters, insert and any eviction are
-//! the cell's own, and a miss answers from the prefetched partial — or,
-//! when the probe did not foresee it (an entry evicted earlier in the
-//! batch), ranks its request alone through the same routine. The bytes,
-//! counters, fault probes and spans are therefore those of serving the
-//! cells one by one.
+//! would alone: the cache lookup, hit or miss count, insert and any
+//! eviction are the cell's own, and a miss answers from the prefetched
+//! partial — or, when the probe did not foresee it (an entry evicted
+//! earlier in the batch), ranks its request alone through the same
+//! routine. The bytes, cache stats, fault probes and spans are
+//! therefore those of serving the cells one by one.
 //!
 //! Each cell runs the retry ladder on its shard's injected I/O point
-//! `serve/shard/{s}`: failed attempts retry with deterministic backoff,
-//! and past the budget the cell answers from the replay's last good
-//! partial for that (shard, user, k) — stale equals fresh bit-for-bit,
-//! the engine is pure. Only without one does the shard fail.
+//! `serve/shard/{s}`: a failed attempt is retried at once, up to
+//! `max_retries` times, and past the budget the cell answers from the
+//! replay's last good partial for that (shard, user, k) — stale equals
+//! fresh bit-for-bit, the engine is pure. Only without one does the
+//! shard fail.
+//!
+//! Each cell is one observation of the `serve/latency_ns` histogram,
+//! which the `serve` bench binary reads: the cell's own retry ladder,
+//! cache lookup and answer. A miss answered from its task's prefetch
+//! records about what a hit does; the tile walk that ranked it is
+//! shared by the batch and falls in no cell's observation.
 
 use crate::scheduler::{latency_edges, Request, ShardReplayConfig};
 use crate::shard::{Prefetched, ShardPartial, ShardedEngine};
 use scenerec_core::Recommendation;
-use scenerec_faults::{Backoff, Injector};
+use scenerec_faults::Injector;
 use scenerec_obs::metrics::Histogram;
 use scenerec_obs::{flight, lock_unpoisoned, metrics, Stopwatch};
 use std::collections::{BTreeMap, VecDeque};
@@ -187,7 +194,6 @@ impl Pool<'_> {
     /// at the front of its own queue — so the shard's task stream stays
     /// FIFO in batch order — or fails it once the retry budget is spent.
     fn recover(&self, slot: usize) {
-        metrics::counter("serve/shard_worker_respawns").inc();
         let orphan = lock_unpoisoned(&self.registry[slot]).take();
         eprintln!(
             "[serve] warning: shard worker {slot} panicked; respawning (orphan: {:?})\n{}",
@@ -265,20 +271,13 @@ impl Pool<'_> {
         let mut attempt = 0u32;
         while let Err(e) = self.injector.io(point) {
             if attempt >= self.config.max_retries {
-                // Bind the lookup so the stale-map guard (a temporary)
-                // is dropped before the metrics counter takes the obs
-                // registry lock (L2).
-                let stale = lock_unpoisoned(&self.stale[shard]).get(&key).cloned();
-                let Some(recs) = stale else {
-                    return Cell::Failed(format!(
+                return match lock_unpoisoned(&self.stale[shard]).get(&key) {
+                    Some(recs) => Cell::Stale(recs.clone()),
+                    None => Cell::Failed(format!(
                         "shard {shard} unavailable after {attempt} retries: {e}"
-                    ));
+                    )),
                 };
-                metrics::counter("serve/shard_stale_hits").inc();
-                return Cell::Stale(recs);
             }
-            metrics::counter("serve/shard_retries").inc();
-            metrics::counter("serve/shard_backoff_ticks").add(Backoff::default().ticks(attempt));
             attempt += 1;
         }
         match self

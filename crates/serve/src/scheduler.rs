@@ -14,7 +14,7 @@
 //!    [`merge_top_k`] into its response and records its spans.
 //!
 //! Responses come back **in request order**, and each shard's cells run
-//! FIFO on one owner worker, so response bytes, counters and trace
+//! FIFO on one owner worker, so response bytes, cache stats and trace
 //! structure are identical at any worker count (pinned by
 //! `tests/determinism.rs` and `tests/serving_parity.rs`).
 //!
@@ -29,8 +29,8 @@
 //!   [`ShardReplayConfig::max_retries`], then error cells) and respawns
 //!   a replacement — every request is answered exactly once, never
 //!   lost, never duplicated.
-//! * **Shard outages** (`serve/shard/{s}`): a failed attempt retries
-//!   with deterministic backoff ([`scenerec_faults::Backoff`]);
+//! * **Shard outages** (`serve/shard/{s}`): a failed attempt is retried
+//!   at once, up to [`ShardReplayConfig::max_retries`] times;
 //!   exhausted retries answer from the replay's last good partial for
 //!   that (shard, user, k). Such a response is flagged `degraded` but
 //!   complete and bit-identical to a fresh one. Only a shard with no
@@ -38,16 +38,13 @@
 //!   never silently truncates a top-K — and when every shard fails the
 //!   response is a typed error.
 //!
-//! Serving telemetry goes through `scenerec-obs`: the per-shard
-//! `serve/shard/{s}/{requests,cache_hits,cache_misses}` counters,
-//! `serve/shard_retries`, `serve/shard_backoff_ticks`,
-//! `serve/shard_stale_hits`, `serve/shard_degraded` (degraded responses)
-//! and `serve/shard_worker_respawns`, and the `serve/latency_ns`
-//! histogram with one observation per (request, shard) cell: the cell's
-//! own retry ladder, cache lookup and answer. A miss answered from its
-//! task's prefetch (`crate::pool`) records about what a hit does; the
-//! tile walk that ranked it is shared by the batch and falls in no
-//! cell's observation.
+//! What happened to a cell is recorded where it is read: on its
+//! request's `serve.shard` span when the replay is traced (below), in
+//! [`Response::degraded`] and [`Response::partial_shards`] when a shard
+//! was down, and in each shard's lifetime cache hits and misses
+//! ([`ShardedEngine::shard_cache_stats`]). The pool also observes each
+//! cell's wall time into the `serve/latency_ns` histogram, which the
+//! `serve` bench binary reads (`crate::pool`).
 //!
 //! ## Causal tracing
 //!
@@ -387,9 +384,6 @@ fn gather(req: &Request, row: impl Iterator<Item = Option<Cell>>) -> (Response, 
         return (Response::error(req, error), infos);
     }
     let degraded = !missing.is_empty() || infos.iter().any(|i| matches!(i, ShardInfo::Stale));
-    if degraded {
-        metrics::counter("serve/shard_degraded").inc();
-    }
     // A lone partial is already ranked and at most k long: it is its own
     // merge, so a one-shard engine skips re-selecting it.
     let recs = if partials.len() == 1 {

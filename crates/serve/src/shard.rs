@@ -43,10 +43,10 @@
 //! ([`ShardedEngine::swap_shard`]) invalidates exactly its own cache
 //! with an O(1) epoch bump ([`ResultCache::bump_epoch`]); other
 //! shards' warm entries survive. `mark_seen` evicts the user only from
-//! the shard that owns the item. Per-shard counters live at
-//! `serve/shard/{s}/{requests,cache_hits,cache_misses}`; per-shard
-//! lifetime stats ([`ShardedEngine::shard_cache_stats`]) read shared
-//! atomics, never the cache lock.
+//! the shard that owns the item. A shard's lifetime hits and misses
+//! ([`ShardedEngine::shard_cache_stats`]) read shared atomics, never
+//! the cache lock; a traced replay also records each cell's outcome on
+//! its `serve.shard` span (`hit`, and `candidates` on a miss).
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::engine::{seen_lists, EngineConfig, ServeError};
@@ -59,7 +59,7 @@ use scenerec_core::{
 };
 use scenerec_data::Dataset;
 use scenerec_faults::Injector;
-use scenerec_obs::{lock_unpoisoned, metrics};
+use scenerec_obs::lock_unpoisoned;
 use scenerec_tensor::linalg;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -98,11 +98,6 @@ struct Shard {
     /// behind its mutex, so stats reads never contend with serving for
     /// the cache lock.
     stats: Arc<CacheStats>,
-    /// This shard's `serve/shard/{s}/…` obs counter names, formatted
-    /// once: formatting them on every lookup doubled a cache hit's cost.
-    requests_counter: String,
-    hits_counter: String,
-    misses_counter: String,
 }
 
 /// One shard's contribution to a request: its local top-K re-labelled
@@ -300,17 +295,13 @@ impl ShardedEngine {
             .boundaries()
             .iter()
             .zip(parts)
-            .enumerate()
-            .map(|(s, (&start, (items, head)))| {
+            .map(|(&start, (items, head))| {
                 let cache = ResultCache::new(config.engine.cache_capacity);
                 Ok(Shard {
                     start,
                     side: ItemSide::new(items, head, user_dim).map_err(ServeError::Invalid)?,
                     stats: cache.stats(),
                     cache: Mutex::new(cache),
-                    requests_counter: format!("serve/shard/{s}/requests"),
-                    hits_counter: format!("serve/shard/{s}/cache_hits"),
-                    misses_counter: format!("serve/shard/{s}/cache_misses"),
                 })
             })
             .collect::<Result<_, ServeError>>()?;
@@ -400,8 +391,7 @@ impl ShardedEngine {
     /// counts no candidates, as `select_top_k` pulls no candidate at
     /// `k = 0`. The rankings may come back reordered.
     fn rank(&self, shard: &Shard, batch: &mut [Ranking<'_>]) -> Result<(), ServeError> {
-        let EngineConfig { band, threads, .. } = self.config.engine;
-        let band = band.max(1);
+        let band = self.config.engine.band.max(1);
         let rows = shard.side.items().rows();
         batch.sort_unstable_by_key(|r| r.k == 0);
         let live = batch.iter().take_while(|r| r.k > 0).count();
@@ -419,7 +409,7 @@ impl ShardedEngine {
                 let users = &users[..rankings.len()];
                 shard
                     .side
-                    .score_range(&self.users, users, start..end, band, threads, &mut scores)
+                    .score_range(&self.users, users, start..end, band, &mut scores)
                     .map_err(ServeError::Invalid)?;
                 for (r, scores) in rankings.iter_mut().zip(scores.chunks_exact(end - start)) {
                     r.offer_tile(first, scores);
@@ -480,9 +470,9 @@ impl ShardedEngine {
 
     /// [`ShardedEngine::partial_top_k`], answering a miss from
     /// `prefetched` when it holds `(user, k)`, else by ranking the
-    /// shard for this request alone. Every counter, cache lookup and
-    /// insert is the one `partial_top_k` makes, and the partial's bits
-    /// are the same whichever way it was ranked.
+    /// shard for this request alone. Every cache lookup, hit or miss
+    /// count and insert is the one `partial_top_k` makes, and the
+    /// partial's bits are the same whichever way it was ranked.
     pub(crate) fn serve_partial(
         &self,
         s: usize,
@@ -492,21 +482,18 @@ impl ShardedEngine {
     ) -> Result<ShardPartial, ServeError> {
         let shard = self.shard(s)?;
         self.check_user(user)?;
-        metrics::counter(&shard.requests_counter).inc();
         let key_k = cache_k(k);
         let tag = self.precision.tag();
-        // Bind the lookup so the cache guard (a temporary) is dropped
-        // before the metrics counter takes the obs registry lock (L2).
+        // The cache guard is a temporary of this statement: a miss ranks
+        // the shard with the cache unlocked.
         let cached = lock_unpoisoned(&shard.cache).get(user, key_k, tag);
         if let Some(recs) = cached {
-            metrics::counter(&shard.hits_counter).inc();
             return Ok(ShardPartial {
                 recs,
                 hit: true,
                 candidates: 0,
             });
         }
-        metrics::counter(&shard.misses_counter).inc();
         let partial = match prefetched.get(&(user, k)) {
             Some(partial) => partial.clone(),
             None => {
@@ -542,21 +529,14 @@ impl ShardedEngine {
     /// [`ServeError::UserOutOfRange`].
     pub fn score_all(&self, user: u32) -> Result<Vec<f32>, ServeError> {
         self.check_user(user)?;
-        let EngineConfig { band, threads, .. } = self.config.engine;
+        let band = self.config.engine.band;
         let mut scores = Vec::with_capacity(self.num_items);
         let mut part = Vec::new();
         for shard in &self.shards {
             let rows = 0..shard.side.items().rows();
             shard
                 .side
-                .score_range(
-                    &self.users,
-                    &[user as usize],
-                    rows,
-                    band,
-                    threads,
-                    &mut part,
-                )
+                .score_range(&self.users, &[user as usize], rows, band, &mut part)
                 .map_err(ServeError::Invalid)?;
             scores.extend_from_slice(&part);
         }
@@ -644,9 +624,9 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Lifetime (hits, misses) of shard `s`'s result cache. Per-shard
-    /// rather than global like the `serve/shard/{s}/*` counters, so they
-    /// stay deterministic when engines run in parallel in one process.
+    /// Lifetime (hits, misses) of shard `s`'s result cache. They belong
+    /// to this engine, not to the process, so they stay deterministic
+    /// when engines run in parallel in one process.
     ///
     /// Reads the shared [`CacheStats`] atomics — **not** the cache mutex
     /// — so polling stats can never block serving (and serving's cache

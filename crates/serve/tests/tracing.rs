@@ -14,7 +14,9 @@
 
 use scenerec_core::{FrozenHead, FrozenModel, Recommendation};
 use scenerec_faults::{Fault, FaultPlan, Injector, Trigger};
-use scenerec_obs::{chrome_trace_json, structure_digest, structure_text, FieldValue, TraceData};
+use scenerec_obs::{
+    chrome_trace_json, structure_digest, structure_text, FieldValue, SpanRecord, TraceData,
+};
 use scenerec_serve::{
     replay_sharded, replay_sharded_with, EngineConfig, ReplayOptions, Request, Response,
     ShardReplayConfig, ShardedConfig, ShardedEngine,
@@ -25,6 +27,11 @@ const NUM_REQUESTS: usize = 1002;
 
 /// A one-shard engine: the whole catalog behind one cache.
 fn toy_engine() -> ShardedEngine {
+    toy_sharded(1)
+}
+
+/// The toy catalog split into `shards` contiguous item shards.
+fn toy_sharded(shards: usize) -> ShardedEngine {
     let mut users = Matrix::zeros(3, 2);
     users.set_row(0, &[1.0, 0.0]);
     users.set_row(1, &[0.0, 1.0]);
@@ -46,7 +53,7 @@ fn toy_engine() -> ShardedEngine {
         ..EngineConfig::default()
     };
     let config = ShardedConfig {
-        shards: 1,
+        shards,
         engine: config,
     };
     ShardedEngine::new(frozen, &[vec![0], vec![], vec![4]], config).unwrap()
@@ -302,4 +309,101 @@ fn engine_outage_traces_keep_request_root() {
             "serve.merge"
         ]
     );
+}
+
+/// The `serve.shard` span of shard `shard` in a request's trace.
+fn shard_span(trace: &TraceData, shard: i64) -> &SpanRecord {
+    trace
+        .spans
+        .iter()
+        .find(|s| s.name == "serve.shard" && s.field("shard") == Some(&FieldValue::Int(shard)))
+        .unwrap_or_else(|| panic!("trace {} has no span for shard {shard}", trace.trace_id))
+}
+
+/// A shard outage is recorded where it is read: the outage's shard span
+/// says `stale` when the replay answered from an earlier success for the
+/// same (user, k), and carries the `error` otherwise; the response says
+/// `degraded`, and names the missing shard only in the second case. The
+/// injector counts every fired fault. The same at any worker count.
+#[test]
+fn shard_outage_is_recorded_on_its_span_and_response() {
+    let requests = vec![
+        Request { user: 0, k: 3 },
+        Request { user: 0, k: 3 },
+        Request { user: 1, k: 3 },
+    ];
+    for workers in [1usize, 2] {
+        let engine = toy_sharded(2);
+        assert_eq!(engine.num_shards(), 2);
+        // Shard 1 answers its first probe, then is down for good.
+        let injector =
+            Injector::new(FaultPlan::new(5).inject("serve/shard/1", Trigger::After(1), Fault::Io));
+        let (responses, traces) =
+            traced_supervised(&engine, &requests, &config(workers), &injector);
+        let ctx = format!("workers={workers}");
+
+        // The first request is served whole: nothing stale, no error.
+        let fresh = &responses[0];
+        assert!(fresh.error.is_none() && !fresh.degraded, "{ctx}");
+        assert!(fresh.partial_shards.is_empty(), "{ctx}");
+        for shard in [0, 1] {
+            let span = shard_span(&traces[0], shard);
+            assert_eq!(span.field("hit"), Some(&FieldValue::Bool(false)), "{ctx}");
+            assert_eq!(
+                (span.field("stale"), span.field("error")),
+                (None, None),
+                "{ctx}"
+            );
+        }
+
+        // The same (user, k) during the outage: shard 1 answers from the
+        // replay's last good partial, bit for bit.
+        let stale = &responses[1];
+        assert!(stale.error.is_none() && stale.degraded, "{ctx}");
+        assert!(
+            stale.partial_shards.is_empty(),
+            "{ctx}: a stale shard is not missing"
+        );
+        assert_eq!(stale.recs, fresh.recs, "{ctx}");
+        let span = shard_span(&traces[1], 1);
+        assert_eq!(span.field("stale"), Some(&FieldValue::Bool(true)), "{ctx}");
+        assert_eq!(
+            (span.field("hit"), span.field("error")),
+            (None, None),
+            "{ctx}"
+        );
+        assert_eq!(
+            shard_span(&traces[1], 0).field("hit"),
+            Some(&FieldValue::Bool(true)),
+            "{ctx}: shard 0 serves the repeat from its cache"
+        );
+
+        // A (user, k) shard 1 never answered: the shard fails, the span
+        // carries the error and the response names the shard.
+        let failed = &responses[2];
+        assert!(failed.error.is_none() && failed.degraded, "{ctx}");
+        assert_eq!(failed.partial_shards, vec![1], "{ctx}");
+        assert!(
+            !failed.recs.is_empty(),
+            "{ctx}: shard 0's items are still served"
+        );
+        let span = shard_span(&traces[2], 1);
+        match span.field("error") {
+            Some(FieldValue::Str(e)) => {
+                assert!(
+                    e.starts_with("shard 1 unavailable after 2 retries"),
+                    "{ctx}: {e}"
+                )
+            }
+            other => panic!("{ctx}: shard 1 span error field {other:?}"),
+        }
+        assert_eq!(
+            (span.field("hit"), span.field("stale")),
+            (None, None),
+            "{ctx}"
+        );
+
+        // Each outage cell probes once and retries twice: 2 × 3 faults.
+        assert_eq!(injector.injected(), 6, "{ctx}");
+    }
 }

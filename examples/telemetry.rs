@@ -55,8 +55,8 @@ fn main() {
         trace_path.display()
     );
 
-    // 3. A run manifest bundles provenance, span timings, the metrics
-    //    registry and the results.
+    // 3. A run manifest bundles provenance, the span timings of the
+    //    traces above and the results.
     let manifest_path = obs::RunManifest::new("telemetry-example")
         .with_seed(7)
         .with_scale("tiny")

@@ -506,7 +506,6 @@ proptest! {
             engine: EngineConfig {
                 band: [1, 4, 7, 512][band_idx],
                 cache_capacity: [0, 1, 5, 1024][cap_idx],
-                ..EngineConfig::default()
             },
         };
         let build = || ShardedEngine::new(frozen.clone(), &seen, config.clone()).unwrap();
